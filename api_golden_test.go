@@ -44,14 +44,83 @@ func TestPublicAPIGolden(t *testing.T) {
 	}
 }
 
-// renderPublicAPI parses the package in dir (tests excluded) and renders
-// its exported declarations as sorted, comment-free source snippets.
-func renderPublicAPI(t *testing.T, dir string) string {
+// deprecatedAllowed lists the only exported names that may carry a
+// "Deprecated:" doc marker: the kernel-selection shims the repository
+// benchmark (bench/probe.go) still calls. Every other retired name is
+// deleted, not deprecated.
+var deprecatedAllowed = map[string]bool{
+	"Kernel": true, "KernelScalar": true, "KernelLanes": true, "WithKernel": true,
+}
+
+// TestDeprecatedAllowlist keeps retired shims from creeping back into the
+// public surface: any exported declaration (function, method, type,
+// struct field, constant, variable) whose doc carries a "Deprecated:"
+// marker must be on deprecatedAllowed, and every allowlisted name must
+// still be deprecated — so deleting a shim also shrinks the list.
+func TestDeprecatedAllowlist(t *testing.T) {
+	_, pkg := parsePackage(t, ".", parser.ParseComments)
+	deprecated := map[string]bool{}
+	check := func(name string, docs ...*ast.CommentGroup) {
+		for _, d := range docs {
+			if d != nil && strings.Contains(d.Text(), "Deprecated:") {
+				deprecated[name] = true
+			}
+		}
+	}
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && exportedRecv(d.Recv) {
+					check(d.Name.Name, d.Doc)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						check(s.Name.Name, d.Doc, s.Doc, s.Comment)
+						if st, ok := s.Type.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								for _, n := range f.Names {
+									if n.IsExported() {
+										check(s.Name.Name+"."+n.Name, f.Doc, f.Comment)
+									}
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								check(n.Name, d.Doc, s.Doc, s.Comment)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for name := range deprecated {
+		if !deprecatedAllowed[name] {
+			t.Errorf("%s is marked Deprecated: delete it instead of carrying a shim", name)
+		}
+	}
+	for name := range deprecatedAllowed {
+		if !deprecated[name] {
+			t.Errorf("allowlisted %s is no longer deprecated: drop it from deprecatedAllowed", name)
+		}
+	}
+}
+
+// parsePackage parses the non-test files of package bulkgcd in dir.
+func parsePackage(t *testing.T, dir string, mode parser.Mode) (*token.FileSet, *ast.Package) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	}, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +128,14 @@ func renderPublicAPI(t *testing.T, dir string) string {
 	if !ok {
 		t.Fatalf("package bulkgcd not found in %s", dir)
 	}
+	return fset, pkg
+}
+
+// renderPublicAPI parses the package in dir (tests excluded) and renders
+// its exported declarations as sorted, comment-free source snippets.
+func renderPublicAPI(t *testing.T, dir string) string {
+	t.Helper()
+	fset, pkg := parsePackage(t, dir, 0)
 	var lines []string
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {

@@ -61,8 +61,8 @@ func (e Engine) String() string {
 }
 
 // ParseEngine parses an engine name as accepted by the -engine flags of
-// the cmd/ tools: "pairs" (or the legacy "allpairs"), "batch", "hybrid".
-// Matching is case-insensitive.
+// the cmd/ tools: "pairs", "batch" or "hybrid". Matching is
+// case-insensitive.
 func ParseEngine(s string) (Engine, error) {
 	k, err := engine.ParseKind(s)
 	if err != nil {

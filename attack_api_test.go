@@ -84,32 +84,6 @@ func TestAttackAPIDefaults(t *testing.T) {
 	}
 }
 
-// TestAttackAPIWrapperParity asserts the deprecated FindSharedPrimes
-// wrapper reports exactly what the new API does.
-func TestAttackAPIWrapperParity(t *testing.T) {
-	moduli, _ := apiCorpus(t)
-	newRep, err := New(WithWorkers(2)).Run(context.Background(), moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRep, err := FindSharedPrimes(moduli, &AttackOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oldRep.Broken) != len(newRep.Broken) {
-		t.Fatalf("wrapper broke %d keys, new API %d", len(oldRep.Broken), len(newRep.Broken))
-	}
-	for i := range oldRep.Broken {
-		o, n := oldRep.Broken[i], newRep.Broken[i]
-		if o.Index != n.Index || o.P.Cmp(n.P) != 0 || o.Q.Cmp(n.Q) != 0 {
-			t.Fatalf("broken key %d differs between wrapper and new API", i)
-		}
-	}
-	if oldRep.Pairs != newRep.Pairs {
-		t.Errorf("wrapper pairs %d, new API %d", oldRep.Pairs, newRep.Pairs)
-	}
-}
-
 // TestAttackAPICheckpointResume interrupts a checkpointed hybrid run,
 // then reruns with the same journal path: the second run must resume
 // (not restart) and produce the complete findings.
@@ -223,6 +197,7 @@ func TestAttackAPIErrors(t *testing.T) {
 		{"bad engine", New(WithEngine(Engine(42))), "unknown engine"},
 		{"bad algorithm", New(WithAlgorithm(Algorithm(42))), "unknown algorithm"},
 		{"batch checkpoint", New(WithEngine(EngineBatch), WithCheckpoint(filepath.Join(t.TempDir(), "j.jsonl"))), "pairs or hybrid"},
+		{"batch quarantine", New(WithEngine(EngineBatch), WithQuarantine()), "pairs or hybrid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,8 +209,9 @@ func TestAttackAPIErrors(t *testing.T) {
 	}
 }
 
-// TestEngineParse covers the Engine enum round trip and the legacy
-// "allpairs" spelling.
+// TestEngineParse covers the Engine enum round trip, case-insensitive
+// matching, and the rejection of unknown names (including the retired
+// "allpairs" spelling).
 func TestEngineParse(t *testing.T) {
 	for _, eng := range Engines {
 		got, err := ParseEngine(eng.String())
@@ -243,11 +219,13 @@ func TestEngineParse(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", eng.String(), got, err)
 		}
 	}
-	if got, err := ParseEngine("AllPairs"); err != nil || got != EnginePairs {
-		t.Errorf("ParseEngine(AllPairs) = %v, %v", got, err)
+	if got, err := ParseEngine("Hybrid"); err != nil || got != EngineHybrid {
+		t.Errorf("ParseEngine(Hybrid) = %v, %v", got, err)
 	}
-	if _, err := ParseEngine("gpu"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
+	for _, bad := range []string{"gpu", "allpairs"} {
+		if _, err := ParseEngine(bad); err == nil {
+			t.Errorf("ParseEngine accepted %q", bad)
+		}
 	}
 	if s := Engine(42).String(); s != "Engine(42)" {
 		t.Errorf("unknown engine String = %q", s)

@@ -294,7 +294,7 @@ func BenchmarkAttack64Keys512(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := FindSharedPrimes(moduli, nil)
+		rep, err := New().Run(context.Background(), moduli)
 		if err != nil {
 			b.Fatal(err)
 		}

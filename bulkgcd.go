@@ -30,7 +30,6 @@
 package bulkgcd
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/big"
@@ -160,39 +159,6 @@ func trailingZeros(v *big.Int) int {
 	return k
 }
 
-// AttackOptions configures FindSharedPrimes. The zero value selects the
-// recommended configuration: Approximate Euclidean, early termination,
-// public exponent 65537, one worker per CPU.
-//
-// Deprecated: use [New] with [Option] values; each field maps onto one
-// option (see the field comments).
-type AttackOptions struct {
-	// Algorithm selects the GCD engine (default Approximate).
-	// Equivalent to [WithAlgorithm].
-	Algorithm Algorithm
-	// DisableEarlyTerminate turns off the s/2 early termination. It is
-	// only useful for measurement; early termination never misses a
-	// shared prime of RSA moduli. Equivalent to
-	// [WithoutEarlyTermination].
-	DisableEarlyTerminate bool
-	// Workers is the parallelism of whichever engine runs, all-pairs or
-	// batch GCD (default: GOMAXPROCS). Equivalent to [WithWorkers].
-	Workers int
-	// Exponent is the RSA public exponent for key recovery (default 65537).
-	// Equivalent to [WithExponent].
-	Exponent uint64
-	// Progress, when non-nil, receives completed/total counts: pairs in
-	// all-pairs mode, tree operations in batch mode. Equivalent to
-	// [WithProgress].
-	Progress func(done, total int64)
-	// BatchGCD switches to the Bernstein product-tree batch GCD engine
-	// instead of the paper's all-pairs computation. Algorithm and
-	// DisableEarlyTerminate are ignored; Workers and Progress are
-	// honored. The report's Pairs and Stats are zero (batch GCD has no
-	// per-pair accounting). Equivalent to WithEngine(EngineBatch).
-	BatchGCD bool
-}
-
 // BrokenKey is one factored modulus.
 type BrokenKey struct {
 	// Index is the modulus position in the input slice.
@@ -204,77 +170,6 @@ type BrokenKey struct {
 	D *big.Int
 	// FoundWith is the index of the other modulus in the revealing pair.
 	FoundWith int
-}
-
-// AttackReport is the outcome of FindSharedPrimes.
-//
-// Deprecated: [Attack.Run] returns the richer [Report].
-type AttackReport struct {
-	// Broken lists factored keys ordered by index.
-	Broken []BrokenKey
-	// Duplicates lists index pairs of identical moduli.
-	Duplicates [][2]int
-	// Pairs is the number of GCDs computed: m(m-1)/2.
-	Pairs int64
-	// Stats aggregates the per-pair GCD statistics.
-	Stats Stats
-	// Canceled reports that the run was interrupted via the context passed
-	// to FindSharedPrimesContext; Broken/Duplicates then cover only the
-	// pairs completed before cancellation.
-	Canceled bool
-}
-
-// FindSharedPrimes runs the weak-key attack over a corpus of RSA moduli:
-// it computes the GCD of all pairs, factors every modulus that shares a
-// prime with another, and reconstructs the corresponding private keys.
-// All moduli must be positive and odd. opts may be nil for defaults.
-//
-// Deprecated: use [New] and [Attack.Run], which add engine selection,
-// checkpointing, quarantine, metrics and tracing. FindSharedPrimes is
-// equivalent to New().Run(context.Background(), moduli) with the
-// AttackOptions fields mapped onto their options.
-func FindSharedPrimes(moduli []*big.Int, opts *AttackOptions) (*AttackReport, error) {
-	return FindSharedPrimesContext(context.Background(), moduli, opts)
-}
-
-// FindSharedPrimesContext is FindSharedPrimes with cooperative
-// cancellation: when ctx is canceled mid-run the attack stops at the next
-// block boundary and returns the findings of the completed pairs with
-// AttackReport.Canceled set, rather than an error.
-//
-// Deprecated: use [New] and [Attack.Run] (see [FindSharedPrimes]).
-func FindSharedPrimesContext(ctx context.Context, moduli []*big.Int, opts *AttackOptions) (*AttackReport, error) {
-	var o AttackOptions
-	if opts != nil {
-		o = *opts
-	}
-	av := []Option{
-		WithAlgorithm(o.Algorithm),
-		WithWorkers(o.Workers),
-	}
-	if o.DisableEarlyTerminate {
-		av = append(av, WithoutEarlyTermination())
-	}
-	if o.Exponent != 0 {
-		av = append(av, WithExponent(o.Exponent))
-	}
-	if o.Progress != nil {
-		av = append(av, WithProgress(o.Progress))
-	}
-	if o.BatchGCD {
-		av = append(av, WithEngine(EngineBatch))
-	}
-	rep, err := New(av...).Run(ctx, moduli)
-	if err != nil {
-		return nil, err
-	}
-	return &AttackReport{
-		Broken:     rep.Broken,
-		Duplicates: rep.Duplicates,
-		Pairs:      rep.Pairs,
-		Stats:      rep.Stats,
-		Canceled:   rep.Canceled,
-	}, nil
 }
 
 // PlantedPair records the ground truth of one generated weak pair.

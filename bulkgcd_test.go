@@ -2,6 +2,7 @@ package bulkgcd
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestEndToEndAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FindSharedPrimes(moduli, nil)
+	rep, err := New().Run(context.Background(), moduli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestAttackOptionsVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		rep, err := FindSharedPrimes(moduli, &AttackOptions{
-			Algorithm:             alg,
-			DisableEarlyTerminate: alg == Binary,
-			Workers:               2,
-		})
+		opts := []Option{WithAlgorithm(alg), WithWorkers(2)}
+		if alg == Binary {
+			opts = append(opts, WithoutEarlyTermination())
+		}
+		rep, err := New(opts...).Run(context.Background(), moduli)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,17 +158,18 @@ func TestAttackOptionsVariants(t *testing.T) {
 }
 
 func TestFindSharedPrimesValidation(t *testing.T) {
+	ctx := context.Background()
 	odd := big.NewInt(15)
-	if _, err := FindSharedPrimes([]*big.Int{odd, big.NewInt(4)}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, big.NewInt(4)}); err == nil {
 		t.Error("even modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, big.NewInt(-3)}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, big.NewInt(-3)}); err == nil {
 		t.Error("negative modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, nil}, nil); err == nil {
+	if _, err := New().Run(ctx, []*big.Int{odd, nil}); err == nil {
 		t.Error("nil modulus accepted")
 	}
-	if _, err := FindSharedPrimes([]*big.Int{odd, odd}, &AttackOptions{Algorithm: Algorithm(9)}); err == nil {
+	if _, err := New(WithAlgorithm(Algorithm(9))).Run(ctx, []*big.Int{odd, odd}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
 }
@@ -204,18 +206,18 @@ func TestGenerateWeakCorpusValidation(t *testing.T) {
 	}
 }
 
-// TestBatchGCDOption: the public batch-GCD switch finds the same keys as
+// TestBatchGCDOption: the public batch-GCD engine finds the same keys as
 // the all-pairs default.
 func TestBatchGCDOption(t *testing.T) {
 	moduli, _, err := GenerateWeakCorpus(14, 128, 2, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairwise, err := FindSharedPrimes(moduli, nil)
+	pairwise, err := New().Run(context.Background(), moduli)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := FindSharedPrimes(moduli, &AttackOptions{BatchGCD: true})
+	batch, err := New(WithEngine(EngineBatch)).Run(context.Background(), moduli)
 	if err != nil {
 		t.Fatal(err)
 	}

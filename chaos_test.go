@@ -184,90 +184,22 @@ func TestChaosInjectedPanics(t *testing.T) {
 	}
 }
 
-// TestChaosIncrementalKillResume is the kill/resume campaign for the
-// incremental engine: an old corpus meets a batch of new moduli, the
-// stripe run is killed and resumed, and the outcome must match an
-// uninterrupted incremental run.
-func TestChaosIncrementalKillResume(t *testing.T) {
-	r := rand.New(rand.NewSource(2003))
-	for round := 0; round < chaosRounds(6); round++ {
-		nats, _ := chaosCorpus(t, r, int64(7000+round))
-		split := len(nats)/2 + r.Intn(len(nats)/4+1)
-		old, newer := nats[:split], nats[split:]
-		if len(newer) == 0 {
-			old, newer = nats[:len(nats)-2], nats[len(nats)-2:]
-		}
-		oracle, err := attack.RunIncremental(old, newer, attack.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		path := filepath.Join(t.TempDir(), "inc.jsonl")
-		w, err := checkpoint.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		plan := faultinject.NewPlan()
-		plan.CancelAtPair = r.Int63n(int64(len(newer)) + 1)
-		plan.Cancel = cancel
-		opt := attack.DefaultOptions()
-		opt.Workers = 1 + r.Intn(3)
-		opt.Checkpoint = w
-		opt.Fault = plan.Hook()
-		partial, err := attack.RunIncrementalContext(ctx, old, newer, opt)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		final := partial
-		if partial.Canceled {
-			st, err := checkpoint.Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w2, err := checkpoint.OpenAppend(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ropt := attack.DefaultOptions()
-			ropt.Resume = st
-			ropt.Checkpoint = w2
-			final, err = attack.RunIncremental(old, newer, ropt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if final.Canceled {
-				t.Fatalf("round %d: resumed run still canceled", round)
-			}
-		}
-		sameBroken(t, "incremental kill/resume", final.Broken, oracle.Broken)
-	}
-}
-
 // TestChaosBigIntOracle cross-checks one chaos round against the public
 // big.Int API, tying the internal campaigns back to the documented
-// surface: FindSharedPrimesContext with a dead context reports Canceled
-// with a subset of the full findings.
+// surface: Attack.Run with a dead context reports Canceled with a subset
+// of the full findings.
 func TestChaosBigIntOracle(t *testing.T) {
 	moduli, _, err := GenerateWeakCorpus(12, 128, 2, 8001)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := FindSharedPrimes(moduli, nil)
+	full, err := New().Run(context.Background(), moduli)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := FindSharedPrimesContext(ctx, moduli, nil)
+	rep, err := New().Run(ctx, moduli)
 	if err != nil {
 		t.Fatal(err)
 	}

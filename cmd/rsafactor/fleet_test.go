@@ -50,6 +50,11 @@ func TestExitCodes(t *testing.T) {
 		{"-in", cp, "-serve", ":0", "-status", ":0"},
 		{"-in", cp, "-lease-ttl", "5s"},
 		{"-in", cp, "-no-such-flag"},
+		{"-in", cp, "-quarantine", "-engine=batch"},
+		// Retired flags: -engine=batch replaced -batch, and the streaming
+		// registry (rsafactor watch) replaced the -prev rescan.
+		{"-in", cp, "-batch"},
+		{"-in", cp, "-prev", "f"},
 	}
 	for _, args := range usage {
 		err := run(context.Background(), args, nil, &bytes.Buffer{}, &bytes.Buffer{})

@@ -139,12 +139,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		algName    = fs.String("alg", "approximate", "gcd algorithm: original|fast|binary|fastbinary|approximate")
 		noEarly    = fs.Bool("no-early", false, "disable s/2 early termination")
 		engName    = fs.String("engine", "pairs", "attack engine: pairs|batch|hybrid")
-		batch      = fs.Bool("batch", false, "deprecated alias for -engine=batch")
 		tile       = fs.Int("tile", 0, "hybrid engine tile width (0 = default 64)")
 		subBudget  = fs.Int64("subprod-budget", 0, "hybrid subproduct cache byte budget (0 = unlimited)")
 		workers    = fs.Int("workers", 0, "parallel workers (0 = all CPUs); more workers than CPUs adds no throughput, only scheduling overhead — the work-stealing pool already keeps every core busy")
 		e          = fs.Uint64("e", 65537, "RSA public exponent for key recovery")
-		prev       = fs.String("prev", "", "previously scanned corpus (same formats); compute only pairs involving the new corpus")
 		truth      = fs.String("truth", "", "ground-truth file from keygen -truth; verify the findings")
 		emit       = fs.String("emit", "", "directory to write recovered private keys as PKCS#1 PEM files")
 		ckptPath   = fs.String("checkpoint", "", "journal completed blocks to this file (fresh run; see -resume)")
@@ -177,12 +175,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if err != nil {
 		return usagef("unknown engine %q (want pairs, batch or hybrid)", *engName)
 	}
-	if *batch {
-		if kind == engine.Hybrid {
-			return usagef("-batch conflicts with -engine=hybrid; drop the deprecated -batch flag")
-		}
-		kind = engine.Batch
-	}
 	if *ckptPath != "" && *resumePath != "" {
 		return usagef("-checkpoint starts a fresh journal and -resume continues one; use exactly one")
 	}
@@ -200,14 +192,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				engineSet = true
 			}
 		})
-		if !engineSet && !*batch {
+		if !engineSet {
 			kind = engine.Hybrid
 		}
 		if kind != engine.Hybrid {
 			return usagef("fleet mode distributes hybrid cells; use -engine=hybrid (or leave -engine unset)")
-		}
-		if *prev != "" {
-			return usagef("-prev (incremental mode) is not supported in fleet mode")
 		}
 		if *cancelAfter >= 0 {
 			return usagef("-cancel-after is a single-process testing flag; not supported in fleet mode")
@@ -242,6 +231,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if (*ckptPath != "" || *resumePath != "") && kind == engine.Batch {
 		return usagef("checkpointing requires the pairs or hybrid engine")
 	}
+	if *quarantine && kind == engine.Batch {
+		return usagef("-quarantine requires the pairs or hybrid engine")
+	}
 
 	r := stdin
 	if *in != "-" {
@@ -257,27 +249,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		return err
 	}
 
-	var oldModuli []*mpnat.Nat
-	if *prev != "" {
-		pf, err := os.Open(*prev)
-		if err != nil {
-			return err
-		}
-		oldModuli, _, err = readCorpus(pf, stderr, *quarantine)
-		pf.Close()
-		if err != nil {
-			return fmt.Errorf("previous corpus: %w", err)
-		}
-		if *truth != "" {
-			return fmt.Errorf("-truth cannot be combined with -prev (indices are offset)")
-		}
-		if kind != engine.Pairs {
-			return fmt.Errorf("-prev requires the pairs engine (incremental mode computes explicit cross pairs)")
-		}
-		if len(moduli) < 1 {
-			return fmt.Errorf("new corpus is empty")
-		}
-	} else if len(moduli) < 2 {
+	if len(moduli) < 2 {
 		return fmt.Errorf("corpus has %d moduli; need at least 2", len(moduli))
 	}
 
@@ -328,22 +300,27 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
+		defer func() {
+			// Drain, not drop: a scrape in flight when the scan ends
+			// still gets its whole response.
+			shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer shCancel()
+			_ = srv.Shutdown(shCtx)
+		}()
 		fmt.Fprintf(stderr, "rsafactor: status on http://%s/metrics\n", srv.Addr())
 	}
 	var rpt *obs.Report
 	if *report != "" {
 		rpt = obs.NewReport("rsafactor")
 		rpt.Params = map[string]any{
-			"alg":         alg.String(),
-			"early":       !*noEarly,
-			"engine":      kind.String(),
-			"tile":        *tile,
-			"workers":     *workers,
-			"quarantine":  *quarantine,
-			"checkpoint":  *ckptPath,
-			"resume":      *resumePath,
-			"incremental": *prev != "",
+			"alg":        alg.String(),
+			"early":      !*noEarly,
+			"engine":     kind.String(),
+			"tile":       *tile,
+			"workers":    *workers,
+			"quarantine": *quarantine,
+			"checkpoint": *ckptPath,
+			"resume":     *resumePath,
 		}
 	}
 	if *tracePath != "" {
@@ -401,12 +378,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			}
 		}
 	}
-	var rep *attack.Report
-	if *prev != "" {
-		rep, err = attack.RunIncrementalContext(ctx, oldModuli, moduli, opt)
-	} else {
-		rep, err = attack.RunContext(ctx, moduli, opt)
-	}
+	rep, err := attack.RunContext(ctx, moduli, opt)
 	if err != nil {
 		return err
 	}
@@ -417,10 +389,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	if pp != nil {
 		pp.Finish()
-	}
-	if *prev != "" {
-		fmt.Fprintf(stdout, "incremental scan: %d previous + %d new moduli (indices are global)\n",
-			len(oldModuli), len(moduli))
 	}
 
 	fmt.Fprintf(stdout, "corpus: %d moduli, %d bits\n", rep.Moduli, moduli[0].BitLen())

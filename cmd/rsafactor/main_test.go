@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"bulkgcd/internal/corpus"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/pemkeys"
 	"bulkgcd/internal/rsakey"
 )
@@ -126,7 +125,7 @@ func TestRunAllAlgorithmsAndBatch(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-in", cp, "-batch"}, nil, &out, &bytes.Buffer{}); err != nil {
+	if err := run(context.Background(), []string{"-in", cp, "-engine=batch"}, nil, &out, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(out.String(), "BROKEN key") != 2 {
@@ -155,7 +154,7 @@ func TestRunBatchWorkers(t *testing.T) {
 	var base string
 	for _, w := range []string{"1", "4"} {
 		var out, errs bytes.Buffer
-		if err := run(context.Background(), []string{"-in", cp, "-batch", "-workers", w, "-v"}, nil, &out, &errs); err != nil {
+		if err := run(context.Background(), []string{"-in", cp, "-engine=batch", "-workers", w, "-v"}, nil, &out, &errs); err != nil {
 			t.Fatalf("workers %s: %v", w, err)
 		}
 		if !strings.Contains(out.String(), w+" workers") {
@@ -300,59 +299,5 @@ func TestRunPEMSkipsGarbageBlocks(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "BROKEN key") {
 		t.Fatalf("attack failed on PEM input:\n%s", out.String())
-	}
-}
-
-// TestRunIncrementalFlag: the -prev rolling-scan mode.
-func TestRunIncrementalFlag(t *testing.T) {
-	dir := t.TempDir()
-	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{Count: 12, Bits: 128, WeakPairs: 2, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ensure at least one planted pair crosses the 6/6 split or lives in
-	// the new half; with seed 14 check dynamically.
-	moduli := c.Moduli()
-	writeHalf := func(name string, ms []*mpnat.Nat) string {
-		p := filepath.Join(dir, name)
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := corpus.Write(f, ms, ""); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return p
-	}
-	oldPath := writeHalf("old.txt", moduli[:6])
-	newPath := writeHalf("new.txt", moduli[6:])
-
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-in", newPath, "-prev", oldPath}, nil, &out, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "incremental scan: 6 previous + 6 new") {
-		t.Fatalf("incremental header missing:\n%s", out.String())
-	}
-	wantBroken := 0
-	for _, pp := range c.Planted {
-		if pp.I >= 6 || pp.J >= 6 {
-			wantBroken += 2
-		}
-	}
-	if got := strings.Count(out.String(), "BROKEN key"); got != wantBroken {
-		t.Fatalf("broke %d keys, want %d:\n%s", got, wantBroken, out.String())
-	}
-	// Conflicting flags.
-	var sink bytes.Buffer
-	if err := run(context.Background(), []string{"-in", newPath, "-prev", oldPath, "-batch"}, nil, &sink, &sink); err == nil {
-		t.Error("-prev -batch accepted")
-	}
-	if err := run(context.Background(), []string{"-in", newPath, "-prev", oldPath, "-truth", oldPath}, nil, &sink, &sink); err == nil {
-		t.Error("-prev -truth accepted")
-	}
-	if err := run(context.Background(), []string{"-in", newPath, "-prev", "/nonexistent"}, nil, &sink, &sink); err == nil {
-		t.Error("missing -prev file accepted")
 	}
 }

@@ -132,11 +132,11 @@ func TestCheckpointFlagConflicts(t *testing.T) {
 	if err := run(context.Background(), []string{"-in", cp, "-checkpoint", j, "-resume", j}, nil, &sink, &sink); err == nil {
 		t.Error("-checkpoint with -resume accepted")
 	}
-	if err := run(context.Background(), []string{"-in", cp, "-batch", "-checkpoint", j}, nil, &sink, &sink); err == nil {
-		t.Error("-batch with -checkpoint accepted")
+	if err := run(context.Background(), []string{"-in", cp, "-engine=batch", "-checkpoint", j}, nil, &sink, &sink); err == nil {
+		t.Error("-engine=batch with -checkpoint accepted")
 	}
-	if err := run(context.Background(), []string{"-in", cp, "-batch", "-resume", j}, nil, &sink, &sink); err == nil {
-		t.Error("-batch with -resume accepted")
+	if err := run(context.Background(), []string{"-in", cp, "-engine=batch", "-resume", j}, nil, &sink, &sink); err == nil {
+		t.Error("-engine=batch with -resume accepted")
 	}
 	if err := run(context.Background(), []string{"-in", cp, "-resume", filepath.Join(dir, "missing.jsonl")}, nil, &sink, &sink); err == nil {
 		t.Error("missing journal accepted")

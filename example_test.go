@@ -1,6 +1,7 @@
 package bulkgcd_test
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -33,14 +34,14 @@ func ExampleGCDWith() {
 	// (E) Approximate: gcd 5 in 8 iterations
 }
 
-// ExampleFindSharedPrimes runs the weak-key attack over a small corpus
-// with one planted shared prime.
-func ExampleFindSharedPrimes() {
+// ExampleAttack_Run runs the weak-key attack over a small corpus with
+// one planted shared prime.
+func ExampleAttack_Run() {
 	moduli, planted, err := bulkgcd.GenerateWeakCorpus(8, 128, 1, 4)
 	if err != nil {
 		panic(err)
 	}
-	report, err := bulkgcd.FindSharedPrimes(moduli, nil)
+	report, err := bulkgcd.New().Run(context.Background(), moduli)
 	if err != nil {
 		panic(err)
 	}

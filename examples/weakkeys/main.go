@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
@@ -34,9 +35,8 @@ func main() {
 	fmt.Printf("intercepted ciphertext to key %d: %s...\n", victim, ct.Text(16)[:24])
 
 	// Run the attack over the public corpus only.
-	report, err := bulkgcd.FindSharedPrimes(moduli, &bulkgcd.AttackOptions{
-		Algorithm: bulkgcd.Approximate,
-	})
+	report, err := bulkgcd.New(bulkgcd.WithAlgorithm(bulkgcd.Approximate)).
+		Run(context.Background(), moduli)
 	if err != nil {
 		log.Fatal(err)
 	}

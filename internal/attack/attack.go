@@ -52,16 +52,10 @@ type Options struct {
 	// there), engine.Hybrid the tiled product-filter engine.
 	Engine engine.Kind
 
-	// BatchGCD is the pre-Engine selector.
-	//
-	// Deprecated: set Engine to engine.Batch instead. When true it
-	// overrides Engine.
-	BatchGCD bool
-
 	// Quarantine makes the pairs and hybrid engines skip zero/even moduli
 	// and report them per-index in Report.Quarantined instead of failing
-	// the whole run. Ignored in batch mode (the product tree has no way
-	// to excise an input without changing the fingerprint of the run).
+	// the whole run. The batch engine rejects it: the product tree has no
+	// way to excise an input.
 	Quarantine bool
 
 	// TileSize is the hybrid engine's tile width; 0 means 64. Findings
@@ -83,15 +77,6 @@ type Options struct {
 	// default) or subprod.BackendNat, the packed-word subquadratic mpnat
 	// path. Findings are identical across backends.
 	Tree subprod.TreeBackend
-}
-
-// EngineKind resolves the selected engine, honoring the deprecated
-// BatchGCD flag.
-func (o Options) EngineKind() engine.Kind {
-	if o.BatchGCD {
-		return engine.Batch
-	}
-	return o.Engine
 }
 
 // bulkConfig maps the Options onto the bulk engines' configuration.
@@ -187,7 +172,7 @@ func RunContext(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report,
 	}
 	var res *bulk.Result
 	var err error
-	switch opt.EngineKind() {
+	switch opt.Engine {
 	case engine.Batch:
 		return runBatch(ctx, moduli, opt)
 	case engine.Hybrid:
@@ -195,7 +180,7 @@ func RunContext(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report,
 	case engine.Pairs:
 		res, err = bulk.AllPairsContext(ctx, moduli, opt.bulkConfig())
 	default:
-		return nil, fmt.Errorf("attack: unknown engine %v", opt.EngineKind())
+		return nil, fmt.Errorf("attack: unknown engine %v", opt.Engine)
 	}
 	if err != nil {
 		return nil, err
@@ -206,7 +191,7 @@ func RunContext(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report,
 // JournalHeader returns the checkpoint header an all-pairs attack over
 // this corpus writes, for verifying a journal before resuming.
 func JournalHeader(moduli []*mpnat.Nat, opt Options) (checkpoint.Header, error) {
-	switch opt.EngineKind() {
+	switch opt.Engine {
 	case engine.Batch:
 		return checkpoint.Header{}, fmt.Errorf("attack: checkpointing requires the pairs or hybrid engine")
 	case engine.Hybrid:
@@ -214,42 +199,6 @@ func JournalHeader(moduli []*mpnat.Nat, opt Options) (checkpoint.Header, error) 
 	default:
 		return bulk.JournalHeader(moduli, opt.bulkConfig())
 	}
-}
-
-// RunIncremental attacks only the pairs involving a new modulus: the
-// cross product newModuli x old plus the new x new triangle, for rolling
-// scans over growing corpora. Broken-key indices are global, with old
-// moduli at 0..len(old)-1 and the new ones following.
-//
-// Deprecated: the registry (internal/registry, bulkgcd.OpenRegistry)
-// subsumes rolling scans: it persists the corpus as a product-tree
-// index, so each arriving key costs one O(log N) tree descent instead
-// of a cross product against the whole history, and verdicts survive
-// kill+restart. RunIncremental remains as a thin shim for the one-shot
-// `rsafactor -prev` flow and delegates to the same pair interpretation
-// as Run.
-func RunIncremental(old, newModuli []*mpnat.Nat, opt Options) (*Report, error) {
-	return RunIncrementalContext(context.Background(), old, newModuli, opt)
-}
-
-// RunIncrementalContext is RunIncremental with cooperative cancellation.
-//
-// Deprecated: see [RunIncremental].
-func RunIncrementalContext(ctx context.Context, old, newModuli []*mpnat.Nat, opt Options) (*Report, error) {
-	if opt.Exponent == 0 {
-		opt.Exponent = rsakey.DefaultExponent
-	}
-	if opt.EngineKind() != engine.Pairs {
-		return nil, fmt.Errorf("attack: incremental mode requires the pairs engine")
-	}
-	res, err := bulk.IncrementalContext(ctx, old, newModuli, opt.bulkConfig())
-	if err != nil {
-		return nil, err
-	}
-	combined := make([]*mpnat.Nat, 0, len(old)+len(newModuli))
-	combined = append(combined, old...)
-	combined = append(combined, newModuli...)
-	return interpretFactors(combined, res, opt)
 }
 
 // interpretFactors turns raw pair factors into the attack report:
@@ -309,6 +258,9 @@ func recordOutcome(opt Options, rep *Report) {
 func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, error) {
 	if opt.Checkpoint != nil || opt.Resume != nil {
 		return nil, fmt.Errorf("attack: checkpointing requires the pairs or hybrid engine")
+	}
+	if opt.Quarantine {
+		return nil, fmt.Errorf("attack: quarantine requires the pairs or hybrid engine")
 	}
 	if len(moduli) < 2 {
 		return nil, fmt.Errorf("attack: need at least 2 moduli, got %d", len(moduli))

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/rsakey"
@@ -192,7 +193,7 @@ func TestAttackBatchMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	opt.BatchGCD = true
+	opt.Engine = engine.Batch
 	batch, err := Run(c.Moduli(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestAttackBatchDuplicates(t *testing.T) {
 	c := weakCorpus(t, 6, 128, 0, 49)
 	moduli := append(c.Moduli(), c.Moduli()[3])
 	opt := DefaultOptions()
-	opt.BatchGCD = true
+	opt.Engine = engine.Batch
 	rep, err := Run(moduli, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -236,68 +237,11 @@ func TestAttackBatchDuplicates(t *testing.T) {
 // TestAttackBatchValidation covers the error paths of batch mode.
 func TestAttackBatchValidation(t *testing.T) {
 	opt := DefaultOptions()
-	opt.BatchGCD = true
+	opt.Engine = engine.Batch
 	if _, err := Run([]*mpnat.Nat{mpnat.New(15)}, opt); err == nil {
 		t.Error("single modulus accepted")
 	}
 	if _, err := Run([]*mpnat.Nat{mpnat.New(15), {}}, opt); err == nil {
 		t.Error("zero modulus accepted")
-	}
-}
-
-// TestRunIncremental: a rolling scan over a split corpus breaks exactly
-// the keys whose weak partner is visible across the split boundary or
-// within the new batch.
-func TestRunIncremental(t *testing.T) {
-	c := weakCorpus(t, 16, 128, 3, 50)
-	moduli := c.Moduli()
-	old, newer := moduli[:10], moduli[10:]
-
-	full, err := Run(moduli, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := RunIncremental(old, newer, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected: every broken key of the full run whose revealing pair
-	// touches the new range.
-	want := map[int]bool{}
-	for _, pp := range c.Planted {
-		if pp.I >= 10 || pp.J >= 10 {
-			want[pp.I] = true
-			want[pp.J] = true
-		}
-	}
-	if len(inc.Broken) != len(want) {
-		t.Fatalf("incremental broke %d keys, want %d", len(inc.Broken), len(want))
-	}
-	fullByIdx := map[int]BrokenKey{}
-	for _, bk := range full.Broken {
-		fullByIdx[bk.Index] = bk
-	}
-	for _, bk := range inc.Broken {
-		if !want[bk.Index] {
-			t.Fatalf("unexpected incremental break at %d", bk.Index)
-		}
-		if bk.P.Cmp(fullByIdx[bk.Index].P) != 0 {
-			t.Fatalf("key %d: factor differs from full run", bk.Index)
-		}
-	}
-	if inc.Moduli != 16 {
-		t.Fatalf("Moduli = %d, want global count", inc.Moduli)
-	}
-}
-
-func TestRunIncrementalValidation(t *testing.T) {
-	if _, err := RunIncremental(nil, nil, DefaultOptions()); err == nil {
-		t.Error("empty new batch accepted")
-	}
-	opt := DefaultOptions()
-	opt.BatchGCD = true
-	c := weakCorpus(t, 4, 128, 0, 51)
-	if _, err := RunIncremental(nil, c.Moduli(), opt); err == nil {
-		t.Error("batch mode accepted in incremental run")
 	}
 }

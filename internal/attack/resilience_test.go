@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bulkgcd/internal/checkpoint"
+	"bulkgcd/internal/engine"
 	"bulkgcd/internal/faultinject"
 	"bulkgcd/internal/mpnat"
 )
@@ -92,7 +93,8 @@ func TestRunContextKillAndResume(t *testing.T) {
 }
 
 // TestBatchModeRejectsCheckpoint: the product-tree engine has no journal
-// units, so checkpoint/resume must be refused explicitly.
+// units and cannot excise inputs, so checkpoint/resume and quarantine
+// must be refused explicitly.
 func TestBatchModeRejectsCheckpoint(t *testing.T) {
 	c := weakCorpus(t, 6, 128, 1, 72)
 	path := filepath.Join(t.TempDir(), "j.jsonl")
@@ -102,7 +104,7 @@ func TestBatchModeRejectsCheckpoint(t *testing.T) {
 	}
 	defer w.Close()
 	opt := DefaultOptions()
-	opt.BatchGCD = true
+	opt.Engine = engine.Batch
 	opt.Checkpoint = w
 	if _, err := Run(c.Moduli(), opt); err == nil || !strings.Contains(err.Error(), "pairs or hybrid") {
 		t.Fatalf("batch + checkpoint: %v", err)
@@ -111,6 +113,11 @@ func TestBatchModeRejectsCheckpoint(t *testing.T) {
 	opt.Resume = &checkpoint.State{}
 	if _, err := Run(c.Moduli(), opt); err == nil || !strings.Contains(err.Error(), "pairs or hybrid") {
 		t.Fatalf("batch + resume: %v", err)
+	}
+	opt.Resume = nil
+	opt.Quarantine = true
+	if _, err := Run(c.Moduli(), opt); err == nil || !strings.Contains(err.Error(), "pairs or hybrid") {
+		t.Fatalf("batch + quarantine: %v", err)
 	}
 }
 
@@ -141,27 +148,5 @@ func TestQuarantinePropagates(t *testing.T) {
 		if !wantBroken[bk.Index] {
 			t.Fatalf("unexpected broken key %d", bk.Index)
 		}
-	}
-}
-
-// TestIncrementalContextCancel: incremental attack honors cancellation
-// with the same partial-report contract.
-func TestIncrementalContextCancel(t *testing.T) {
-	c := weakCorpus(t, 14, 128, 2, 74)
-	moduli := c.Moduli()
-	old, newer := moduli[:8], moduli[8:]
-	ctx, cancel := context.WithCancel(context.Background())
-	plan := faultinject.NewPlan()
-	plan.CancelAtPair = 0
-	plan.Cancel = cancel
-	opt := DefaultOptions()
-	opt.Fault = plan.Hook()
-	rep, err := RunIncrementalContext(ctx, old, newer, opt)
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Canceled {
-		t.Fatal("Canceled not set")
 	}
 }

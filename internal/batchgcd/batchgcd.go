@@ -5,9 +5,9 @@
 //
 // The paper's contribution is a better *pairwise* GCD kernel; batch GCD
 // is the asymptotically faster but memory-hungry competitor, so this
-// package serves as the known-baseline comparison: cmd/rsafactor -batch
-// runs it, and the crossover experiment in package experiments compares
-// the two as corpus size grows.
+// package serves as the known-baseline comparison: cmd/rsafactor
+// -engine=batch runs it, and the crossover experiment in package
+// experiments compares the two as corpus size grows.
 //
 // For m moduli of b bits, batch GCD computes
 //

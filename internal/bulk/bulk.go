@@ -130,17 +130,12 @@ func (r *Result) PairsPerSecond() float64 {
 	return float64(r.Pairs) / r.Elapsed.Seconds()
 }
 
-// validateSet scans one labeled modulus slice. Valid moduli land in
-// active as base+index; in quarantine mode bad ones are reported in bad,
-// otherwise the first bad modulus fails the run (the legacy contract).
-func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (active []int, maxBits int, bad []Quarantined, err error) {
-	label := func(i int) string {
-		if name == "" {
-			return fmt.Sprintf("modulus %d", i)
-		}
-		return fmt.Sprintf("%s modulus %d", name, i)
-	}
-	active = make([]int, 0, len(moduli))
+// validateSet scans the corpus into a run plan without its header.
+// Valid moduli land in active by index; in quarantine mode bad ones are
+// reported in bad, otherwise the first bad modulus fails the run. Fewer
+// than two usable moduli fail either way.
+func validateSet(moduli []*mpnat.Nat, quarantine bool) (runPlan, error) {
+	p := runPlan{active: make([]int, 0, len(moduli))}
 	for i, n := range moduli {
 		reason := ""
 		switch {
@@ -151,81 +146,82 @@ func validateSet(name string, base int, moduli []*mpnat.Nat, quarantine bool) (a
 		}
 		if reason != "" {
 			if !quarantine {
-				return nil, 0, nil, fmt.Errorf("bulk: %s is %s", label(i), reason)
+				return runPlan{}, fmt.Errorf("bulk: modulus %d is %s", i, reason)
 			}
-			bad = append(bad, Quarantined{Index: base + i, Reason: reason})
+			p.bad = append(p.bad, Quarantined{Index: i, Reason: reason})
 			continue
 		}
-		if b := n.BitLen(); b > maxBits {
-			maxBits = b
+		if b := n.BitLen(); b > p.maxBits {
+			p.maxBits = b
 		}
-		active = append(active, base+i)
+		p.active = append(p.active, i)
 	}
-	return active, maxBits, bad, nil
+	if len(p.active) < 2 {
+		return runPlan{}, fmt.Errorf("bulk: need at least 2 usable moduli, got %d", len(p.active))
+	}
+	return p, nil
 }
 
 // fingerprint hashes the run identity: engine, config knobs that change
 // the unit decomposition or findings, and every input modulus (bad ones
 // included — quarantine is deterministic, so the raw input is the
-// canonical identity).
-func fingerprint(engine string, cfg Config, groupSize int, sets ...[]*mpnat.Nat) string {
+// canonical identity). The corpus is hashed as one length-prefixed
+// "|set=<n>" list, the format existing journals were written with.
+func fingerprint(engine string, cfg Config, groupSize int, moduli []*mpnat.Nat) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|early=%t|quarantine=%t|r=%d", engine, cfg.Algorithm, cfg.Early, cfg.Quarantine, groupSize)
-	for _, set := range sets {
-		fmt.Fprintf(h, "|set=%d", len(set))
-		for _, n := range set {
-			if n == nil {
-				fmt.Fprint(h, "|nil")
-			} else {
-				fmt.Fprint(h, "|", n.Hex())
-			}
+	fmt.Fprintf(h, "%s|%s|early=%t|quarantine=%t|r=%d|set=%d",
+		engine, cfg.Algorithm, cfg.Early, cfg.Quarantine, groupSize, len(moduli))
+	for _, n := range moduli {
+		if n == nil {
+			fmt.Fprint(h, "|nil")
+		} else {
+			fmt.Fprint(h, "|", n.Hex())
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// allPairsPlan is the validated shape of an all-pairs run: the active
-// index set (quarantine applied), its schedule, and the journal header.
-type allPairsPlan struct {
+// runPlan is the validated shape both pairwise engines share: the
+// active index set (quarantine applied) and the journal header, whose
+// Units and TotalPairs size the run.
+type runPlan struct {
 	active  []int
 	maxBits int
 	bad     []Quarantined
-	sched   *Schedule
 	header  checkpoint.Header
 }
 
+// allPairsPlan is an all-pairs run: the shared plan plus its block
+// schedule over the active indices.
+type allPairsPlan struct {
+	runPlan
+	sched *Schedule
+}
+
 func planAllPairs(moduli []*mpnat.Nat, cfg Config) (*allPairsPlan, error) {
-	active, maxBits, bad, err := validateSet("", 0, moduli, cfg.Quarantine)
+	rp, err := validateSet(moduli, cfg.Quarantine)
 	if err != nil {
 		return nil, err
-	}
-	if len(active) < 2 {
-		return nil, fmt.Errorf("bulk: need at least 2 usable moduli, got %d", len(active))
 	}
 	r := cfg.GroupSize
 	if r == 0 {
 		r = 64
 	}
-	if r > len(active) {
-		r = len(active)
+	if r > len(rp.active) {
+		r = len(rp.active)
 	}
-	sched, err := NewSchedule(len(active), r)
+	sched, err := NewSchedule(len(rp.active), r)
 	if err != nil {
 		return nil, err
 	}
-	return &allPairsPlan{
-		active:  active,
-		maxBits: maxBits,
-		bad:     bad,
-		sched:   sched,
-		header: checkpoint.Header{
-			V:           checkpoint.Version,
-			Engine:      "allpairs",
-			Fingerprint: fingerprint("allpairs", cfg, r, moduli),
-			Units:       len(sched.Blocks()),
-			TotalPairs:  sched.TotalPairs(),
-		},
-	}, nil
+	rp.header = checkpoint.Header{
+		V:           checkpoint.Version,
+		Engine:      "allpairs",
+		Fingerprint: fingerprint("allpairs", cfg, r, moduli),
+		Units:       len(sched.Blocks()),
+		TotalPairs:  sched.TotalPairs(),
+	}
+	return &allPairsPlan{runPlan: rp, sched: sched}, nil
 }
 
 // JournalHeader returns the checkpoint header an AllPairs run over these
@@ -390,29 +386,9 @@ func AllPairsContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Res
 	}
 	sched := plan.sched
 	blocks := sched.Blocks()
-	total := sched.TotalPairs()
-
-	resumedFactors, resumedBad, resumedPairs, resumed, err := prepareJournal(plan.header, &cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	workers := cfg.EffectiveWorkers()
-
-	metrics := newRunMetrics(cfg.Metrics, cfg.Algorithm)
-	metrics.begin(workers, len(plan.bad), resumedPairs)
-	for _, q := range plan.bad {
-		cfg.Trace.Event("quarantine", "index", q.Index, "reason", q.Reason)
-	}
-	runSpan := cfg.Trace.StartSpan("run",
-		"engine", "allpairs", "algorithm", cfg.Algorithm.String(), "early", cfg.Early,
-		"moduli", len(moduli), "workers", workers, "blocks", len(blocks), "total_pairs", total)
-
-	start := time.Now()
 	up := &unitPool{
-		cfg: &cfg, moduli: moduli, maxBits: plan.maxBits, metrics: metrics,
-		runSpan: runSpan, spanName: "block", spanKey: "block",
-		resumed: resumed, total: total, resumed0: resumedPairs,
+		cfg: &cfg, moduli: moduli, plan: &plan.runPlan,
+		unit: "block", runAttrs: []any{"blocks", len(blocks)},
 		run: func(pr *pairRunner, i int, blk *blockOut) {
 			sched.BlockPairs(blocks[i], func(a, b int) {
 				pr.pair(plan.active[a], plan.active[b], blk)
@@ -420,65 +396,7 @@ func AllPairsContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Res
 			pr.flush(blk) // drain the lane batch before the unit is sealed
 		},
 	}
-	outs, _, err := up.execute(ctx, len(blocks), workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Elapsed:      time.Since(start),
-		Workers:      workers,
-		Canceled:     ctx.Err() != nil,
-		ResumedPairs: resumedPairs,
-		Quarantined:  plan.bad,
-		Pairs:        resumedPairs,
-		Total:        total,
-		Factors:      resumedFactors,
-		BadPairs:     resumedBad,
-	}
-	var busy time.Duration
-	for i := range outs {
-		res.Pairs += outs[i].pairs
-		res.Stats.Add(&outs[i].stats)
-		res.Factors = append(res.Factors, outs[i].factors...)
-		res.BadPairs = append(res.BadPairs, outs[i].bad...)
-		busy += outs[i].busy
-	}
-	sortFactors(res.Factors)
-	sortBadPairs(res.BadPairs)
-	metrics.finish(res, busy)
-	runSpan.End("pairs", res.Pairs, "factors", len(res.Factors),
-		"bad_pairs", len(res.BadPairs), "canceled", res.Canceled)
-	if !res.Canceled && res.Pairs != total {
-		return nil, fmt.Errorf("bulk: internal error: computed %d pairs, want %d", res.Pairs, total)
-	}
-	return res, nil
-}
-
-// prepareJournal verifies and restores cfg.Resume, and writes (or
-// verifies) the header on cfg.Checkpoint.
-func prepareJournal(hdr checkpoint.Header, cfg *Config) (factors []Factor, bad []BadPair, pairs int64, resumed map[int]checkpoint.Record, err error) {
-	resumed = map[int]checkpoint.Record{}
-	if cfg.Resume != nil {
-		if err := cfg.Resume.Verify(hdr); err != nil {
-			return nil, nil, 0, nil, fmt.Errorf("bulk: resume: %w", err)
-		}
-		factors, bad, pairs, err = restoreJournal(cfg.Resume)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		for u, rec := range cfg.Resume.Done {
-			if rec.BadCell != "" {
-				continue // fleet-quarantined unit: recompute it locally
-			}
-			resumed[u] = rec
-		}
-	}
-	if cfg.Checkpoint != nil {
-		if err := cfg.Checkpoint.Begin(hdr); err != nil {
-			return nil, nil, 0, nil, err
-		}
-	}
-	return factors, bad, pairs, resumed, nil
+	return up.execute(ctx)
 }
 
 // merge folds a completed unit into the worker's accumulator.

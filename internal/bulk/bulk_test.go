@@ -426,83 +426,3 @@ func BenchmarkAllPairs128x512(b *testing.B) {
 		}
 	}
 }
-
-// TestIncrementalCoversExactlyNewPairs: old-only factors are skipped,
-// everything touching a new modulus is found, and the union with an
-// old-only run equals the full all-pairs run.
-func TestIncrementalCoversExactlyNewPairs(t *testing.T) {
-	c := corpus(t, 20, 128, 4, 30)
-	moduli := c.Moduli()
-	old, newer := moduli[:12], moduli[12:]
-
-	full, err := AllPairs(moduli, Config{Algorithm: gcd.Approximate, Early: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldOnly, err := AllPairs(old, Config{Algorithm: gcd.Approximate, Early: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := Incremental(old, newer, Config{Algorithm: gcd.Approximate, Early: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPairs := int64(len(newer))*int64(len(old)) + int64(len(newer))*int64(len(newer)-1)/2
-	if inc.Pairs != wantPairs {
-		t.Fatalf("incremental computed %d pairs, want %d", inc.Pairs, wantPairs)
-	}
-	// Union check.
-	key := func(f Factor) [2]int { return [2]int{f.I, f.J} }
-	union := map[[2]int]string{}
-	for _, f := range oldOnly.Factors {
-		union[key(f)] = f.P.Hex()
-	}
-	for _, f := range inc.Factors {
-		if _, dup := union[key(f)]; dup {
-			t.Fatalf("pair %v found by both runs", key(f))
-		}
-		union[key(f)] = f.P.Hex()
-	}
-	if len(union) != len(full.Factors) {
-		t.Fatalf("union has %d factors, full run %d", len(union), len(full.Factors))
-	}
-	for _, f := range full.Factors {
-		if union[key(f)] != f.P.Hex() {
-			t.Fatalf("pair %v missing or wrong in union", key(f))
-		}
-	}
-	// Every incremental factor touches a new modulus.
-	for _, f := range inc.Factors {
-		if f.I < len(old) && f.J < len(old) {
-			t.Fatalf("incremental computed old-only pair %v", key(f))
-		}
-	}
-}
-
-func TestIncrementalNoOldCorpus(t *testing.T) {
-	c := corpus(t, 10, 128, 2, 31)
-	inc, err := Incremental(nil, c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := AllPairs(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Pairs != all.Pairs || len(inc.Factors) != len(all.Factors) {
-		t.Fatalf("empty-old incremental differs from all-pairs")
-	}
-}
-
-func TestIncrementalValidation(t *testing.T) {
-	odd := mpnat.New(15)
-	if _, err := Incremental([]*mpnat.Nat{odd}, nil, Config{}); err == nil {
-		t.Error("no new moduli accepted")
-	}
-	if _, err := Incremental([]*mpnat.Nat{mpnat.New(4)}, []*mpnat.Nat{odd}, Config{}); err == nil {
-		t.Error("even old modulus accepted")
-	}
-	if _, err := Incremental(nil, []*mpnat.Nat{&mpnat.Nat{}}, Config{}); err == nil {
-		t.Error("zero new modulus accepted")
-	}
-}

@@ -61,7 +61,7 @@ func NewCellRunner(moduli []*mpnat.Nat, cfg Config) (*CellRunner, error) {
 func (r *CellRunner) Units() int { return len(r.plan.cells) }
 
 // TotalPairs returns the pair count of the full scan.
-func (r *CellRunner) TotalPairs() int64 { return r.plan.total }
+func (r *CellRunner) TotalPairs() int64 { return r.plan.header.TotalPairs }
 
 // Header returns the journal header of this run — identical to what
 // HybridJournalHeader returns for the same inputs, so a coordinator and
@@ -132,7 +132,7 @@ func (r *CellRunner) Assemble(records map[int]checkpoint.Record) (*Result, error
 		Factors:     factors,
 		BadPairs:    bad,
 		Pairs:       pairs,
-		Total:       r.plan.total,
+		Total:       r.plan.header.TotalPairs,
 		Quarantined: r.plan.bad,
 	}
 	sortFactors(res.Factors)

@@ -40,15 +40,11 @@ type hybridCell struct {
 	A, B int
 }
 
-// hybridPlan is the validated shape of a hybrid run.
+// hybridPlan is a hybrid run: the shared plan plus its tile grid.
 type hybridPlan struct {
-	active  []int
-	maxBits int
-	bad     []Quarantined
-	tile    int          // tile width T
-	cells   []hybridCell // deterministic row-major order
-	total   int64        // covered pairs: len(active)*(len(active)-1)/2
-	header  checkpoint.Header
+	runPlan
+	tile  int          // tile width T
+	cells []hybridCell // deterministic row-major order
 }
 
 // tileSpan returns the active-index range [lo, hi) of tile t.
@@ -66,35 +62,31 @@ func (p *hybridPlan) tiles() int {
 }
 
 func planHybrid(moduli []*mpnat.Nat, cfg Config) (*hybridPlan, error) {
-	active, maxBits, bad, err := validateSet("", 0, moduli, cfg.Quarantine)
+	rp, err := validateSet(moduli, cfg.Quarantine)
 	if err != nil {
 		return nil, err
-	}
-	if len(active) < 2 {
-		return nil, fmt.Errorf("bulk: need at least 2 usable moduli, got %d", len(active))
 	}
 	t := cfg.TileSize
 	if t <= 0 {
 		t = 64
 	}
-	if t > len(active) {
-		t = len(active)
+	if t > len(rp.active) {
+		t = len(rp.active)
 	}
-	p := &hybridPlan{active: active, maxBits: maxBits, bad: bad, tile: t}
+	p := &hybridPlan{runPlan: rp, tile: t}
 	nt := p.tiles()
 	for a := 0; a < nt; a++ {
 		for b := a; b < nt; b++ {
 			p.cells = append(p.cells, hybridCell{A: a, B: b})
 		}
 	}
-	m := int64(len(active))
-	p.total = m * (m - 1) / 2
+	m := int64(len(p.active))
 	p.header = checkpoint.Header{
 		V:           checkpoint.Version,
 		Engine:      "hybrid",
 		Fingerprint: fingerprint("hybrid", cfg, t, moduli),
 		Units:       len(p.cells),
-		TotalPairs:  p.total,
+		TotalPairs:  m * (m - 1) / 2, // every pair of active moduli is covered
 	}
 	return p, nil
 }
@@ -194,70 +186,19 @@ func HybridContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	resumedFactors, resumedBad, resumedPairs, resumed, err := prepareJournal(plan.header, &cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	workers := cfg.EffectiveWorkers()
-
-	metrics := newRunMetrics(cfg.Metrics, cfg.Algorithm)
 	hm := newHybridMetrics(cfg.Metrics)
-	metrics.begin(workers, len(plan.bad), resumedPairs)
-	for _, q := range plan.bad {
-		cfg.Trace.Event("quarantine", "index", q.Index, "reason", q.Reason)
-	}
-	runSpan := cfg.Trace.StartSpan("run",
-		"engine", "hybrid", "algorithm", cfg.Algorithm.String(), "early", cfg.Early,
-		"moduli", len(moduli), "workers", workers, "tile", plan.tile,
-		"cells", len(plan.cells), "total_pairs", plan.total)
-
 	// The tile-subproduct cache is probed from every worker's hot filter
 	// loop, so it is sharded to roughly one lock per worker.
-	cache := subprod.NewCacheShards(cfg.SubprodBudget, workers)
-
-	start := time.Now()
+	cache := subprod.NewCacheShards(cfg.SubprodBudget, cfg.EffectiveWorkers())
 	up := &unitPool{
-		cfg: &cfg, moduli: moduli, maxBits: plan.maxBits, metrics: metrics,
-		runSpan: runSpan, spanName: "cell", spanKey: "cell",
+		cfg: &cfg, moduli: moduli, plan: &plan.runPlan,
+		unit: "cell", runAttrs: []any{"tile", plan.tile, "cells", len(plan.cells)},
 		spanAttrs: func(i int) []any { return []any{"a", plan.cells[i].A, "b", plan.cells[i].B} },
-		resumed:   resumed, total: plan.total, resumed0: resumedPairs,
 		run: func(pr *pairRunner, i int, blk *blockOut) {
 			pr.runCell(plan, plan.cells[i], cache, hm, blk)
 		},
 		observeUnit: hm.observeCell,
+		finish:      func() { hm.finish(cache.Stats()) },
 	}
-	outs, _, err := up.execute(ctx, len(plan.cells), workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Elapsed:      time.Since(start),
-		Workers:      workers,
-		Canceled:     ctx.Err() != nil,
-		ResumedPairs: resumedPairs,
-		Quarantined:  plan.bad,
-		Pairs:        resumedPairs,
-		Total:        plan.total,
-		Factors:      resumedFactors,
-		BadPairs:     resumedBad,
-	}
-	var busy time.Duration
-	for i := range outs {
-		res.Pairs += outs[i].pairs
-		res.Stats.Add(&outs[i].stats)
-		res.Factors = append(res.Factors, outs[i].factors...)
-		res.BadPairs = append(res.BadPairs, outs[i].bad...)
-		busy += outs[i].busy
-	}
-	sortFactors(res.Factors)
-	sortBadPairs(res.BadPairs)
-	metrics.finish(res, busy)
-	hm.finish(cache.Stats())
-	runSpan.End("pairs", res.Pairs, "factors", len(res.Factors),
-		"bad_pairs", len(res.BadPairs), "canceled", res.Canceled)
-	if !res.Canceled && res.Pairs != plan.total {
-		return nil, fmt.Errorf("bulk: internal error: covered %d pairs, want %d", res.Pairs, plan.total)
-	}
-	return res, nil
+	return up.execute(ctx)
 }

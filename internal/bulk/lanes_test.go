@@ -70,20 +70,6 @@ func TestLanesMatchesScalarFindings(t *testing.T) {
 			}
 			sameFactors(t, res.Factors, scalar.Factors)
 		})
-		t.Run(fmt.Sprintf("incremental/width=%d", width), func(t *testing.T) {
-			cfg := lanesCfg(width)
-			cfg.Workers = 2
-			old, newer := moduli[:14], moduli[14:]
-			want, err := Incremental(old, newer, Config{Algorithm: gcd.Approximate, Early: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Incremental(old, newer, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFactors(t, res.Factors, want.Factors)
-		})
 	}
 }
 
@@ -108,9 +94,8 @@ func TestLanesRequiresApproximate(t *testing.T) {
 	c := corpus(t, 12, 64, 2, 52)
 	moduli := c.Moduli()
 	engines := map[string]func(Config) (*Result, error){
-		"pairs":       func(cfg Config) (*Result, error) { return AllPairs(moduli, cfg) },
-		"hybrid":      func(cfg Config) (*Result, error) { return Hybrid(moduli, cfg) },
-		"incremental": func(cfg Config) (*Result, error) { return Incremental(moduli[:5], moduli[5:], cfg) },
+		"pairs":  func(cfg Config) (*Result, error) { return AllPairs(moduli, cfg) },
+		"hybrid": func(cfg Config) (*Result, error) { return Hybrid(moduli, cfg) },
 	}
 	for name, run := range engines {
 		if n := lanesBatches(t, Config{Algorithm: gcd.Approximate}, run); n <= 0 {

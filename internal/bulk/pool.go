@@ -13,52 +13,71 @@ import (
 	"bulkgcd/internal/obs"
 )
 
-// unitPool is the scaffolding the three bulk engines — all-pairs blocks,
-// hybrid cells, incremental stripes — share around the work-stealing
-// scheduler (engine.RunStats): lazily built per-worker pairRunner
-// arenas (worker indices are stable, so every arena stays pinned to one
-// goroutine and the per-pair zero-alloc guarantees survive), resume
-// skips, fault-injection hooks, checkpoint journaling with
-// abort-on-error, per-unit metrics and tracing, and serialized
-// progress. Units are claimed grain-1 from per-worker deques and
-// rebalanced by steal-half, so a straggler unit (one dense block, one
-// hot cell) no longer strands the rest of a statically partitioned
-// pool; findings stay byte-identical at every pool size because each
-// unit's output is accumulated per worker and merged+sorted exactly as
-// before.
+// unitPool is the run skeleton the two pairwise engines — all-pairs
+// blocks and hybrid cells — share around the work-stealing scheduler
+// (engine.Run): journal preparation and resume skips, run metrics,
+// quarantine events and the run span, lazily built per-worker
+// pairRunner arenas (worker indices are stable, so every arena stays
+// pinned to one goroutine and the per-pair zero-alloc guarantees
+// survive), fault-injection hooks, checkpoint journaling with
+// abort-on-error, per-unit metrics and tracing, serialized progress, and
+// the final Result assembly. Units are claimed grain-1 from per-worker
+// deques and rebalanced by steal-half, so a straggler unit (one dense
+// block, one hot cell) no longer strands the rest of a statically
+// partitioned pool; findings stay byte-identical at every pool size
+// because each unit's output is accumulated per worker and merged+sorted
+// exactly as before.
 type unitPool struct {
-	cfg     *Config
-	moduli  []*mpnat.Nat
-	maxBits int
-	metrics *runMetrics
-	runSpan *obs.Span
-	// spanName/spanKey name the per-unit child span and its index
-	// attribute ("block"/"block", "cell"/"cell", "block"/"stripe").
-	spanName string
-	spanKey  string
+	cfg    *Config
+	moduli []*mpnat.Nat
+	plan   *runPlan
+	// unit names the per-unit child span and its index attribute
+	// ("block", "cell").
+	unit string
+	// runAttrs are the engine-specific run-span attributes, emitted
+	// between the worker count and total_pairs.
+	runAttrs []any
 	// spanAttrs, when non-nil, supplies extra attributes for unit i's span.
 	spanAttrs func(i int) []any
-	resumed   map[int]checkpoint.Record
-	total     int64
-	resumed0  int64 // pairs restored from the resume journal
 	// run computes unit i into blk using the worker's pairRunner and
 	// must leave the runner's lane batch drained (pr.flush).
 	run func(pr *pairRunner, i int, blk *blockOut)
 	// observeUnit, when non-nil, sees each completed unit's duration
 	// (the hybrid engine's cell histogram).
 	observeUnit func(d time.Duration)
+	// finish, when non-nil, runs once the run metrics are final, before
+	// the run span ends (the hybrid engine's cache accounting).
+	finish func()
 }
 
-// execute runs n units across the scheduler and returns the per-worker
-// outputs plus pool statistics. A checkpoint append error cancels the
-// pool and is returned; ctx cancellation is not an error here (the
-// caller reports a partial Result with Canceled set).
-func (up *unitPool) execute(ctx context.Context, n, workers int) ([]blockOut, engine.PoolStats, error) {
-	progress := obs.SerializeProgress(up.cfg.Progress)
+// execute runs every unit of the plan and assembles the Result. A
+// checkpoint append error cancels the pool and is returned; ctx
+// cancellation is not an error (the partial Result comes back with
+// Canceled set).
+func (up *unitPool) execute(ctx context.Context) (*Result, error) {
+	cfg, plan := up.cfg, up.plan
+	n, total := plan.header.Units, plan.header.TotalPairs
+	resumedFactors, resumedBad, resumedPairs, resumed, err := prepareJournal(plan.header, cfg)
+	if err != nil {
+		return nil, err
+	}
+	workers := cfg.EffectiveWorkers()
+	metrics := newRunMetrics(cfg.Metrics, cfg.Algorithm)
+	metrics.begin(workers, len(plan.bad), resumedPairs)
+	for _, q := range plan.bad {
+		cfg.Trace.Event("quarantine", "index", q.Index, "reason", q.Reason)
+	}
+	attrs := []any{"engine", plan.header.Engine, "algorithm", cfg.Algorithm.String(), "early", cfg.Early,
+		"moduli", len(up.moduli), "workers", workers}
+	attrs = append(append(attrs, up.runAttrs...), "total_pairs", total)
+	runSpan := cfg.Trace.StartSpan("run", attrs...)
+
+	start := time.Now()
+	progress := obs.SerializeProgress(cfg.Progress)
 	var done atomic.Int64
-	done.Store(up.resumed0)
-	if progress != nil && up.resumed0 > 0 {
-		progress(up.resumed0, up.total)
+	done.Store(resumedPairs)
+	if progress != nil && resumedPairs > 0 {
+		progress(resumedPairs, total)
 	}
 	var pairSeq atomic.Int64
 	var ckptOnce sync.Once
@@ -69,36 +88,36 @@ func (up *unitPool) execute(ctx context.Context, n, workers int) ([]blockOut, en
 
 	outs := make([]blockOut, workers)
 	runners := make([]*pairRunner, workers)
-	st, _ := engine.RunStats(runCtx, n, engine.PoolOptions{Workers: workers, Metrics: up.cfg.Metrics}, func(i, w int) {
-		if _, ok := up.resumed[i]; ok {
+	engine.Run(runCtx, n, engine.PoolOptions{Workers: workers, Metrics: cfg.Metrics}, func(i, w int) {
+		if _, ok := resumed[i]; ok {
 			return // completed by the interrupted run
 		}
-		up.cfg.Fault.OnBlock(i)
+		cfg.Fault.OnBlock(i)
 		pr := runners[w]
 		if pr == nil {
-			r := newPairRunner(up.cfg, up.maxBits, up.moduli, &pairSeq, up.metrics)
+			r := newPairRunner(cfg, plan.maxBits, up.moduli, &pairSeq, metrics)
 			pr = &r
 			runners[w] = pr
 		}
 		unitStart := time.Now()
-		attrs := []any{up.spanKey, i, "worker", w}
+		spanAttrs := []any{up.unit, i, "worker", w}
 		if up.spanAttrs != nil {
-			attrs = append(attrs, up.spanAttrs(i)...)
+			spanAttrs = append(spanAttrs, up.spanAttrs(i)...)
 		}
-		span := up.runSpan.StartChild(up.spanName, attrs...)
+		span := runSpan.StartChild(up.unit, spanAttrs...)
 		var blk blockOut
 		up.run(pr, i, &blk)
 		unitDur := time.Since(unitStart)
-		if up.cfg.Checkpoint != nil {
+		if cfg.Checkpoint != nil {
 			ckStart := time.Now()
-			err := up.cfg.Checkpoint.Append(blk.record(i))
-			up.metrics.observeCheckpoint(time.Since(ckStart))
+			err := cfg.Checkpoint.Append(blk.record(i))
+			metrics.observeCheckpoint(time.Since(ckStart))
 			if err != nil {
 				ckptOnce.Do(func() { ckptErr = err; cancel() })
 				return
 			}
 		}
-		up.metrics.observeBlock(&blk, unitDur)
+		metrics.observeBlock(&blk, unitDur)
 		if up.observeUnit != nil {
 			up.observeUnit(unitDur)
 		}
@@ -107,11 +126,69 @@ func (up *unitPool) execute(ctx context.Context, n, workers int) ([]blockOut, en
 		out.merge(&blk)
 		out.busy += time.Since(unitStart)
 		if progress != nil {
-			progress(done.Add(blk.pairs), up.total)
+			progress(done.Add(blk.pairs), total)
 		}
 	})
 	if ckptErr != nil {
-		return nil, st, fmt.Errorf("bulk: checkpoint: %w", ckptErr)
+		return nil, fmt.Errorf("bulk: checkpoint: %w", ckptErr)
 	}
-	return outs, st, nil
+
+	res := &Result{
+		Elapsed:      time.Since(start),
+		Workers:      workers,
+		Canceled:     ctx.Err() != nil,
+		ResumedPairs: resumedPairs,
+		Quarantined:  plan.bad,
+		Pairs:        resumedPairs,
+		Total:        total,
+		Factors:      resumedFactors,
+		BadPairs:     resumedBad,
+	}
+	var busy time.Duration
+	for i := range outs {
+		res.Pairs += outs[i].pairs
+		res.Stats.Add(&outs[i].stats)
+		res.Factors = append(res.Factors, outs[i].factors...)
+		res.BadPairs = append(res.BadPairs, outs[i].bad...)
+		busy += outs[i].busy
+	}
+	sortFactors(res.Factors)
+	sortBadPairs(res.BadPairs)
+	metrics.finish(res, busy)
+	if up.finish != nil {
+		up.finish()
+	}
+	runSpan.End("pairs", res.Pairs, "factors", len(res.Factors),
+		"bad_pairs", len(res.BadPairs), "canceled", res.Canceled)
+	if !res.Canceled && res.Pairs != total {
+		return nil, fmt.Errorf("bulk: internal error: covered %d pairs, want %d", res.Pairs, total)
+	}
+	return res, nil
+}
+
+// prepareJournal verifies and restores cfg.Resume, and writes (or
+// verifies) the header on cfg.Checkpoint.
+func prepareJournal(hdr checkpoint.Header, cfg *Config) (factors []Factor, bad []BadPair, pairs int64, resumed map[int]checkpoint.Record, err error) {
+	resumed = map[int]checkpoint.Record{}
+	if cfg.Resume != nil {
+		if err := cfg.Resume.Verify(hdr); err != nil {
+			return nil, nil, 0, nil, fmt.Errorf("bulk: resume: %w", err)
+		}
+		factors, bad, pairs, err = restoreJournal(cfg.Resume)
+		if err != nil {
+			return nil, nil, 0, nil, err
+		}
+		for u, rec := range cfg.Resume.Done {
+			if rec.BadCell != "" {
+				continue // fleet-quarantined unit: recompute it locally
+			}
+			resumed[u] = rec
+		}
+	}
+	if cfg.Checkpoint != nil {
+		if err := cfg.Checkpoint.Begin(hdr); err != nil {
+			return nil, nil, 0, nil, err
+		}
+	}
+	return factors, bad, pairs, resumed, nil
 }

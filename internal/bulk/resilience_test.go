@@ -154,67 +154,6 @@ func TestAllPairsCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalCheckpointResumeEquivalence: same property for the
-// incremental engine's stripe units.
-func TestIncrementalCheckpointResumeEquivalence(t *testing.T) {
-	c := corpus(t, 18, 64, 3, 43)
-	moduli := c.Moduli()
-	old, newer := moduli[:10], moduli[10:]
-	cfg := Config{Algorithm: gcd.Approximate, Early: true}
-	clean, err := Incremental(old, newer, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "inc.jsonl")
-	w, err := checkpoint.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	plan := faultinject.NewPlan()
-	plan.CancelAtPair = 12
-	plan.Cancel = cancel
-	kcfg := cfg
-	kcfg.Workers = 3
-	kcfg.Checkpoint = w
-	kcfg.Fault = plan.Hook()
-	res, err := IncrementalContext(ctx, old, newer, kcfg)
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Canceled {
-		t.Fatal("run completed before the cancel fired")
-	}
-
-	st, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := checkpoint.OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := cfg
-	rcfg.Resume = st
-	rcfg.Checkpoint = w2
-	resumed, err := Incremental(old, newer, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Canceled || resumed.Pairs != clean.Pairs {
-		t.Fatalf("resumed: canceled=%v pairs=%d want %d", resumed.Canceled, resumed.Pairs, clean.Pairs)
-	}
-	sameFactors(t, resumed.Factors, clean.Factors)
-}
-
 // TestResumeFingerprintMismatch: a journal from a different corpus or
 // configuration must be rejected, not silently merged.
 func TestResumeFingerprintMismatch(t *testing.T) {
@@ -251,6 +190,46 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 	if res.ResumedPairs != res.Pairs || res.Pairs != 8*7/2 {
 		t.Fatalf("full replay: resumed %d of %d pairs", res.ResumedPairs, res.Pairs)
+	}
+}
+
+// TestJournalHeaderPinned pins the exact journal headers — fingerprint
+// hex included — of the pairs and hybrid engines for one fixed corpus
+// and configuration, so a refactor of the fingerprint or the unit
+// decomposition cannot silently orphan existing -checkpoint and fleet
+// journals.
+func TestJournalHeaderPinned(t *testing.T) {
+	moduli := []*mpnat.Nat{mpnat.New(15), mpnat.New(21), mpnat.New(35), mpnat.New(77)}
+	cfg := Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 2, TileSize: 2}
+	quarantined := []*mpnat.Nat{mpnat.New(15), &mpnat.Nat{}, mpnat.New(4), mpnat.New(77)}
+	qcfg := cfg
+	qcfg.Quarantine = true
+	cases := []struct {
+		name   string
+		header func() (checkpoint.Header, error)
+		want   checkpoint.Header
+	}{
+		{"pairs", func() (checkpoint.Header, error) { return JournalHeader(moduli, cfg) }, checkpoint.Header{
+			V: 1, Engine: "allpairs", Units: 3, TotalPairs: 6,
+			Fingerprint: "64120a978c464600ca96124e95a0529b8804a3652abb4f4bbd1654dc1b0c017b",
+		}},
+		{"hybrid", func() (checkpoint.Header, error) { return HybridJournalHeader(moduli, cfg) }, checkpoint.Header{
+			V: 1, Engine: "hybrid", Units: 3, TotalPairs: 6,
+			Fingerprint: "1a4857cc430e73a8ce315e7776362a068c5b0022efccd8b901527e20625e78d5",
+		}},
+		{"pairs/quarantine", func() (checkpoint.Header, error) { return JournalHeader(quarantined, qcfg) }, checkpoint.Header{
+			V: 1, Engine: "allpairs", Units: 1, TotalPairs: 1,
+			Fingerprint: "a0cc4e8a898cae45ab6c65ab87ba2821a1608b2023122292efebd238408eedbf",
+		}},
+	}
+	for _, tc := range cases {
+		got, err := tc.header()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: header = %+v\nwant %+v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -384,29 +363,6 @@ func TestInputQuarantine(t *testing.T) {
 	}
 	sortFactors(want)
 	sameFactors(t, res.Factors, want)
-}
-
-// TestIncrementalQuarantine covers the same contract for incremental runs,
-// where old and new sets are validated separately but indexed globally.
-func TestIncrementalQuarantine(t *testing.T) {
-	c := corpus(t, 12, 64, 2, 49)
-	moduli := c.Moduli()
-	old := append([]*mpnat.Nat{mpnat.New(4)}, moduli[:6]...)   // even at global 0
-	newer := append([]*mpnat.Nat{&mpnat.Nat{}}, moduli[6:]...) // zero at global 7
-	res, err := Incremental(old, newer, Config{Algorithm: gcd.Approximate, Early: true, Quarantine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Quarantined) != 2 {
-		t.Fatalf("Quarantined = %+v", res.Quarantined)
-	}
-	if res.Quarantined[0].Index != 0 || res.Quarantined[1].Index != 7 {
-		t.Fatalf("quarantine indices %d,%d want 0,7", res.Quarantined[0].Index, res.Quarantined[1].Index)
-	}
-	want := int64(6)*6 + 6*5/2
-	if res.Pairs != want {
-		t.Fatalf("computed %d pairs, want %d", res.Pairs, want)
-	}
 }
 
 // TestCancelBeforeStart: an already-canceled context yields an empty

@@ -1,9 +1,9 @@
 // Package checkpoint implements the crash-safe journal that lets a
 // long-running bulk GCD scan survive interruption: the engine appends one
-// JSONL record per completed work unit (an all-pairs block or an
-// incremental stripe), and a resumed run reloads the journal, verifies
-// that it belongs to the same corpus and configuration via a fingerprint,
-// and skips the recorded units while merging their findings.
+// JSONL record per completed work unit (an all-pairs block or a hybrid
+// cell), and a resumed run reloads the journal, verifies that it belongs
+// to the same corpus and configuration via a fingerprint, and skips the
+// recorded units while merging their findings.
 //
 // Journal format (one JSON value per line):
 //

@@ -79,9 +79,6 @@ const (
 	Hybrid
 )
 
-// Kinds lists every engine in declaration order.
-var Kinds = []Kind{Pairs, Batch, Hybrid}
-
 var kindNames = [...]string{"pairs", "batch", "hybrid"}
 
 // String returns the engine's canonical lowercase name, the form
@@ -93,12 +90,11 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind parses an engine name (case-insensitive). It accepts the
-// canonical names "pairs", "batch" and "hybrid", plus the legacy alias
-// "allpairs" for Pairs.
+// ParseKind parses an engine name (case-insensitive): "pairs", "batch"
+// or "hybrid".
 func ParseKind(s string) (Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "pairs", "allpairs":
+	case "pairs":
 		return Pairs, nil
 	case "batch":
 		return Batch, nil

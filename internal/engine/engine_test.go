@@ -18,7 +18,7 @@ func TestEffectiveWorkers(t *testing.T) {
 }
 
 func TestKindRoundTrip(t *testing.T) {
-	for _, k := range Kinds {
+	for _, k := range []Kind{Pairs, Batch, Hybrid} {
 		got, err := ParseKind(k.String())
 		if err != nil {
 			t.Fatalf("ParseKind(%q): %v", k.String(), err)
@@ -27,11 +27,13 @@ func TestKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
-	if k, err := ParseKind(" AllPairs "); err != nil || k != Pairs {
-		t.Errorf("legacy alias: got %v, %v", k, err)
+	if k, err := ParseKind(" Hybrid "); err != nil || k != Hybrid {
+		t.Errorf("ParseKind(\" Hybrid \") = %v, %v", k, err)
 	}
-	if _, err := ParseKind("gpu"); err == nil {
-		t.Error("ParseKind(gpu) should fail")
+	for _, bad := range []string{"gpu", "allpairs"} {
+		if _, err := ParseKind(bad); err == nil {
+			t.Errorf("ParseKind(%q) should fail", bad)
+		}
 	}
 	if got := Kind(42).String(); got != "Kind(42)" {
 		t.Errorf("out-of-range String() = %q", got)

@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the shared work-stealing scheduler every parallel engine
-// in the repository runs on: the all-pairs block pool, the hybrid cell
-// pool, the incremental stripe pool (internal/bulk), the level-wise
-// product/remainder tree fan-outs (internal/subprod, internal/batchgcd),
-// and the registry's forest descent (internal/registry).
+// in the repository runs on: the all-pairs block pool and the hybrid
+// cell pool (internal/bulk), the level-wise product/remainder tree
+// fan-outs (internal/subprod, internal/batchgcd), and the registry's
+// forest descent (internal/registry).
 //
 // The design is a chunked range-splitting deque. Each worker owns one
 // atomic 64-bit word holding a half-open index range packed as
@@ -194,8 +194,8 @@ func Run(ctx context.Context, n int, opt PoolOptions, fn func(i, worker int)) er
 // ctx error (if any) is returned once all workers have drained, in
 // which case some units may not have run. A panic in fn cancels the
 // pool and re-panics on the caller's goroutine. n must fit in 32 bits
-// (work units are blocks, cells, stripes or tree nodes — all far
-// coarser than single pairs).
+// (work units are blocks, cells or tree nodes — all far coarser than
+// single pairs).
 func RunStats(ctx context.Context, n int, opt PoolOptions, fn func(i, worker int)) (PoolStats, error) {
 	workers := opt.Workers
 	if workers <= 0 {

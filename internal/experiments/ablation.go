@@ -7,7 +7,6 @@ import (
 
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/refgcd"
-	"bulkgcd/internal/stats"
 	"bulkgcd/internal/tabfmt"
 )
 
@@ -56,26 +55,26 @@ func RunWordSizeAblation(bits, pairs int, ds []int, seed int64) (*WordSizeAblati
 		xs[i] = randOddBig(r, bits)
 		ys[i] = randOddBig(r, bits)
 	}
-	var accB stats.Acc
+	var sumB float64
 	for i := range xs {
 		rb, err := refgcd.Run(refgcd.Fast, xs[i], ys[i], refgcd.Options{WordBits: 32})
 		if err != nil {
 			return nil, err
 		}
-		accB.Add(float64(rb.Iterations))
+		sumB += float64(rb.Iterations)
 	}
-	res.MeanB = accB.Mean()
+	res.MeanB = sumB / float64(len(xs))
 	for _, d := range ds {
-		var acc stats.Acc
+		var sum float64
 		for i := range xs {
 			re, err := refgcd.Run(refgcd.Approximate, xs[i], ys[i], refgcd.Options{WordBits: d})
 			if err != nil {
 				return nil, err
 			}
-			acc.Add(float64(re.Iterations))
+			sum += float64(re.Iterations)
 		}
-		res.MeanE[d] = acc.Mean()
-		res.Overhead[d] = acc.Mean()/res.MeanB - 1
+		res.MeanE[d] = sum / float64(len(xs))
+		res.Overhead[d] = res.MeanE[d]/res.MeanB - 1
 	}
 	return res, nil
 }
@@ -140,20 +139,20 @@ func RunThresholdAblation(bits, pairs int, fractions []float64, seed int64) (*Th
 	res := &ThresholdAblation{Bits: bits, Pairs: pairs, Fractions: fractions}
 	for _, f := range fractions {
 		threshold := int(f * float64(bits))
-		var acc stats.Acc
+		var sum float64
 		for i := range xs {
 			_, st := scratch.Compute(gcd.Approximate, xs[i], ys[i], gcd.Options{EarlyBits: threshold})
-			acc.Add(float64(st.Iterations))
+			sum += float64(st.Iterations)
 		}
-		res.MeanIters = append(res.MeanIters, acc.Mean())
+		res.MeanIters = append(res.MeanIters, sum/float64(len(xs)))
 		res.SharedPrimeSafe = append(res.SharedPrimeSafe, threshold <= bits/2)
 	}
-	var acc stats.Acc
+	var sum float64
 	for i := range xs {
 		_, st := scratch.Compute(gcd.Approximate, xs[i], ys[i], gcd.Options{})
-		acc.Add(float64(st.Iterations))
+		sum += float64(st.Iterations)
 	}
-	res.MeanIters = append(res.MeanIters, acc.Mean())
+	res.MeanIters = append(res.MeanIters, sum/float64(len(xs)))
 	return res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"bulkgcd/internal/bulk"
 	"bulkgcd/internal/gcd"
-	"bulkgcd/internal/stats"
 	"bulkgcd/internal/tabfmt"
 	"bulkgcd/internal/umm"
 )
@@ -127,12 +126,12 @@ func RunMemOps(sizes []int, pairs int, seed int64) (*MemOpsResult, error) {
 			return nil, err
 		}
 		scratch := gcd.NewScratch(size)
-		var acc stats.Acc
+		var sum float64
 		for i := range xs {
 			_, st := scratch.Compute(gcd.Approximate, xs[i], ys[i], gcd.Options{EarlyBits: size / 2})
-			acc.Add(float64(st.MemOps) / float64(st.Iterations))
+			sum += float64(st.MemOps) / float64(st.Iterations)
 		}
-		res.PerIter[size] = acc.Mean()
+		res.PerIter[size] = sum / float64(len(xs))
 		res.Bound[size] = 3 * float64(size) / 32
 	}
 	return res, nil

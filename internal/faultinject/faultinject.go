@@ -22,7 +22,7 @@ type Hook struct {
 	// bulk engine exactly like a panic inside the GCD kernel.
 	Pair func(k int64, i, j int)
 	// Block fires when a worker claims work unit u (an all-pairs block or
-	// an incremental stripe).
+	// a hybrid cell).
 	Block func(u int)
 	// Op fires before tree operation k of the batch-GCD engine.
 	Op func(k int64)

@@ -6,13 +6,10 @@
 // pprof) and the machine-readable end-of-run report whose schema
 // doubles as the repository's BENCH_*.json format.
 //
-// The package is modeled on internal/stats — small accumulators feeding
-// the paper's tables — but where stats.Acc is a single-goroutine
-// accumulator for the experiment harness, obs instruments the
-// production engines: every operation is lock-free on the hot path and
-// every type tolerates a nil receiver, so engine code can be
-// instrumented unconditionally and pays (almost) nothing when metrics
-// are disabled.
+// obs instruments the production engines: every operation is lock-free
+// on the hot path and every type tolerates a nil receiver, so engine
+// code can be instrumented unconditionally and pays (almost) nothing
+// when metrics are disabled.
 //
 // Metric naming follows the Prometheus conventions: `<subsystem>_<name>`
 // with a `_total` suffix on counters and base-unit (seconds) histograms.

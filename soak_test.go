@@ -5,6 +5,7 @@ package bulkgcd
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -66,15 +67,17 @@ func TestSoakAttackRandomCorpora(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := &AttackOptions{
-			Algorithm:             Algorithms[r.Intn(len(Algorithms))],
-			DisableEarlyTerminate: r.Intn(2) == 0,
-			BatchGCD:              weak > 0 && r.Intn(3) == 0,
+		alg := Algorithms[r.Intn(len(Algorithms))]
+		noEarly := r.Intn(2) == 0
+		eng := EnginePairs
+		if weak > 0 && r.Intn(3) == 0 {
+			eng, alg = EngineBatch, Approximate
 		}
-		if opts.BatchGCD {
-			opts.Algorithm = Approximate
+		opts := []Option{WithAlgorithm(alg), WithEngine(eng)}
+		if noEarly {
+			opts = append(opts, WithoutEarlyTermination())
 		}
-		rep, err := FindSharedPrimes(moduli, opts)
+		rep, err := New(opts...).Run(context.Background(), moduli)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +87,8 @@ func TestSoakAttackRandomCorpora(t *testing.T) {
 			want[pp.J] = pp.P
 		}
 		if len(rep.Broken) != len(want) {
-			t.Fatalf("round %d (%+v): broke %d keys, want %d", round, opts, len(rep.Broken), len(want))
+			t.Fatalf("round %d (%v, %v, no-early=%v): broke %d keys, want %d",
+				round, eng, alg, noEarly, len(rep.Broken), len(want))
 		}
 		for _, bk := range rep.Broken {
 			p, ok := want[bk.Index]
