@@ -16,11 +16,11 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Every package with its own goroutine pool: the bulk all-pairs executor,
-# the batch-GCD tree engine (both tree backends), the attack pipeline
-# that drives both, the lock-free metrics layer, the lane-batched kernel
-# (shared per-worker arenas), the subquadratic multiplier + generic tree
-# builder they all multiply through, the streaming registry (findings
-# forwarder + node store), and the public facade.
+# the batch-GCD tree engine, the attack pipeline that drives both, the
+# lock-free metrics layer, the lane-batched kernel (shared per-worker
+# arenas), the multiplier (per-worker scratch) + generic tree builder
+# they all multiply through, the streaming registry (findings forwarder
+# + node store), and the public facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
 
@@ -73,7 +73,9 @@ bench:
 # comparison emits the three-engine timing table as a second artifact.
 # The registry line runs BenchmarkRegistrySubmit in -short mode (8192-key
 # seed), which self-enforces the O(log N) spine-merge bound per submission
-# and a >= 5x advantage over a full batch-GCD rescan.
+# and a >= 5x advantage over a full batch-GCD rescan, and the TreeMul line
+# gates that tree-sized products leave the schoolbook loop (mpnat.Mul at
+# least 2x basicMul on 8k-word operands).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRegistrySubmit$$' -benchtime=1x ./internal/registry/
@@ -94,9 +96,9 @@ bench-smoke:
 bench-e2e:
 	cd bench && $(GO) test .
 
-# 30-second budget per fuzzer over the arithmetic core: the multiplication
-# dispatch, division, the fused update, and hex parsing, each differential
-# against math/big (the corpus seeds pin the dispatch boundaries).
+# 30-second budget per fuzzer over the arithmetic core: both multiplication
+# paths, division, the fused update, and hex parsing, each differential
+# against math/big (the corpus seeds pin the 24-word multiply cutoff).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/

@@ -393,7 +393,7 @@ func BenchmarkBaseline_BatchGCD96x1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := batchgcd.Run(moduli); err != nil {
+		if _, err := batchgcd.RunContext(context.Background(), moduli, batchgcd.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

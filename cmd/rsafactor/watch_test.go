@@ -188,7 +188,7 @@ func TestWatchServer(t *testing.T) {
 	// oracle over everything submitted across both lives.
 	var broken []brokenLine
 	getJSON(t, base+"/broken", &broken)
-	gs, err := batchgcd.SharedFactors(moduli)
+	gs, err := batchgcd.SharedFactorsContext(context.Background(), moduli, batchgcd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/rsakey"
-	"bulkgcd/internal/subprod"
 )
 
 // Options configures an attack run. The cross-engine surface (Workers,
@@ -71,12 +70,6 @@ type Options struct {
 	// algorithm — the lane kernel for Approximate — and is what every
 	// production path uses; engine.KernelScalar pins the scalar kernel.
 	Kernel engine.KernelKind
-
-	// Tree selects the batch engine's product/remainder tree arithmetic
-	// (the pairs and hybrid engines ignore it): subprod.BackendBig (the
-	// default) or subprod.BackendNat, the packed-word subquadratic mpnat
-	// path. Findings are identical across backends.
-	Tree subprod.TreeBackend
 }
 
 // bulkConfig maps the Options onto the bulk engines' configuration.
@@ -272,7 +265,7 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 		}
 		big_[i] = m.ToBig()
 	}
-	cfg := batchgcd.Config{Config: opt.Config, Tree: opt.Tree}
+	cfg := batchgcd.Config{Config: opt.Config}
 	start := time.Now()
 	findings, err := batchgcd.RunContext(ctx, big_, cfg)
 	if err != nil {

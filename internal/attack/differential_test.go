@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -14,13 +15,14 @@ import (
 	"bulkgcd/internal/subprod"
 )
 
-// differentialCorpus builds a seeded corpus exercising every finding
-// class the engines must agree on: planted shared-prime pairs, a prime
-// shared across three moduli, a duplicated modulus, and coprime fillers.
-func differentialCorpus(t *testing.T, seed int64) []*mpnat.Nat {
+// differentialCorpus builds a seeded corpus of bits-bit moduli exercising
+// every finding class the engines must agree on: planted shared-prime
+// pairs, a prime shared across three moduli, a duplicated modulus, and
+// coprime fillers.
+func differentialCorpus(t *testing.T, seed int64, bits int) []*mpnat.Nat {
 	t.Helper()
 	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{
-		Count: 14, Bits: 128, WeakPairs: 2, Seed: seed,
+		Count: 14, Bits: bits, WeakPairs: 2, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +32,7 @@ func differentialCorpus(t *testing.T, seed int64) []*mpnat.Nat {
 	// Extend planted pair 0 into a shared-prime triple.
 	r := rand.New(rand.NewSource(seed + 1000))
 	p := c.Planted[0].P
-	q := rsakey.GeneratePrime(r, 64)
+	q := rsakey.GeneratePrime(r, bits/2)
 	moduli = append(moduli, mpnat.FromBig(new(big.Int).Mul(p, q)))
 
 	// Duplicate a clean modulus (one outside every planted pair).
@@ -82,15 +84,16 @@ func naiveReference(moduli []*mpnat.Nat) (broken map[int]*big.Int, dups [][2]int
 }
 
 // TestDifferentialEngines runs every engine combination — the five GCD
-// algorithms with early termination on and off, plus the batch-GCD
-// engine at two pool sizes — over the same corpus, cross-checks each
-// report against the naive all-pairs reference, and asserts all reports
-// are identical to one another (FoundWith excepted: batch GCD has no
-// notion of a revealing pair).
+// algorithms with early termination on and off, the batch-GCD engine at
+// two pool sizes (its subtests keep the tree=big label: the batch engine
+// runs the big.Int trees), the hybrid engine and the lane kernel — over
+// the same corpus, cross-checks each report against the naive all-pairs
+// reference, and asserts all reports are identical to one another
+// (FoundWith excepted: batch GCD has no notion of a revealing pair).
 func TestDifferentialEngines(t *testing.T) {
 	for seed := int64(60); seed < 63; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			moduli := differentialCorpus(t, seed)
+			moduli := differentialCorpus(t, seed, 128)
 			wantBroken, wantDups := naiveReference(moduli)
 
 			type combo struct {
@@ -128,17 +131,14 @@ func TestDifferentialEngines(t *testing.T) {
 				})
 			}
 			for _, w := range []int{1, 3} {
-				for _, tree := range []subprod.TreeBackend{subprod.BackendBig, subprod.BackendNat} {
-					combos = append(combos, combo{
-						name: fmt.Sprintf("batch/workers=%d/tree=%s", w, tree),
-						opt: Options{
-							Config:   engine.Config{Workers: w},
-							Engine:   engine.Batch,
-							Tree:     tree,
-							Exponent: rsakey.DefaultExponent,
-						},
-					})
-				}
+				combos = append(combos, combo{
+					name: fmt.Sprintf("batch/workers=%d/tree=big", w),
+					opt: Options{
+						Config:   engine.Config{Workers: w},
+						Engine:   engine.Batch,
+						Exponent: rsakey.DefaultExponent,
+					},
+				})
 			}
 			for _, tile := range []int{1, 4, 32, len(moduli)} {
 				for _, w := range []int{1, 8} {
@@ -280,21 +280,42 @@ func checkReportsIdentical(t *testing.T, a, b *Report) {
 	}
 }
 
+// cutoffWords is mpnat's bigMulWords: Mul multiplies through math/big
+// once the shorter operand has this many 32-bit words.
+const cutoffWords = 24
+
+// maxShorterOperand returns the largest shorter-operand word count among
+// the multiplications of the balanced product over ms — the top multiply
+// of a hybrid tile subproduct — or 0 when ms needs none.
+func maxShorterOperand(t *testing.T, ms []*mpnat.Nat) int {
+	t.Helper()
+	tree, err := subprod.BuildNat(context.Background(), ms, subprod.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for l := 1; l < len(tree.Levels); l++ {
+		below := tree.Levels[l-1]
+		for i := 0; i+1 < len(below); i += 2 {
+			words = max(words, min(below[i].Len(), below[i+1].Len()))
+		}
+	}
+	return words
+}
+
 // TestDifferentialEnginesSubquadraticTiles is the end-to-end gate of
-// the subquadratic multiplication backbone: with the mpnat cutoffs
-// lowered to (4, 10) words, the hybrid engine's tile subproducts and
-// the batch engine's nat-backed trees cross the Karatsuba and Toom-3
-// dispatch boundaries even on this 128-bit corpus (a full-corpus tile
-// multiplies ~32x32-word operands at the top of the balanced
-// reduction). Every report must stay byte-identical to the scalar
-// all-pairs engine and correct against the naive oracle — if a dispatch
-// band miscomputed a single word, a subproduct would lose or invent a
+// mpnat's two multiplication paths: on a corpus of 384-bit (12-word)
+// moduli, tiles of 2 and 3 moduli multiply below the 24-word math/big
+// cutoff and tiles of 4 and 8 at and above it, so the hybrid engine's
+// tile subproducts run on both sides of the cutoff with nothing
+// lowered. Every report must stay byte-identical to the scalar
+// all-pairs engine and correct against the naive oracle — if either
+// path miscomputed a single word, a subproduct would lose or invent a
 // shared factor and the reports would diverge.
 func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
-	defer mpnat.SetMulThresholds(4, 10)()
 	for seed := int64(75); seed < 77; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			moduli := differentialCorpus(t, seed)
+			moduli := differentialCorpus(t, seed, 384)
 			wantBroken, wantDups := naiveReference(moduli)
 
 			base, err := Run(moduli, Options{
@@ -307,10 +328,14 @@ func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
 			}
 			checkAgainstNaive(t, moduli, base, wantBroken, wantDups)
 
-			// Tile sizes straddling both lowered cutoffs: products of 2, 5,
-			// 8 and all moduli put the balanced reduction's top level below,
-			// between, and above the Karatsuba and Toom-3 boundaries.
-			for _, tile := range []int{2, 5, 8, len(moduli)} {
+			// The hybrid engine multiplies out every tile but the first
+			// (cross cells filter against tile B > A), so tile size T puts
+			// moduli[T:2T] through ProductNat.
+			below, above := false, false
+			for _, tile := range []int{2, 3, 4, 8} {
+				words := maxShorterOperand(t, moduli[tile:2*tile])
+				below = below || words < cutoffWords
+				above = above || words >= cutoffWords
 				rep, err := Run(moduli, Options{
 					Config:    engine.Config{Workers: 3},
 					Engine:    engine.Hybrid,
@@ -324,21 +349,8 @@ func TestDifferentialEnginesSubquadraticTiles(t *testing.T) {
 				checkAgainstNaive(t, moduli, rep, wantBroken, wantDups)
 				checkReportsIdentical(t, base, rep)
 			}
-
-			// Batch GCD on the nat tree: the full product tree and the
-			// remainder-tree squares run deep in Karatsuba/Toom-3 territory.
-			for _, w := range []int{1, 4} {
-				rep, err := Run(moduli, Options{
-					Config:   engine.Config{Workers: w},
-					Engine:   engine.Batch,
-					Tree:     subprod.BackendNat,
-					Exponent: rsakey.DefaultExponent,
-				})
-				if err != nil {
-					t.Fatalf("batch nat workers=%d: %v", w, err)
-				}
-				checkAgainstNaive(t, moduli, rep, wantBroken, wantDups)
-				checkReportsIdentical(t, base, rep)
+			if !below || !above {
+				t.Fatalf("tile products do not straddle the %d-word cutoff (below=%v, above=%v)", cutoffWords, below, above)
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/rsakey"
-	"bulkgcd/internal/subprod"
 )
 
 // TestDifferentialWorkerCounts pins the work-stealing pool's core
@@ -17,11 +16,11 @@ import (
 // (odd, so the static split is ragged and steal-half rebalancing kicks
 // in) and 16 (far more workers than this machine has cores, so deques
 // drain in arbitrary interleavings). Each width runs the three engines
-// the scheduler now drives — all-pairs, hybrid cells, batch GCD on the
-// nat-backed tree — and every report must match the brute-force
-// math/big oracle and the width-1 report exactly.
+// the scheduler now drives — all-pairs, hybrid cells, batch GCD — and
+// every report must match the brute-force math/big oracle and the
+// width-1 report exactly.
 func TestDifferentialWorkerCounts(t *testing.T) {
-	moduli := differentialCorpus(t, 77)
+	moduli := differentialCorpus(t, 77, 128)
 	wantBroken, wantDups := naiveReference(moduli)
 
 	engines := []struct {
@@ -43,8 +42,8 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 			Algorithm: gcd.Approximate, Early: true, TileSize: 4,
 			Exponent: rsakey.DefaultExponent,
 		}, nil},
-		{"batch-nat", Options{
-			Engine: engine.Batch, Tree: subprod.BackendNat,
+		{"batch", Options{
+			Engine:   engine.Batch,
 			Exponent: rsakey.DefaultExponent,
 		}, nil},
 	}

@@ -38,7 +38,6 @@ import (
 
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/faultinject"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -46,27 +45,18 @@ import (
 // one is the shared constant 1.
 var one = big.NewInt(1)
 
-// Config controls a batch-GCD run. It is the shared cross-engine
-// configuration plus one engine knob, Tree. Workers only split
-// independent node computations within a tree level, so the result is
-// identical for every pool size; Progress counts tree-operation units
-// (product multiplications, remainder reductions, leaf GCD extractions
-// — the output-sensitive resolution pass over the handful of flagged
-// moduli is not counted). Checkpoint/Resume are rejected: the tree has
-// no resumable unit decomposition (use the pairs or hybrid engine when
-// resumable progress matters).
+// Config controls a batch-GCD run: the shared cross-engine
+// configuration, with no engine knob of its own. Both trees run on
+// math/big (subprod.Build, then the remainder tree below). Workers only
+// split independent node computations within a tree level, so the
+// result is identical for every pool size; Progress counts
+// tree-operation units (product multiplications, remainder reductions,
+// leaf GCD extractions — the output-sensitive resolution pass over the
+// handful of flagged moduli is not counted). Checkpoint/Resume are
+// rejected: the tree has no resumable unit decomposition (use the pairs
+// or hybrid engine when resumable progress matters).
 type Config struct {
 	engine.Config
-
-	// Tree selects the arithmetic the product and remainder trees run
-	// on: subprod.BackendBig (the default) keeps math/big's assembly
-	// inner loops and recursive division, subprod.BackendNat builds both
-	// trees in mpnat's packed word representation on the subquadratic
-	// Karatsuba/Toom-3 path with per-worker scratch arenas. The Finding
-	// list is byte-identical across backends (and every Workers
-	// setting); the unit accounting seen by Progress and the fault hook
-	// is identical too.
-	Tree subprod.TreeBackend
 }
 
 // tracker carries the shared progress and observability state of one
@@ -142,28 +132,6 @@ func treeUnits(m int) (mults, reductions, leaves int64) {
 	return mults, reductions, int64(m)
 }
 
-// ProductTree holds the levels of the product tree: level 0 is the input
-// moduli, the last level is the single full product.
-type ProductTree struct {
-	Levels [][]*big.Int
-}
-
-// NewProductTree builds the product tree of the moduli on the default
-// (GOMAXPROCS-sized) worker pool.
-func NewProductTree(moduli []*big.Int) (*ProductTree, error) {
-	return NewProductTreeConfig(moduli, Config{})
-}
-
-// NewProductTreeConfig builds the product tree with the given pool size;
-// Progress counts the multiplications performed.
-func NewProductTreeConfig(moduli []*big.Int, cfg Config) (*ProductTree, error) {
-	if err := validate(moduli); err != nil {
-		return nil, err
-	}
-	mults, _, _ := treeUnits(len(moduli))
-	return buildTree(context.Background(), moduli, cfg.EffectiveWorkers(), newTracker(mults, cfg))
-}
-
 func validate(moduli []*big.Int) error {
 	if len(moduli) == 0 {
 		return fmt.Errorf("batchgcd: empty input")
@@ -205,8 +173,8 @@ func validateRSA(moduli []*big.Int) error {
 // builder; the multiplications within one level are independent and fan
 // out over the pool, and each level is wrapped in the tracker's phase
 // (trace span + level-duration histogram).
-func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*ProductTree, error) {
-	st, err := subprod.Build(ctx, moduli, subprod.BuildOptions{
+func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
+	return subprod.Build(ctx, moduli, subprod.BuildOptions{
 		Workers: workers,
 		Metrics: tr.metrics,
 		OnLevel: func(level, nodes int, run func() error) error {
@@ -214,16 +182,6 @@ func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker)
 		},
 		OnNode: tr.tick,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &ProductTree{Levels: st.Levels}, nil
-}
-
-// Product returns the root: the product of all moduli.
-func (t *ProductTree) Product() *big.Int {
-	top := t.Levels[len(t.Levels)-1]
-	return top[0]
 }
 
 // remainderTree pushes the root product down the tree, reducing modulo
@@ -231,9 +189,9 @@ func (t *ProductTree) Product() *big.Int {
 // r_i = P mod n_i^2. Each level's reductions are independent and fan out
 // over the pool; the square and the division quotient are per-worker
 // scratch so the hot loop does not reallocate them.
-func (t *ProductTree) remainderTree(ctx context.Context, workers int, tr *tracker) ([]*big.Int, error) {
+func remainderTree(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
 	depth := len(t.Levels)
-	cur := []*big.Int{t.Product()}
+	cur := []*big.Int{t.Root()}
 	type remScratch struct{ sq, quo big.Int }
 	scratch := make([]remScratch, workers)
 	for lvl := depth - 2; lvl >= 0; lvl-- {
@@ -257,97 +215,15 @@ func (t *ProductTree) remainderTree(ctx context.Context, workers int, tr *tracke
 	return cur, nil
 }
 
-// leafRemainders computes r_i = P mod n_i^2 for every modulus on the
-// backend cfg selects: product tree, then remainder tree, with
-// identical tick/phase accounting either way, so Progress streams and
-// fault-injection ordinals do not depend on the backend.
-func leafRemainders(ctx context.Context, moduli []*big.Int, workers int, tr *tracker, backend subprod.TreeBackend) ([]*big.Int, error) {
-	if backend == subprod.BackendNat {
-		return natRemainders(ctx, moduli, workers, tr)
-	}
-	t, err := buildTree(ctx, moduli, workers, tr)
-	if err != nil {
-		return nil, err
-	}
-	return t.remainderTree(ctx, workers, tr)
-}
-
-// natRemainders is the BackendNat twin of buildTree+remainderTree: the
-// product tree is built by subprod.BuildNat on the subquadratic mpnat
-// multiplier, and the push-down reduces modulo node squares with
-// per-worker MulScratch/DivScratch arenas, all in the packed 32-bit
-// word layout. The leaf remainders convert back to big.Int once, at the
-// boundary to the shared leaf GCD pass, so findings stay byte-identical
-// with the big backend.
-func natRemainders(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) ([]*big.Int, error) {
-	leaves := make([]*mpnat.Nat, len(moduli))
-	for i, n := range moduli {
-		leaves[i] = mpnat.FromBig(n)
-	}
-	t, err := subprod.BuildNat(ctx, leaves, subprod.BuildOptions{
-		Workers: workers,
-		Metrics: tr.metrics,
-		OnLevel: func(level, nodes int, run func() error) error {
-			return tr.phase("product", level, nodes, tr.productH, run)
-		},
-		OnNode: tr.tick,
-	})
-	if err != nil {
-		return nil, err
-	}
-	depth := len(t.Levels)
-	cur := []*mpnat.Nat{t.Root()}
-	type natScratch struct {
-		sq  mpnat.Nat
-		mul mpnat.MulScratch
-		div mpnat.DivScratch
-	}
-	scratch := make([]natScratch, workers)
-	for lvl := depth - 2; lvl >= 0; lvl-- {
-		nodes := t.Levels[lvl]
-		next := make([]*mpnat.Nat, len(nodes))
-		parent := cur
-		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
-			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
-				s := &scratch[w]
-				s.mul.Sqr(&s.sq, nodes[i])
-				rem := new(mpnat.Nat)
-				s.div.Mod(rem, parent[i/2], &s.sq)
-				next[i] = rem
-				tr.tick()
-			})
-		}); err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	rems := make([]*big.Int, len(cur))
-	for i, r := range cur {
-		rems[i] = r.ToBig()
-	}
-	return rems, nil
-}
-
-// SharedFactors returns, for each modulus, g_i = gcd(n_i, (P/n_i) mod n_i):
-// 1 when n_i shares no factor with any other modulus, the shared factor(s)
-// otherwise, and n_i itself when n_i divides the product of the others
-// (duplicate modulus, or all of n_i's primes shared). It runs on the
-// default (GOMAXPROCS-sized) worker pool.
-func SharedFactors(moduli []*big.Int) ([]*big.Int, error) {
-	return SharedFactorsConfig(moduli, Config{})
-}
-
-// SharedFactorsConfig is SharedFactors with explicit pool size and
-// progress reporting.
-func SharedFactorsConfig(moduli []*big.Int, cfg Config) ([]*big.Int, error) {
-	return SharedFactorsContext(context.Background(), moduli, cfg)
-}
-
-// SharedFactorsContext is SharedFactorsConfig with cooperative
-// cancellation: a canceled context aborts between tree operations and the
-// context error is returned. Batch GCD has no meaningful partial result —
-// findings only exist once the remainder tree reaches the leaves — so
-// cancellation discards the incomplete tree.
+// SharedFactorsContext returns, for each modulus,
+// g_i = gcd(n_i, (P/n_i) mod n_i): 1 when n_i shares no factor with any
+// other modulus, the shared factor(s) otherwise, and n_i itself when n_i
+// divides the product of the others (duplicate modulus, or all of n_i's
+// primes shared). Any positive integers are accepted; only RunContext
+// enforces the RSA shape. A canceled context aborts between tree
+// operations and the context error is returned. Batch GCD has no
+// meaningful partial result — findings only exist once the remainder
+// tree reaches the leaves — so cancellation discards the incomplete tree.
 func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([]*big.Int, error) {
 	if err := rejectJournal(cfg); err != nil {
 		return nil, err
@@ -359,7 +235,11 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	mults, reductions, leaves := treeUnits(len(moduli))
 	tr := newTracker(mults+reductions+leaves, cfg)
 
-	rems, err := leafRemainders(ctx, moduli, workers, tr, cfg.Tree)
+	t, err := buildTree(ctx, moduli, workers, tr)
+	if err != nil {
+		return nil, err
+	}
+	rems, err := remainderTree(ctx, t, workers, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -399,22 +279,11 @@ type Finding struct {
 	DuplicateOf int
 }
 
-// Run executes the complete batch attack on the default worker pool:
-// SharedFactors plus the resolution pass that Bernstein's method needs
-// when g_i equals n_i (duplicate moduli, or a modulus both of whose
-// primes are shared). Like bulk.AllPairs, it rejects zero and even
-// moduli up front.
-func Run(moduli []*big.Int) ([]Finding, error) {
-	return RunConfig(moduli, Config{})
-}
-
-// RunConfig is Run with explicit pool size and progress reporting. The
-// Finding list is identical for every Workers setting.
-func RunConfig(moduli []*big.Int, cfg Config) ([]Finding, error) {
-	return RunContext(context.Background(), moduli, cfg)
-}
-
-// RunContext is RunConfig with cooperative cancellation: on cancel the
+// RunContext executes the complete batch attack: SharedFactorsContext
+// plus the resolution pass that Bernstein's method needs when g_i equals
+// n_i (duplicate moduli, or a modulus both of whose primes are shared).
+// Like bulk.AllPairs, it rejects zero and even moduli up front. The
+// Finding list is identical for every Workers setting. On cancel the
 // incomplete tree is discarded and the context error returned (there are
 // no partial batch findings; use the all-pairs engine when resumable
 // partial progress matters).
@@ -426,8 +295,7 @@ func RunContext(ctx context.Context, moduli []*big.Int, cfg Config) (findings []
 		return nil, err
 	}
 	runSpan := cfg.Trace.StartSpan("run",
-		"engine", "batchgcd", "moduli", len(moduli), "workers", cfg.EffectiveWorkers(),
-		"tree", cfg.Tree.String())
+		"engine", "batchgcd", "moduli", len(moduli), "workers", cfg.EffectiveWorkers())
 	defer func() {
 		if cfg.Metrics != nil {
 			cfg.Metrics.Counter("batchgcd_findings_total").Add(int64(len(findings)))

@@ -1,6 +1,7 @@
 package batchgcd
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -30,13 +31,20 @@ func bigModuli(c *rsakey.Corpus) []*big.Int {
 	return out
 }
 
-func TestProductTree(t *testing.T) {
-	ms := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7), big.NewInt(11), big.NewInt(13)}
-	tree, err := NewProductTree(ms)
+// newTree builds the engine's product tree over ms on one worker.
+func newTree(t *testing.T, ms []*big.Int) *subprod.Tree {
+	t.Helper()
+	tree, err := buildTree(context.Background(), ms, 1, newTracker(0, Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.Product().Int64(); got != 3*5*7*11*13 {
+	return tree
+}
+
+func TestProductTree(t *testing.T) {
+	ms := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7), big.NewInt(11), big.NewInt(13)}
+	tree := newTree(t, ms)
+	if got := tree.Root().Int64(); got != 3*5*7*11*13 {
 		t.Fatalf("product = %d", got)
 	}
 	// Levels: 5 -> 3 -> 2 -> 1.
@@ -52,23 +60,23 @@ func TestProductTree(t *testing.T) {
 }
 
 func TestProductTreeSingle(t *testing.T) {
-	tree, err := NewProductTree([]*big.Int{big.NewInt(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Product().Int64() != 42 || len(tree.Levels) != 1 {
+	tree := newTree(t, []*big.Int{big.NewInt(42)})
+	if tree.Root().Int64() != 42 || len(tree.Levels) != 1 {
 		t.Fatal("single-node tree wrong")
 	}
 }
 
+// TestProductTreeValidation: the tree entry point rejects inputs the
+// product tree is undefined for.
 func TestProductTreeValidation(t *testing.T) {
-	if _, err := NewProductTree(nil); err == nil {
+	ctx := context.Background()
+	if _, err := SharedFactorsContext(ctx, nil, Config{}); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := NewProductTree([]*big.Int{big.NewInt(0)}); err == nil {
+	if _, err := SharedFactorsContext(ctx, []*big.Int{big.NewInt(3), big.NewInt(0)}, Config{}); err == nil {
 		t.Error("zero accepted")
 	}
-	if _, err := NewProductTree([]*big.Int{nil}); err == nil {
+	if _, err := SharedFactorsContext(ctx, []*big.Int{big.NewInt(3), nil}, Config{}); err == nil {
 		t.Error("nil accepted")
 	}
 }
@@ -84,7 +92,7 @@ func TestSharedFactorsAgainstNaive(t *testing.T) {
 		for i := range ms {
 			ms[i] = big.NewInt(int64(3+2*r.Intn(5000)) | 1)
 		}
-		got, err := SharedFactors(ms)
+		got, err := SharedFactorsContext(context.Background(), ms, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +116,7 @@ func TestSharedFactorsAgainstNaive(t *testing.T) {
 // everything else reports 1.
 func TestSharedFactorsRSA(t *testing.T) {
 	c := weakCorpus(t, 16, 128, 3, 2)
-	gs, err := SharedFactors(bigModuli(c))
+	gs, err := SharedFactorsContext(context.Background(), bigModuli(c), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +142,7 @@ func TestRunResolvesDuplicates(t *testing.T) {
 	c := weakCorpus(t, 5, 128, 0, 3)
 	ms := bigModuli(c)
 	ms = append(ms, new(big.Int).Set(ms[2]))
-	findings, err := Run(ms)
+	findings, err := RunContext(context.Background(), ms, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +174,7 @@ func TestRunResolvesDoublySharedModulus(t *testing.T) {
 		new(big.Int).Mul(q, b),
 		new(big.Int).Mul(nextPrime(t, r, 64), nextPrime(t, r, 64)),
 	}
-	findings, err := Run(ms)
+	findings, err := RunContext(context.Background(), ms, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func nextPrime(t *testing.T, r *rand.Rand, bits int) *big.Int {
 // TestRunCleanCorpus: nothing flagged when nothing shared.
 func TestRunCleanCorpus(t *testing.T) {
 	c := weakCorpus(t, 12, 128, 0, 5)
-	findings, err := Run(bigModuli(c))
+	findings, err := RunContext(context.Background(), bigModuli(c), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +220,7 @@ func TestRunCleanCorpus(t *testing.T) {
 // set of moduli with the same factors.
 func TestRunMatchesAllPairsOnWeakCorpus(t *testing.T) {
 	c := weakCorpus(t, 20, 128, 4, 6)
-	findings, err := Run(bigModuli(c))
+	findings, err := RunContext(context.Background(), bigModuli(c), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +257,7 @@ func TestRunConfigWorkersIdentical(t *testing.T) {
 	ms := bigModuli(c)
 	ms = append(ms, new(big.Int).Set(ms[10]), new(big.Int).Set(ms[11]), new(big.Int).Set(ms[10]))
 
-	base, err := RunConfig(ms, Config{Config: engine.Config{Workers: 1}})
+	base, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +265,7 @@ func TestRunConfigWorkersIdentical(t *testing.T) {
 		t.Fatal("corpus with planted pairs produced no findings")
 	}
 	for _, w := range []int{2, 4, 8} {
-		got, err := RunConfig(ms, Config{Config: engine.Config{Workers: w}})
+		got, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: w}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +305,7 @@ func TestRunConfigProgress(t *testing.T) {
 				t.Errorf("workers=%d: total = %d, want %d", w, total, want)
 			}
 		}}}
-		if _, err := RunConfig(ms, cfg); err != nil {
+		if _, err := RunContext(context.Background(), ms, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if lastDone != want {
@@ -320,85 +328,8 @@ func BenchmarkBatchGCD128x512(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SharedFactors(ms); err != nil {
+		if _, err := SharedFactorsContext(context.Background(), ms, Config{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestBatchGCDTreeBackends is the backend differential gate of the
-// subquadratic-multiplication PR: the Finding list must be
-// byte-identical whether the product and remainder trees run on
-// math/big or on the packed-word mpnat path, serial and parallel, on a
-// corpus with planted shared primes and duplicates. The progress
-// accounting must be identical too — the unit totals are a documented
-// part of the Config contract.
-func TestBatchGCDTreeBackends(t *testing.T) {
-	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{
-		Count: 301, Bits: 256, WeakPairs: 6, Seed: 12, Pseudo: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := bigModuli(c) // odd count exercises promoted nodes on both paths
-	ms = append(ms, new(big.Int).Set(ms[3]), new(big.Int).Set(ms[4]))
-
-	progress := func(n *int64) func(done, total int64) {
-		var mu sync.Mutex
-		return func(done, total int64) { mu.Lock(); *n++; mu.Unlock() }
-	}
-	var bigTicks int64
-	base, err := RunConfig(ms, Config{
-		Config: engine.Config{Workers: 1, Progress: progress(&bigTicks)},
-		Tree:   subprod.BackendBig,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) == 0 {
-		t.Fatal("corpus with planted pairs produced no findings")
-	}
-	for _, w := range []int{1, 3, 8} {
-		var natTicks int64
-		got, err := RunConfig(ms, Config{
-			Config: engine.Config{Workers: w, Progress: progress(&natTicks)},
-			Tree:   subprod.BackendNat,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("nat workers=%d: %d findings, big backend has %d", w, len(got), len(base))
-		}
-		for i := range got {
-			g, b := got[i], base[i]
-			if g.Index != b.Index || g.DuplicateOf != b.DuplicateOf || g.Factor.Cmp(b.Factor) != 0 {
-				t.Fatalf("nat workers=%d: finding %d differs: %+v vs %+v", w, i, g, b)
-			}
-		}
-		if w == 1 && natTicks != bigTicks {
-			t.Fatalf("progress ticks differ across backends: big %d, nat %d", bigTicks, natTicks)
-		}
-	}
-}
-
-// TestSharedFactorsTreeBackends pins the backend equivalence one layer
-// down: the per-modulus g_i vector itself, not just the resolved
-// findings.
-func TestSharedFactorsTreeBackends(t *testing.T) {
-	c := weakCorpus(t, 64, 128, 3, 13)
-	ms := bigModuli(c)
-	want, err := SharedFactorsConfig(ms, Config{Tree: subprod.BackendBig})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SharedFactorsConfig(ms, Config{Tree: subprod.BackendNat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i].Cmp(got[i]) != 0 {
-			t.Fatalf("g_%d differs: big %v, nat %v", i, want[i], got[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package batchgcd
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -29,7 +30,7 @@ func BenchmarkBatchGCD(b *testing.B) {
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunConfig(ms, Config{Config: engine.Config{Workers: w}}); err != nil {
+				if _, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: w}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -40,7 +41,7 @@ func BenchmarkBatchGCD(b *testing.B) {
 	b.Run("workers=8/metrics", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunConfig(ms, Config{Config: engine.Config{Workers: 8, Metrics: reg}}); err != nil {
+			if _, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: 8, Metrics: reg}}); err != nil {
 				b.Fatal(err)
 			}
 		}

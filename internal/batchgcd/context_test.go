@@ -61,45 +61,47 @@ func TestRunContextPreCanceled(t *testing.T) {
 func TestRunRejectsNonRSAModuli(t *testing.T) {
 	moduli := weakBigs(t, 4, 128, 0, 63)
 	even := append(append([]*big.Int{}, moduli...), big.NewInt(4))
-	if _, err := Run(even); err == nil || !strings.Contains(err.Error(), "even") {
+	ctx := context.Background()
+	if _, err := RunContext(ctx, even, Config{}); err == nil || !strings.Contains(err.Error(), "even") {
 		t.Fatalf("even modulus: %v", err)
 	}
 	zero := append(append([]*big.Int{}, moduli...), new(big.Int))
-	if _, err := Run(zero); err == nil || !strings.Contains(err.Error(), "not positive") {
+	if _, err := RunContext(ctx, zero, Config{}); err == nil || !strings.Contains(err.Error(), "not positive") {
 		t.Fatalf("zero modulus: %v", err)
 	}
-	if _, err := Run(append(append([]*big.Int{}, moduli...), nil)); err == nil {
+	if _, err := RunContext(ctx, append(append([]*big.Int{}, moduli...), nil), Config{}); err == nil {
 		t.Fatal("nil modulus accepted")
 	}
 }
 
 // TestSharedFactorsStillAcceptsEven: the tree primitives keep their wider
-// domain — only the Run attack path enforces the RSA shape (the product
-// tree itself is well-defined for any positive integers, and existing
-// callers rely on that).
+// domain — only the RunContext attack path enforces the RSA shape (the
+// product tree itself is well-defined for any positive integers, and
+// existing callers rely on that).
 func TestSharedFactorsStillAcceptsEven(t *testing.T) {
-	if _, err := SharedFactors([]*big.Int{big.NewInt(42), big.NewInt(35)}); err != nil {
+	if _, err := SharedFactorsContext(context.Background(), []*big.Int{big.NewInt(42), big.NewInt(35)}, Config{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunContextMatchesRun: the ctx-aware path with faults disabled is
-// identical to the legacy entry point.
+// TestRunContextMatchesRun: a run with the fault hook installed but
+// nothing planned, on an explicit pool, is identical to the plain
+// default-pool run.
 func TestRunContextMatchesRun(t *testing.T) {
 	moduli := weakBigs(t, 20, 128, 3, 64)
-	legacy, err := Run(moduli)
+	plain, err := RunContext(context.Background(), moduli, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunContext(context.Background(), moduli, Config{Config: engine.Config{Workers: 3}})
+	hooked, err := RunContext(context.Background(), moduli, Config{Config: engine.Config{Workers: 3, Fault: faultinject.NewPlan().Hook()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy) != len(viaCtx) {
-		t.Fatalf("finding counts differ: %d vs %d", len(legacy), len(viaCtx))
+	if len(plain) != len(hooked) {
+		t.Fatalf("finding counts differ: %d vs %d", len(plain), len(hooked))
 	}
-	for i := range legacy {
-		if legacy[i].Index != viaCtx[i].Index || legacy[i].Factor.Cmp(viaCtx[i].Factor) != 0 {
+	for i := range plain {
+		if plain[i].Index != hooked[i].Index || plain[i].Factor.Cmp(hooked[i].Factor) != 0 {
 			t.Fatalf("finding %d differs", i)
 		}
 	}

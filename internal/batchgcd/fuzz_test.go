@@ -1,6 +1,7 @@
 package batchgcd
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -46,11 +47,11 @@ func FuzzBatchGCDMatchesNaive(f *testing.F) {
 		if ms == nil {
 			return
 		}
-		serial, err := RunConfig(ms, Config{Config: engine.Config{Workers: 1}})
+		serial, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := RunConfig(ms, Config{Config: engine.Config{Workers: 4}})
+		parallel, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,36 +83,6 @@ func DivergenceTable(rs []DivergenceResult) *tabfmt.Table {
 // ---------------------------------------------------------------------------
 // Baseline comparison: all-pairs (the paper) vs Bernstein batch GCD.
 
-// CrossoverPoint is one corpus size in the comparison.
-type CrossoverPoint struct {
-	M        int
-	AllPairs time.Duration
-	Batch    time.Duration
-}
-
-// RunCrossover times both attack engines over growing corpora of the
-// given modulus size. All-pairs work grows as m^2 while batch GCD grows
-// as ~m log^2 m, so batch GCD must win for large m; the all-pairs
-// approach (and the paper's GPU acceleration of it) wins at small m.
-// Both engines run on worker pools of the same size (0 = GOMAXPROCS) so
-// the comparison is pool-vs-pool, not parallel-vs-serial.
-func RunCrossover(size int, ms []int, workers int, seed int64) ([]CrossoverPoint, error) {
-	return RunCrossoverContext(context.Background(), size, ms, workers, seed)
-}
-
-// RunCrossoverContext is RunCrossover with cooperative cancellation.
-func RunCrossoverContext(ctx context.Context, size int, ms []int, workers int, seed int64) ([]CrossoverPoint, error) {
-	cmp, err := RunEngineComparisonContext(ctx, size, ms, workers, seed, []engine.Kind{engine.Pairs, engine.Batch}, engine.KernelScalar)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CrossoverPoint, len(cmp))
-	for i, c := range cmp {
-		out[i] = CrossoverPoint{M: c.M, AllPairs: c.Times[engine.Pairs], Batch: c.Times[engine.Batch]}
-	}
-	return out, nil
-}
-
 // EngineComparison is one corpus size in the engine-vs-engine timing
 // sweep: wall-clock per selected engine over the same corpus, plus the
 // per-pair GCD kernel the Euclidean engines ran with.
@@ -123,10 +93,12 @@ type EngineComparison struct {
 }
 
 // RunEngineComparisonContext times the selected attack engines over
-// growing corpora of the given modulus size; it generalizes the
-// all-pairs-vs-batch crossover to any engine subset, including the
-// tiled product-filter hybrid. Every engine runs on a worker pool of
-// the same size (0 = GOMAXPROCS) so the comparison is pool-vs-pool.
+// growing corpora of the given modulus size. All-pairs work grows as m^2
+// while batch GCD grows as ~m log^2 m, so batch GCD must win for large m
+// and the all-pairs approach (and the paper's GPU acceleration of it)
+// at small m; the tiled product-filter hybrid sits between. Every
+// engine runs on a worker pool of the same size (0 = GOMAXPROCS) so the
+// comparison is pool-vs-pool.
 // kernel selects the per-pair GCD kernel for the pairs and hybrid
 // engines (batch GCD has no pair kernel and ignores it).
 func RunEngineComparisonContext(ctx context.Context, size int, ms []int, workers int, seed int64, kinds []engine.Kind, kernel engine.KernelKind) ([]EngineComparison, error) {
@@ -231,21 +203,6 @@ func EngineComparisonTable(ps []EngineComparison, kinds []engine.Kind) *tabfmt.T
 			}
 		}
 		t.AddRowF(row...)
-	}
-	return t
-}
-
-// CrossoverTable renders the engine comparison.
-func CrossoverTable(ps []CrossoverPoint) *tabfmt.Table {
-	t := tabfmt.NewTable("moduli", "pairs", "all-pairs (E)", "batch GCD", "ratio")
-	for _, p := range ps {
-		t.AddRowF(
-			fmt.Sprintf("%d", p.M),
-			fmt.Sprintf("%d", p.M*(p.M-1)/2),
-			p.AllPairs.Round(time.Microsecond).String(),
-			p.Batch.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2f", float64(p.AllPairs)/float64(p.Batch)),
-		)
 	}
 	return t
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/umm"
 )
@@ -50,30 +52,31 @@ func TestRunDivergenceValidation(t *testing.T) {
 	}
 }
 
-// TestRunCrossover asserts the baseline relationship: batch GCD's
-// advantage over all-pairs grows with corpus size (it is the
-// asymptotically faster engine; the paper's contribution is making the
-// embarrassingly parallel engine fast per pair). Both engines run on
-// two-worker pools, so the ratio measures the algorithms, not the
+// TestEngineComparisonCrossover asserts the baseline relationship:
+// batch GCD's advantage over all-pairs grows with corpus size (it is
+// the asymptotically faster engine; the paper's contribution is making
+// the embarrassingly parallel engine fast per pair). Both engines run
+// on two-worker pools, so the ratio measures the algorithms, not the
 // parallelism gap.
-func TestRunCrossover(t *testing.T) {
+func TestEngineComparisonCrossover(t *testing.T) {
+	kinds := []engine.Kind{engine.Pairs, engine.Batch}
 	// The m=16 point is ~1ms of work, so a scheduler hiccup while other
 	// package binaries share the machine can invert the ratios; measure
 	// up to three times and demand one clean reading.
-	var ps []CrossoverPoint
+	var ps []EngineComparison
 	var r0, r1 float64
 	for attempt := 0; attempt < 3; attempt++ {
 		var err error
-		ps, err = RunCrossover(256, []int{16, 64}, 2, 2)
+		ps, err = RunEngineComparisonContext(context.Background(), 256, []int{16, 64}, 2, 2, kinds, engine.KernelScalar)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(ps) != 2 {
 			t.Fatalf("got %d points", len(ps))
 		}
-		r0 = float64(ps[0].AllPairs) / float64(ps[0].Batch)
-		r1 = float64(ps[1].AllPairs) / float64(ps[1].Batch)
-		if r1 > r0*0.7 && ps[1].Batch < ps[1].AllPairs {
+		r0 = float64(ps[0].Times[engine.Pairs]) / float64(ps[0].Times[engine.Batch])
+		r1 = float64(ps[1].Times[engine.Pairs]) / float64(ps[1].Times[engine.Batch])
+		if r1 > r0*0.7 && ps[1].Times[engine.Batch] < ps[1].Times[engine.Pairs] {
 			break
 		}
 	}
@@ -82,11 +85,11 @@ func TestRunCrossover(t *testing.T) {
 	if r1 <= r0*0.7 {
 		t.Errorf("batch advantage did not grow: %.2f -> %.2f", r0, r1)
 	}
-	if ps[1].Batch >= ps[1].AllPairs {
-		t.Errorf("batch (%v) not faster than all-pairs (%v) at m=64", ps[1].Batch, ps[1].AllPairs)
+	if ps[1].Times[engine.Batch] >= ps[1].Times[engine.Pairs] {
+		t.Errorf("batch (%v) not faster than all-pairs (%v) at m=64", ps[1].Times[engine.Batch], ps[1].Times[engine.Pairs])
 	}
-	out := CrossoverTable(ps).String()
-	if !strings.Contains(out, "batch GCD") || !strings.Contains(out, "all-pairs (E)") {
+	out := EngineComparisonTable(ps, kinds).String()
+	if !strings.Contains(out, "t(batch)") || !strings.Contains(out, "t(pairs)") {
 		t.Errorf("table wrong:\n%s", out)
 	}
 }

@@ -54,16 +54,16 @@ func FuzzSubMulRshift(f *testing.F) {
 	})
 }
 
-// FuzzMulMatchesBig drives the full multiplication dispatch —
-// schoolbook, Karatsuba, Toom-3 and the blocked unbalanced path —
-// against the math/big oracle. Each input runs twice: once at the tuned
-// production thresholds and once with the cutoffs lowered to (4, 10) so
-// that byte-sized fuzz inputs still exercise the deep recursion, the
-// scratch arena and the big.Int backend. The seeded corpus pins the
-// dispatch boundaries (sizes n-1, n, n+1 around each cutoff in words),
-// ragged operand pairs, and the carry-extreme all-ones shapes.
+// FuzzMulMatchesBig drives both multiplication paths — schoolbook below
+// bigMulWords on the shorter operand, the math/big round trip from it
+// up — against the math/big oracle, through Nat.Mul, a fresh and a
+// reused MulScratch, and the aliased forms z == x and x == y. The
+// seeded corpus pins the cutoff (shorter operand at 23, 24 and 25
+// words), odd word counts that leave the top 64-bit limb half filled,
+// ragged, 1xN and Nx24 operand pairs, and the carry-extreme all-ones
+// shapes.
 func FuzzMulMatchesBig(f *testing.F) {
-	k, t3 := MulThresholds()
+	k := bigMulWords
 	sized := func(words int, fill byte) []byte {
 		b := make([]byte, 4*words)
 		for i := range b {
@@ -74,12 +74,14 @@ func FuzzMulMatchesBig(f *testing.F) {
 		}
 		return b
 	}
-	for _, n := range []int{1, 2, k - 1, k, k + 1, t3 - 1, t3, t3 + 1} {
+	for _, n := range []int{1, 2, k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1} {
 		f.Add(sized(n, 0xFF), sized(n, 0xFF))  // all-ones boundary squares
 		f.Add(sized(n, 0), sized(n/2+1, 0xAB)) // power-of-two x ragged y
-		f.Add(sized(3*n+1, 0x55), sized(n, 0)) // blocked unbalanced path
+		f.Add(sized(3*n+1, 0x55), sized(n, 0)) // unbalanced, shorter operand n
 	}
-	f.Add([]byte{}, sized(k+1, 0x7F)) // zero operand
+	f.Add(sized(1, 0xFF), sized(4*k+1, 0xFF)) // 1xN
+	f.Add(sized(4*k+1, 0x3C), sized(k, 0xFF)) // Nx24
+	f.Add([]byte{}, sized(k+1, 0x7F))         // zero operand
 	f.Add([]byte{1}, []byte{1})
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		if len(xb) > 2048 || len(yb) > 2048 {
@@ -88,29 +90,26 @@ func FuzzMulMatchesBig(f *testing.F) {
 		x := new(big.Int).SetBytes(xb)
 		y := new(big.Int).SetBytes(yb)
 		want := new(big.Int).Mul(x, y)
+		wantSq := new(big.Int).Mul(x, x)
 		xn, yn := FromBig(x), FromBig(y)
 
-		check := func(label string) {
-			t.Helper()
-			if got := new(Nat).Mul(xn, yn); got.ToBig().Cmp(want) != 0 {
-				t.Fatalf("%s: Mul mismatch for %d x %d words", label, xn.Len(), yn.Len())
-			}
-			var s MulScratch
-			z := new(Nat)
-			if s.Mul(z, xn, yn); z.ToBig().Cmp(want) != 0 {
-				t.Fatalf("%s: MulScratch.Mul mismatch for %d x %d words", label, xn.Len(), yn.Len())
-			}
-			if s.Mul(z, xn, yn); z.ToBig().Cmp(want) != 0 {
-				t.Fatalf("%s: reused-scratch Mul mismatch", label)
-			}
+		if got := new(Nat).Mul(xn, yn); got.ToBig().Cmp(want) != 0 {
+			t.Fatalf("Mul mismatch for %d x %d words", xn.Len(), yn.Len())
 		}
-		check("tuned thresholds")
-		restore := SetMulThresholds(4, 10)
-		check("lowered thresholds")
-		restore()
-		restoreB := SetMulBackend(BigMulBackend(8))
-		check("big backend")
-		restoreB()
+		var s MulScratch
+		z := new(Nat)
+		if s.Mul(z, xn, yn); z.ToBig().Cmp(want) != 0 {
+			t.Fatalf("MulScratch.Mul mismatch for %d x %d words", xn.Len(), yn.Len())
+		}
+		if s.Mul(z, xn, yn); z.ToBig().Cmp(want) != 0 {
+			t.Fatalf("reused-scratch Mul mismatch for %d x %d words", xn.Len(), yn.Len())
+		}
+		if z = xn.Clone(); s.Mul(z, z, yn).ToBig().Cmp(want) != 0 {
+			t.Fatalf("z==x Mul mismatch for %d x %d words", xn.Len(), yn.Len())
+		}
+		if got := s.Mul(new(Nat), xn, xn); got.ToBig().Cmp(wantSq) != 0 {
+			t.Fatalf("x==y Mul mismatch for %d words", xn.Len())
+		}
 	})
 }
 

@@ -6,29 +6,28 @@ import "sync"
 // the RSA layer needs: multiplication, modular exponentiation (RSA encrypt
 // and decrypt are M^e mod n and C^d mod n) and the modular inverse via the
 // extended Euclidean algorithm, which the paper points to for computing
-// d = e^-1 mod (p-1)(q-1) once a modulus is factored. With these, the
-// whole attack pipeline runs on this package's word-level arithmetic;
-// math/big remains only in conversions, reference oracles and the batch
-// GCD baseline.
+// d = e^-1 mod (p-1)(q-1) once a modulus is factored. Division, the
+// fused GCD updates and small products run on this package's word-level
+// arithmetic; products whose shorter operand reaches bigMulWords go
+// through math/big (mul.go).
 
 // mulScratchPool backs Nat.Mul calls that arrive without a caller-owned
 // MulScratch; hot tree builders hold one per worker instead.
 var mulScratchPool = sync.Pool{New: func() any { return new(MulScratch) }}
 
-// Mul sets n = x * y and returns n. Operands below KaratsubaThreshold
-// run the schoolbook loop; larger ones dispatch through the
-// subquadratic path of mul.go (Karatsuba, then Toom-3) on a pooled
-// MulScratch, honoring any installed MulBackend.
-// Aliasing among n, x, y is allowed.
+// Mul sets n = x * y and returns n. When the shorter operand has fewer
+// than bigMulWords words the schoolbook loop runs into a fresh buffer;
+// larger products take the math/big path of mul.go on a pooled
+// MulScratch. Aliasing among n, x, y is allowed.
 func (n *Nat) Mul(x, y *Nat) *Nat {
 	lx, ly := len(x.w), len(y.w)
 	if lx == 0 || ly == 0 {
 		n.w = n.w[:0]
 		return n
 	}
-	if (lx < karatsubaThreshold || ly < karatsubaThreshold) && loadMulBackend() == nil {
+	if min(lx, ly) < bigMulWords {
 		// Small operands: one schoolbook pass into a fresh buffer
-		// (aliasing-safe), no arena needed.
+		// (aliasing-safe), no scratch needed.
 		out := make([]uint32, lx+ly)
 		basicMul(out, x.w, y.w)
 		n.w = out

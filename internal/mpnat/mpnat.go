@@ -8,11 +8,12 @@
 // here. A Nat is always normalized: the top word of a non-zero Nat is
 // non-zero, and zero is represented by an empty word slice.
 //
-// The package deliberately does not depend on math/big for its arithmetic
-// (conversions to and from big.Int are provided for tests and I/O only);
-// the point of the reproduction is the word-level implementation described
-// in Section IV of the paper, including the exact per-iteration memory
-// operation counts 3*s/d + O(1).
+// The GCD arithmetic deliberately does not depend on math/big: the point
+// of the reproduction is the word-level implementation described in
+// Section IV of the paper, including the exact per-iteration memory
+// operation counts 3*s/d + O(1). math/big enters only through the
+// conversions and the large products of Mul (mul.go), which the product
+// trees use and the GCD kernels never do.
 package mpnat
 
 import (

@@ -1,169 +1,74 @@
 package mpnat
 
-import "bulkgcd/internal/word"
+import (
+	"math/big"
 
-// This file is the multiplication backbone of the package. The product
-// and remainder trees of the batch and hybrid engines multiply operands
-// of hundreds of thousands of words (a tile or corpus product is the
-// concatenation of every modulus in it), where the schoolbook O(n^2)
-// loop is the dominant cost, so Mul dispatches by operand size:
-//
-//	words < KaratsubaThreshold            schoolbook (basicMul)
-//	words < Toom3Threshold                Karatsuba, O(n^1.585)
-//	words >= Toom3Threshold               Toom-3, O(n^1.465)
-//
-// and an installed MulBackend (backend.go) is consulted first, so tree
-// levels above a size cutoff can route through math/big's assembly fast
-// paths while the GCD kernels keep the d = 32/64 word layout.
-//
-// All intermediates live in a MulScratch arena with stack discipline
-// (mark/release), so the tree builders multiply without per-node
-// garbage; Nat.Mul without a caller-provided scratch draws one from a
-// package pool.
-//
-// Toom-3 uses the evaluation points 0, 1, 2, 3 and infinity rather than
-// the textbook 0, 1, -1, 2, infinity: with non-negative points every
-// evaluation, every product, and every interpolation intermediate is a
-// non-negative integer (the interpolation below subtracts only
-// quantities that are provably componentwise-dominated), so the whole
-// algorithm runs on the package's unsigned word slices with no
-// sign-and-magnitude bookkeeping. The price is slightly larger
-// evaluated operands (up to 13 < 2^32 times a part, still one extra
-// word) and two exact small divisions (by 2 and by 3), both linear.
-
-// Multiplication thresholds in 32-bit words. Tuned with
-// BenchmarkMulThresholds and BenchmarkToomCrossover on amd64 (see
-// BENCH_PR6.json): below 24 words (768 bits) the schoolbook loop's
-// locality wins, Karatsuba takes over up to 256 words (8 Kbit), Toom-3
-// beyond — its extra evaluation/interpolation passes only amortize once
-// the thirds are a few hundred words. Exposed as variables for
-// SetMulThresholds; read on every Mul, so they must not be modified
-// concurrently with multiplication.
-var (
-	karatsubaThreshold = 24
-	toom3Threshold     = 256
+	"bulkgcd/internal/word"
 )
 
-// SetMulThresholds overrides the Karatsuba and Toom-3 word-count
-// cutoffs and returns a function restoring the previous values. It
-// exists for threshold-boundary tests and tuning sweeps; it must not be
-// called concurrently with multiplications. karatsuba >= 2 keeps the
-// basecase non-degenerate; toom3 is clamped to at least karatsuba.
-func SetMulThresholds(karatsuba, toom3 int) (restore func()) {
-	if karatsuba < 2 {
-		panic("mpnat: KaratsubaThreshold must be >= 2")
-	}
-	if toom3 < karatsuba {
-		toom3 = karatsuba
-	}
-	prevK, prevT := karatsubaThreshold, toom3Threshold
-	karatsubaThreshold, toom3Threshold = karatsuba, toom3
-	return func() { karatsubaThreshold, toom3Threshold = prevK, prevT }
-}
+// This file holds the package's multiplication. The product-based
+// engines multiply operands of up to hundreds of thousands of words (a
+// tile or corpus product is the concatenation of every modulus in it),
+// and math/big's assembly inner loops and Karatsuba recursion beat any
+// portable word loop there, so Mul has exactly two paths:
+//
+//	shorter operand < bigMulWords     schoolbook (basicMul)
+//	shorter operand >= bigMulWords    math/big round trip
+//
+// The round trip packs both operands into big.Int limbs (O(n) each way,
+// see ToBigInto and SetBig), multiplies, and unpacks the product. The
+// GCD kernels never multiply, so the paper's d = 32 word layout is
+// untouched either way.
 
-// MulThresholds reports the current (karatsuba, toom3) word cutoffs.
-func MulThresholds() (karatsuba, toom3 int) {
-	return karatsubaThreshold, toom3Threshold
-}
+// bigMulWords is the shorter-operand size, in 32-bit words, from which
+// Mul routes through math/big. BenchmarkMulThresholds sweeps schoolbook
+// against the round trip at 8..64 words: on balanced operands the two
+// draw level between 12 and 20 words, and from 24 words (768 bits) the
+// round trip leads at every shape. Below the cutoff the most either
+// path could gain is a few hundred nanoseconds (DESIGN.md section 5f).
+const bigMulWords = 24
 
-// MulScratch is the working arena of a multiplication. Every recursion
-// temporary (Karatsuba middle products, Toom-3 evaluations and
-// interpolation registers) is carved from one slab with stack
-// discipline, so a tree build that reuses its scratch multiplies
-// without per-node allocation. A MulScratch is not safe for concurrent
-// use; pools hold one per worker. The zero value is ready to use.
+// MulScratch is the working storage of a multiplication: the big.Int
+// operands of the math/big path and the product buffer of an aliased
+// schoolbook multiplication. A warm scratch multiplies without
+// allocating, so tree builds hold one per worker. A MulScratch is not
+// safe for concurrent use. The zero value is ready to use.
 type MulScratch struct {
-	buf []uint32
-	off int
+	x, y, z big.Int
+	tmp     []uint32
 }
 
-// ensure grows the slab to at least n words of remaining capacity.
-// It is only called at the top of a multiplication, when no takes are
-// outstanding, so growing cannot invalidate live slices.
-func (s *MulScratch) ensure(n int) {
-	if len(s.buf)-s.off < n {
-		s.buf = make([]uint32, s.off+n)
-	}
-}
-
-// take carves n words off the slab. If the conservative pre-sizing in
-// Mul ever underestimates, it falls back to a fresh allocation rather
-// than growing the slab (growth would invalidate outstanding takes).
-// The returned words are uninitialized.
-func (s *MulScratch) take(n int) []uint32 {
-	if s.off+n > len(s.buf) {
-		return make([]uint32, n)
-	}
-	b := s.buf[s.off : s.off+n : s.off+n]
-	s.off += n
-	return b
-}
-
-// mark/release bracket a recursion level's takes.
-func (s *MulScratch) mark() int     { return s.off }
-func (s *MulScratch) release(m int) { s.off = m }
-
-// Mul sets z = x*y and returns z, running every intermediate through
-// the scratch. Aliasing among z, x, y is allowed. An installed
-// MulBackend is consulted first (see SetMulBackend).
+// Mul sets z = x*y and returns z. Aliasing among z, x, y is allowed.
 func (s *MulScratch) Mul(z, x, y *Nat) *Nat {
 	lx, ly := len(x.w), len(y.w)
 	if lx == 0 || ly == 0 {
 		z.w = z.w[:0]
 		return z
 	}
-	if b := loadMulBackend(); b != nil && b(z, x, y) {
-		return z
+	if min(lx, ly) >= bigMulWords {
+		return s.bigMul(z, x, y)
 	}
-	// The slab bound covers the deepest take chain of either recursion:
-	// Karatsuba peaks around 2.7*(lx+ly), Toom-3 around 3.5*(lx+ly)
-	// (geometric sums over the level costs); 6x is comfortably past
-	// both, and take falls back to the heap if a shape ever exceeds it.
-	s.ensure(6*(lx+ly) + 64)
-	m := s.mark()
-	defer s.release(m)
 	if z != x && z != y {
-		out := z.w
-		if cap(out) < lx+ly {
-			out = make([]uint32, lx+ly)
-		}
-		out = out[:lx+ly]
-		mulInto(out, x.w, y.w, s)
-		z.w = out
+		z.w = grow(z.w, lx+ly)
+		basicMul(z.w, x.w, y.w)
 	} else {
-		tmp := s.take(lx + ly)
-		mulInto(tmp, x.w, y.w, s)
-		z.w = append(z.w[:0], tmp...)
+		s.tmp = grow(s.tmp, lx+ly)
+		basicMul(s.tmp, x.w, y.w)
+		z.w = append(z.w[:0], s.tmp...)
 	}
 	z.norm()
 	return z
 }
 
-// Sqr sets z = x*x through the scratch and returns z.
-func (s *MulScratch) Sqr(z, x *Nat) *Nat { return s.Mul(z, x, x) }
-
-// mulInto computes dst = x*y where len(dst) == len(x)+len(y); dst is
-// fully overwritten and must not overlap x or y. x and y need not be
-// normalized (recursion hands down slices with high zero words).
-func mulInto(dst, x, y []uint32, s *MulScratch) {
-	if len(x) < len(y) {
-		x, y = y, x
-	}
-	switch {
-	case len(y) < karatsubaThreshold:
-		basicMul(dst, x, y)
-	case len(x) > len(y)+(len(y)+1)/2:
-		// Unbalanced: chop x into len(y)-sized blocks so the recursive
-		// algorithms always see comparable operands.
-		blockMul(dst, x, y, s)
-	case len(y) >= toom3Threshold && len(y) > 2*((len(x)+2)/3):
-		toom3Mul(dst, x, y, s)
-	default:
-		karatsubaMul(dst, x, y, s)
-	}
+// bigMul is the math/big path of Mul: both operands are packed into the
+// scratch's big.Ints before z is written, so aliasing is safe.
+func (s *MulScratch) bigMul(z, x, y *Nat) *Nat {
+	x.ToBigInto(&s.x)
+	y.ToBigInto(&s.y)
+	return z.SetBig(s.z.Mul(&s.x, &s.y))
 }
 
-// basicMul is the schoolbook O(n*m) basecase, writing x*y into dst
+// basicMul is the schoolbook O(n*m) loop, writing x*y into dst
 // (len(x)+len(y) words, fully overwritten).
 func basicMul(dst, x, y []uint32) {
 	clear(dst)
@@ -179,257 +84,5 @@ func basicMul(dst, x, y []uint32) {
 			carry = hi
 		}
 		dst[i+len(y)] = carry
-	}
-}
-
-// blockMul handles len(x) >> len(y): dst = sum over blocks of
-// x[o:o+len(y)] * y << o, each block product computed recursively into
-// a reused scratch buffer and accumulated into dst.
-func blockMul(dst, x, y []uint32, s *MulScratch) {
-	clear(dst)
-	n := len(y)
-	m := s.mark()
-	t := s.take(2 * n)
-	for o := 0; o < len(x); o += n {
-		c := n
-		if o+c > len(x) {
-			c = len(x) - o
-		}
-		mulInto(t[:c+n], x[o:o+c], y, s)
-		addAt(dst[o:], trim(t[:c+n]))
-	}
-	s.release(m)
-}
-
-// karatsubaMul computes dst = x*y by one Karatsuba split. Requires
-// len(x) >= len(y) > len(x)/2 (the dispatcher's balance condition), so
-// both high halves are non-empty.
-func karatsubaMul(dst, x, y []uint32, s *MulScratch) {
-	h := len(x) / 2
-	x0, x1 := x[:h], x[h:]
-	y0, y1 := y[:h], y[h:]
-
-	// z0 = x0*y0 and z2 = x1*y1 land directly in dst: z0 fills
-	// dst[:2h], z2 fills dst[2h:], together exactly len(x)+len(y).
-	mulInto(dst[:2*h], x0, y0, s)
-	mulInto(dst[2*h:], x1, y1, s)
-
-	m := s.mark()
-	sx := s.take(maxInt(len(x0), len(x1)) + 1)
-	sy := s.take(maxInt(len(y0), len(y1)) + 1)
-	sx = addFull(sx, x0, x1)
-	sy = addFull(sy, y0, y1)
-	z1 := s.take(len(sx) + len(sy))
-	mulInto(z1, sx, sy, s)
-	// z1 = (x0+x1)(y0+y1) - x0*y0 - x1*y1 = x0*y1 + x1*y0; both
-	// subtrahends are componentwise dominated, so no underflow.
-	subIn(z1, trim(dst[:2*h]))
-	subIn(z1, trim(dst[2*h:]))
-	addAt(dst[h:], trim(z1))
-	s.release(m)
-}
-
-// toom3Mul computes dst = x*y by one Toom-3 split at the points
-// 0, 1, 2, 3 and infinity. Requires len(x) >= len(y) > 2k where
-// k = (len(x)+2)/3 (the dispatcher's condition), so every part of both
-// operands is non-empty.
-func toom3Mul(dst, x, y []uint32, s *MulScratch) {
-	k := (len(x) + 2) / 3
-	x0, x1, x2 := x[:k], x[k:2*k], x[2*k:]
-	y0, y1, y2 := y[:k], y[k:2*k], y[2*k:]
-
-	m := s.mark()
-	// Evaluations at t = 1, 2, 3 via Horner: (p2*t + p1)*t + p0.
-	// Coefficient sums stay below 13 < 2^32 times a part, one extra word.
-	ex1 := evalAt(s.take(k+2), x0, x1, x2, 1)
-	ex2 := evalAt(s.take(k+2), x0, x1, x2, 2)
-	ex3 := evalAt(s.take(k+2), x0, x1, x2, 3)
-	ey1 := evalAt(s.take(k+2), y0, y1, y2, 1)
-	ey2 := evalAt(s.take(k+2), y0, y1, y2, 2)
-	ey3 := evalAt(s.take(k+2), y0, y1, y2, 3)
-
-	v1 := s.take(len(ex1) + len(ey1))
-	mulInto(v1, ex1, ey1, s)
-	v2 := s.take(len(ex2) + len(ey2))
-	mulInto(v2, ex2, ey2, s)
-	v3 := s.take(len(ex3) + len(ey3))
-	mulInto(v3, ex3, ey3, s)
-
-	// c0 = v0 = x0*y0 and c4 = v4 = x2*y2 go straight into dst, which
-	// they cannot outgrow: 2k + (len(x)-2k + len(y)-2k) <= len(dst)-2k.
-	clear(dst)
-	mulInto(dst[:2*k], x0, y0, s)
-	mulInto(dst[4*k:], x2, y2, s)
-	c0 := trim(dst[:2*k])
-	c4 := trim(dst[4*k:])
-
-	// Interpolation, all intermediates non-negative and exact:
-	//   w1 = v1 - c0 - c4          = c1 +  c2 +  c3
-	//   w2 = (v2 - c0 - 16c4)/2    = c1 + 2c2 + 4c3
-	//   w3 = (v3 - c0 - 81c4)/3    = c1 + 3c2 + 9c3
-	//   a  = w2 - w1               = c2 + 3c3
-	//   b  = w3 - w2               = c2 + 5c3
-	//   c3 = (b - a)/2,  c2 = a - 3c3,  c1 = w1 - c2 - c3
-	t := s.take(2*k + 6) // holds c4*81 and c3*3, both < B^(2k+5)
-	w1 := v1
-	subIn(w1, c0)
-	subIn(w1, c4)
-	w1 = trim(w1)
-	w2 := v2
-	subIn(w2, c0)
-	subIn(w2, mulSmall(t, c4, 16))
-	shrExact(w2, 1)
-	w2 = trim(w2)
-	w3 := v3
-	subIn(w3, c0)
-	subIn(w3, mulSmall(t, c4, 81))
-	divSmallExact(w3, 3)
-	w3 = trim(w3)
-
-	subIn(w3, w2) // w3 is now b = c2 + 5c3
-	subIn(w2, w1) // w2 is now a = c2 + 3c3
-	w2, w3 = trim(w2), trim(w3)
-	subIn(w3, w2) // w3 = b - a = 2c3
-	shrExact(w3, 1)
-	c3 := trim(w3) // c3
-	subIn(w2, mulSmall(t, c3, 3))
-	c2 := trim(w2) // c2
-	subIn(w1, c2)
-	subIn(w1, c3)
-	c1 := trim(w1) // c1
-
-	addAt(dst[k:], c1)
-	addAt(dst[2*k:], c2)
-	addAt(dst[3*k:], c3)
-	s.release(m)
-}
-
-// evalAt writes p0 + p1*t + p2*t^2 into dst by Horner and returns the
-// trimmed slice. dst must hold max(len)+2 words; t <= 3.
-func evalAt(dst []uint32, p0, p1, p2 []uint32, t uint32) []uint32 {
-	clear(dst)
-	copy(dst, p2)
-	mulSmallIn(dst, t)
-	addAt(dst, p1)
-	mulSmallIn(dst, t)
-	addAt(dst, p0)
-	return trim(dst)
-}
-
-// trim returns a without its high zero words.
-func trim(a []uint32) []uint32 {
-	i := len(a)
-	for i > 0 && a[i-1] == 0 {
-		i--
-	}
-	return a[:i]
-}
-
-// maxInt avoids importing cmp for two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// addFull writes a+b into dst (sized max(len(a),len(b))+1) and returns
-// the trimmed slice.
-func addFull(dst, a, b []uint32) []uint32 {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	var c uint32
-	for i := 0; i < len(a); i++ {
-		bi := uint32(0)
-		if i < len(b) {
-			bi = b[i]
-		}
-		dst[i], c = word.Add32(a[i], bi, c)
-	}
-	dst[len(a)] = c
-	return trim(dst[:len(a)+1])
-}
-
-// addAt adds a into dst in place, propagating the carry through dst.
-// The caller guarantees the sum fits (the final carry is zero); the
-// recursion invariants above establish that for every call site.
-func addAt(dst, a []uint32) {
-	var c uint32
-	for i := 0; i < len(a); i++ {
-		dst[i], c = word.Add32(dst[i], a[i], c)
-	}
-	for i := len(a); c != 0; i++ {
-		dst[i], c = word.Add32(dst[i], 0, c)
-	}
-}
-
-// subIn subtracts a from dst in place. The caller guarantees
-// dst >= a as integers; lengths may differ (the borrow propagates
-// through dst's remaining words).
-func subIn(dst, a []uint32) {
-	var b uint32
-	for i := 0; i < len(a); i++ {
-		dst[i], b = word.Sub32(dst[i], a[i], b)
-	}
-	for i := len(a); b != 0; i++ {
-		dst[i], b = word.Sub32(dst[i], 0, b)
-	}
-}
-
-// mulSmall writes a*f into dst (sized len(a)+1) and returns the trimmed
-// slice. f is a small word (the Toom-3 constants 3, 16, 81).
-func mulSmall(dst, a []uint32, f uint32) []uint32 {
-	var carry uint32
-	for i := 0; i < len(a); i++ {
-		hi, lo := word.MulAdd(a[i], f, carry, 0)
-		dst[i] = lo
-		carry = hi
-	}
-	dst[len(a)] = carry
-	return trim(dst[:len(a)+1])
-}
-
-// mulSmallIn multiplies dst by f in place. The caller guarantees the
-// product fits in dst (evalAt's extra word absorbs the growth).
-func mulSmallIn(dst []uint32, f uint32) {
-	var carry uint32
-	for i := 0; i < len(dst); i++ {
-		hi, lo := word.MulAdd(dst[i], f, carry, 0)
-		dst[i] = lo
-		carry = hi
-	}
-	if carry != 0 {
-		panic("mpnat: mulSmallIn overflow")
-	}
-}
-
-// shrExact shifts dst right by k < 32 bits in place; the shifted-out
-// bits must be zero (exact division by 2^k).
-func shrExact(dst []uint32, k uint) {
-	if len(dst) == 0 {
-		return
-	}
-	if dst[0]&(1<<k-1) != 0 {
-		panic("mpnat: shrExact dropped bits")
-	}
-	for i := 0; i < len(dst); i++ {
-		dst[i] >>= k
-		if i+1 < len(dst) {
-			dst[i] |= dst[i+1] << (32 - k)
-		}
-	}
-}
-
-// divSmallExact divides dst by f in place; the division must be exact.
-func divSmallExact(dst []uint32, f uint32) {
-	var rem uint64
-	for i := len(dst) - 1; i >= 0; i-- {
-		cur := rem<<word.Bits | uint64(dst[i])
-		dst[i] = uint32(cur / uint64(f))
-		rem = cur % uint64(f)
-	}
-	if rem != 0 {
-		panic("mpnat: divSmallExact with remainder")
 	}
 }

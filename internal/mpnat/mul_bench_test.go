@@ -14,19 +14,11 @@ import (
 // cheap while still enforcing the bound.
 const treeMulWords = 64 * 1024
 
-// timeMul measures one z = x*y with the current dispatch settings.
-func timeMul(z, x, y *Nat, s *MulScratch) time.Duration {
-	start := time.Now()
-	s.Mul(z, x, y)
-	return time.Since(start)
-}
-
-// BenchmarkTreeMul is the self-enforcing regression gate of the
-// subquadratic multiplication backbone (archived in BENCH_PR6.json):
-// it multiplies two tree-level-sized operands with the schoolbook loop
-// and with the subquadratic dispatch, verifies the products are
-// identical, fails the run outright if the subquadratic path is not at
-// least 2x faster, and then reports the subquadratic ns/op. Run it at
+// BenchmarkTreeMul is the self-enforcing regression gate that
+// tree-sized products leave the schoolbook loop: it multiplies two
+// tree-level-sized operands with basicMul and with Mul, verifies the
+// products are identical, fails the run outright if Mul is not at
+// least 2x faster, and then reports Mul's ns/op. Run it at
 // GOMAXPROCS=1: both paths are single-goroutine, and the paper's
 // per-core accounting keeps the comparison honest.
 func BenchmarkTreeMul(b *testing.B) {
@@ -39,65 +31,60 @@ func BenchmarkTreeMul(b *testing.B) {
 	r := rand.New(rand.NewSource(612))
 	x, y := randNat(r, words), randNat(r, words)
 	s := new(MulScratch)
-	school, sub := new(Nat).Grow(2*words), new(Nat).Grow(2*words)
+	school, fast := make([]uint32, 2*words), new(Nat).Grow(2*words)
 
-	restore := SetMulThresholds(1<<30, 1<<30) // everything schoolbook
-	var schoolNs time.Duration
+	var schoolNs, fastNs time.Duration
 	for i := 0; i < reps; i++ {
-		schoolNs += timeMul(school, x, y, s)
+		start := time.Now()
+		basicMul(school, x.w, y.w)
+		schoolNs += time.Since(start)
+		start = time.Now()
+		s.Mul(fast, x, y)
+		fastNs += time.Since(start)
 	}
-	restore()
-	var subNs time.Duration
-	for i := 0; i < reps; i++ {
-		subNs += timeMul(sub, x, y, s)
+	if NewFromWords(school).Cmp(fast) != 0 {
+		b.Fatal("Mul product differs from schoolbook")
 	}
-	if school.Cmp(sub) != 0 {
-		b.Fatal("subquadratic product differs from schoolbook")
-	}
-	speedup := float64(schoolNs) / float64(subNs)
-	b.Logf("%d-word operands: schoolbook %v, subquadratic %v, speedup %.1fx",
-		words, schoolNs/time.Duration(reps), subNs/time.Duration(reps), speedup)
+	speedup := float64(schoolNs) / float64(fastNs)
+	b.Logf("%d-word operands: schoolbook %v, Mul %v, speedup %.1fx",
+		words, schoolNs/time.Duration(reps), fastNs/time.Duration(reps), speedup)
 	if speedup < 2 {
-		b.Fatalf("subquadratic Mul is only %.2fx schoolbook on %d-word operands, want >= 2x", speedup, words)
+		b.Fatalf("Mul is only %.2fx schoolbook on %d-word operands, want >= 2x", speedup, words)
 	}
 	b.ReportMetric(speedup, "x-vs-schoolbook")
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Mul(sub, x, y)
+		s.Mul(fast, x, y)
 	}
 	b.ReportMetric(float64(words), "words")
 }
 
-// BenchmarkMulThresholds is the tuning sweep behind the shipped
-// (24, 256) cutoffs: at each size it times the schoolbook loop, plain
-// Karatsuba (Toom-3 disabled), Toom-3 forced at the top level, and the
-// full dispatch, so `go test -bench BenchmarkMulThresholds` re-derives
-// both crossover points on any machine. On the reference amd64 box
-// Karatsuba passes schoolbook near 48 words and Toom-3 passes
-// Karatsuba between 256 and 768 words (see BENCH_PR6.json). Not
-// enforced — BenchmarkTreeMul is the gate.
+// BenchmarkMulThresholds is the sweep behind the shipped bigMulWords
+// cutoff: for a shorter operand of 8 to 64 words it times the
+// schoolbook loop and the math/big round trip (pack both operands,
+// multiply, unpack), against an equal-length operand and against a
+// 512-word one (the shape of a tile product or spine root times a
+// modulus-sized operand), so `go test -bench BenchmarkMulThresholds`
+// re-derives the crossover on any machine. Not enforced —
+// BenchmarkTreeMul is the gate.
 func BenchmarkMulThresholds(b *testing.B) {
 	r := rand.New(rand.NewSource(613))
-	for _, words := range []int{16, 24, 32, 48, 64, 96, 128, 256, 512, 1024, 2048} {
-		x, y := randNat(r, words), randNat(r, words)
-		s := new(MulScratch)
-		z := new(Nat).Grow(2 * words)
-		for _, mode := range []struct {
-			name  string
-			k, t3 int
-		}{
-			{"schoolbook", 1 << 30, 1 << 30},
-			{"karatsuba", 24, 1 << 30},
-			{"toom3", 24, words},
-			{"dispatch", 24, 256},
-		} {
-			b.Run(fmt.Sprintf("words=%d/%s", words, mode.name), func(b *testing.B) {
-				defer SetMulThresholds(mode.k, mode.t3)()
+	for _, words := range []int{8, 12, 16, 20, 23, 24, 25, 28, 32, 48, 64} {
+		for _, long := range []int{words, 512} {
+			x, y := randNat(r, long), randNat(r, words)
+			s := new(MulScratch)
+			z := new(Nat).Grow(long + words)
+			b.Run(fmt.Sprintf("words=%dx%d/schoolbook", words, long), func(b *testing.B) {
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.Mul(z, x, y)
+					basicMul(z.w[:long+words], x.w, y.w)
+				}
+			})
+			b.Run(fmt.Sprintf("words=%dx%d/bigmul", words, long), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.bigMul(z, x, y)
 				}
 			})
 		}

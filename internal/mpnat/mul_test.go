@@ -1,20 +1,20 @@
 package mpnat
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// This file is the differential harness for the subquadratic
-// multiplication backbone (mul.go): every algorithm band (schoolbook,
-// Karatsuba, Toom-3, blocked unbalanced, installed backend) is driven
-// at and around its dispatch boundary against the math/big oracle. A
-// silent carry bug in Mul corrupts every product-tree engine at once,
-// so the shapes here are chosen to maximize carry and borrow stress:
-// all-ones words, single set bits at word boundaries, ragged operand
-// pairs, zero and one limbs.
+// This file is the differential harness for Mul (mul.go): both paths,
+// schoolbook below bigMulWords on the shorter operand and the math/big
+// round trip from it up, are driven at and around the cutoff against the
+// math/big oracle. A silent carry or packing bug in Mul corrupts every
+// product-tree engine at once, so the shapes here are chosen to maximize
+// carry stress and packing edge cases: all-ones words, single set bits
+// at word boundaries, ragged and 1xN operand pairs, odd word counts
+// (whose top 32-bit word fills only half a 64-bit big.Word), zero and
+// one limbs.
 
 // randNat returns a Nat of exactly words words (top word forced
 // non-zero) drawn from r.
@@ -67,26 +67,19 @@ func checkMul(t *testing.T, s *MulScratch, x, y *Nat) {
 	}
 }
 
-// boundarySizes returns every interesting word count around the two
-// dispatch cutoffs: n-1, n, n+1 at each threshold, the far side of each
-// band, and the small cases.
+// boundarySizes returns every interesting word count around the cutoff:
+// n-1, n, n+1, the small cases, and sizes well above it with odd and
+// even word counts.
 func boundarySizes() []int {
-	k, t3 := MulThresholds()
-	sizes := []int{0, 1, 2, 3, 7}
-	for _, c := range []int{k, t3} {
-		sizes = append(sizes, c-1, c, c+1)
-	}
-	// Deep inside each band, and past the point where Toom-3 recurses
-	// into Karatsuba which recurses into schoolbook.
-	sizes = append(sizes, (k+t3)/2, 2*t3, 3*t3+1)
-	return sizes
+	k := bigMulWords
+	return []int{0, 1, 2, 3, 7, k - 1, k, k + 1, 2*k - 1, 2 * k, 4*k + 1}
 }
 
 // TestMulThresholdBoundaries drives every (xWords, yWords) pair of
-// boundary sizes — including the ragged combinations that hit the
-// blocked unbalanced path — against the oracle, reusing one scratch
-// across all cases to prove arena reuse cannot leak state between
-// multiplications.
+// boundary sizes — which puts the shorter operand on both sides of the
+// cutoff against longer operands of every size — against the oracle,
+// reusing one scratch across all cases to prove scratch reuse cannot
+// leak state between multiplications.
 func TestMulThresholdBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(600))
 	shared := new(MulScratch)
@@ -99,13 +92,13 @@ func TestMulThresholdBoundaries(t *testing.T) {
 }
 
 // TestMulSpecialLimbs covers the degenerate and carry-extreme operand
-// shapes at sizes spanning all three algorithm bands: zero, one,
-// powers of two at word boundaries, and all-ones words.
+// shapes at sizes on both sides of the cutoff: zero, one, powers of
+// two at word boundaries, and all-ones words.
 func TestMulSpecialLimbs(t *testing.T) {
-	k, t3 := MulThresholds()
+	k := bigMulWords
 	shared := new(MulScratch)
 	r := rand.New(rand.NewSource(601))
-	for _, n := range []int{1, k - 1, k, k + 1, t3, t3 + 1, 2 * t3} {
+	for _, n := range []int{1, k - 1, k, k + 1, 4 * k, 4*k + 1} {
 		specials := []*Nat{
 			&Nat{},                 // zero
 			New(1),                 // one
@@ -130,77 +123,89 @@ func nolt(n int) int {
 	return n
 }
 
-// TestMulRaggedPairs stresses the blocked unbalanced path: one operand
-// many times longer than the other, with remainder blocks of every
-// phase, at both subquadratic cutoffs.
+// TestMulRaggedPairs stresses unbalanced shapes: one operand many times
+// longer than the other with the shorter one at 23, 24 and 25 words,
+// plus the 1xN and Nx24 extremes, in both argument orders.
 func TestMulRaggedPairs(t *testing.T) {
 	r := rand.New(rand.NewSource(602))
-	k, t3 := MulThresholds()
+	k := bigMulWords
 	shared := new(MulScratch)
-	for _, base := range []int{k, t3} {
+	for _, base := range []int{k - 1, k, k + 1} {
 		for _, ratio := range []int{2, 3, 5} {
 			for _, off := range []int{-1, 0, 1, base / 2} {
 				long := base*ratio + off
-				if long < 1 {
-					continue
-				}
 				checkMul(t, shared, randNat(r, long), randNat(r, base))
 				checkMul(t, shared, randNat(r, base), randNat(r, long))
 			}
 		}
 	}
-}
-
-// TestMulAliasingAllBands checks every aliasing combination the Mul
-// contract allows, across all three algorithm bands (the small-operand
-// case is TestMulAliasing in modular_test.go).
-func TestMulAliasingAllBands(t *testing.T) {
-	r := rand.New(rand.NewSource(603))
-	k, t3 := MulThresholds()
-	for _, n := range []int{3, k + 1, t3 + 1} {
-		x0, y0 := randNat(r, n), randNat(r, n)
-		want := new(big.Int).Mul(x0.ToBig(), y0.ToBig())
-		wantSq := new(big.Int).Mul(x0.ToBig(), x0.ToBig())
-
-		z := x0.Clone()
-		z.Mul(z, y0.Clone()) // n == x
-		if z.ToBig().Cmp(want) != 0 {
-			t.Fatalf("n==x aliasing broken at %d words", n)
-		}
-		z = y0.Clone()
-		z.Mul(x0.Clone(), z) // n == y
-		if z.ToBig().Cmp(want) != 0 {
-			t.Fatalf("n==y aliasing broken at %d words", n)
-		}
-		z = x0.Clone()
-		z.Mul(z, z) // n == x == y
-		if z.ToBig().Cmp(wantSq) != 0 {
-			t.Fatalf("n==x==y aliasing broken at %d words", n)
-		}
-		if got := new(Nat).Sqr(x0); got.ToBig().Cmp(wantSq) != 0 {
-			t.Fatalf("Sqr broken at %d words", n)
-		}
-		var s MulScratch
-		z = x0.Clone()
-		s.Mul(z, z, y0) // scratch path, n == x
-		if z.ToBig().Cmp(want) != 0 {
-			t.Fatalf("scratch n==x aliasing broken at %d words", n)
+	for _, long := range []int{1, k - 1, k, k + 1, 97, 1000} {
+		for _, short := range []int{1, k} {
+			checkMul(t, shared, randNat(r, long), randNat(r, short))
+			checkMul(t, shared, randNat(r, short), randNat(r, long))
+			checkMul(t, shared, onesNat(long), onesNat(short))
 		}
 	}
 }
 
-// TestMulProperties is the property-based leg of the harness: with the
-// cutoffs lowered so small operands exercise the full recursion stack
-// (Toom-3 over Karatsuba over schoolbook), it checks commutativity,
-// associativity via 3-way products, distributivity over Add, and the
-// Mul-then-DivMod round trip on random triples.
+// TestMulAliasingAllBands checks every aliasing combination the Mul
+// contract allows — z == x, z == y, x == y with a distinct z, and
+// z == x == y — on both sides of the cutoff, through Nat.Mul and through
+// a reused MulScratch (the small-operand case is TestMulAliasing in
+// modular_test.go).
+func TestMulAliasingAllBands(t *testing.T) {
+	r := rand.New(rand.NewSource(603))
+	k := bigMulWords
+	var s MulScratch
+	for _, n := range []int{3, k - 1, k, k + 1, 4*k + 1} {
+		x0, y0 := randNat(r, n), randNat(r, n)
+		want := new(big.Int).Mul(x0.ToBig(), y0.ToBig())
+		wantSq := new(big.Int).Mul(x0.ToBig(), x0.ToBig())
+
+		for _, mul := range []struct {
+			name string
+			f    func(z, x, y *Nat) *Nat
+		}{
+			{"Nat.Mul", func(z, x, y *Nat) *Nat { return z.Mul(x, y) }},
+			{"MulScratch.Mul", s.Mul},
+		} {
+			z := x0.Clone()
+			mul.f(z, z, y0.Clone())
+			if z.ToBig().Cmp(want) != 0 {
+				t.Fatalf("%s: z==x aliasing broken at %d words", mul.name, n)
+			}
+			z = y0.Clone()
+			mul.f(z, x0.Clone(), z)
+			if z.ToBig().Cmp(want) != 0 {
+				t.Fatalf("%s: z==y aliasing broken at %d words", mul.name, n)
+			}
+			x := x0.Clone()
+			if got := mul.f(new(Nat), x, x); got.ToBig().Cmp(wantSq) != 0 || x.Cmp(x0) != 0 {
+				t.Fatalf("%s: x==y aliasing broken at %d words", mul.name, n)
+			}
+			z = x0.Clone()
+			mul.f(z, z, z)
+			if z.ToBig().Cmp(wantSq) != 0 {
+				t.Fatalf("%s: z==x==y aliasing broken at %d words", mul.name, n)
+			}
+		}
+		if got := new(Nat).Sqr(x0); got.ToBig().Cmp(wantSq) != 0 {
+			t.Fatalf("Sqr broken at %d words", n)
+		}
+	}
+}
+
+// TestMulProperties is the property-based leg of the harness: with
+// operand sizes drawn across the cutoff, so products mix both paths, it
+// checks commutativity, associativity via 3-way products,
+// distributivity over Add, and the Mul-then-DivMod round trip on random
+// triples.
 func TestMulProperties(t *testing.T) {
-	defer SetMulThresholds(4, 10)()
 	r := rand.New(rand.NewSource(604))
 	for trial := 0; trial < 300; trial++ {
-		x := randNat(r, r.Intn(40))
-		y := randNat(r, r.Intn(40))
-		z := randNat(r, r.Intn(40))
+		x := randNat(r, r.Intn(2*bigMulWords))
+		y := randNat(r, r.Intn(2*bigMulWords))
+		z := randNat(r, r.Intn(2*bigMulWords))
 
 		xy := new(Nat).Mul(x, y)
 		yx := new(Nat).Mul(y, x)
@@ -226,149 +231,94 @@ func TestMulProperties(t *testing.T) {
 	}
 }
 
-// TestSetMulThresholds checks the override round trip and that the
-// restore function reinstates the tuned defaults.
-func TestSetMulThresholds(t *testing.T) {
-	k0, t0 := MulThresholds()
-	restore := SetMulThresholds(5, 9)
-	if k, tt := MulThresholds(); k != 5 || tt != 9 {
-		t.Fatalf("thresholds = (%d, %d) after set, want (5, 9)", k, tt)
-	}
-	restore()
-	if k, tt := MulThresholds(); k != k0 || tt != t0 {
-		t.Fatalf("restore gave (%d, %d), want (%d, %d)", k, tt, k0, t0)
-	}
-	// toom3 below karatsuba is clamped, not accepted.
-	defer SetMulThresholds(8, 2)()
-	if k, tt := MulThresholds(); tt < k {
-		t.Fatalf("toom3 threshold %d below karatsuba %d", tt, k)
-	}
-}
-
-// TestSetMulBackend checks the consult-first contract: an installed
-// backend sees every large multiplication, may decline, and its
-// product is what callers observe; removal restores the native path.
-func TestSetMulBackend(t *testing.T) {
-	r := rand.New(rand.NewSource(605))
-	k, _ := MulThresholds()
-	x, y := randNat(r, 4*k), randNat(r, 4*k)
-	want := new(big.Int).Mul(x.ToBig(), y.ToBig())
-
-	var calls, handled int
-	restore := SetMulBackend(func(z, a, b *Nat) bool {
-		calls++
-		if a.Len() < 2*k || b.Len() < 2*k {
-			return false // decline: native path must take over
-		}
-		handled++
-		z.SetBig(new(big.Int).Mul(a.ToBig(), b.ToBig()))
-		return true
-	})
-	defer restore()
-
-	if got := new(Nat).Mul(x, y); got.ToBig().Cmp(want) != 0 {
-		t.Fatal("backend-handled product mismatch")
-	}
-	small := randNat(r, k+1)
-	wantSmall := new(big.Int).Mul(small.ToBig(), small.ToBig())
-	if got := new(Nat).Sqr(small); got.ToBig().Cmp(wantSmall) != 0 {
-		t.Fatal("declined product mismatch")
-	}
-	if calls < 2 || handled != 1 {
-		t.Fatalf("backend saw %d calls, handled %d; want >=2 and exactly 1", calls, handled)
-	}
-	restore()
-	if got := new(Nat).Mul(x, y); got.ToBig().Cmp(want) != 0 {
-		t.Fatal("native product mismatch after restore")
-	}
-}
-
-// TestBigMulBackendParity runs the escape-hatch backend against the
-// native path on boundary shapes: identical values everywhere, and the
-// cutoff respected.
-func TestBigMulBackendParity(t *testing.T) {
-	r := rand.New(rand.NewSource(606))
-	const cutoff = 32
-	defer SetMulBackend(BigMulBackend(cutoff))()
-	shared := new(MulScratch)
-	for _, xs := range []int{cutoff - 1, cutoff, cutoff + 1, 3 * cutoff} {
-		for _, ys := range []int{cutoff - 1, cutoff, 2 * cutoff} {
-			checkMul(t, shared, randNat(r, xs), randNat(r, ys))
-			checkMul(t, shared, onesNat(xs), onesNat(ys))
-		}
-	}
-}
-
-// TestMulScratchReuse proves the arena claim: with a warm scratch and a
-// preallocated destination, subquadratic multiplication performs no
-// allocation.
+// TestMulScratchReuse proves the scratch claim: with a warm scratch and
+// a preallocated destination, multiplication performs no allocation on
+// either path, aliased or not.
 func TestMulScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(607))
-	_, t3 := MulThresholds()
-	n := 2 * t3 // deep enough for Toom-3 over Karatsuba
-	x, y := randNat(r, n), randNat(r, n)
-	s := new(MulScratch)
-	z := new(Nat).Grow(2 * n)
-	s.Mul(z, x, y) // warm the slab
-	want := z.Clone()
-	allocs := testing.AllocsPerRun(10, func() {
-		s.Mul(z, x, y)
-	})
-	if allocs != 0 {
-		t.Errorf("warm MulScratch.Mul allocated %.1f times per op, want 0", allocs)
-	}
-	if z.Cmp(want) != 0 {
-		t.Fatal("warm-path product drifted")
+	for _, n := range []int{bigMulWords - 1, bigMulWords, 512} {
+		x, y := randNat(r, n), randNat(r, n)
+		s := new(MulScratch)
+		z := new(Nat).Grow(2 * n)
+		s.Mul(z, x, y) // warm the scratch
+		want := z.Clone()
+		allocs := testing.AllocsPerRun(10, func() {
+			s.Mul(z, x, y)
+		})
+		if allocs != 0 {
+			t.Errorf("%d words: warm MulScratch.Mul allocated %.1f times per op, want 0", n, allocs)
+		}
+		if z.Cmp(want) != 0 {
+			t.Fatalf("%d words: warm-path product drifted", n)
+		}
+		a := new(Nat).Grow(2 * n).Set(x)
+		s.Mul(a, a, y) // warm the aliased path
+		allocs = testing.AllocsPerRun(10, func() {
+			a.Set(x)
+			s.Mul(a, a, y)
+		})
+		if allocs != 0 {
+			t.Errorf("%d words: warm aliased MulScratch.Mul allocated %.1f times per op, want 0", n, allocs)
+		}
+		if a.Cmp(want) != 0 {
+			t.Fatalf("%d words: aliased warm-path product drifted", n)
+		}
 	}
 }
 
-// TestMulMatchesOldSchoolbook pins the dispatcher's basecase band: at
-// sizes below the Karatsuba cutoff the product must equal the oracle
-// (the schoolbook loop is the same code the package always had, moved
-// to a slice-level basecase).
+// TestMulMatchesOldSchoolbook pins the two paths against each other:
+// below the cutoff Mul is the schoolbook loop and must equal the oracle,
+// and at every size from 1 to 2*bigMulWords words, including odd counts
+// that leave the top big.Word half filled, the schoolbook loop and the
+// math/big round trip compute the same words.
 func TestMulMatchesOldSchoolbook(t *testing.T) {
 	r := rand.New(rand.NewSource(608))
-	k, _ := MulThresholds()
+	k := bigMulWords
 	for trial := 0; trial < 50; trial++ {
 		x := randNat(r, 1+r.Intn(k-1))
-		y := randNat(r, 1+r.Intn(k-1))
+		y := randNat(r, 1+r.Intn(4*k))
 		want := new(big.Int).Mul(x.ToBig(), y.ToBig())
 		if got := new(Nat).Mul(x, y); got.ToBig().Cmp(want) != 0 {
 			t.Fatalf("trial %d: schoolbook band mismatch", trial)
 		}
 	}
+	var s MulScratch
+	for xs := 1; xs <= 2*k; xs++ {
+		for _, ys := range []int{1, k - 1, k, k + 1, xs} {
+			x, y := randNat(r, xs), randNat(r, ys)
+			school := make([]uint32, xs+ys)
+			basicMul(school, x.Words(), y.Words())
+			if got := s.bigMul(new(Nat), x, y); got.Cmp(NewFromWords(school)) != 0 {
+				t.Fatalf("%d x %d words: math/big round trip differs from schoolbook", xs, ys)
+			}
+		}
+	}
 }
 
-// TestMulThresholdSweepExhaustive runs a dense size sweep with lowered
-// cutoffs so every dispatch edge (schoolbook->karatsuba,
-// karatsuba->toom3, balanced->blocked) is crossed many times in one
-// test, each size at multiple random draws.
+// TestMulThresholdSweepExhaustive runs a dense size sweep across the
+// cutoff, so the schoolbook -> math/big edge is crossed from both
+// operand orders, each size at multiple random draws.
 func TestMulThresholdSweepExhaustive(t *testing.T) {
-	defer SetMulThresholds(5, 12)()
 	r := rand.New(rand.NewSource(609))
+	k := bigMulWords
 	shared := new(MulScratch)
-	for xs := 1; xs <= 40; xs++ {
-		for _, ys := range []int{1, 2, 4, 5, 6, 11, 12, 13, xs} {
-			if ys > 40 {
-				continue
-			}
+	for xs := 1; xs <= 2*k+1; xs++ {
+		for _, ys := range []int{1, 2, k - 2, k - 1, k, k + 1, k + 2, xs} {
 			checkMul(t, shared, randNat(r, xs), randNat(r, ys))
+			checkMul(t, shared, randNat(r, ys), randNat(r, xs))
 		}
 	}
 	// And the all-ones diagonal, the worst carry case, at every size.
-	for n := 1; n <= 40; n++ {
+	for n := 1; n <= 2*k+1; n++ {
 		checkMul(t, shared, onesNat(n), onesNat(n))
 	}
 }
 
-// TestMulThresholdsDocumented keeps the DESIGN.md section 5f numbers
-// honest: the shipped defaults are what the doc says.
+// TestMulThresholdsDocumented keeps the DESIGN.md section 5f number
+// honest: the shipped cutoff is what the doc and BenchmarkMulThresholds
+// say.
 func TestMulThresholdsDocumented(t *testing.T) {
-	k, t3 := MulThresholds()
-	if k != 24 || t3 != 256 {
-		t.Fatalf("default thresholds (%d, %d) drifted from the documented (24, 256); update DESIGN.md 5f and BENCH_PR6.json", k, t3)
-	}
-	if fmt.Sprintf("%d/%d", k, t3) == "" { // keep fmt imported alongside future debug output
-		t.Fatal("unreachable")
+	if bigMulWords != 24 {
+		t.Fatalf("bigMulWords = %d drifted from the documented 24; update DESIGN.md 5f", bigMulWords)
 	}
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"math/big"
 	"math/bits"
 	"runtime"
@@ -72,7 +73,7 @@ func BenchmarkRegistrySubmit(b *testing.B) {
 	// measured once. This is the per-submission cost of the pre-registry
 	// workflow (full product+remainder tree from scratch).
 	start := time.Now()
-	if _, err := batchgcd.SharedFactors(seed); err != nil {
+	if _, err := batchgcd.SharedFactorsContext(context.Background(), seed, batchgcd.Config{}); err != nil {
 		b.Fatal(err)
 	}
 	rescan := time.Since(start)

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"os"
@@ -15,7 +16,7 @@ import (
 // per-index g_i for every broken index.
 func oracleBroken(t *testing.T, moduli []*big.Int) map[int]*big.Int {
 	t.Helper()
-	gs, err := batchgcd.SharedFactors(moduli)
+	gs, err := batchgcd.SharedFactorsContext(context.Background(), moduli, batchgcd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestDifferentialWithRemovals(t *testing.T) {
 }
 
 // TestDifferentialAgainstRun: the registry's pairwise findings (index,
-// partner, factor) agree with batchgcd.Run's per-key factors on a
+// partner, factor) agree with batchgcd.RunContext's per-key factors on a
 // corpus with duplicates.
 func TestDifferentialAgainstRun(t *testing.T) {
 	moduli := weakModuli(t, 24, 96, 3, 7)
@@ -228,7 +229,7 @@ func TestDifferentialAgainstRun(t *testing.T) {
 	}
 	r.Close()
 
-	findings, err := batchgcd.Run(moduli)
+	findings, err := batchgcd.RunContext(context.Background(), moduli, batchgcd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

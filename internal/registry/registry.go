@@ -731,7 +731,7 @@ type BrokenKey struct {
 }
 
 // Broken returns every key with a known shared factor, ascending by
-// index. The G values are byte-identical to batchgcd.SharedFactors over
+// index. The G values are byte-identical to batchgcd.SharedFactorsContext over
 // the same corpus (see the differential suite).
 func (r *Registry) Broken() []BrokenKey {
 	r.mu.Lock()

@@ -8,7 +8,10 @@
 // one integer so a single division+GCD can interrogate all of them at
 // once — so the construction lives here and is configured by the caller:
 // big.Int trees with per-level hooks for batch GCD's observability,
-// plain mpnat products for the hybrid engine's word-level filter path.
+// plain mpnat products for the hybrid engine's word-level filter path
+// and the registry's forest seed. Both representations multiply large
+// nodes with math/big (mpnat.MulScratch.Mul routes products of 24 or
+// more words through it), so they differ only in the node layout.
 package subprod
 
 import (
@@ -20,22 +23,6 @@ import (
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 )
-
-// ParallelEach runs fn(i, worker) for every i in [0, n) on up to workers
-// goroutines over the shared work-stealing scheduler (engine.Run): the
-// index space is statically partitioned across per-worker deques and
-// rebalanced by steal-half, so a run of slow items (one huge tree node,
-// one dense tile) cannot strand the rest of the pool the way a static
-// split would. With one worker (or fewer) or one item it runs inline on
-// the caller's goroutine. Workers check ctx at item granularity and
-// stop cooperatively; the ctx error (if any) is returned once all
-// workers have drained.
-func ParallelEach(ctx context.Context, n, workers int, fn func(i, worker int)) error {
-	if workers < 1 {
-		workers = 1
-	}
-	return engine.Run(ctx, n, engine.PoolOptions{Workers: workers}, fn)
-}
 
 // Tree holds the levels of a product tree: level 0 is the input slice,
 // the last level is the single full product. An odd node at the end of a
@@ -63,36 +50,6 @@ func (t *NatTree) Root() *mpnat.Nat {
 	return top[0]
 }
 
-// TreeBackend selects the arithmetic representation a product (and, in
-// batch GCD, remainder) tree is built on. Both backends produce the
-// same mathematical nodes — every differential suite asserts findings
-// are byte-identical across them — so the choice is purely about
-// performance shape: BackendBig rides math/big's assembly inner loops
-// and recursive division, BackendNat stays in the packed word layout
-// the subquadratic mpnat multiplier and the GCD kernels share, skipping
-// the conversion at the tree/kernel boundary.
-type TreeBackend int
-
-const (
-	// BackendBig builds tree nodes as *big.Int (the default).
-	BackendBig TreeBackend = iota
-	// BackendNat builds tree nodes as *mpnat.Nat with per-worker
-	// MulScratch arenas.
-	BackendNat
-)
-
-// String names the backend for logs and test labels.
-func (b TreeBackend) String() string {
-	switch b {
-	case BackendBig:
-		return "big"
-	case BackendNat:
-		return "nat"
-	default:
-		return fmt.Sprintf("TreeBackend(%d)", int(b))
-	}
-}
-
 // BuildOptions configures Build. The zero value builds serially with no
 // hooks.
 type BuildOptions struct {
@@ -113,21 +70,11 @@ type BuildOptions struct {
 	Metrics *obs.Registry
 }
 
-// Mults returns the number of multiplications a tree over m leaves
-// performs.
-func Mults(m int) int64 {
-	var total int64
-	for l := m; l > 1; l = (l + 1) / 2 {
-		total += int64(l / 2)
-	}
-	return total
-}
-
-// buildLevels is the one tree-construction loop both backends share:
-// pair-and-promote bottom-up, level-parallel via ParallelEach, with the
-// OnLevel/OnNode observability hooks threaded through identically. The
-// backend enters only as the mul callback (worker is the ParallelEach
-// worker index, for per-worker scratch arenas), so the big.Int and
+// buildLevels is the one tree-construction loop both representations
+// share: pair-and-promote bottom-up, level-parallel on engine.Run, with
+// the OnLevel/OnNode observability hooks threaded through identically.
+// The representation enters only as the mul callback (worker is the
+// engine.Run worker index, for per-worker scratch), so the big.Int and
 // mpnat trees cannot drift apart structurally — the historical bug this
 // replaces was exactly two hand-rolled copies of this loop disagreeing
 // on representation details.
@@ -185,10 +132,10 @@ func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, err
 }
 
 // BuildNat constructs the mpnat product tree of the leaves bottom-up on
-// the same pair-and-promote path as Build, multiplying through the
-// subquadratic mpnat dispatch with one MulScratch arena per worker. The
-// leaf slice is aliased as level 0, never modified; every interior node
-// is freshly allocated and never aliases a leaf.
+// the same pair-and-promote path as Build, multiplying with one
+// mpnat.MulScratch per worker. The leaf slice is aliased as level 0,
+// never modified; every interior node is freshly allocated and never
+// aliases a leaf.
 func BuildNat(ctx context.Context, leaves []*mpnat.Nat, opt BuildOptions) (*NatTree, error) {
 	workers := opt.Workers
 	if workers < 1 {
@@ -209,7 +156,7 @@ func BuildNat(ctx context.Context, leaves []*mpnat.Nat, opt BuildOptions) (*NatT
 
 // ProductNat multiplies the moduli into a single Nat by balanced
 // pairwise reduction on the same buildLevels path as BuildNat (balanced
-// operands keep the subquadratic multiplier in its best regime). An
+// operands keep math/big's Karatsuba in its best regime). An
 // empty slice yields 1. The inputs are never modified and the result
 // never aliases them, so cached products are safe to share read-only
 // across workers.

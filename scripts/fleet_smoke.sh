@@ -64,7 +64,7 @@ grep -qE 'worker w2: [0-9]+ cells completed' "$workdir/w2.out"
 
 # The compacted journal must hold exactly header + one record per cell.
 cells=$(grep -c '"unit"' "$workdir/fleet.jsonl")
-units=$(grep -o '"units":[0-9]*' "$workdir/fleet.jsonl" | head -1 | cut -d: -f2)
+units=$(grep -m1 -o '"units":[0-9]*' "$workdir/fleet.jsonl" | cut -d: -f2)
 if [ "$cells" -ne "$units" ]; then
     echo "journal has $cells records for $units cells" >&2
     exit 1

@@ -122,7 +122,11 @@ for b in broken:
 print(f"all {len(broken)} g values verified against the oracle factors")
 EOF
 
-curl -sf "$base/metrics" | grep -q '^registry_submissions_total'
+# Scrape to a file, then grep it: piping curl into `grep -q` under
+# pipefail fails whenever grep exits on its first match before curl has
+# written the rest of the body (curl then dies with exit 23).
+curl -sf "$base/metrics" > "$workdir/metrics.txt"
+grep -q '^registry_submissions_total' "$workdir/metrics.txt"
 replayed=$(curl -sf "$base/registry" | jq .Replayed)
 
 echo "== graceful shutdown + report =="
