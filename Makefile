@@ -73,16 +73,13 @@ bench:
 # comparison emits the three-engine timing table as a second artifact.
 # The registry line runs BenchmarkRegistrySubmit in -short mode (8192-key
 # seed), which self-enforces the O(log N) spine-merge bound per submission
-# and a >= 5x advantage over a full batch-GCD rescan, and the TreeMul line
-# gates that tree-sized products leave the schoolbook loop (mpnat.Mul at
-# least 2x basicMul on 8k-word operands).
+# and a >= 5x advantage over a full batch-GCD rescan.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRegistrySubmit$$' -benchtime=1x ./internal/registry/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybrid$$' -benchtime=1x ./internal/bulk/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybridTraceOverhead$$' -benchtime=1x ./internal/bulk/
 	GOMAXPROCS=1 $(GO) test -short -run '^$$' -bench 'BenchmarkLaneKernel$$' -benchtime=1x ./internal/lanes/
-	GOMAXPROCS=1 $(GO) test -short -run '^$$' -bench 'BenchmarkTreeMul$$' -benchtime=1x ./internal/mpnat/
 	mkdir -p results
 	$(GO) run ./cmd/gcdbench -table 4,5 -pairs 100 -moduli 96 -cpupairs 30 \
 	    -sizes 256,512 -json results/bench-smoke.json
@@ -98,7 +95,9 @@ bench-e2e:
 
 # 30-second budget per fuzzer over the arithmetic core: both multiplication
 # paths, division, the fused update, and hex parsing, each differential
-# against math/big (the corpus seeds pin the 24-word multiply cutoff).
+# against math/big (the corpus seeds pin the 24-word multiply cutoff),
+# plus the engines built on it: lanes, the scheduler, the registry's
+# spine merges, and the hybrid filter's QuoRem against a naive scan.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
@@ -107,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLanesMatchesScalar -fuzztime 30s ./internal/lanes/
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
+	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 
 selftest:
 	$(GO) run ./cmd/gcdselftest -n 5000 -v

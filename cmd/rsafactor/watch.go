@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,8 +29,9 @@ import (
 //
 // HTTP surface:
 //
-//	POST /submit            corpus in the body; returns 202 + job id,
-//	                        or the finished job with ?sync=1
+//	POST /submit            corpus in the body (at most 16 MiB, else
+//	                        413); returns 202 + job id, or the
+//	                        finished job with ?sync=1
 //	GET  /jobs/<id>         job status; the finished job embeds a
 //	                        Report-schema artifact with verdict counts
 //	GET  /broken            every broken key: index, modulus, factor
@@ -170,6 +172,10 @@ type watchPartner struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 }
 
+// maxSubmitBody caps a /submit request body: 16 MiB, the cap the fleet
+// client puts on response bodies.
+const maxSubmitBody = 16 << 20
+
 // watchServer carries the HTTP handler state.
 type watchServer struct {
 	reg *registry.Registry
@@ -185,7 +191,8 @@ func (ws *watchServer) wait() { ws.wg.Wait() }
 // handleSubmit parses the posted corpus and runs it through the
 // registry as one job. Malformed keys (zero/even) become Malformed
 // verdicts rather than failing the job, matching -quarantine semantics;
-// a syntactically broken corpus fails the whole job.
+// a syntactically broken corpus fails the whole job (400), as does a
+// body over maxSubmitBody (413). A failed job submits none of its keys.
 func (ws *watchServer) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST a corpus (hex lines or PEM) to /submit", http.StatusMethodNotAllowed)
@@ -204,14 +211,18 @@ func (ws *watchServer) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// Read the body before returning 202: the request body dies with the
 	// handler. Lenient parsing keeps zero/even moduli so the registry
 	// can answer Malformed instead of the parse erroring.
-	src := corpus.NewLenientSource(req.Body)
+	src := corpus.NewLenientSource(http.MaxBytesReader(w, req.Body, maxSubmitBody))
 	var moduli []*big.Int
 	for src.Next() {
 		moduli = append(moduli, src.Record().N.ToBig())
 	}
 	if err := src.Err(); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
 		ws.finishJob(job, nil, nil, err)
-		ws.respondJob(w, job, http.StatusBadRequest)
+		ws.respondJob(w, job, code)
 		return
 	}
 

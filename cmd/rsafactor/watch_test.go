@@ -250,3 +250,56 @@ func TestWatchUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchSubmitBodyCap: a /submit body one byte over 16 MiB is
+// answered 413 with a failed job and submits none of its keys, and the
+// server keeps accepting normal bodies.
+func TestWatchSubmitBodyCap(t *testing.T) {
+	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{Count: 6, Bits: 96, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moduli []*big.Int
+	for _, n := range c.Moduli() {
+		moduli = append(moduli, n.ToBig())
+	}
+	base, cancel, done, _ := startWatch(t, t.TempDir())
+	defer func() {
+		cancel()
+		<-done
+	}()
+	keys := func() int {
+		var st struct{ Keys int }
+		getJSON(t, base+"/registry", &st)
+		return st.Keys
+	}
+	postCorpus(t, base, moduli[:3])
+
+	// A valid key that must not be submitted, then even numbers: valid
+	// hex lines, so the cap and not a parse error ends the read, and
+	// cheap Malformed verdicts should a server ever accept them.
+	even := fmt.Sprintf("%x\n", new(big.Int).Add(moduli[3], big.NewInt(1)))
+	body := []byte(fmt.Sprintf("%x\n", moduli[3]))
+	body = append(body, bytes.Repeat([]byte(even), (16<<20)/len(even)+1)...)[:16<<20+1]
+	resp, err := http.Post(base+"/submit?sync=1", "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job watchJob
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || job.State != "failed" {
+		t.Fatalf("oversized body: %s, job %s in state %q with %d verdicts (decode err %v), want 413 and a failed job",
+			resp.Status, job.ID, job.State, len(job.Verdicts), err)
+	}
+	if n := keys(); n != 3 {
+		t.Fatalf("registry holds %d keys after the oversized body, want 3", n)
+	}
+
+	if job := postCorpus(t, base, moduli[3:]); job.State != "done" || len(job.Verdicts) != 3 {
+		t.Fatalf("normal body after the oversized one: %+v", job)
+	}
+	if n := keys(); n != 6 {
+		t.Fatalf("registry holds %d keys, want 6", n)
+	}
+}

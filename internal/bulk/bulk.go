@@ -267,6 +267,7 @@ func (b *blockOut) record(unit int) checkpoint.Record {
 // instead of running inline (see lanes.go).
 type pairRunner struct {
 	scratch *gcd.Scratch
+	filter  filterScratch // the hybrid row filter's division state
 	lanes   *laneBatcher
 	maxBits int
 	cfg     *Config

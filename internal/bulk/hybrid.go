@@ -3,6 +3,7 @@ package bulk
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"time"
 
 	"bulkgcd/internal/checkpoint"
@@ -30,10 +31,13 @@ import (
 // always descend — Π(tile A) ≡ 0 mod n_i makes the filter vacuous
 // there.
 //
-// Tile subproducts are built once and cached under Config.SubprodBudget
-// (LRU); the work unit for scheduling, checkpointing and cancellation is
-// one cell, so every journaled cell is final and an interrupted run
-// resumes exactly like the all-pairs engine.
+// Tile subproducts are big.Int products built once (subprod.Product)
+// and cached under Config.SubprodBudget (LRU); the row filter divides
+// them with math/big's QuoRem and hands only the one-modulus remainder
+// back to mpnat for the paper's kernel GCD. The work unit for
+// scheduling, checkpointing and cancellation is one cell, so every
+// journaled cell is final and an interrupted run resumes exactly like
+// the all-pairs engine.
 
 // hybridCell is one tile-pair work unit, A <= B (tile indices).
 type hybridCell struct {
@@ -101,24 +105,36 @@ func HybridJournalHeader(moduli []*mpnat.Nat, cfg Config) (checkpoint.Header, er
 	return plan.header, nil
 }
 
+// filterScratch is one worker's retained filter state: the row modulus
+// staged as a big.Int, the quotient and remainder QuoRem writes, and the
+// remainder back in mpnat form for the kernel. A warm scratch filters a
+// row without allocating.
+type filterScratch struct {
+	n, quo, rem big.Int
+	r           mpnat.Nat
+}
+
 // filterHit runs the subproduct filter for one row modulus: true means
 // the row must descend to per-pair GCDs, false proves the whole row
 // coprime. A panic inside the filter conservatively descends (the
 // per-pair runner then computes — and quarantines — the truth pairwise).
-func (p *pairRunner) filterHit(n, prod *mpnat.Nat, hm *hybridMetrics) (hit bool) {
+func (p *pairRunner) filterHit(n *mpnat.Nat, prod *big.Int, hm *hybridMetrics) (hit bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			hit = true
 			p.scratch = gcd.NewScratch(p.maxBits)
+			p.filter = filterScratch{}
 			p.cfg.Trace.Event("bad_filter", "err", fmt.Sprint(r))
 		}
 	}()
 	start := time.Now()
 	defer func() { hm.observeFilter(time.Since(start)) }()
-	r := new(mpnat.Nat).Mod(prod, n)
-	if r.IsZero() {
+	f := &p.filter
+	f.quo.QuoRem(prod, n.ToBigInto(&f.n), &f.rem)
+	if f.rem.Sign() == 0 {
 		return true // n divides the subproduct: duplicate or fully shared
 	}
+	r := f.r.SetBig(&f.rem)
 	r.RshiftStrip(r) // n is odd, so stripping 2s from r preserves the gcd
 	if r.IsOne() {
 		return false
@@ -147,12 +163,12 @@ func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, cache *subprod.Cach
 		return
 	}
 	bLo, bHi := plan.tileSpan(c.B)
-	prod := cache.Get(c.B, func() *mpnat.Nat {
-		ms := make([]*mpnat.Nat, 0, bHi-bLo)
+	prod := cache.Get(c.B, func() *big.Int {
+		ms := make([]*big.Int, 0, bHi-bLo)
 		for u := bLo; u < bHi; u++ {
-			ms = append(ms, p.moduli[plan.active[u]])
+			ms = append(ms, p.moduli[plan.active[u]].ToBig())
 		}
-		return subprod.ProductNat(ms)
+		return subprod.Product(ms)
 	})
 	for k := aLo; k < aHi; k++ {
 		i := plan.active[k]

@@ -2,7 +2,10 @@ package bulk
 
 import (
 	"context"
+	"math/big"
+	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"bulkgcd/internal/checkpoint"
@@ -11,6 +14,8 @@ import (
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
+	"bulkgcd/internal/rsakey"
+	"bulkgcd/internal/subprod"
 )
 
 // TestHybridMatchesAllPairs: the core hybrid contract — Factors are
@@ -310,5 +315,62 @@ func TestHybridJournalHeader(t *testing.T) {
 	}
 	if ap.Fingerprint == h.Fingerprint {
 		t.Fatal("hybrid and all-pairs share a fingerprint")
+	}
+}
+
+// filterFixture returns a fresh pairRunner, a 2048-bit RSA row modulus
+// and the product of a 64-key tile of random odd 2048-bit values. The
+// row's two 1024-bit primes divide no tile value, so the filter must
+// prove the row coprime.
+func filterFixture(t *testing.T) (*pairRunner, *mpnat.Nat, *big.Int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(86))
+	p := new(big.Int).Mul(rsakey.GeneratePrime(r, 1024), rsakey.GeneratePrime(r, 1024))
+	tile := make([]*big.Int, 64)
+	for i := range tile {
+		tile[i] = randOddNat(r, 2048).ToBig()
+	}
+	cfg := Config{Algorithm: gcd.Approximate}
+	var seq atomic.Int64
+	pr := newPairRunner(&cfg, 2048, nil, &seq, nil)
+	return &pr, mpnat.FromBig(p), subprod.Product(tile)
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+// sync.Pool then drops items at random, so math/big's pooled division
+// buffers allocate and allocation counts are no longer exact.
+var raceEnabled bool
+
+// TestFilterHitAllocs pins the filter's retained scratch: once warm, a
+// coprime 2048-bit row against a 64-key tile product divides, converts
+// and runs the kernel GCD without allocating.
+func TestFilterHitAllocs(t *testing.T) {
+	pr, n, prod := filterFixture(t)
+	hm := newHybridMetrics(obs.NewRegistry())
+	if pr.filterHit(n, prod, hm) {
+		t.Fatal("a coprime row against the tile flagged as a hit")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are inexact under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { pr.filterHit(n, prod, hm) }); allocs != 0 {
+		t.Fatalf("warm filterHit allocated %.1f times per row, want 0", allocs)
+	}
+}
+
+// TestFilterHitPanicResets: a panic inside the filter descends the row
+// and drops the division scratch, and the next row filters normally.
+func TestFilterHitPanicResets(t *testing.T) {
+	pr, n, prod := filterFixture(t)
+	pr.filterHit(n, prod, nil) // warm the scratch
+	// A zero row modulus makes QuoRem panic with a division by zero.
+	if !pr.filterHit(new(mpnat.Nat), prod, nil) {
+		t.Fatal("a panicking filter must descend the row")
+	}
+	if pr.filter.quo.Bits() != nil || pr.filter.rem.Bits() != nil {
+		t.Fatal("panic left the filter scratch in place")
+	}
+	if pr.filterHit(n, prod, nil) {
+		t.Fatal("filter after a recovered panic flagged a coprime row")
 	}
 }

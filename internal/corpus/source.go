@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/big"
 	"strings"
 
 	"bulkgcd/internal/mpnat"
@@ -21,11 +22,17 @@ import (
 // The strings double as skip/quarantine reasons, so every layer that
 // classifies a bad modulus (strict readers, the engines' quarantine,
 // the registry's malformed verdict) agrees on the wording.
-func Validate(n *mpnat.Nat) string {
-	if n.IsZero() {
+func Validate(n *mpnat.Nat) string { return invalid(n.IsZero(), n.IsEven()) }
+
+// ValidateBig is Validate for a math/big value (the registry's
+// submissions arrive as big.Int).
+func ValidateBig(n *big.Int) string { return invalid(n.Sign() == 0, n.Bit(0) == 0) }
+
+func invalid(zero, even bool) string {
+	switch {
+	case zero:
 		return "zero modulus"
-	}
-	if n.IsEven() {
+	case even:
 		return "even modulus (not an RSA modulus)"
 	}
 	return ""

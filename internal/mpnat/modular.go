@@ -12,7 +12,7 @@ import "sync"
 // through math/big (mul.go).
 
 // mulScratchPool backs Nat.Mul calls that arrive without a caller-owned
-// MulScratch; hot tree builders hold one per worker instead.
+// MulScratch.
 var mulScratchPool = sync.Pool{New: func() any { return new(MulScratch) }}
 
 // Mul sets n = x * y and returns n. When the shorter operand has fewer

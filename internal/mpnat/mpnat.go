@@ -12,8 +12,9 @@
 // of the reproduction is the word-level implementation described in
 // Section IV of the paper, including the exact per-iteration memory
 // operation counts 3*s/d + O(1). math/big enters only through the
-// conversions and the large products of Mul (mul.go), which the product
-// trees use and the GCD kernels never do.
+// conversions and the large products of Mul (mul.go), which the RSA
+// layer's modular arithmetic uses and the GCD kernels never do. Product
+// trees and their divisions live in math/big outright (internal/subprod).
 package mpnat
 
 import (
@@ -569,8 +570,8 @@ const wordsPerBig = bits.UintSize / word.Bits
 
 // ToBig returns the value of n as a fresh big.Int. The conversion packs
 // the word slice directly into big.Word limbs (O(n)), so routing a
-// tree-level multiplication through math/big costs two linear passes,
-// not a quadratic shift-and-or loop.
+// large multiplication through math/big costs two linear passes, not a
+// quadratic shift-and-or loop.
 func (n *Nat) ToBig() *big.Int {
 	bw := make([]big.Word, (len(n.w)+wordsPerBig-1)/wordsPerBig)
 	for i, w := range n.w {
@@ -580,9 +581,9 @@ func (n *Nat) ToBig() *big.Int {
 }
 
 // ToBigInto sets dst to the value of n, reusing dst's limb storage when
-// it is large enough, and returns dst. The steady-state registry submit
-// path stages remainders through one retained big.Int per descent, so
-// the conversion must not allocate once the scratch has warmed up.
+// it is large enough, and returns dst. The hybrid filter stages every
+// row modulus through one retained big.Int per worker, so the
+// conversion must not allocate once the scratch has warmed up.
 func (n *Nat) ToBigInto(dst *big.Int) *big.Int {
 	need := (len(n.w) + wordsPerBig - 1) / wordsPerBig
 	bw := dst.Bits()
@@ -627,8 +628,9 @@ func FromBig(b *big.Int) *Nat {
 func (n *Nat) String() string { return n.ToBig().String() }
 
 // Hex formats n as lowercase hexadecimal without leading zeros ("0" for
-// 0). The registry emits one hex line per accepted key, so this appends
-// digits directly instead of routing each word through fmt.
+// 0). Corpus writers and journals emit one hex line per modulus or
+// factor, so this appends digits directly instead of routing each word
+// through fmt.
 func (n *Nat) Hex() string {
 	if n.IsZero() {
 		return "0"
@@ -679,35 +681,6 @@ func (n *Nat) Bytes() []byte {
 		i++
 	}
 	return out[i:]
-}
-
-// AppendWordBytes appends n's packed words to buf, little-endian, and
-// returns the extended slice. It is the zero-reversal serialization used
-// by the registry's node files: multi-megabyte tree products round-trip
-// without the per-byte reordering Bytes performs. The length is always
-// Len()*4 bytes; SetWordBytes inverts it.
-func (n *Nat) AppendWordBytes(buf []byte) []byte {
-	for _, w := range n.w {
-		buf = append(buf, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-	}
-	return buf
-}
-
-// SetWordBytes sets n from a little-endian packed-word dump produced by
-// AppendWordBytes and returns n. The length must be a multiple of 4.
-func (n *Nat) SetWordBytes(b []byte) (*Nat, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("mpnat: word dump length %d is not a multiple of 4", len(b))
-	}
-	words := len(b) / 4
-	n.w = n.w[:0]
-	n.Grow(words)
-	n.w = n.w[:words]
-	for i := range n.w {
-		n.w[i] = uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24
-	}
-	n.norm()
-	return n, nil
 }
 
 // SetBytes sets n from big-endian bytes and returns n.

@@ -539,45 +539,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWordBytesRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for i := 0; i < 200; i++ {
-		n := FromBig(randBig(r, 1+r.Intn(600)))
-		buf := n.AppendWordBytes([]byte("hdr"))
-		if string(buf[:3]) != "hdr" {
-			t.Fatal("AppendWordBytes clobbered the prefix")
-		}
-		if len(buf)-3 != n.Len()*4 {
-			t.Fatalf("dump is %d bytes for %d words", len(buf)-3, n.Len())
-		}
-		got, err := new(Nat).SetWordBytes(buf[3:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(n) != 0 {
-			t.Fatalf("word-bytes round trip failed for %v", n.ToBig())
-		}
-	}
-	// Explicit little-endian word layout.
-	dump := New(0x0102030405).AppendWordBytes(nil)
-	if string(dump) != "\x05\x04\x03\x02\x01\x00\x00\x00" {
-		t.Fatalf("word dump layout = %x", dump)
-	}
-	// Zero dumps to nothing and restores to zero; trailing zero words
-	// (possible in a dump of a non-normalized buffer) normalize away.
-	if d := new(Nat).AppendWordBytes(nil); len(d) != 0 {
-		t.Fatalf("zero dumped %d bytes", len(d))
-	}
-	z, err := new(Nat).SetWordBytes([]byte{7, 0, 0, 0, 0, 0, 0, 0})
-	if err != nil || z.Uint64() != 7 || z.Len() != 1 {
-		t.Fatalf("trailing zero word not normalized: %v (err %v)", z, err)
-	}
-	// Length not a multiple of the word size is an error, not a panic.
-	if _, err := new(Nat).SetWordBytes([]byte{1, 2, 3}); err == nil {
-		t.Fatal("SetWordBytes accepted a ragged dump")
-	}
-}
-
 func TestSubRshiftDirect(t *testing.T) {
 	// rshift(X - Y), the Fast Binary update, on the paper's first step:
 	// 1043915 - 768955 = 274960 -> strip 4 zeros -> 17185.

@@ -6,11 +6,12 @@ import (
 	"bulkgcd/internal/word"
 )
 
-// This file holds the package's multiplication. The product-based
-// engines multiply operands of up to hundreds of thousands of words (a
-// tile or corpus product is the concatenation of every modulus in it),
-// and math/big's assembly inner loops and Karatsuba recursion beat any
-// portable word loop there, so Mul has exactly two paths:
+// This file holds the package's multiplication. Its callers are the RSA
+// layer's modular operations (ModExp, ModInverse, the Montgomery setup),
+// whose operands reach twice a modulus length; product trees multiply in
+// math/big directly (internal/subprod). math/big's assembly inner loops
+// beat any portable word loop from a few dozen words, so Mul has
+// exactly two paths:
 //
 //	shorter operand < bigMulWords     schoolbook (basicMul)
 //	shorter operand >= bigMulWords    math/big round trip
@@ -31,8 +32,8 @@ const bigMulWords = 24
 // MulScratch is the working storage of a multiplication: the big.Int
 // operands of the math/big path and the product buffer of an aliased
 // schoolbook multiplication. A warm scratch multiplies without
-// allocating, so tree builds hold one per worker. A MulScratch is not
-// safe for concurrent use. The zero value is ready to use.
+// allocating. A MulScratch is not safe for concurrent use. The zero
+// value is ready to use.
 type MulScratch struct {
 	x, y, z big.Int
 	tmp     []uint32

@@ -66,7 +66,7 @@ func FuzzSpineMerge(f *testing.F) {
 			// product after the carry merges.
 			forest := big.NewInt(1)
 			for _, k := range rootsOf(len(accepted)) {
-				forest.Mul(forest, r.store.value(k).ToBig())
+				forest.Mul(forest, r.store.value(k))
 			}
 			if forest.Cmp(product) != 0 {
 				t.Fatalf("after %d keys: forest product %v != corpus product %v", len(accepted), forest, product)

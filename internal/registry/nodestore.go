@@ -6,11 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -27,8 +27,9 @@ func (k nodeKey) span() (lo, hi int) {
 }
 
 // nodeFileVersion is the node file format version ("BGRN" = bulk gcd
-// registry node).
-const nodeFileVersion = "bgrn1"
+// registry node). bgrn2 bodies are the node's big-endian bytes; bgrn1
+// files (packed 32-bit words) fail the version check and are rebuilt.
+const nodeFileVersion = "bgrn2"
 
 // seedSpan is the smallest span the store builds through the parallel
 // subprod builder instead of serial child recursion; a cold open over a
@@ -44,7 +45,7 @@ type nodeHeader struct {
 	Level int    `json:"level"`
 	Index int    `json:"index"`
 	FP    string `json:"fp"`
-	Words int    `json:"words"`
+	Bytes int    `json:"bytes"`
 }
 
 // store resolves node values through three layers: the byte-budgeted
@@ -65,7 +66,7 @@ type store struct {
 	// tombstoned), leaf its value (1 when tombstoned); both are provided
 	// by the registry so the store never sees corpus bookkeeping.
 	leafHex func(i int) string
-	leaf    func(i int) *mpnat.Nat
+	leaf    func(i int) *big.Int
 
 	loads, builds *obs.Counter // registry_node_loads_total, registry_node_builds_total
 }
@@ -104,11 +105,11 @@ func (s *store) path(k nodeKey) string {
 
 // value resolves a node: cache, then disk, then rebuild. Level 0 reads
 // the corpus directly and is never cached or spilled.
-func (s *store) value(k nodeKey) *mpnat.Nat {
+func (s *store) value(k nodeKey) *big.Int {
 	if k.level == 0 {
 		return s.leaf(k.index)
 	}
-	return s.cache.Get(k, func() *mpnat.Nat {
+	return s.cache.Get(k, func() *big.Int {
 		if v := s.read(k); v != nil {
 			s.loads.Inc()
 			return v
@@ -122,7 +123,7 @@ func (s *store) value(k nodeKey) *mpnat.Nat {
 // reloads it. Returns the retained value (the cache may already hold
 // an equal node built concurrently — impossible under the registry
 // lock, but Put's contract covers it).
-func (s *store) put(k nodeKey, v *mpnat.Nat) *mpnat.Nat {
+func (s *store) put(k nodeKey, v *big.Int) *big.Int {
 	s.write(k, v)
 	return s.cache.Put(k, v)
 }
@@ -137,7 +138,7 @@ func (s *store) invalidate(k nodeKey) {
 // read loads and validates a node file, returning nil on any mismatch
 // (missing, torn, foreign corpus, stale tombstone state) — the caller
 // rebuilds, so a bad node file can cost time but never correctness.
-func (s *store) read(k nodeKey) *mpnat.Nat {
+func (s *store) read(k nodeKey) *big.Int {
 	data, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return nil
@@ -160,30 +161,29 @@ func (s *store) read(k nodeKey) *mpnat.Nat {
 		return nil
 	}
 	body := data[nl+1:]
-	if len(body) != hdr.Words*4 {
+	if len(body) != hdr.Bytes {
 		return nil
 	}
 	if hdr.FP != s.fingerprint(k) {
 		return nil
 	}
-	v, err := new(mpnat.Nat).SetWordBytes(body)
-	if err != nil {
-		return nil
-	}
-	return v
+	return new(big.Int).SetBytes(body)
 }
 
 // write persists a node file atomically (temp + rename), so a crash
 // mid-write leaves either no file or a complete one; read rejects any
 // torn survivor via the length and fingerprint checks anyway.
-func (s *store) write(k nodeKey, v *mpnat.Nat) {
-	hdr := nodeHeader{V: nodeFileVersion, Level: k.level, Index: k.index, FP: s.fingerprint(k), Words: v.Len()}
+func (s *store) write(k nodeKey, v *big.Int) {
+	size := (v.BitLen() + 7) / 8
+	hdr := nodeHeader{V: nodeFileVersion, Level: k.level, Index: k.index, FP: s.fingerprint(k), Bytes: size}
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		return
 	}
-	buf := append(line, '\n')
-	buf = v.AppendWordBytes(buf)
+	buf := make([]byte, len(line)+1+size)
+	copy(buf, line)
+	buf[len(line)] = '\n'
+	v.FillBytes(buf[len(line)+1:])
 	tmp := s.path(k) + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		os.Remove(tmp)
@@ -194,20 +194,20 @@ func (s *store) write(k nodeKey, v *mpnat.Nat) {
 	}
 }
 
-// build computes a node from its children. Small spans recurse serially
-// with the shared scratch; spans of seedSpan and larger go through the
-// parallel subprod builder, and every interior node of the built
-// subtree is harvested into the file store so neighbouring rebuilds
-// (and the next restart) get them for free.
-func (s *store) build(k nodeKey) *mpnat.Nat {
+// build computes a node from its children. Small spans recurse serially;
+// spans of seedSpan and larger go through the parallel subprod builder,
+// and every interior node of the built subtree is harvested into the
+// file store so neighbouring rebuilds (and the next restart) get them
+// for free. Both paths keep compact nodes (subprod.Mul).
+func (s *store) build(k nodeKey) *big.Int {
 	s.builds.Inc()
 	lo, hi := k.span()
 	if hi-lo >= seedSpan {
-		leaves := make([]*mpnat.Nat, hi-lo)
+		leaves := make([]*big.Int, hi-lo)
 		for i := range leaves {
 			leaves[i] = s.leaf(lo + i)
 		}
-		t, err := subprod.BuildNat(context.Background(), leaves, subprod.BuildOptions{Workers: s.workers})
+		t, err := subprod.Build(context.Background(), leaves, subprod.BuildOptions{Workers: s.workers})
 		if err == nil {
 			for l := 1; l < len(t.Levels); l++ {
 				for j, v := range t.Levels[l] {
@@ -225,11 +225,9 @@ func (s *store) build(k nodeKey) *mpnat.Nat {
 	}
 	left := s.value(nodeKey{k.level - 1, 2 * k.index})
 	right := s.value(nodeKey{k.level - 1, 2*k.index + 1})
-	v := new(mpnat.Nat)
 	// Call-local scratch: concurrent root descents may rebuild disjoint
 	// nodes at once, so the serial path must not share multiplier state.
-	var mul mpnat.MulScratch
-	mul.Mul(v, left, right)
+	v := subprod.Mul(new(big.Int), left, right)
 	s.write(k, v)
 	return v
 }

@@ -41,8 +41,8 @@ import (
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/corpus"
 	"bulkgcd/internal/engine"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
+	"bulkgcd/internal/subprod"
 )
 
 // Seed is the chain seed and journal fingerprint of every registry
@@ -169,7 +169,7 @@ type Registry struct {
 	cfg Config
 
 	entries   []string // corpus.log lines, in order
-	corpus    []*mpnat.Nat
+	corpus    []*big.Int
 	chain     *checkpoint.Chain
 	chainVals []string
 	removed   map[int]bool
@@ -188,19 +188,18 @@ type Registry struct {
 	findings chan Finding
 	closed   bool
 
-	div mpnat.DivScratch
-	mul mpnat.MulScratch
-
-	// Retained submit-path scratch, all used under mu: the remainder
-	// fold's accumulator and temporaries, the staged big.Int the fold's
-	// GCD reads, the spine-root list, and one descent scratch per pool
-	// worker (descents over disjoint roots run on the work-stealing pool,
-	// and worker indices are stable, so each scratch stays pinned to one
-	// goroutine for the duration of a descent).
-	acc, remS, tmpS mpnat.Nat
-	accBig          big.Int
-	rootsBuf        []nodeKey
-	descents        []*descentScratch
+	// Retained submit-path scratch, all used under mu, so a warm submit
+	// allocates no arithmetic storage: the fold's accumulator, the
+	// quotient and remainder QuoRem writes (both grow to the largest
+	// spine root), the product scratch the fold and the spine merges
+	// multiply into (subprod.Mul compacts what the forest keeps), the
+	// spine-root list, and one descent scratch per pool worker (descents
+	// over disjoint roots run on the work-stealing pool, and worker
+	// indices are stable, so each scratch stays pinned to one goroutine
+	// for the duration of a descent).
+	acc, quo, rem, prod big.Int
+	rootsBuf            []nodeKey
+	descents            []*descentScratch
 
 	submissions, found, spineMults, replayed, dropped *obs.Counter
 	keysGauge                                         *obs.Gauge
@@ -270,10 +269,11 @@ func (r *Registry) leafHex(i int) string {
 	return r.entries[i]
 }
 
-// leaf is the value of leaf i: the modulus, or 1 once tombstoned.
-func (r *Registry) leaf(i int) *mpnat.Nat {
+// leaf is the value of leaf i: the modulus, or 1 once tombstoned. The
+// value is shared and read-only.
+func (r *Registry) leaf(i int) *big.Int {
 	if r.removed[i] {
-		return mpnat.New(1)
+		return one
 	}
 	return r.corpus[i]
 }
@@ -305,12 +305,12 @@ func (r *Registry) loadCorpus() error {
 			good = off
 			continue
 		}
-		n, perr := mpnat.ParseHex(line)
-		if perr != nil {
+		n, ok := new(big.Int).SetString(line, 16)
+		if !ok || n.Sign() < 0 {
 			if off >= len(data) {
 				break // torn final line that happened to include the newline
 			}
-			return fmt.Errorf("registry: corpus.log line %d: %w", len(r.entries)+1, perr)
+			return fmt.Errorf("registry: corpus.log line %d: invalid hex modulus %q", len(r.entries)+1, line)
 		}
 		r.entries = append(r.entries, line)
 		r.corpus = append(r.corpus, n)
@@ -400,7 +400,7 @@ func (r *Registry) replay() error {
 		// it (crash between corpus sync and journal sync, or a pre-journal
 		// seed corpus). Recompute the verdict against the prefix forest —
 		// the same computation the original submission performed.
-		v := r.checkPrefix(n, n.ToBig(), i)
+		v := r.checkPrefix(n, i)
 		if err := r.journalVerdict(i, v); err != nil {
 			return err
 		}
@@ -440,37 +440,19 @@ func (r *Registry) foldBroken(i, j int, g *big.Int) {
 // the first m corpus keys: one remainder fold over the O(log m) spine
 // roots, one GCD, and — only on a hit — a remainder-tree descent to the
 // culprit leaves.
-func (r *Registry) checkPrefix(n *mpnat.Nat, nb *big.Int, m int) Verdict {
-	v := Verdict{Index: m, Kind: Clean, G: new(big.Int).SetInt64(1)}
+func (r *Registry) checkPrefix(n *big.Int, m int) Verdict {
+	v := Verdict{Index: m, Kind: Clean}
 	if m == 0 {
+		v.G = big.NewInt(1)
 		return v
 	}
-	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
-	roots := r.rootsBuf
-	acc := r.acc.SetUint64(1)
-	for _, root := range roots {
-		r.div.Mod(&r.remS, r.store.value(root), n)
-		if r.remS.IsZero() {
-			acc.SetUint64(0)
-			break
-		}
-		r.mul.Mul(&r.tmpS, acc, &r.remS)
-		r.div.Mod(acc, &r.tmpS, n)
-		if acc.IsZero() {
-			break
-		}
-	}
-	g := new(big.Int).GCD(nil, nil, nb, acc.ToBigInto(&r.accBig))
-	if acc.IsZero() {
-		// n divides the product: gcd(n, 0) = n.
-		g.Set(nb)
-	}
-	v.G = g
-	if g.Cmp(one) == 0 {
+	// gcd(n, 0) = n covers the fold's early exit: n divides the product.
+	v.G = new(big.Int).GCD(nil, nil, n, r.foldPrefix(n, m))
+	if v.G.Cmp(one) == 0 {
 		return v
 	}
 	// Hit: descend to the leaves that share content with n.
-	v.Partners = r.descendRoots(roots, n, nb)
+	v.Partners = r.descendRoots(r.rootsBuf, n)
 	sort.Slice(v.Partners, func(a, b int) bool { return v.Partners[a].Index < v.Partners[b].Index })
 	v.Kind = Shared
 	for _, p := range v.Partners {
@@ -482,16 +464,36 @@ func (r *Registry) checkPrefix(n *mpnat.Nat, nb *big.Int, m int) Verdict {
 	return v
 }
 
+// foldPrefix returns the product of the live keys among the first m,
+// reduced mod n: each spine root of the forest over m leaves is reduced
+// mod n with QuoRem and folded into the accumulator. It returns 0 as
+// soon as n divides a root or the running product. The result and
+// r.rootsBuf (the roots it folded) are retained scratch, valid until the
+// next call.
+func (r *Registry) foldPrefix(n *big.Int, m int) *big.Int {
+	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
+	acc := r.acc.SetInt64(1)
+	for _, root := range r.rootsBuf {
+		r.quo.QuoRem(r.store.value(root), n, &r.rem)
+		if r.rem.Sign() == 0 {
+			return acc.SetInt64(0)
+		}
+		r.prod.Mul(acc, &r.rem)
+		r.quo.QuoRem(&r.prod, n, acc)
+		if acc.Sign() == 0 {
+			break
+		}
+	}
+	return acc
+}
+
 // descentScratch is one worker's reusable state for a remainder-tree
-// descent: a division scratch, the node remainder, two staged big.Ints
-// for the per-node GCDs, and the partner accumulator. Owned by exactly
-// one pool worker per descent, so nothing in it needs locking.
+// descent: the quotient and remainder QuoRem writes, the per-node GCD,
+// and the partner accumulator. Owned by exactly one pool worker per
+// descent, so nothing in it needs locking.
 type descentScratch struct {
-	div      mpnat.DivScratch
-	rem      mpnat.Nat
-	remBig   big.Int
-	gcdBig   big.Int
-	partners []Partner
+	quo, rem, gcd big.Int
+	partners      []Partner
 }
 
 // descendRoots resolves a prefix hit to its culprit leaves. The spine
@@ -503,7 +505,7 @@ type descentScratch struct {
 // count. The spine-merge multiplications in appendLeaf stay serial:
 // each merge consumes the previous one's product, a carry chain with no
 // exploitable parallelism.
-func (r *Registry) descendRoots(roots []nodeKey, n *mpnat.Nat, nb *big.Int) []Partner {
+func (r *Registry) descendRoots(roots []nodeKey, n *big.Int) []Partner {
 	workers := r.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -518,7 +520,7 @@ func (r *Registry) descendRoots(roots []nodeKey, n *mpnat.Nat, nb *big.Int) []Pa
 		ds := r.descents[0]
 		ds.partners = ds.partners[:0]
 		for _, root := range roots {
-			r.descend(ds, root, n, nb)
+			r.descend(ds, root, n)
 		}
 		return append([]Partner(nil), ds.partners...)
 	}
@@ -529,7 +531,7 @@ func (r *Registry) descendRoots(roots []nodeKey, n *mpnat.Nat, nb *big.Int) []Pa
 	_ = engine.Run(context.Background(), len(roots), engine.PoolOptions{Workers: workers, Metrics: r.cfg.Metrics}, func(i, w int) {
 		ds := r.descents[w]
 		ds.partners = ds.partners[:0]
-		r.descend(ds, roots[i], n, nb)
+		r.descend(ds, roots[i], n)
 		perRoot[i] = append([]Partner(nil), ds.partners...)
 	})
 	var out []Partner
@@ -544,24 +546,22 @@ func (r *Registry) descendRoots(roots []nodeKey, n *mpnat.Nat, nb *big.Int) []Pa
 // exact: every reported leaf really shares a factor. Partner factors
 // are copied out of the scratch on a hit, so nothing in a returned
 // Verdict aliases reusable state.
-func (r *Registry) descend(ds *descentScratch, k nodeKey, n *mpnat.Nat, nb *big.Int) {
+func (r *Registry) descend(ds *descentScratch, k nodeKey, n *big.Int) {
 	if k.level == 0 {
 		j := k.index
 		if r.removed[j] {
 			return
 		}
-		g := ds.gcdBig.GCD(nil, nil, nb, r.corpus[j].ToBigInto(&ds.remBig))
-		if g.Cmp(one) > 0 {
+		if g := ds.gcd.GCD(nil, nil, n, r.corpus[j]); g.Cmp(one) > 0 {
 			f := new(big.Int).Set(g)
-			ds.partners = append(ds.partners, Partner{Index: j, Factor: f, Dup: f.Cmp(nb) == 0 && r.corpus[j].Cmp(n) == 0})
+			ds.partners = append(ds.partners, Partner{Index: j, Factor: f, Dup: r.corpus[j].Cmp(n) == 0})
 		}
 		return
 	}
-	ds.div.Mod(&ds.rem, r.store.value(k), n)
-	g := ds.gcdBig.GCD(nil, nil, nb, ds.rem.ToBigInto(&ds.remBig))
-	if ds.rem.IsZero() || g.Cmp(one) > 0 {
-		r.descend(ds, nodeKey{k.level - 1, 2 * k.index}, n, nb)
-		r.descend(ds, nodeKey{k.level - 1, 2*k.index + 1}, n, nb)
+	ds.quo.QuoRem(r.store.value(k), n, &ds.rem)
+	if ds.rem.Sign() == 0 || ds.gcd.GCD(nil, nil, n, &ds.rem).Cmp(one) > 0 {
+		r.descend(ds, nodeKey{k.level - 1, 2 * k.index}, n)
+		r.descend(ds, nodeKey{k.level - 1, 2*k.index + 1}, n)
 	}
 }
 
@@ -580,14 +580,14 @@ func (r *Registry) journalVerdict(i int, v Verdict) error {
 
 // appendLeaf admits corpus entry i into the forest: the binary-counter
 // carry, merging equal-size siblings up the rightmost spine. Amortized
-// one multiplication per append, worst case log2(i).
+// one multiplication per append, worst case log2(i). Each merge
+// multiplies into the retained product scratch and keeps a compact copy.
 func (r *Registry) appendLeaf(i int) {
 	l, idx := 0, i
 	for idx&1 == 1 {
 		left := r.store.value(nodeKey{l, idx - 1})
 		right := r.store.value(nodeKey{l, idx})
-		parent := new(mpnat.Nat)
-		r.mul.Mul(parent, left, right)
+		parent := subprod.Mul(&r.prod, left, right)
 		r.spineMults.Inc()
 		l++
 		idx >>= 1
@@ -659,21 +659,21 @@ func (r *Registry) submitLocked(n *big.Int) (Verdict, error) {
 	if n == nil || n.Sign() < 0 {
 		return Verdict{}, fmt.Errorf("registry: modulus is nil or negative")
 	}
-	m := mpnat.FromBig(n)
 	sp := r.trace.StartSpan("submit", "index", len(r.corpus))
-	if reason := corpus.Validate(m); reason != "" {
+	if reason := corpus.ValidateBig(n); reason != "" {
 		sp.End("verdict", Malformed.String())
 		r.submitH.ObserveDuration(int64(time.Since(start)))
 		return Verdict{Index: -1, Kind: Malformed, Reason: reason, G: new(big.Int).SetInt64(1)}, nil
 	}
 
 	i := len(r.corpus)
-	v := r.checkPrefix(m, n, i)
+	m := new(big.Int).Set(n) // the caller keeps n
+	v := r.checkPrefix(m, i)
 
 	// Durability order: corpus line first (the truth), then the forest,
 	// then the journal record. A crash between the first and the last
 	// leaves a corpus entry whose verdict replay recomputes.
-	hexLine := m.Hex()
+	hexLine := m.Text(16)
 	if _, err := r.corpusF.WriteString(hexLine + "\n"); err != nil {
 		return Verdict{}, fmt.Errorf("registry: %w", err)
 	}
@@ -713,7 +713,7 @@ func (r *Registry) Modulus(index int) *big.Int {
 	if index < 0 || index >= len(r.corpus) {
 		return nil
 	}
-	return r.corpus[index].ToBig()
+	return new(big.Int).Set(r.corpus[index])
 }
 
 // NoteDroppedFinding counts a finding dropped by a delivery layer above

@@ -2,9 +2,8 @@ package subprod
 
 import (
 	"container/list"
+	"math/big"
 	"sync"
-
-	"bulkgcd/internal/mpnat"
 )
 
 // CacheStats is a point-in-time accounting snapshot of a Cache.
@@ -61,16 +60,16 @@ type cacheShard[K comparable] struct {
 
 type cacheEntry[K comparable] struct {
 	key K
-	val *mpnat.Nat
+	val *big.Int
 }
 
 // Cache is the tile-index-keyed cache the hybrid engine uses.
 type Cache = KeyedCache[int]
 
 // NewCache returns a tile-index-keyed cache holding at most budget bytes
-// of subproduct payload (budget <= 0 means unlimited). A single value
-// larger than the whole budget is handed to the caller but never
-// retained.
+// of subproduct payload, counted in big.Word bytes (budget <= 0 means
+// unlimited). A single value larger than the whole budget is handed to
+// the caller but never retained.
 func NewCache(budget int64) *Cache { return NewKeyedCache[int](budget) }
 
 // NewCacheShards is NewCache split over enough 2^k shards to give each
@@ -117,7 +116,7 @@ func (c *KeyedCache[K]) shard(key K) *cacheShard[K] {
 
 // Get returns the cached value for key, building and (budget permitting)
 // inserting it on a miss.
-func (c *KeyedCache[K]) Get(key K, build func() *mpnat.Nat) *mpnat.Nat {
+func (c *KeyedCache[K]) Get(key K, build func() *big.Int) *big.Int {
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -141,7 +140,7 @@ func (c *KeyedCache[K]) Get(key K, build func() *mpnat.Nat) *mpnat.Nat {
 // Put inserts a value built elsewhere (budget permitting) and returns
 // the retained value: the already-cached one when a racing worker got
 // there first, v otherwise.
-func (c *KeyedCache[K]) Put(key K, v *mpnat.Nat) *mpnat.Nat {
+func (c *KeyedCache[K]) Put(key K, v *big.Int) *big.Int {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,13 +150,13 @@ func (c *KeyedCache[K]) Put(key K, v *mpnat.Nat) *mpnat.Nat {
 // insertLocked adds v under key unless the key is already present, then
 // evicts from the LRU tail until the shard's budget holds. Callers hold
 // the shard lock.
-func (s *cacheShard[K]) insertLocked(key K, v *mpnat.Nat) *mpnat.Nat {
+func (s *cacheShard[K]) insertLocked(key K, v *big.Int) *big.Int {
 	if el, ok := s.entries[key]; ok {
 		// A racing worker inserted first; its value is identical.
 		s.order.MoveToFront(el)
 		return el.Value.(*cacheEntry[K]).val
 	}
-	size := NatBytes(v)
+	size := nodeBytes(v)
 	if s.budget > 0 && size > s.budget {
 		return v // larger than the shard's whole budget: use, don't retain
 	}
@@ -168,7 +167,7 @@ func (s *cacheShard[K]) insertLocked(key K, v *mpnat.Nat) *mpnat.Nat {
 		e := back.Value.(*cacheEntry[K])
 		s.order.Remove(back)
 		delete(s.entries, e.key)
-		s.used -= NatBytes(e.val)
+		s.used -= nodeBytes(e.val)
 		s.evictions++
 	}
 	return v
@@ -184,7 +183,7 @@ func (c *KeyedCache[K]) Drop(key K) {
 		e := el.Value.(*cacheEntry[K])
 		s.order.Remove(el)
 		delete(s.entries, key)
-		s.used -= NatBytes(e.val)
+		s.used -= nodeBytes(e.val)
 	}
 }
 

@@ -2,10 +2,9 @@ package subprod
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
-
-	"bulkgcd/internal/mpnat"
 )
 
 // TestCacheShardsSpreadKeys checks sequential int keys land on distinct
@@ -35,12 +34,12 @@ func TestCacheShardsSpreadKeys(t *testing.T) {
 func TestCacheShardsBudgetHolds(t *testing.T) {
 	const budget = 16 * 1024
 	c := NewCacheShards(budget, 8)
-	val := func(k int) *mpnat.Nat {
-		ws := make([]uint32, 8) // 32 bytes, far under budget/16
+	val := func(k int) *big.Int {
+		ws := make([]big.Word, 4) // 32 bytes, far under budget/16
 		for i := range ws {
-			ws[i] = uint32(k + 1)
+			ws[i] = big.Word(k + 1)
 		}
-		return mpnat.NewFromWords(ws)
+		return new(big.Int).SetBits(ws)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -49,8 +48,8 @@ func TestCacheShardsBudgetHolds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := (w*131 + i) % 977
-				got := c.Get(k, func() *mpnat.Nat { return val(k) })
-				if got.Words()[0] != uint32(k+1) {
+				got := c.Get(k, func() *big.Int { return val(k) })
+				if got.Bits()[0] != big.Word(k+1) {
 					t.Errorf("key %d: wrong value", k)
 					return
 				}
@@ -77,12 +76,12 @@ func TestCacheShardsBudgetHolds(t *testing.T) {
 // slice is handed out but never retained.
 func TestCacheShardsOversizedValue(t *testing.T) {
 	c := NewCacheShards(64, 4) // 16 bytes per shard
-	big := make([]uint32, 8)   // 32 bytes
-	for i := range big {
-		big[i] = 7
+	ws := make([]big.Word, 4)  // 32 bytes
+	for i := range ws {
+		ws[i] = 7
 	}
-	v := c.Put(3, mpnat.NewFromWords(big))
-	if v == nil || v.Words()[0] != 7 {
+	v := c.Put(3, new(big.Int).SetBits(ws))
+	if v == nil || v.Bits()[0] != 7 {
 		t.Fatal("oversized value not handed back")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -103,14 +102,14 @@ func BenchmarkCacheProbe(b *testing.B) {
 			const keys = 64
 			for k := 0; k < keys; k++ {
 				kk := k
-				c.Get(k, func() *mpnat.Nat { return mpnat.New(uint64(kk + 1)) })
+				c.Get(k, func() *big.Int { return big.NewInt(int64(kk + 1)) })
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				k := 0
 				for pb.Next() {
-					c.Get(k%keys, func() *mpnat.Nat { return mpnat.New(uint64(k%keys + 1)) })
+					c.Get(k%keys, func() *big.Int { return big.NewInt(int64(k%keys + 1)) })
 					k++
 				}
 			})

@@ -1,26 +1,31 @@
-// Package subprod holds the subproduct machinery shared by the two
-// product-based attack engines: the level-parallel product tree that
-// batch GCD (internal/batchgcd) builds over the whole corpus, and the
-// per-tile subproducts that the hybrid product-filter engine
-// (internal/bulk) caches under a memory budget.
+// Package subprod holds the subproduct machinery shared by the three
+// product-based paths: the level-parallel product tree that batch GCD
+// (internal/batchgcd) builds over the whole corpus, the per-tile
+// subproducts that the hybrid product-filter engine (internal/bulk)
+// caches under a memory budget, and the registry's persistent forest
+// (internal/registry).
 //
-// Both engines reduce the same primitive — multiply a set of moduli into
+// All three reduce the same primitive — multiply a set of moduli into
 // one integer so a single division+GCD can interrogate all of them at
-// once — so the construction lives here and is configured by the caller:
-// big.Int trees with per-level hooks for batch GCD's observability,
-// plain mpnat products for the hybrid engine's word-level filter path
-// and the registry's forest seed. Both representations multiply large
-// nodes with math/big (mpnat.MulScratch.Mul routes products of 24 or
-// more words through it), so they differ only in the node layout.
+// once — so there is one node representation, a compact *big.Int, and
+// one construction loop, configured by the caller with per-level hooks
+// for batch GCD's observability. Division against a node is the
+// caller's math/big QuoRem; only the one-modulus remainder the hybrid
+// filter hands to the paper's GCD kernel goes back to mpnat.
+//
+// Every node is compacted after its multiplication (Mul): math/big's
+// Karatsuba leaves a product with max(6k, m+n) words of capacity, about
+// three times its length, and a tree or cache that retains those
+// products holds that slack for its whole life.
 package subprod
 
 import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"bulkgcd/internal/engine"
-	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 )
 
@@ -37,17 +42,27 @@ func (t *Tree) Root() *big.Int {
 	return top[0]
 }
 
-// NatTree is the mpnat twin of Tree: the same level layout and
-// odd-node promotion rule, with nodes held in the packed 32-bit word
-// representation the kernels and the hybrid filter consume directly.
-type NatTree struct {
-	Levels [][]*mpnat.Nat
+// Mul returns x*y as a fresh big.Int whose storage is exactly the
+// product's length, multiplying into scratch first. scratch must not
+// alias x or y; keeping one per goroutine lets math/big reuse its
+// oversized Karatsuba buffer across calls while the returned node holds
+// none of that slack.
+func Mul(scratch, x, y *big.Int) *big.Int {
+	scratch.Mul(x, y)
+	return compact(scratch)
 }
 
-// Root returns the product of all leaves.
-func (t *NatTree) Root() *mpnat.Nat {
-	top := t.Levels[len(t.Levels)-1]
-	return top[0]
+// compact returns a copy of x in storage of exactly len(x.Bits()) words.
+func compact(x *big.Int) *big.Int {
+	w := make([]big.Word, len(x.Bits()))
+	copy(w, x.Bits())
+	return new(big.Int).SetBits(w)
+}
+
+// nodeBytes returns the in-memory size the cache accounts for a node:
+// its big.Word payload.
+func nodeBytes(x *big.Int) int64 {
+	return int64(len(x.Bits())) * bits.UintSize / 8
 }
 
 // BuildOptions configures Build. The zero value builds serially with no
@@ -70,32 +85,27 @@ type BuildOptions struct {
 	Metrics *obs.Registry
 }
 
-// buildLevels is the one tree-construction loop both representations
-// share: pair-and-promote bottom-up, level-parallel on engine.Run, with
-// the OnLevel/OnNode observability hooks threaded through identically.
-// The representation enters only as the mul callback (worker is the
-// engine.Run worker index, for per-worker scratch), so the big.Int and
-// mpnat trees cannot drift apart structurally — the historical bug this
-// replaces was exactly two hand-rolled copies of this loop disagreeing
-// on representation details.
-func buildLevels[T any](ctx context.Context, leaves []T, opt BuildOptions, mul func(worker int, x, y T) T) ([][]T, error) {
+// Build constructs the product tree of the leaves bottom-up,
+// pair-and-promote, each level's multiplications fanned out on
+// engine.Run with one scratch big.Int per worker (Mul). The leaf slice
+// is aliased as level 0, never modified; every product is freshly
+// allocated and compact (a promoted odd node stays the same pointer).
+func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("subprod: empty input")
 	}
-	level := make([]T, len(leaves))
+	workers := max(opt.Workers, 1)
+	scratch := make([]big.Int, workers)
+	level := make([]*big.Int, len(leaves))
 	copy(level, leaves)
-	levels := [][]T{level}
+	levels := [][]*big.Int{level}
 	for len(level) > 1 {
 		pairs := len(level) / 2
-		next := make([]T, (len(level)+1)/2)
+		next := make([]*big.Int, (len(level)+1)/2)
 		src := level
-		workers := opt.Workers
-		if workers < 1 {
-			workers = 1
-		}
 		run := func() error {
 			return engine.Run(ctx, pairs, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(i, w int) {
-				next[i] = mul(w, src[2*i], src[2*i+1])
+				next[i] = Mul(&scratch[w], src[2*i], src[2*i+1])
 				if opt.OnNode != nil {
 					opt.OnNode()
 				}
@@ -116,67 +126,26 @@ func buildLevels[T any](ctx context.Context, leaves []T, opt BuildOptions, mul f
 		levels = append(levels, next)
 		level = next
 	}
-	return levels, nil
-}
-
-// Build constructs the big.Int product tree of the leaves bottom-up.
-// The leaf slice is aliased as level 0, never modified.
-func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
-	levels, err := buildLevels(ctx, leaves, opt, func(_ int, x, y *big.Int) *big.Int {
-		return new(big.Int).Mul(x, y)
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &Tree{Levels: levels}, nil
 }
 
-// BuildNat constructs the mpnat product tree of the leaves bottom-up on
-// the same pair-and-promote path as Build, multiplying with one
-// mpnat.MulScratch per worker. The leaf slice is aliased as level 0,
-// never modified; every interior node is freshly allocated and never
-// aliases a leaf.
-func BuildNat(ctx context.Context, leaves []*mpnat.Nat, opt BuildOptions) (*NatTree, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	scratch := make([]*mpnat.MulScratch, workers)
-	for i := range scratch {
-		scratch[i] = new(mpnat.MulScratch)
-	}
-	levels, err := buildLevels(ctx, leaves, opt, func(w int, x, y *mpnat.Nat) *mpnat.Nat {
-		return scratch[w].Mul(new(mpnat.Nat), x, y)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &NatTree{Levels: levels}, nil
-}
-
-// ProductNat multiplies the moduli into a single Nat by balanced
-// pairwise reduction on the same buildLevels path as BuildNat (balanced
-// operands keep math/big's Karatsuba in its best regime). An
-// empty slice yields 1. The inputs are never modified and the result
-// never aliases them, so cached products are safe to share read-only
-// across workers.
-func ProductNat(ms []*mpnat.Nat) *mpnat.Nat {
+// Product multiplies the moduli into one integer by balanced pairwise
+// reduction on Build's path (balanced operands keep math/big's
+// Karatsuba in its best regime). An empty slice yields 1. The inputs are
+// never modified and the result never aliases them, so cached products
+// are safe to share read-only across workers.
+func Product(ms []*big.Int) *big.Int {
 	switch len(ms) {
 	case 0:
-		return mpnat.New(1)
+		return big.NewInt(1)
 	case 1:
-		return ms[0].Clone()
+		return compact(ms[0])
 	}
-	t, err := BuildNat(context.Background(), ms, BuildOptions{})
+	t, err := Build(context.Background(), ms, BuildOptions{})
 	if err != nil {
 		// Unreachable: the input is non-empty and a background context
 		// with no hooks cannot fail.
-		panic("subprod: ProductNat: " + err.Error())
+		panic("subprod: Product: " + err.Error())
 	}
 	return t.Root()
-}
-
-// NatBytes returns the in-memory size the cache accounts for a Nat.
-func NatBytes(n *mpnat.Nat) int64 {
-	return int64(n.Len()) * 4
 }

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"bulkgcd/internal/mpnat"
 )
 
 func randBig(r *rand.Rand, bits int) *big.Int {
@@ -84,35 +82,36 @@ func TestBuildCanceled(t *testing.T) {
 	}
 }
 
-func TestProductNat(t *testing.T) {
+// TestProduct covers the hybrid engine's tile-product helper: the
+// balanced product of 0..33 moduli, never aliasing a single input.
+func TestProduct(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, m := range []int{0, 1, 2, 3, 7, 33} {
-		ms := make([]*mpnat.Nat, m)
+		ms := make([]*big.Int, m)
 		want := big.NewInt(1)
 		for i := range ms {
-			b := randBig(r, 64)
-			ms[i] = mpnat.FromBig(b)
-			want = new(big.Int).Mul(want, b)
+			ms[i] = randBig(r, 64)
+			want = new(big.Int).Mul(want, ms[i])
 		}
-		got := ProductNat(ms)
-		if got.ToBig().Cmp(want) != 0 {
+		got := Product(ms)
+		if got.Cmp(want) != 0 {
 			t.Fatalf("m=%d: product mismatch", m)
 		}
-		if m == 1 && got == ms[0] {
+		if m == 1 && (got == ms[0] || &got.Bits()[0] == &ms[0].Bits()[0]) {
 			t.Fatal("single-element product must not alias the input")
 		}
 	}
 }
 
 func TestCacheBudgetAndLRU(t *testing.T) {
-	build := func(k int) func() *mpnat.Nat {
-		return func() *mpnat.Nat {
-			// 10 words = 40 bytes each.
-			ws := make([]uint32, 10)
+	build := func(k int) func() *big.Int {
+		return func() *big.Int {
+			// 5 words = 40 bytes each.
+			ws := make([]big.Word, 5)
 			for i := range ws {
-				ws[i] = uint32(k + 1)
+				ws[i] = big.Word(k + 1)
 			}
-			return mpnat.NewFromWords(ws)
+			return new(big.Int).SetBits(ws)
 		}
 	}
 	c := NewCache(100) // fits 2 of the 40-byte values
@@ -159,7 +158,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := i % 17
-				v := c.Get(k, func() *mpnat.Nat { return mpnat.New(uint64(k + 1)) })
+				v := c.Get(k, func() *big.Int { return big.NewInt(int64(k + 1)) })
 				if v.Uint64() != uint64(k+1) {
 					t.Errorf("key %d: got %d", k, v.Uint64())
 					return
@@ -170,98 +169,60 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBuildNatMatchesBig: the big.Int and mpnat tree builds share one
-// buildLevels loop, so every node of every level — not just the root —
-// must be the same integer, for even and odd leaf counts, serial and
-// parallel, with the observability hooks firing identically. With
-// 128-bit leaves the nodes of up to 4 leaves multiply below the
-// 24-word cutoff and the larger ones on mpnat's math/big path, so both
-// Mul paths are compared node for node.
-func TestBuildNatMatchesBig(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	for _, m := range []int{1, 2, 3, 5, 9, 16, 33, 64} {
-		for _, workers := range []int{1, 4} {
-			big_ := make([]*big.Int, m)
-			nat := make([]*mpnat.Nat, m)
-			for i := range big_ {
-				big_[i] = randBig(r, 128)
-				nat[i] = mpnat.FromBig(big_[i])
-			}
-			var bigNodes, natNodes int64
-			var mu sync.Mutex
-			count := func(n *int64) func() {
-				return func() { mu.Lock(); *n++; mu.Unlock() }
-			}
-			bt, err := Build(context.Background(), big_, BuildOptions{Workers: workers, OnNode: count(&bigNodes)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nt, err := BuildNat(context.Background(), nat, BuildOptions{Workers: workers, OnNode: count(&natNodes)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(bt.Levels) != len(nt.Levels) {
-				t.Fatalf("m=%d: %d big levels vs %d nat levels", m, len(bt.Levels), len(nt.Levels))
-			}
-			for l := range bt.Levels {
-				if len(bt.Levels[l]) != len(nt.Levels[l]) {
-					t.Fatalf("m=%d level %d: width %d vs %d", m, l, len(bt.Levels[l]), len(nt.Levels[l]))
-				}
-				for i := range bt.Levels[l] {
-					if nt.Levels[l][i].ToBig().Cmp(bt.Levels[l][i]) != 0 {
-						t.Fatalf("m=%d workers=%d: node (%d,%d) differs across backends", m, workers, l, i)
-					}
-				}
-			}
-			if bigNodes != natNodes || bigNodes != int64(m-1) {
-				t.Fatalf("m=%d: OnNode fired %d (big) / %d (nat), want %d", m, bigNodes, natNodes, m-1)
-			}
-		}
-	}
-}
-
-// TestBuildNatLeavesUntouched: level 0 aliases the caller's leaves and
+// TestBuildLeavesUntouched: level 0 aliases the caller's leaves and
 // interior nodes never alias them, so a tree build must leave every
-// input word-for-word intact (the hybrid engine shares leaves across
-// cached tiles).
-func TestBuildNatLeavesUntouched(t *testing.T) {
+// input intact (the hybrid engine shares leaves across cached tiles).
+func TestBuildLeavesUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	leaves := make([]*mpnat.Nat, 7)
-	snapshots := make([]*mpnat.Nat, 7)
+	leaves := make([]*big.Int, 7)
+	snapshots := make([]*big.Int, 7)
 	for i := range leaves {
-		leaves[i] = mpnat.FromBig(randBig(r, 96))
-		snapshots[i] = leaves[i].Clone()
+		leaves[i] = randBig(r, 96)
+		snapshots[i] = new(big.Int).Set(leaves[i])
 	}
-	tree, err := BuildNat(context.Background(), leaves, BuildOptions{Workers: 3})
+	tree, err := Build(context.Background(), leaves, BuildOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range leaves {
 		if leaves[i].Cmp(snapshots[i]) != 0 {
-			t.Fatalf("leaf %d mutated by BuildNat", i)
+			t.Fatalf("leaf %d mutated by Build", i)
 		}
 		if tree.Levels[0][i] != leaves[i] {
 			t.Fatalf("level 0 entry %d does not alias the input leaf", i)
 		}
 	}
-	for l := 1; l < len(tree.Levels); l++ {
-		for _, node := range tree.Levels[l] {
-			for _, leaf := range leaves {
-				if node == leaf && l == len(tree.Levels)-1 {
-					t.Fatalf("root aliases a leaf")
+	if root := tree.Root(); root == leaves[len(leaves)-1] {
+		t.Fatal("root aliases a leaf")
+	}
+}
+
+// TestBuildNodesCompact guards the node compaction: math/big's
+// Karatsuba leaves a product with about three times its length in
+// capacity, and a tree that kept those products would hold the slack
+// for its whole life. 1024-bit leaves put the upper levels well past
+// math/big's Karatsuba threshold.
+func TestBuildNodesCompact(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	leaves := make([]*big.Int, 64)
+	for i := range leaves {
+		leaves[i] = randBig(r, 1024)
+	}
+	for _, workers := range []int{1, 3} {
+		tree, err := Build(context.Background(), leaves, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 1; l < len(tree.Levels); l++ {
+			for i, node := range tree.Levels[l] {
+				if spare := cap(node.Bits()) - len(node.Bits()); spare > 4 {
+					t.Fatalf("workers=%d: node (%d,%d) has %d words, %d spare", workers, l, i, len(node.Bits()), spare)
 				}
 			}
 		}
 	}
-}
-
-// TestBuildNatCanceled mirrors TestBuildCanceled on the Nat path.
-func TestBuildNatCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	leaves := []*mpnat.Nat{mpnat.New(3), mpnat.New(5)}
-	if _, err := BuildNat(ctx, leaves, BuildOptions{}); err == nil {
-		t.Fatal("expected context error")
+	if p := Product(leaves[:33]); cap(p.Bits())-len(p.Bits()) > 4 {
+		t.Fatalf("Product left %d spare words", cap(p.Bits())-len(p.Bits()))
 	}
 }
 
@@ -270,17 +231,17 @@ func TestBuildNatCanceled(t *testing.T) {
 // LRU budget discipline shared with the int-keyed tile cache.
 func TestKeyedCache(t *testing.T) {
 	type nodeKey struct{ level, index int }
-	val := func(words int) *mpnat.Nat { // words 32-bit words of payload
-		ws := make([]uint32, words)
+	val := func(words int) *big.Int { // words big.Words of payload
+		ws := make([]big.Word, words)
 		for i := range ws {
-			ws[i] = uint32(i + 1)
+			ws[i] = big.Word(i + 1)
 		}
-		return mpnat.NewFromWords(ws)
+		return new(big.Int).SetBits(ws)
 	}
-	c := NewKeyedCache[nodeKey](40) // room for two 4-word (16-byte) values plus change
+	c := NewKeyedCache[nodeKey](40) // room for two 2-word (16-byte) values plus change
 	builds := 0
-	get := func(k nodeKey) *mpnat.Nat {
-		return c.Get(k, func() *mpnat.Nat { builds++; return val(4) })
+	get := func(k nodeKey) *big.Int {
+		return c.Get(k, func() *big.Int { builds++; return val(2) })
 	}
 	a, b := nodeKey{1, 0}, nodeKey{1, 1}
 	get(a)
@@ -300,15 +261,15 @@ func TestKeyedCache(t *testing.T) {
 	}
 
 	// Put retains the value; a second Put of the same key keeps the first.
-	first := c.Put(nodeKey{3, 3}, val(2))
-	second := c.Put(nodeKey{3, 3}, val(2))
+	first := c.Put(nodeKey{3, 3}, val(1))
+	second := c.Put(nodeKey{3, 3}, val(1))
 	if first != second {
 		t.Fatal("second Put did not return the retained value")
 	}
 	// Drop invalidates: the next Get rebuilds.
 	c.Drop(nodeKey{3, 3})
-	rebuilt := c.Get(nodeKey{3, 3}, func() *mpnat.Nat { return val(3) })
-	if rebuilt.Len() != 3 {
+	rebuilt := c.Get(nodeKey{3, 3}, func() *big.Int { return val(3) })
+	if len(rebuilt.Bits()) != 3 {
 		t.Fatal("Drop did not invalidate the entry")
 	}
 	// A value larger than the whole budget is returned but never retained.
