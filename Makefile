@@ -97,7 +97,9 @@ bench-e2e:
 # paths, division, the fused update, and hex parsing, each differential
 # against math/big (the corpus seeds pin the 24-word multiply cutoff),
 # plus the engines built on it: lanes, the scheduler, the registry's
-# spine merges, and the hybrid filter's QuoRem against a naive scan.
+# spine merges, the hybrid filter's QuoRem against a naive scan, and
+# batch GCD's cofactor descent against naive pairwise GCDs (2-8 moduli
+# reach the lone top pair and promoted odd nodes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
@@ -107,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
+	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/
 
 selftest:
 	$(GO) run ./cmd/gcdselftest -n 5000 -v

@@ -1,7 +1,7 @@
-// Package batchgcd implements Bernstein's batch GCD (product tree +
-// remainder tree), the standard alternative to the paper's all-pairs
-// approach for finding shared primes among many RSA moduli (the algorithm
-// behind the fastgcd tool used by Heninger et al.).
+// Package batchgcd implements Bernstein's batch GCD (a product tree and
+// a descent back down it), the standard alternative to the paper's
+// all-pairs approach for finding shared primes among many RSA moduli
+// (the algorithm behind the fastgcd tool used by Heninger et al.).
 //
 // The paper's contribution is a better *pairwise* GCD kernel; batch GCD
 // is the asymptotically faster but memory-hungry competitor, so this
@@ -18,13 +18,20 @@
 // is asymptotically fast multiplication, which is orthogonal to the
 // paper's word-level contribution (see DESIGN.md, substitutions).
 //
+// The descent carries cofactor residues z_C = (P/C) mod C from the root
+// down to the leaves, one level at a time: no node is squared, no
+// residue is longer than its node, and P itself is never formed, so the
+// product tree stops at the root's two children. A leaf's residue is
+// (P/n_i) mod n_i outright, and the leaf pass is one GCD per modulus
+// (DESIGN.md §5f.1).
+//
 // The engine is level-parallel: within each product-tree level the node
-// multiplications are independent, as are each remainder-tree level's
-// P mod n_i^2 reductions and the leaf GCD extractions, so all three fan
-// out over a worker pool sized by Config.Workers. The tree shape and all
-// scan orders are deterministic, so every Workers setting produces the
-// identical Finding list; Workers: 1 is the provably-equivalent serial
-// path (it runs inline on the caller's goroutine).
+// multiplications are independent, as are each descent level's residues
+// and the leaf GCDs, so all three fan out over a worker pool sized by
+// Config.Workers. The tree shape and all scan orders are deterministic,
+// so every Workers setting produces the identical Finding list;
+// Workers: 1 is the provably-equivalent serial path (it runs inline on
+// the caller's goroutine).
 package batchgcd
 
 import (
@@ -46,13 +53,13 @@ import (
 var one = big.NewInt(1)
 
 // Config controls a batch-GCD run: the shared cross-engine
-// configuration, with no engine knob of its own. Both trees run on
-// math/big (subprod.Build, then the remainder tree below). Workers only
+// configuration, with no engine knob of its own. The product tree
+// (subprod.Build) and the descent below run on math/big. Workers only
 // split independent node computations within a tree level, so the
 // result is identical for every pool size; Progress counts
-// tree-operation units (product multiplications, remainder reductions,
-// leaf GCD extractions — the output-sensitive resolution pass over the
-// handful of flagged moduli is not counted). Checkpoint/Resume are
+// tree-operation units (product multiplications, descent residues, leaf
+// GCDs — the output-sensitive resolution pass over the handful of
+// flagged moduli is not counted). Checkpoint/Resume are
 // rejected: the tree has no resumable unit decomposition (use the pairs
 // or hybrid engine when resumable progress matters).
 type Config struct {
@@ -122,12 +129,15 @@ func (t *tracker) phase(name string, level, nodes int, hist *obs.Histogram, fn f
 }
 
 // treeUnits counts the work units of a full run over m moduli:
-// product-tree multiplications, remainder-tree reductions, and the m
-// leaf GCD extractions.
+// product-tree multiplications up to the root's two children (the root
+// is never formed), one descent residue per node below the root
+// (promoted odd nodes included), and the m leaf GCDs.
 func treeUnits(m int) (mults, reductions, leaves int64) {
 	for l := m; l > 1; l = (l + 1) / 2 {
-		mults += int64(l / 2)
 		reductions += int64(l)
+		if l > 2 {
+			mults += int64(l / 2)
+		}
 	}
 	return mults, reductions, int64(m)
 }
@@ -170,9 +180,10 @@ func validateRSA(moduli []*big.Int) error {
 }
 
 // buildTree constructs the levels bottom-up via the shared subproduct
-// builder; the multiplications within one level are independent and fan
-// out over the pool, and each level is wrapped in the tracker's phase
-// (trace span + level-duration histogram).
+// builder, up to the root's two children: descend never reads the root.
+// The multiplications within one level are independent and fan out over
+// the pool, and each level is wrapped in the tracker's phase (trace span
+// + level-duration histogram).
 func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
 	return subprod.Build(ctx, moduli, subprod.BuildOptions{
 		Workers: workers,
@@ -180,31 +191,48 @@ func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker)
 		OnLevel: func(level, nodes int, run func() error) error {
 			return tr.phase("product", level, nodes, tr.productH, run)
 		},
-		OnNode: tr.tick,
+		OnNode:   tr.tick,
+		SkipRoot: true,
 	})
 }
 
-// remainderTree pushes the root product down the tree, reducing modulo
-// the square of each node, and returns the leaf remainders
-// r_i = P mod n_i^2. Each level's reductions are independent and fan out
-// over the pool; the square and the division quotient are per-worker
-// scratch so the hot loop does not reallocate them.
-func remainderTree(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
-	depth := len(t.Levels)
-	cur := []*big.Int{t.Root()}
-	type remScratch struct{ sq, quo big.Int }
-	scratch := make([]remScratch, workers)
-	for lvl := depth - 2; lvl >= 0; lvl-- {
+// descend pushes cofactor residues down the tree and returns each leaf's
+// z_i = (P/n_i) mod n_i, P being the product of all leaves. Above the
+// root the residue is P/P = 1; a node C with sibling S under parent T
+// gets
+//
+//	z_C = (P/C) mod C = ((z_T mod C) * (S mod C)) mod C
+//
+// because P/C = (P/T)*S and C divides T, and a promoted odd node (C = T)
+// keeps z_T. T itself is never read, so the tree may stop at the root's
+// two children. Each level's residues are independent and fan out over
+// the pool; the quotient, the two reduced factors and their product are
+// per-worker scratch, and each residue is copied out at its own length.
+func descend(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
+	top := len(t.Levels) - 1
+	if len(t.Levels[top]) == 1 {
+		// One modulus: the product of the others is empty.
+		return []*big.Int{new(big.Int).Mod(one, t.Levels[top][0])}, nil
+	}
+	type descentScratch struct{ quo, zc, sc, prod big.Int }
+	scratch := make([]descentScratch, workers)
+	cur := []*big.Int{one}
+	for lvl := top; lvl >= 0; lvl-- {
 		nodes := t.Levels[lvl]
 		next := make([]*big.Int, len(nodes))
 		parent := cur
 		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
 			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
-				s := &scratch[w]
-				s.sq.Mul(nodes[i], nodes[i])
-				rem := new(big.Int)
-				s.quo.QuoRem(parent[i/2], &s.sq, rem)
-				next[i] = rem
+				if sib := i ^ 1; sib == len(nodes) {
+					next[i] = parent[i/2] // promoted odd node
+				} else {
+					s, c := &scratch[w], nodes[i]
+					s.quo.QuoRem(parent[i/2], c, &s.zc)
+					s.quo.QuoRem(nodes[sib], c, &s.sc)
+					s.prod.Mul(&s.zc, &s.sc)
+					s.quo.QuoRem(&s.prod, c, &s.zc)
+					next[i] = new(big.Int).Set(&s.zc)
+				}
 				tr.tick()
 			})
 		}); err != nil {
@@ -222,8 +250,8 @@ func remainderTree(ctx context.Context, t *subprod.Tree, workers int, tr *tracke
 // primes shared). Any positive integers are accepted; only RunContext
 // enforces the RSA shape. A canceled context aborts between tree
 // operations and the context error is returned. Batch GCD has no
-// meaningful partial result — findings only exist once the remainder
-// tree reaches the leaves — so cancellation discards the incomplete tree.
+// meaningful partial result — findings only exist once the descent
+// reaches the leaves — so cancellation discards the incomplete tree.
 func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([]*big.Int, error) {
 	if err := rejectJournal(cfg); err != nil {
 		return nil, err
@@ -239,24 +267,22 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	if err != nil {
 		return nil, err
 	}
-	rems, err := remainderTree(ctx, t, workers, tr)
+	zs, err := descend(ctx, t, workers, tr)
 	if err != nil {
 		return nil, err
 	}
 
+	// The descent leaves z_i = (P/n_i) mod n_i at each leaf, so the leaf
+	// pass is one GCD per modulus.
 	out := make([]*big.Int, len(moduli))
-	scratch := make([]big.Int, workers) // per-worker quotient
 	if err := tr.phase("leaf", 0, len(moduli), nil, func() error {
-		return engine.Run(ctx, len(moduli), engine.PoolOptions{Workers: workers, Grain: 8, Metrics: tr.metrics}, func(i, w int) {
-			// (P / n_i) mod n_i == (P mod n_i^2) / n_i for n_i | P.
-			q := &scratch[w]
-			q.Quo(rems[i], moduli[i])
+		return engine.Run(ctx, len(moduli), engine.PoolOptions{Workers: workers, Grain: 8, Metrics: tr.metrics}, func(i, _ int) {
 			if tr.leafH != nil {
 				start := time.Now()
-				out[i] = new(big.Int).GCD(nil, nil, q, moduli[i])
+				out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
 				tr.leafH.ObserveDuration(int64(time.Since(start)))
 			} else {
-				out[i] = new(big.Int).GCD(nil, nil, q, moduli[i])
+				out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
 			}
 			tr.tick()
 		})

@@ -41,20 +41,185 @@ func newTree(t *testing.T, ms []*big.Int) *subprod.Tree {
 	return tree
 }
 
+// TestProductTree: the engine's tree stops at the root's two children,
+// since the descent never reads the root.
 func TestProductTree(t *testing.T) {
 	ms := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7), big.NewInt(11), big.NewInt(13)}
 	tree := newTree(t, ms)
-	if got := tree.Root().Int64(); got != 3*5*7*11*13 {
-		t.Fatalf("product = %d", got)
-	}
-	// Levels: 5 -> 3 -> 2 -> 1.
-	wantLens := []int{5, 3, 2, 1}
+	// Levels: 5 -> 3 -> 2, and no root above the top pair.
+	wantLens := []int{5, 3, 2}
 	if len(tree.Levels) != len(wantLens) {
 		t.Fatalf("depth %d, want %d", len(tree.Levels), len(wantLens))
 	}
 	for i, w := range wantLens {
 		if len(tree.Levels[i]) != w {
 			t.Fatalf("level %d has %d nodes, want %d", i, len(tree.Levels[i]), w)
+		}
+	}
+	top := tree.Levels[len(tree.Levels)-1]
+	if a, b := top[0].Int64(), top[1].Int64(); a != 3*5*7*11 || b != 13 {
+		t.Fatalf("top pair = %d, %d, want 1155 (15*77) and the promoted 13", a, b)
+	}
+}
+
+// remainderTree is the mod-n^2 remainder tree that the cofactor descent
+// replaced, kept as its oracle. It pushes the root product down a full
+// tree (one built without SkipRoot), reducing modulo the square of each
+// node, and returns the leaf remainders r_i = P mod n_i^2, from which
+// (P/n_i) mod n_i = r_i / n_i.
+func remainderTree(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
+	depth := len(t.Levels)
+	cur := []*big.Int{t.Root()}
+	type remScratch struct{ sq, quo big.Int }
+	scratch := make([]remScratch, workers)
+	for lvl := depth - 2; lvl >= 0; lvl-- {
+		nodes := t.Levels[lvl]
+		next := make([]*big.Int, len(nodes))
+		parent := cur
+		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
+			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
+				s := &scratch[w]
+				s.sq.Mul(nodes[i], nodes[i])
+				rem := new(big.Int)
+				s.quo.QuoRem(parent[i/2], &s.sq, rem)
+				next[i] = rem
+				tr.tick()
+			})
+		}); err != nil {
+			return nil, err
+		}
+		cur = next
+	}
+	return cur, nil
+}
+
+// descentCorpus returns m odd moduli of 64 to 128 bits. When planted it
+// also holds, as far as m allows, a modulus equal to 1, a duplicate
+// pair, and the product of two other moduli, shuffled into random tree
+// positions. That product divides the product of the rest, so its
+// residue is 0; it is returned as div (nil when m < 4).
+func descentCorpus(r *rand.Rand, m int, planted bool) (ms []*big.Int, div *big.Int) {
+	ms = make([]*big.Int, m)
+	for i := range ms {
+		v := new(big.Int).Rand(r, new(big.Int).Lsh(one, uint(64+r.Intn(65))))
+		ms[i] = v.SetBit(v, 0, 1)
+	}
+	if !planted {
+		return ms, nil
+	}
+	ms[min(1, m-1)] = big.NewInt(1)
+	if m >= 3 {
+		ms[2] = new(big.Int).Set(ms[0])
+	}
+	if m >= 4 {
+		// n_0*n_4, or n_0 squared (n_0 times its duplicate) at m = 4.
+		f := ms[2]
+		if m >= 5 {
+			f = ms[4]
+		}
+		div = new(big.Int).Mul(ms[0], f)
+		ms[3] = div
+	}
+	r.Shuffle(m, func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+	return ms, div
+}
+
+// TestDescentMatchesSquaresOracle: every leaf's cofactor residue equals
+// the mod-n^2 oracle's (P mod n_i^2)/n_i. The sizes cover a single node
+// (m = 1), a lone top pair (m = 2), and promoted odd nodes at one or
+// several levels (3, 5, 7, 9, 33, 65, 513).
+func TestDescentMatchesSquaresOracle(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(20))
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 65, 513} {
+		for _, planted := range []bool{false, true} {
+			ms, div := descentCorpus(r, m, planted)
+			full, err := subprod.Build(ctx, ms, subprod.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rems, err := remainderTree(ctx, full, 1, newTracker(0, Config{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				tr := newTracker(0, Config{})
+				tree, err := buildTree(ctx, ms, workers, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zs, err := descend(ctx, tree, workers, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(zs) != m {
+					t.Fatalf("m=%d workers=%d: %d residues", m, workers, len(zs))
+				}
+				for i, n := range ms {
+					if n == div && zs[i].Sign() != 0 {
+						t.Fatalf("m=%d: the planted divisor of the others has residue %v", m, zs[i])
+					}
+					// remainderTree returns a one-node tree's root as is,
+					// so reduce mod n_i^2 here: P mod 1 is 0, not 1.
+					want := new(big.Int).Mod(rems[i], new(big.Int).Mul(n, n))
+					want.Quo(want, n)
+					if zs[i].Cmp(want) != 0 {
+						t.Fatalf("m=%d planted=%v workers=%d leaf %d (n=%v): residue %v, oracle %v",
+							m, planted, workers, i, n, zs[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeUnitsHandCounted pins the unit accounting by hand, since
+// TestRunConfigProgress takes its expected total from treeUnits itself:
+// no root multiplication, one residue per node below the root (promoted
+// nodes included), one GCD per leaf. A serial run performs exactly those
+// units, phase by phase.
+func TestTreeUnitsHandCounted(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		m                         int
+		mults, reductions, leaves int64
+	}{
+		{1, 0, 0, 1},     // the lone leaf is the root
+		{2, 0, 2, 2},     // the leaves are the root's two children
+		{3, 1, 5, 3},     // 3 -> 2
+		{5, 3, 10, 5},    // 5 -> 3 -> 2
+		{16, 14, 30, 16}, // 16 -> 8 -> 4 -> 2
+	} {
+		mults, reductions, leaves := treeUnits(c.m)
+		if mults != c.mults || reductions != c.reductions || leaves != c.leaves {
+			t.Errorf("treeUnits(%d) = (%d, %d, %d), want (%d, %d, %d)",
+				c.m, mults, reductions, leaves, c.mults, c.reductions, c.leaves)
+		}
+		ms := make([]*big.Int, c.m)
+		for i := range ms {
+			ms[i] = big.NewInt(int64(2*i + 3))
+		}
+		tr := newTracker(0, Config{Config: engine.Config{Progress: func(int64, int64) {}}})
+		tree, err := buildTree(ctx, ms, 1, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.done.Load(); got != c.mults {
+			t.Errorf("m=%d: product tree made %d multiplications, want %d", c.m, got, c.mults)
+		}
+		if _, err := descend(ctx, tree, 1, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.done.Load() - c.mults; got != c.reductions {
+			t.Errorf("m=%d: descent computed %d residues, want %d", c.m, got, c.reductions)
+		}
+		var last int64
+		cfg := Config{Config: engine.Config{Workers: 1, Progress: func(done, _ int64) { last = done }}}
+		if _, err := SharedFactorsContext(ctx, ms, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if want := c.mults + c.reductions + c.leaves; last != want {
+			t.Errorf("m=%d: run ended at %d units, want %d", c.m, last, want)
 		}
 	}
 }

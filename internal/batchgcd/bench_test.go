@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkBatchGCD measures the complete batch attack (product tree,
-// remainder tree, leaf extraction, resolution) on a 4096-moduli 512-bit
+// cofactor descent, leaf GCDs, resolution) on a 4096-moduli 512-bit
 // corpus across pool sizes. Workers=1 is the serial baseline the
 // parallel engine must beat; the Finding lists are identical by
 // construction (see TestRunConfigWorkersIdentical).

@@ -30,15 +30,22 @@ import (
 )
 
 // Tree holds the levels of a product tree: level 0 is the input slice,
-// the last level is the single full product. An odd node at the end of a
-// level is promoted unchanged, so parent i covers children 2i and 2i+1.
+// the last level is the single full product, or the root's two children
+// when the tree was built with BuildOptions.SkipRoot. An odd node at the
+// end of a level is promoted unchanged, so parent i covers children 2i
+// and 2i+1.
 type Tree struct {
 	Levels [][]*big.Int
 }
 
-// Root returns the product of all leaves.
+// Root returns the product of all leaves. It panics on a tree built
+// with SkipRoot, whose top level is the root's two children: neither of
+// them is the product.
 func (t *Tree) Root() *big.Int {
 	top := t.Levels[len(t.Levels)-1]
+	if len(top) != 1 {
+		panic(fmt.Sprintf("subprod: Root of a tree that stops at %d nodes below its root", len(top)))
+	}
 	return top[0]
 }
 
@@ -83,6 +90,11 @@ type BuildOptions struct {
 	// Metrics, when non-nil, instruments the per-level scheduler pools
 	// (engine_steals_total and friends).
 	Metrics *obs.Registry
+	// SkipRoot stops the tree at the root's two children and never makes
+	// the root multiplication, the largest in the tree. Batch GCD's
+	// cofactor descent needs the siblings under the root but not their
+	// product. A one-leaf tree still ends at its leaf, which is its root.
+	SkipRoot bool
 }
 
 // Build constructs the product tree of the leaves bottom-up,
@@ -90,6 +102,8 @@ type BuildOptions struct {
 // engine.Run with one scratch big.Int per worker (Mul). The leaf slice
 // is aliased as level 0, never modified; every product is freshly
 // allocated and compact (a promoted odd node stays the same pointer).
+// Every level above two nodes halves to a level of two before the root,
+// so SkipRoot drops exactly the last multiplication.
 func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("subprod: empty input")
@@ -99,7 +113,11 @@ func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, err
 	level := make([]*big.Int, len(leaves))
 	copy(level, leaves)
 	levels := [][]*big.Int{level}
-	for len(level) > 1 {
+	top := 1
+	if opt.SkipRoot {
+		top = 2
+	}
+	for len(level) > top {
 		pairs := len(level) / 2
 		next := make([]*big.Int, (len(level)+1)/2)
 		src := level

@@ -51,6 +51,70 @@ func TestBuildMatchesDirectProduct(t *testing.T) {
 	}
 }
 
+// TestBuildSkipRoot: SkipRoot stops the tree at the root's two children,
+// whose product is the full product, and drops exactly the root
+// multiplication. A one-leaf tree still ends at its root.
+func TestBuildSkipRoot(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, m := range []int{2, 3, 5, 8, 17} {
+		for _, workers := range []int{1, 4} {
+			leaves := make([]*big.Int, m)
+			want := big.NewInt(1)
+			for i := range leaves {
+				leaves[i] = randBig(r, 96)
+				want.Mul(want, leaves[i])
+			}
+			var nodes int64
+			var mu sync.Mutex
+			tree, err := Build(context.Background(), leaves, BuildOptions{
+				Workers:  workers,
+				SkipRoot: true,
+				OnNode: func() {
+					mu.Lock()
+					nodes++
+					mu.Unlock()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := tree.Levels[len(tree.Levels)-1]
+			if len(top) != 2 {
+				t.Fatalf("m=%d: top level has %d nodes, want the root's two children", m, len(top))
+			}
+			if new(big.Int).Mul(top[0], top[1]).Cmp(want) != 0 {
+				t.Fatalf("m=%d: top pair does not multiply to the product", m)
+			}
+			if nodes != int64(m-2) {
+				t.Errorf("m=%d: %d multiplications, want m-2", m, nodes)
+			}
+		}
+	}
+	single, err := Build(context.Background(), []*big.Int{big.NewInt(42)}, BuildOptions{SkipRoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Root().Int64() != 42 {
+		t.Fatal("one-leaf SkipRoot tree lost its root")
+	}
+}
+
+// TestRootRefusesRootlessTree: Root panics on a SkipRoot tree instead of
+// returning a child that is not the product.
+func TestRootRefusesRootlessTree(t *testing.T) {
+	leaves := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7)}
+	tree, err := Build(context.Background(), leaves, BuildOptions{SkipRoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Root returned a node of a root-less tree")
+		}
+	}()
+	tree.Root()
+}
+
 func TestBuildOnLevelWrapsEveryLevel(t *testing.T) {
 	leaves := make([]*big.Int, 9)
 	for i := range leaves {
