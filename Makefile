@@ -66,11 +66,12 @@ bench:
 # artifacts CI uploads; catches benchmark rot without benchmark cost.
 # The hybrid line runs BenchmarkHybrid in -short mode (512-moduli corpus),
 # which self-enforces the >= 3x full-GCD reduction bound, the trace-
-# overhead line self-enforces the <= 2% tracing budget (instrumented vs
-# Trace=nil hybrid runs, median of paired diffs), the lane-kernel
-# line runs BenchmarkLaneKernel in -short mode (self-enforces the >= 3x
-# per-pair speedup over the scalar kernel at GOMAXPROCS=1), and the engine
-# comparison emits the three-engine timing table as a second artifact.
+# overhead line self-enforces the <= 2% tracing budget (traced vs
+# Trace=nil hybrid cells in ABBA order, median of the quad diffs), the
+# lane-kernel line runs BenchmarkLaneKernel in -short mode (self-enforces
+# the >= 3x per-pair speedup over the scalar kernel at GOMAXPROCS=1), and
+# the engine comparison emits the three-engine timing table as a second
+# artifact.
 # The registry line runs BenchmarkRegistrySubmit in -short mode (8192-key
 # seed), which self-enforces the O(log N) spine-merge bound per submission
 # and a >= 5x advantage over a full batch-GCD rescan.
@@ -97,9 +98,11 @@ bench-e2e:
 # paths, division, the fused update, and hex parsing, each differential
 # against math/big (the corpus seeds pin the 24-word multiply cutoff),
 # plus the engines built on it: lanes, the scheduler, the registry's
-# spine merges, the hybrid filter's QuoRem against a naive scan, and
-# batch GCD's cofactor descent against naive pairwise GCDs (2-8 moduli
-# reach the lone top pair and promoted odd nodes).
+# spine merges, subprod's two tile descents (Cofactors and Reduce, on
+# trees with and without their root) against math/big, the hybrid
+# engine's tile-tree filter against a naive scan, and batch GCD's
+# cofactor descent against naive pairwise GCDs (2-8 moduli reach the
+# lone top pair and promoted odd nodes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
@@ -108,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLanesMatchesScalar -fuzztime 30s ./internal/lanes/
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
+	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/
 

@@ -18,11 +18,12 @@
 // is asymptotically fast multiplication, which is orthogonal to the
 // paper's word-level contribution (see DESIGN.md, substitutions).
 //
-// The descent carries cofactor residues z_C = (P/C) mod C from the root
-// down to the leaves, one level at a time: no node is squared, no
-// residue is longer than its node, and P itself is never formed, so the
-// product tree stops at the root's two children. A leaf's residue is
-// (P/n_i) mod n_i outright, and the leaf pass is one GCD per modulus
+// The descent is subprod.Cofactors, shared with the hybrid engine's
+// diagonal cells: it carries cofactor residues z_C = (P/C) mod C from
+// the root down to the leaves, one level at a time. No node is squared,
+// no residue is longer than its node, and P itself is never formed, so
+// the product tree stops at the root's two children. A leaf's residue
+// is (P/n_i) mod n_i outright, and the leaf pass is one GCD per modulus
 // (DESIGN.md §5f.1).
 //
 // The engine is level-parallel: within each product-tree level the node
@@ -54,12 +55,12 @@ var one = big.NewInt(1)
 
 // Config controls a batch-GCD run: the shared cross-engine
 // configuration, with no engine knob of its own. The product tree
-// (subprod.Build) and the descent below run on math/big. Workers only
-// split independent node computations within a tree level, so the
-// result is identical for every pool size; Progress counts
-// tree-operation units (product multiplications, descent residues, leaf
-// GCDs — the output-sensitive resolution pass over the handful of
-// flagged moduli is not counted). Checkpoint/Resume are
+// (subprod.Build) and its cofactor descent (subprod.Cofactors) run on
+// math/big. Workers only split independent node computations within a
+// tree level, so the result is identical for every pool size; Progress
+// counts tree-operation units (product multiplications, descent
+// residues, leaf GCDs — the output-sensitive resolution pass over the
+// handful of flagged moduli is not counted). Checkpoint/Resume are
 // rejected: the tree has no resumable unit decomposition (use the pairs
 // or hybrid engine when resumable progress matters).
 type Config struct {
@@ -179,68 +180,35 @@ func validateRSA(moduli []*big.Int) error {
 	return nil
 }
 
-// buildTree constructs the levels bottom-up via the shared subproduct
-// builder, up to the root's two children: descend never reads the root.
-// The multiplications within one level are independent and fan out over
-// the pool, and each level is wrapped in the tracker's phase (trace span
-// + level-duration histogram).
-func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
-	return subprod.Build(ctx, moduli, subprod.BuildOptions{
+// levels returns the subprod options that run one tree pass on the
+// pool with the tracker's hooks: each level wrapped in a phase named
+// name (trace span + level-duration histogram hist), one progress tick
+// per node.
+func (t *tracker) levels(name string, hist *obs.Histogram, workers int) subprod.Options {
+	return subprod.Options{
 		Workers: workers,
-		Metrics: tr.metrics,
+		Metrics: t.metrics,
 		OnLevel: func(level, nodes int, run func() error) error {
-			return tr.phase("product", level, nodes, tr.productH, run)
+			return t.phase(name, level, nodes, hist, run)
 		},
-		OnNode:   tr.tick,
-		SkipRoot: true,
-	})
+		OnNode: t.tick,
+	}
 }
 
-// descend pushes cofactor residues down the tree and returns each leaf's
-// z_i = (P/n_i) mod n_i, P being the product of all leaves. Above the
-// root the residue is P/P = 1; a node C with sibling S under parent T
-// gets
-//
-//	z_C = (P/C) mod C = ((z_T mod C) * (S mod C)) mod C
-//
-// because P/C = (P/T)*S and C divides T, and a promoted odd node (C = T)
-// keeps z_T. T itself is never read, so the tree may stop at the root's
-// two children. Each level's residues are independent and fan out over
-// the pool; the quotient, the two reduced factors and their product are
-// per-worker scratch, and each residue is copied out at its own length.
-func descend(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
-	top := len(t.Levels) - 1
-	if len(t.Levels[top]) == 1 {
-		// One modulus: the product of the others is empty.
-		return []*big.Int{new(big.Int).Mod(one, t.Levels[top][0])}, nil
-	}
-	type descentScratch struct{ quo, zc, sc, prod big.Int }
-	scratch := make([]descentScratch, workers)
-	cur := []*big.Int{one}
-	for lvl := top; lvl >= 0; lvl-- {
-		nodes := t.Levels[lvl]
-		next := make([]*big.Int, len(nodes))
-		parent := cur
-		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
-			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
-				if sib := i ^ 1; sib == len(nodes) {
-					next[i] = parent[i/2] // promoted odd node
-				} else {
-					s, c := &scratch[w], nodes[i]
-					s.quo.QuoRem(parent[i/2], c, &s.zc)
-					s.quo.QuoRem(nodes[sib], c, &s.sc)
-					s.prod.Mul(&s.zc, &s.sc)
-					s.quo.QuoRem(&s.prod, c, &s.zc)
-					next[i] = new(big.Int).Set(&s.zc)
-				}
-				tr.tick()
-			})
-		}); err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
+// buildTree constructs the levels bottom-up via the shared subproduct
+// builder, up to the root's two children: the cofactor descent never
+// reads the root. The multiplications within one level are independent
+// and fan out over the pool, and each level is a "product" phase.
+func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
+	opt := tr.levels("product", tr.productH, workers)
+	opt.SkipRoot = true
+	return subprod.Build(ctx, moduli, opt)
+}
+
+// cofactors runs subprod's cofactor descent over the tree, each level a
+// "remainder" phase, and returns z_i = (P/n_i) mod n_i for every leaf.
+func cofactors(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
+	return subprod.Cofactors(ctx, t, tr.levels("remainder", tr.remainderH, workers))
 }
 
 // SharedFactorsContext returns, for each modulus,
@@ -267,7 +235,7 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	if err != nil {
 		return nil, err
 	}
-	zs, err := descend(ctx, t, workers, tr)
+	zs, err := cofactors(ctx, t, workers, tr)
 	if err != nil {
 		return nil, err
 	}

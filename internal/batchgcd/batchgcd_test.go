@@ -134,7 +134,7 @@ func TestDescentMatchesSquaresOracle(t *testing.T) {
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 65, 513} {
 		for _, planted := range []bool{false, true} {
 			ms, div := descentCorpus(r, m, planted)
-			full, err := subprod.Build(ctx, ms, subprod.BuildOptions{})
+			full, err := subprod.Build(ctx, ms, subprod.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestDescentMatchesSquaresOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				zs, err := descend(ctx, tree, workers, tr)
+				zs, err := cofactors(ctx, tree, workers, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func TestTreeUnitsHandCounted(t *testing.T) {
 		if got := tr.done.Load(); got != c.mults {
 			t.Errorf("m=%d: product tree made %d multiplications, want %d", c.m, got, c.mults)
 		}
-		if _, err := descend(ctx, tree, 1, tr); err != nil {
+		if _, err := cofactors(ctx, tree, 1, tr); err != nil {
 			t.Fatal(err)
 		}
 		if got := tr.done.Load() - c.mults; got != c.reductions {

@@ -65,9 +65,10 @@ type Config struct {
 	Quarantine bool
 
 	// TileSize is the hybrid engine's tile width T: the corpus is cut
-	// into tiles of T moduli, each cross-tile cell is filtered with one
-	// subproduct GCD per row modulus, and only filter hits descend to
-	// per-pair GCDs. 0 means 64. Findings are identical at every value.
+	// into tiles of T moduli, every cell of the tile grid is filtered
+	// with one descent over its row tile's product tree and one GCD per
+	// row modulus, and only filter hits descend to per-pair GCDs. 0 means
+	// 64. Findings are identical at every value.
 	TileSize int
 
 	// SubprodBudget caps the bytes of tile subproducts the hybrid engine
@@ -267,7 +268,7 @@ func (b *blockOut) record(unit int) checkpoint.Record {
 // instead of running inline (see lanes.go).
 type pairRunner struct {
 	scratch *gcd.Scratch
-	filter  filterScratch // the hybrid row filter's division state
+	filter  cellFilter // the hybrid row filter's retained state
 	lanes   *laneBatcher
 	maxBits int
 	cfg     *Config

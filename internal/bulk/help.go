@@ -19,12 +19,12 @@ func init() {
 		"bulk_workers":                       "worker goroutines configured for the scan",
 		"bulk_pairs_per_second":              "recent scan throughput",
 		"bulk_worker_utilization":            "fraction of worker time spent computing",
-		"bulk_hybrid_filter_gcds_total":      "product-tree filter GCDs taken at tile roots",
-		"bulk_hybrid_tile_hits_total":        "tiles whose filter GCD was nontrivial",
-		"bulk_hybrid_tile_skips_total":       "tiles skipped because the filter GCD was 1",
-		"bulk_hybrid_descended_pairs_total":  "pairs scanned inside hit tiles",
-		"bulk_hybrid_skipped_pairs_total":    "pairs proven coprime by a skipped tile",
-		"bulk_hybrid_filter_seconds":         "wall time per tile filter GCD",
+		"bulk_hybrid_filter_gcds_total":      "filter row GCDs, one per row of every hybrid cell",
+		"bulk_hybrid_tile_hits_total":        "filter rows whose GCD was nontrivial",
+		"bulk_hybrid_tile_skips_total":       "filter rows skipped because the row GCD was 1",
+		"bulk_hybrid_descended_pairs_total":  "pairs scanned in hit rows",
+		"bulk_hybrid_skipped_pairs_total":    "pairs proven coprime by a skipped row",
+		"bulk_hybrid_filter_seconds":         "wall time per cell filter: tile tree, descent and row GCDs",
 		"bulk_hybrid_cell_seconds":           "wall time per hybrid cell",
 		"bulk_subprod_cache_hits_total":      "subproduct cache lookups served",
 		"bulk_subprod_cache_misses_total":    "subproduct cache lookups that computed",

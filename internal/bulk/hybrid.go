@@ -7,37 +7,40 @@ import (
 	"time"
 
 	"bulkgcd/internal/checkpoint"
-	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/subprod"
 )
 
 // The hybrid engine sits between the paper's all-pairs computation and
 // Bernstein's batch GCD: the corpus is cut into tiles of T moduli, and
-// each cross-tile cell (A, B) is first interrogated with one subproduct
-// GCD per row modulus,
+// every cell (A, B) of the upper-triangular tile grid decides all of its
+// rows at once with one descent over row tile A's product tree
+// (internal/subprod). Row n_i of A gets the residue
 //
-//	g_i = gcd(n_i, Π(tile B) mod n_i)
+//	cross cell (A < B):  r_i = Π(tile B) mod n_i                (Reduce)
+//	diagonal (A = B):    z_i = Π(tile A \ {n_i}) mod n_i        (Cofactors)
 //
-// Any factor n_i shares with any n_j in tile B divides both n_i and
-// Π(tile B), hence divides Π(tile B) mod n_i, hence divides g_i — so
-// g_i = 1 proves n_i coprime to every modulus of tile B and the whole
-// row of T pairs is skipped with one division and one GCD. Only rows
-// with g_i > 1 descend to the exact per-pair runner, which is why the
-// hybrid's findings are byte-identical to the all-pairs engine at every
-// tile size: skipped pairs are proven coprime (the all-pairs engine
-// would have reported nothing for them) and descended pairs run the
-// identical kernel with the identical options. Diagonal cells (A, A)
-// always descend — Π(tile A) ≡ 0 mod n_i makes the filter vacuous
-// there.
+// and the row GCD g_i = gcd(n_i, r_i) (math/big's, as in batch GCD's
+// leaf pass). Any prime n_i shares with a modulus of the row's pairs
+// divides both n_i and that product, hence its residue mod n_i, hence
+// g_i — so g_i = 1 proves the whole row coprime and it is skipped. A
+// cross row covers its T pairs (i, B); a diagonal row covers only the
+// pairs (i, u > i), since a sharing pair makes both of its rows hit
+// and the lower row takes it. Only rows with g_i > 1 (a residue of 0 —
+// a duplicate or a modulus dividing the others — gives g_i = n_i)
+// descend to the exact per-pair runner, which is why the hybrid's
+// findings are byte-identical to the all-pairs engine at every tile
+// size: skipped pairs are proven coprime (the all-pairs engine would
+// have reported nothing for them) and descended pairs run the identical
+// kernel with the identical options. A modulus equal to 1 gets residue 0
+// and g = 1, and no pair containing it has a factor to report.
 //
-// Tile subproducts are big.Int products built once (subprod.Product)
-// and cached under Config.SubprodBudget (LRU); the row filter divides
-// them with math/big's QuoRem and hands only the one-modulus remainder
-// back to mpnat for the paper's kernel GCD. The work unit for
-// scheduling, checkpointing and cancellation is one cell, so every
-// journaled cell is final and an interrupted run resumes exactly like
-// the all-pairs engine.
+// The row tile's tree is built per cell and dropped with it; the column
+// tile products Π(tile B) are big.Int products built once
+// (subprod.Product) and cached under Config.SubprodBudget (LRU). The
+// work unit for scheduling, checkpointing and cancellation is one cell,
+// so every journaled cell is final and an interrupted run resumes
+// exactly like the all-pairs engine.
 
 // hybridCell is one tile-pair work unit, A <= B (tile indices).
 type hybridCell struct {
@@ -49,6 +52,11 @@ type hybridPlan struct {
 	runPlan
 	tile  int          // tile width T
 	cells []hybridCell // deterministic row-major order
+	// bigs holds the active moduli as big.Ints, by active position,
+	// converted once per run and shared read-only by every worker: the
+	// leaves of the row tiles' trees, the factors of the cached column
+	// products and the row GCDs' operands.
+	bigs []*big.Int
 }
 
 // tileSpan returns the active-index range [lo, hi) of tile t.
@@ -77,7 +85,10 @@ func planHybrid(moduli []*mpnat.Nat, cfg Config) (*hybridPlan, error) {
 	if t > len(rp.active) {
 		t = len(rp.active)
 	}
-	p := &hybridPlan{runPlan: rp, tile: t}
+	p := &hybridPlan{runPlan: rp, tile: t, bigs: make([]*big.Int, len(rp.active))}
+	for k, i := range rp.active {
+		p.bigs[k] = moduli[i].ToBig()
+	}
 	nt := p.tiles()
 	for a := 0; a < nt; a++ {
 		for b := a; b < nt; b++ {
@@ -105,81 +116,93 @@ func HybridJournalHeader(moduli []*mpnat.Nat, cfg Config) (checkpoint.Header, er
 	return plan.header, nil
 }
 
-// filterScratch is one worker's retained filter state: the row modulus
-// staged as a big.Int, the quotient and remainder QuoRem writes, and the
-// remainder back in mpnat form for the kernel. A warm scratch filters a
-// row without allocating.
-type filterScratch struct {
-	n, quo, rem big.Int
-	r           mpnat.Nat
+// cellFilter is one worker's retained row-filter state: the row GCD and
+// the current cell's per-row verdicts. A warm worker decides a cell's
+// rows without allocating either.
+type cellFilter struct {
+	g    big.Int
+	hits []bool
 }
 
-// filterHit runs the subproduct filter for one row modulus: true means
-// the row must descend to per-pair GCDs, false proves the whole row
-// coprime. A panic inside the filter conservatively descends (the
-// per-pair runner then computes — and quarantines — the truth pairwise).
-func (p *pairRunner) filterHit(n *mpnat.Nat, prod *big.Int, hm *hybridMetrics) (hit bool) {
+// filterCell decides every row of cell c from one descent over row tile
+// A's product tree and returns the verdicts, row k of A at index k (true
+// means the row descends to per-pair GCDs). The verdict slice is the
+// runner's, valid until the next cell. A panic anywhere in the filter
+// conservatively descends every row (the per-pair runner then computes
+// — and quarantines — the truth pairwise) and drops the filter state.
+func (p *pairRunner) filterCell(plan *hybridPlan, c hybridCell, cache *subprod.Cache, hm *hybridMetrics) (hits []bool) {
+	aLo, aHi := plan.tileSpan(c.A)
+	rows := plan.bigs[aLo:aHi]
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			hit = true
-			p.scratch = gcd.NewScratch(p.maxBits)
-			p.filter = filterScratch{}
+			p.filter = cellFilter{hits: make([]bool, len(rows))}
+			hits = p.filter.hits
+			for k := range hits {
+				hits[k] = true
+			}
 			p.cfg.Trace.Event("bad_filter", "err", fmt.Sprint(r))
 		}
+		hm.observeFilter(len(rows), time.Since(start))
 	}()
-	start := time.Now()
-	defer func() { hm.observeFilter(time.Since(start)) }()
 	f := &p.filter
-	f.quo.QuoRem(prod, n.ToBigInto(&f.n), &f.rem)
-	if f.rem.Sign() == 0 {
-		return true // n divides the subproduct: duplicate or fully shared
+	if cap(f.hits) < len(rows) {
+		f.hits = make([]bool, len(rows))
 	}
-	r := f.r.SetBig(&f.rem)
-	r.RshiftStrip(r) // n is odd, so stripping 2s from r preserves the gcd
-	if r.IsOne() {
-		return false
+	hits = f.hits[:len(rows)]
+	// A cell runs on one worker of the run's pool, and its record must
+	// cover the whole cell, so the descent runs inline and uncancelable.
+	ctx := context.Background()
+	tree, err := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
+	if err != nil {
+		panic(err)
 	}
-	// Full GCD, never early-terminated: a false "coprime" here would
+	var res []*big.Int
+	if c.A == c.B {
+		res, err = subprod.Cofactors(ctx, tree, subprod.Options{})
+	} else {
+		bLo, bHi := plan.tileSpan(c.B)
+		prod := cache.Get(c.B, func() *big.Int { return subprod.Product(plan.bigs[bLo:bHi]) })
+		res, err = subprod.Reduce(ctx, tree, prod, subprod.Options{})
+	}
+	if err != nil {
+		panic(err)
+	}
+	// Full GCDs, never early-terminated: a false "coprime" here would
 	// silently drop a finding, so the filter takes no shortcuts.
-	g, _ := p.scratch.Compute(p.cfg.Algorithm, n, r, gcd.Options{})
-	return g == nil || !g.IsOne()
+	for k, r := range res {
+		hits[k] = f.g.GCD(nil, nil, r, rows[k]).Cmp(one) != 0
+	}
+	return hits
 }
 
-// runCell computes one cell into blk: diagonal cells run their
-// triangular half pairwise, cross cells filter each row against the
-// column tile's subproduct and descend only on hits. Descended pairs go
-// through the kernel dispatch, so on the lane kernel a cell's hit rows
-// accumulate into bounded lockstep batches, the last drained before the
-// cell is sealed for journaling.
+// one is the shared constant 1 the row GCDs compare against.
+var one = big.NewInt(1)
+
+// runCell computes one cell into blk: filterCell decides every row, and
+// hit rows descend to their pairs — all of tile B for a cross cell, the
+// pairs (k, u > k) for a diagonal one. Descended pairs go through the
+// kernel dispatch, so on the lane kernel a cell's hit rows accumulate
+// into bounded lockstep batches, the last drained before the cell is
+// sealed for journaling.
 func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, cache *subprod.Cache, hm *hybridMetrics, blk *blockOut) {
 	aLo, aHi := plan.tileSpan(c.A)
-	if c.A == c.B {
-		for k := aLo; k < aHi; k++ {
-			for u := k + 1; u < aHi; u++ {
-				p.pair(plan.active[k], plan.active[u], blk)
-			}
-		}
-		p.flush(blk)
-		return
-	}
 	bLo, bHi := plan.tileSpan(c.B)
-	prod := cache.Get(c.B, func() *big.Int {
-		ms := make([]*big.Int, 0, bHi-bLo)
-		for u := bLo; u < bHi; u++ {
-			ms = append(ms, p.moduli[plan.active[u]].ToBig())
-		}
-		return subprod.Product(ms)
-	})
+	hits := p.filterCell(plan, c, cache, hm)
 	for k := aLo; k < aHi; k++ {
+		uLo := bLo
+		if c.A == c.B {
+			uLo = k + 1
+		}
+		width := int64(bHi - uLo)
+		hm.observeRow(hits[k-aLo], width)
+		if !hits[k-aLo] {
+			blk.pairs += width // proven coprime, accounted as done
+			continue
+		}
 		i := plan.active[k]
-		if p.filterHit(p.moduli[i], prod, hm) {
-			hm.observeRow(true, int64(bHi-bLo))
-			for u := bLo; u < bHi; u++ {
-				p.pair(i, plan.active[u], blk)
-			}
-		} else {
-			hm.observeRow(false, int64(bHi-bLo))
-			blk.pairs += int64(bHi - bLo) // proven coprime, accounted as done
+		for u := uLo; u < bHi; u++ {
+			p.pair(i, plan.active[u], blk)
 		}
 	}
 	p.flush(blk)
@@ -194,8 +217,8 @@ func Hybrid(moduli []*mpnat.Nat, cfg Config) (*Result, error) {
 // Factors, BadPairs, Quarantined and pair totals — using the tiled
 // subproduct filter to avoid the vast majority of per-pair GCDs on
 // sparse corpora. Result.Stats covers only the descended per-pair GCDs
-// (filter divisions and GCDs are reported through the bulk_hybrid_*
-// metrics instead). Cancellation, checkpointing and resume follow the
+// (the filter's trees, descents and row GCDs are reported through the
+// bulk_hybrid_* metrics instead). Cancellation, checkpointing and resume follow the
 // all-pairs contract with one cell as the work unit.
 func HybridContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Result, error) {
 	plan, err := planHybrid(moduli, cfg)
@@ -203,8 +226,8 @@ func HybridContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Resul
 		return nil, err
 	}
 	hm := newHybridMetrics(cfg.Metrics)
-	// The tile-subproduct cache is probed from every worker's hot filter
-	// loop, so it is sharded to roughly one lock per worker.
+	// The tile-subproduct cache is probed by every worker's cross cells,
+	// so it is sharded to roughly one lock per worker.
 	cache := subprod.NewCacheShards(cfg.SubprodBudget, cfg.EffectiveWorkers())
 	up := &unitPool{
 		cfg: &cfg, moduli: moduli, plan: &plan.runPlan,

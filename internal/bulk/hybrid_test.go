@@ -1,10 +1,14 @@
 package bulk
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -54,15 +58,16 @@ func TestHybridMatchesAllPairs(t *testing.T) {
 }
 
 // TestHybridSkipsPairs: on a sparse corpus the filter must actually skip
-// work — the whole point of the engine — and the skip counters must
-// account exactly for the pairs not descended.
+// work — the whole point of the engine — and its counters must account
+// for every pair and every row: descended plus skipped pairs cover the
+// whole triangle, hit plus skip rows are the filter GCDs, and every row
+// of every cell, diagonal cells included, is filtered exactly once.
 func TestHybridSkipsPairs(t *testing.T) {
 	c := corpus(t, 64, 64, 2, 78)
+	cfg := Config{Algorithm: gcd.Approximate, Early: true, TileSize: 8}
 	reg := obs.NewRegistry()
-	res, err := Hybrid(c.Moduli(), Config{
-		Config:    engine.Config{Metrics: reg},
-		Algorithm: gcd.Approximate, Early: true, TileSize: 8,
-	})
+	cfg.Metrics = reg
+	res, err := Hybrid(c.Moduli(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,19 +75,29 @@ func TestHybridSkipsPairs(t *testing.T) {
 	descended := snap.Counters["bulk_hybrid_descended_pairs_total"]
 	skipped := snap.Counters["bulk_hybrid_skipped_pairs_total"]
 	filters := snap.Counters["bulk_hybrid_filter_gcds_total"]
-	diagonal := res.Total - descended - skipped // diagonal cells never filter
-	if skipped == 0 {
-		t.Fatal("sparse corpus skipped no pairs")
+	if skipped == 0 || descended == 0 {
+		t.Fatalf("descended %d, skipped %d: the sparse corpus with planted pairs must do both", descended, skipped)
 	}
-	if diagonal <= 0 {
-		t.Fatalf("diagonal pairs = %d (descended %d, skipped %d, total %d)",
-			diagonal, descended, skipped, res.Total)
-	}
-	if filters == 0 || filters >= res.Total {
-		t.Fatalf("filter GCDs = %d, want within (0, %d)", filters, res.Total)
+	if descended+skipped != res.Total {
+		t.Fatalf("descended %d + skipped %d != total %d", descended, skipped, res.Total)
 	}
 	if hits, skips := snap.Counters["bulk_hybrid_tile_hits_total"], snap.Counters["bulk_hybrid_tile_skips_total"]; hits+skips != filters {
 		t.Fatalf("hit rows %d + skip rows %d != filter GCDs %d", hits, skips, filters)
+	}
+	plan, err := planHybrid(c.Moduli(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	for _, cell := range plan.cells {
+		lo, hi := plan.tileSpan(cell.A)
+		rows += int64(hi - lo)
+	}
+	if rows != 36*8 { // 8 tiles of 8: 36 cells of 8 rows
+		t.Fatalf("rows summed over cells = %d, want 288", rows)
+	}
+	if filters != rows {
+		t.Fatalf("filter GCDs = %d, want one per row of every cell, %d", filters, rows)
 	}
 	if snap.Counters["bulk_subprod_cache_misses_total"] == 0 {
 		t.Fatal("subproduct cache never built anything")
@@ -146,7 +161,9 @@ func TestHybridCancelPartial(t *testing.T) {
 	for _, k := range factorKeys(clean.Factors) {
 		want[k] = true
 	}
-	for _, at := range []int64{0, 1, 9, 30} {
+	// The filter leaves 12 kernel pairs in this corpus: early, mid and
+	// late ordinals among them.
+	for _, at := range []int64{0, 1, 6, 11} {
 		ctx, cancel := context.WithCancel(context.Background())
 		plan := faultinject.NewPlan()
 		plan.CancelAtPair = at
@@ -183,7 +200,9 @@ func TestHybridCheckpointResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, killAt := range []int64{0, 3, 25} {
+	// The filter leaves 16 kernel pairs in this corpus: early, mid and
+	// late ordinals among them.
+	for _, killAt := range []int64{0, 3, 12} {
 		path := filepath.Join(t.TempDir(), "run.jsonl")
 		w, err := checkpoint.Create(path)
 		if err != nil {
@@ -318,22 +337,100 @@ func TestHybridJournalHeader(t *testing.T) {
 	}
 }
 
-// filterFixture returns a fresh pairRunner, a 2048-bit RSA row modulus
-// and the product of a 64-key tile of random odd 2048-bit values. The
-// row's two 1024-bit primes divide no tile value, so the filter must
-// prove the row coprime.
-func filterFixture(t *testing.T) (*pairRunner, *mpnat.Nat, *big.Int) {
+// intraTileCorpus returns count 128-bit moduli whose only sharing pairs
+// lie inside the aligned block [8, 16), one tile at T = 8 and T = len:
+// a duplicate pair (8, 9), a modulus 12 = p·q dividing the product of
+// 10 = p·r and 11 = q·s (so it divides its tile's product), and 13 = 1.
+// Every other modulus is a semiprime of fresh primes.
+func intraTileCorpus(t *testing.T, count int, seed int64) []*mpnat.Nat {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	prime := func() *big.Int { return rsakey.GeneratePrime(r, 64) }
+	ms := make([]*big.Int, count)
+	for i := range ms {
+		ms[i] = new(big.Int).Mul(prime(), prime())
+	}
+	p, q := prime(), prime()
+	ms[9] = new(big.Int).Set(ms[8])
+	ms[10] = new(big.Int).Mul(p, prime())
+	ms[11] = new(big.Int).Mul(q, prime())
+	ms[12] = new(big.Int).Mul(p, q)
+	ms[13] = big.NewInt(1)
+	out := make([]*mpnat.Nat, count)
+	for i, m := range ms {
+		out[i] = mpnat.FromBig(m)
+	}
+	return out
+}
+
+// TestHybridIntraTileSharing: when every sharing pair lies inside one
+// tile, only the diagonal cells' cofactor filter can find them. Findings
+// match the all-pairs engine at every tile width and pool size, and at
+// T = 8 no cross cell row hits.
+func TestHybridIntraTileSharing(t *testing.T) {
+	ms := intraTileCorpus(t, 24, 87)
+	for _, early := range []bool{false, true} {
+		base, err := AllPairs(ms, Config{Algorithm: gcd.Approximate, Early: early})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]bool{}
+		for _, f := range base.Factors {
+			want[fmt.Sprintf("%d,%d", f.I, f.J)] = true
+		}
+		for _, pair := range []string{"8,9", "10,12", "11,12"} {
+			if !want[pair] {
+				t.Fatalf("early=%v: all-pairs missed the planted pair %s: %v", early, pair, factorKeys(base.Factors))
+			}
+		}
+		for _, tile := range []int{1, 2, 3, 4, 8, len(ms)} {
+			for _, workers := range []int{1, 8} {
+				reg := obs.NewRegistry()
+				res, err := Hybrid(ms, Config{
+					Config:    engine.Config{Workers: workers, Metrics: reg},
+					Algorithm: gcd.Approximate, Early: early, TileSize: tile,
+				})
+				if err != nil {
+					t.Fatalf("tile=%d workers=%d: %v", tile, workers, err)
+				}
+				sameFactors(t, res.Factors, base.Factors)
+				if res.Pairs != base.Pairs || res.Total != base.Total {
+					t.Fatalf("tile=%d workers=%d: pairs %d/%d, all-pairs %d/%d",
+						tile, workers, res.Pairs, res.Total, base.Pairs, base.Total)
+				}
+				// At T = 8, tile 1 holds every sharing pair. Its diagonal
+				// cell's rows 8-12 hit (9 and 12 too: 9's residue is 0, and
+				// 12 shares with 10 and 11) and descend to 7+6+5+4+3 pairs;
+				// row 13 = 1 and every cross cell row is skipped.
+				if tile == 8 {
+					snap := reg.Snapshot()
+					if h, d := snap.Counters["bulk_hybrid_tile_hits_total"], snap.Counters["bulk_hybrid_descended_pairs_total"]; h != 5 || d != 25 {
+						t.Fatalf("early=%v workers=%d: %d hit rows and %d descended pairs, want 5 and 25", early, workers, h, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// filterFixture returns a hybrid plan over 128 random odd 2048-bit
+// values cut into two 64-key tiles, a fresh pairRunner and an empty
+// tile cache: the scan-hybrid tile shape.
+func filterFixture(t *testing.T) (*hybridPlan, *pairRunner, *subprod.Cache) {
 	t.Helper()
 	r := rand.New(rand.NewSource(86))
-	p := new(big.Int).Mul(rsakey.GeneratePrime(r, 1024), rsakey.GeneratePrime(r, 1024))
-	tile := make([]*big.Int, 64)
-	for i := range tile {
-		tile[i] = randOddNat(r, 2048).ToBig()
+	ms := make([]*mpnat.Nat, 128)
+	for i := range ms {
+		ms[i] = randOddNat(r, 2048)
 	}
-	cfg := Config{Algorithm: gcd.Approximate}
+	cfg := &Config{Algorithm: gcd.Approximate, TileSize: 64}
+	plan, err := planHybrid(ms, *cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seq atomic.Int64
-	pr := newPairRunner(&cfg, 2048, nil, &seq, nil)
-	return &pr, mpnat.FromBig(p), subprod.Product(tile)
+	pr := newPairRunner(cfg, plan.maxBits, ms, &seq, nil)
+	return plan, &pr, subprod.NewCache(0)
 }
 
 // raceEnabled is set by race_test.go when the race detector is on.
@@ -341,36 +438,119 @@ func filterFixture(t *testing.T) (*pairRunner, *mpnat.Nat, *big.Int) {
 // buffers allocate and allocation counts are no longer exact.
 var raceEnabled bool
 
-// TestFilterHitAllocs pins the filter's retained scratch: once warm, a
-// coprime 2048-bit row against a 64-key tile product divides, converts
-// and runs the kernel GCD without allocating.
-func TestFilterHitAllocs(t *testing.T) {
-	pr, n, prod := filterFixture(t)
-	hm := newHybridMetrics(obs.NewRegistry())
-	if pr.filterHit(n, prod, hm) {
-		t.Fatal("a coprime row against the tile flagged as a hit")
-	}
+// TestFilterCellAllocs bounds a warm worker's allocations per cell on
+// the 64-key 2048-bit tiles of scan-hybrid. The row tile's tree, the
+// descent's residues and math/big's GCD and division temporaries
+// allocate; the engine's own per-cell state — the verdict slice and the
+// row GCD — must not. So the filter may allocate no more than the same
+// tree, descent and row GCDs run directly, and the totals are pinned at
+// their counts under Go 1.24's math/big. The collector is off while
+// counting, so math/big's pooled buffers are never dropped mid-count.
+func TestFilterCellAllocs(t *testing.T) {
+	plan, pr, cache := filterFixture(t)
 	if raceEnabled {
 		t.Skip("allocation counts are inexact under the race detector")
 	}
-	if allocs := testing.AllocsPerRun(50, func() { pr.filterHit(n, prod, hm) }); allocs != 0 {
-		t.Fatalf("warm filterHit allocated %.1f times per row, want 0", allocs)
+	ctx := context.Background()
+	rows := plan.bigs[:64]
+	var g big.Int
+	rowGCDs := func(res []*big.Int) {
+		for k, r := range res {
+			g.GCD(nil, nil, r, rows[k])
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		cell   hybridCell
+		direct func()
+		pin    float64
+	}{
+		{hybridCell{0, 0}, func() {
+			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
+			zs, _ := subprod.Cofactors(ctx, tree, subprod.Options{})
+			rowGCDs(zs)
+		}, 1165},
+		{hybridCell{0, 1}, func() {
+			prod := cache.Get(1, func() *big.Int { return subprod.Product(plan.bigs[64:]) })
+			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
+			rs, _ := subprod.Reduce(ctx, tree, prod, subprod.Options{})
+			rowGCDs(rs)
+		}, 1119},
+	} {
+		tc.direct()
+		pr.filterCell(plan, tc.cell, cache, nil) // warm the worker and the cache
+		want := testing.AllocsPerRun(10, tc.direct)
+		got := testing.AllocsPerRun(10, func() { pr.filterCell(plan, tc.cell, cache, nil) })
+		if got > want {
+			t.Errorf("cell %v: filter allocated %.0f times, the direct tree, descent and GCDs %.0f", tc.cell, got, want)
+		}
+		if got > tc.pin {
+			t.Errorf("cell %v: filter allocated %.0f times, pinned at %.0f", tc.cell, got, tc.pin)
+		}
 	}
 }
 
-// TestFilterHitPanicResets: a panic inside the filter descends the row
-// and drops the division scratch, and the next row filters normally.
-func TestFilterHitPanicResets(t *testing.T) {
-	pr, n, prod := filterFixture(t)
-	pr.filterHit(n, prod, nil) // warm the scratch
-	// A zero row modulus makes QuoRem panic with a division by zero.
-	if !pr.filterHit(new(mpnat.Nat), prod, nil) {
-		t.Fatal("a panicking filter must descend the row")
+// TestFilterCellPanicResets: a panic inside a cell's filter descends
+// every row of that cell, drops the filter state and emits bad_filter,
+// on a diagonal and on a cross cell, and the next cell filters normally.
+// A zero leaf in the row tile makes the descent divide by zero.
+func TestFilterCellPanicResets(t *testing.T) {
+	c := corpus(t, 16, 64, 2, 88)
+	ms := c.Moduli()
+	cfg := Config{Algorithm: gcd.Approximate, TileSize: 4}
+	var trace bytes.Buffer
+	cfg.Trace = obs.NewTracer(&trace)
+	plan, err := planHybrid(ms, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pr.filter.quo.Bits() != nil || pr.filter.rem.Bits() != nil {
-		t.Fatal("panic left the filter scratch in place")
+	var seq atomic.Int64
+	pr := newPairRunner(&cfg, plan.maxBits, ms, &seq, nil)
+	cache := subprod.NewCache(0)
+	// The verdicts of a clean runner, for comparison after the panics.
+	clean := map[hybridCell][]bool{}
+	for _, cell := range plan.cells {
+		var blk blockOut
+		pr.runCell(plan, cell, cache, nil, &blk)
+		clean[cell] = append([]bool(nil), pr.filter.hits[:4]...)
 	}
-	if pr.filterHit(n, prod, nil) {
-		t.Fatal("filter after a recovered panic flagged a coprime row")
+	if pr.filter.g.Bits() == nil {
+		t.Fatal("warm filter holds no row GCD")
+	}
+	good := plan.bigs[1]
+	for _, cell := range []hybridCell{{0, 0}, {0, 2}} {
+		plan.bigs[1] = new(big.Int)
+		reg := obs.NewRegistry()
+		hm := newHybridMetrics(reg)
+		var blk blockOut
+		pr.runCell(plan, cell, cache, hm, &blk)
+		plan.bigs[1] = good
+		snap := reg.Snapshot()
+		pairs := int64(4 * 4) // every pair of a 4×4 cross cell
+		if cell.A == cell.B {
+			pairs = 4 * 3 / 2
+		}
+		if hits := snap.Counters["bulk_hybrid_tile_hits_total"]; hits != 4 {
+			t.Fatalf("cell %v: %d of 4 rows descended after a filter panic", cell, hits)
+		}
+		if d := snap.Counters["bulk_hybrid_descended_pairs_total"]; d != pairs || blk.pairs != pairs {
+			t.Fatalf("cell %v: %d pairs descended and %d covered, want %d", cell, d, blk.pairs, pairs)
+		}
+		if f := snap.Counters["bulk_hybrid_filter_gcds_total"]; f != 4 {
+			t.Fatalf("cell %v: %d filter rows counted, want 4", cell, f)
+		}
+		if pr.filter.g.Bits() != nil {
+			t.Fatalf("cell %v: panic left the row GCD in place", cell)
+		}
+		if !strings.Contains(trace.String(), `"bad_filter"`) {
+			t.Fatalf("cell %v: no bad_filter event in the trace", cell)
+		}
+		trace.Reset()
+		// The next cell filters normally.
+		next := hybridCell{1, 2}
+		pr.runCell(plan, next, cache, nil, &blk)
+		if got := pr.filter.hits[:4]; fmt.Sprint(got) != fmt.Sprint(clean[next]) {
+			t.Fatalf("after a panic in %v: cell %v verdicts %v, clean %v", cell, next, got, clean[next])
+		}
 	}
 }

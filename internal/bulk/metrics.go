@@ -115,14 +115,16 @@ func (m *runMetrics) observeCheckpoint(dur time.Duration) {
 // hybridMetrics holds the instruments specific to the tiled
 // product-filter engine, alongside the shared runMetrics (for the
 // hybrid, bulk_pairs_total counts covered pairs: descended plus
-// filter-skipped). All nil-safe:
+// filter-skipped). Every row of every cell, diagonal cells included, is
+// one filter GCD and one hit or skip. All nil-safe:
 //
-//	bulk_hybrid_filter_gcds_total     subproduct filter divisions+GCDs run
+//	bulk_hybrid_filter_gcds_total     filter rows decided (one row GCD each)
 //	bulk_hybrid_tile_hits_total       filter rows that descended
 //	bulk_hybrid_tile_skips_total      filter rows proven coprime
 //	bulk_hybrid_descended_pairs_total pairs computed exactly after a hit
 //	bulk_hybrid_skipped_pairs_total   pairs skipped as proven coprime
-//	bulk_hybrid_filter_seconds        per-row filter latency histogram
+//	bulk_hybrid_filter_seconds        per-cell filter latency histogram
+//	                                  (tree, descent and row GCDs)
 //	bulk_hybrid_cell_seconds          per-cell latency histogram
 //	bulk_subprod_cache_hits_total     tile subproduct cache hits
 //	bulk_subprod_cache_misses_total   tile subproduct cache misses
@@ -163,13 +165,13 @@ func newHybridMetrics(reg *obs.Registry) *hybridMetrics {
 	}
 }
 
-// observeFilter records one filter row's latency (the division plus the
-// subproduct GCD).
-func (m *hybridMetrics) observeFilter(dur time.Duration) {
+// observeFilter records one cell's filter: its rows (one row GCD each)
+// and its latency (the row tile's tree, the descent and the row GCDs).
+func (m *hybridMetrics) observeFilter(rows int, dur time.Duration) {
 	if m == nil {
 		return
 	}
-	m.filterGCDs.Inc()
+	m.filterGCDs.Add(int64(rows))
 	m.filterSeconds.ObserveDuration(int64(dur))
 }
 

@@ -85,27 +85,23 @@ func (t *Tracer) SetClock(now func() time.Time) {
 	t.state.Unlock()
 }
 
-func (t *Tracer) clock() time.Time {
+// stamp reads the clock and the identity under one lock.
+func (t *Tracer) stamp() (now time.Time, traceID, node string) {
 	t.state.Lock()
 	defer t.state.Unlock()
-	return t.now()
-}
-
-func (t *Tracer) identity() (traceID, node string) {
-	t.state.Lock()
-	defer t.state.Unlock()
-	return t.traceID, t.node
+	return t.now(), t.traceID, t.node
 }
 
 // nextID mints a deterministic span ID: the node name (when set)
 // prefixing an atomic sequence number.
-func (t *Tracer) nextID() string {
+func (t *Tracer) nextID(node string) string {
 	n := t.seq.Add(1)
-	_, node := t.identity()
-	if node == "" {
-		return "s" + strconv.FormatUint(n, 10)
+	var b [32]byte
+	id := append(b[:0], 's')
+	if node != "" {
+		id = append(append(b[:0], node...), ':')
 	}
-	return node + ":" + strconv.FormatUint(n, 10)
+	return string(strconv.AppendUint(id, n, 10))
 }
 
 // TraceEvent is the one-line wire form of every event. Span ends carry
@@ -154,11 +150,32 @@ func attrMap(kv []any) map[string]any {
 	return m
 }
 
-func (t *Tracer) emit(ev TraceEvent) {
+// lineBuf recycles the writer path's encode buffers; a cell span's line
+// is about 250 bytes.
+var lineBuf = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// emit delivers ev, plus the attributes in lists: alternating key,
+// value lists, later lists overriding earlier ones, as End merges a
+// span's end attrs over its start attrs. A sink gets them folded into
+// ev.Attrs; a writer gets them encoded straight from the lists, with no
+// map.
+func (t *Tracer) emit(ev TraceEvent, lists ...[]any) {
 	if t == nil {
 		return
 	}
 	if t.sink != nil {
+		for _, kv := range lists {
+			if len(kv) == 0 {
+				continue
+			}
+			if ev.Attrs == nil {
+				ev.Attrs = attrMap(kv)
+				continue
+			}
+			for k, v := range attrMap(kv) {
+				ev.Attrs[k] = v
+			}
+		}
 		t.sink.EmitTrace(ev)
 		return
 	}
@@ -166,13 +183,23 @@ func (t *Tracer) emit(ev TraceEvent) {
 	// worker at once, and serializing the encoding under the mutex would
 	// stall them on each other. appendEvent is a hand-rolled encoder that
 	// is byte-identical to encoding/json (the golden and differential
-	// tests pin this) at a fraction of the reflection cost — span
-	// emission sits on the per-cell path, and the BenchmarkHybridTrace-
-	// Overhead budget holds it under 2% of engine time.
-	line, err := appendEvent(make([]byte, 0, 256), &ev)
+	// tests pin this) at a fraction of the reflection cost, and the
+	// span path skips the attrs map as well — span emission sits on the
+	// per-cell path, and the BenchmarkHybridTraceOverhead budget holds
+	// it under 2% of engine time.
+	bp := lineBuf.Get().(*[]byte)
+	defer lineBuf.Put(bp)
+	var line []byte
+	var err error
+	if len(lists) == 0 {
+		line, err = appendEvent((*bp)[:0], &ev)
+	} else {
+		line, err = appendEventKV((*bp)[:0], &ev, lists...)
+	}
 	if err != nil {
 		return // tracing is best-effort; a failed event must not fail the run
 	}
+	*bp = line
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	_, _ = t.w.Write(line)
@@ -190,8 +217,8 @@ func (t *Tracer) Event(name string, kv ...any) {
 	if t == nil {
 		return
 	}
-	tid, node := t.identity()
-	t.emit(TraceEvent{Time: t.clock(), TraceID: tid, Node: node, Kind: "event", Name: name, Attrs: attrMap(kv)})
+	now, tid, node := t.stamp()
+	t.emit(TraceEvent{Time: now, TraceID: tid, Node: node, Kind: "event", Name: name}, kv)
 }
 
 // Span is an open span; End completes and emits it. A nil Span (from a
@@ -202,7 +229,8 @@ type Span struct {
 	id     string
 	parent string
 	start  time.Time
-	attrs  map[string]any
+	kv     []any  // start attributes, alternating key, value
+	kvBuf  [8]any // kv's storage up to four attributes, in the span's allocation
 }
 
 // StartSpan opens a root span. Attributes given here are merged with
@@ -222,7 +250,11 @@ func (t *Tracer) startSpan(parent, name string, kv []any) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, name: name, id: t.nextID(), parent: parent, start: t.clock(), attrs: attrMap(kv)}
+	now, _, node := t.stamp()
+	s := &Span{t: t, name: name, id: t.nextID(node), parent: parent, start: now}
+	// Copy the attributes: a caller may reuse its slice before End.
+	s.kv = append(s.kvBuf[:0], kv...)
+	return s
 }
 
 // ID returns the span's ID ("" for a nil span), usable as a parent for
@@ -247,8 +279,8 @@ func (s *Span) Event(name string, kv ...any) {
 	if s == nil {
 		return
 	}
-	tid, node := s.t.identity()
-	s.t.emit(TraceEvent{Time: s.t.clock(), TraceID: tid, Node: node, Parent: s.id, Kind: "event", Name: name, Attrs: attrMap(kv)})
+	now, tid, node := s.t.stamp()
+	s.t.emit(TraceEvent{Time: now, TraceID: tid, Node: node, Parent: s.id, Kind: "event", Name: name}, kv)
 }
 
 // End completes the span, emitting one line with its start, duration
@@ -257,19 +289,8 @@ func (s *Span) End(kv ...any) {
 	if s == nil {
 		return
 	}
-	end := s.t.clock()
-	attrs := s.attrs
-	if extra := attrMap(kv); extra != nil {
-		if attrs == nil {
-			attrs = extra
-		} else {
-			for k, v := range extra {
-				attrs[k] = v
-			}
-		}
-	}
+	end, tid, node := s.t.stamp()
 	start := s.start
-	tid, node := s.t.identity()
 	s.t.emit(TraceEvent{
 		Time:    end,
 		TraceID: tid,
@@ -280,6 +301,5 @@ func (s *Span) End(kv ...any) {
 		Name:    s.name,
 		Start:   &start,
 		DurMS:   float64(end.Sub(s.start).Nanoseconds()) / 1e6,
-		Attrs:   attrs,
-	})
+	}, s.kv, kv)
 }

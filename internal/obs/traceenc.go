@@ -12,8 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -23,6 +23,61 @@ import (
 // returns an error (and no bytes) where json.Marshal would: an
 // out-of-range year or a non-finite float.
 func appendEvent(buf []byte, ev *TraceEvent) ([]byte, error) {
+	var stack [16]attr
+	attrs := stack[:0]
+	for k, v := range ev.Attrs {
+		attrs = setAttr(attrs, k, v)
+	}
+	return appendObject(buf, ev, attrs)
+}
+
+// appendEventKV is appendEvent for an event whose attrs are still the
+// alternating key, value lists a span or event was given (ev.Attrs is
+// ignored). The output is byte-identical to appendEvent of the map
+// attrMap would build from the lists merged in order — non-string keys
+// and an odd trailing key dropped, a repeated key keeping its last
+// value — without building that map: the tracer's writer path emits
+// every cell span through here.
+func appendEventKV(buf []byte, ev *TraceEvent, lists ...[]any) ([]byte, error) {
+	var stack [16]attr
+	attrs := stack[:0]
+	for _, kv := range lists {
+		for i := 0; i+1 < len(kv); i += 2 {
+			if k, ok := kv[i].(string); ok {
+				attrs = setAttr(attrs, k, kv[i+1])
+			}
+		}
+	}
+	return appendObject(buf, ev, attrs)
+}
+
+// attr is one key, value pair of an event's sorted attribute set.
+type attr struct {
+	k string
+	v any
+}
+
+// setAttr inserts k, v into the key-sorted set attrs (json.Marshal
+// sorts map keys), replacing the value of an existing k, as a map
+// assignment would.
+func setAttr(attrs []attr, k string, v any) []attr {
+	i := len(attrs)
+	for i > 0 && attrs[i-1].k >= k {
+		i--
+	}
+	if i < len(attrs) && attrs[i].k == k {
+		attrs[i].v = v
+		return attrs
+	}
+	attrs = append(attrs, attr{})
+	copy(attrs[i+1:], attrs[i:])
+	attrs[i] = attr{k, v}
+	return attrs
+}
+
+// appendObject appends ev's members in the struct's field order, with
+// attrs (sorted by key) as the attrs object, and the trailing newline.
+func appendObject(buf []byte, ev *TraceEvent, attrs []attr) ([]byte, error) {
 	var err error
 	buf = append(buf, `{"ts":`...)
 	if buf, err = appendTime(buf, ev.Time); err != nil {
@@ -60,40 +115,71 @@ func appendEvent(buf []byte, ev *TraceEvent) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if len(ev.Attrs) > 0 {
+	if len(attrs) > 0 {
 		buf = append(buf, `,"attrs":{`...)
-		keys := make([]string, 0, len(ev.Attrs))
-		for k := range ev.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // json.Marshal sorts map keys
-		for i, k := range keys {
+		for i, a := range attrs {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendString(buf, k)
+			buf = appendString(buf, a.k)
 			buf = append(buf, ':')
-			if buf, err = appendValue(buf, ev.Attrs[k]); err != nil {
+			if buf, err = appendValue(buf, a.v); err != nil {
 				return nil, err
 			}
 		}
 		buf = append(buf, '}')
 	}
-	buf = append(buf, '}', '\n')
-	return buf, nil
+	return append(buf, '}', '\n'), nil
 }
 
 // appendTime appends t as json would: a quoted RFC 3339 timestamp with
 // trailing fractional zeros trimmed. time.Time.MarshalJSON rejects
-// years outside [0, 9999]; so does this.
+// years outside [0, 9999]; so does this. Consecutive events nearly
+// always fall in one second, so the formatted second and zone are
+// cached (lastSecond) and only the fraction is formatted per call.
 func appendTime(buf []byte, t time.Time) ([]byte, error) {
-	if y := t.Year(); y < 0 || y >= 10000 {
-		return nil, fmt.Errorf("obs: trace timestamp year %d out of RFC 3339 range", y)
+	sec, loc := t.Unix(), t.Location()
+	c := lastSecond.Load()
+	if c == nil || c.sec != sec || c.loc != loc {
+		if y := t.Year(); y < 0 || y >= 10000 {
+			return nil, fmt.Errorf("obs: trace timestamp year %d out of RFC 3339 range", y)
+		}
+		s := t.Truncate(time.Second).AppendFormat(nil, time.RFC3339)
+		c = &formattedSecond{sec: sec, loc: loc, clock: s[:19], zone: s[19:]}
+		lastSecond.Store(c)
 	}
 	buf = append(buf, '"')
-	buf = t.AppendFormat(buf, time.RFC3339Nano)
+	buf = append(buf, c.clock...)
+	if ns := t.Nanosecond(); ns != 0 {
+		// RFC3339Nano's fraction: nine digits, trailing zeros trimmed.
+		var frac [10]byte
+		frac[0] = '.'
+		for i := 9; i > 0; i-- {
+			frac[i] = byte('0' + ns%10)
+			ns /= 10
+		}
+		n := len(frac)
+		for frac[n-1] == '0' {
+			n--
+		}
+		buf = append(buf, frac[:n]...)
+	}
+	buf = append(buf, c.zone...)
 	return append(buf, '"'), nil
 }
+
+// formattedSecond is one whole second formatted in RFC 3339 in one
+// location: the date and clock ("2006-01-02T15:04:05") and the zone
+// ("Z" or "+09:00").
+type formattedSecond struct {
+	sec         int64
+	loc         *time.Location
+	clock, zone []byte
+}
+
+// lastSecond is the second appendTime formatted last, shared by every
+// tracer; entries are immutable once stored.
+var lastSecond atomic.Pointer[formattedSecond]
 
 // appendFloat appends f in json.Marshal's float syntax: 'f' notation in
 // the human range, 'e' notation with a minimal exponent outside it.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -100,5 +101,139 @@ func TestTracerEmitUsesFastPath(t *testing.T) {
 	}
 	if sb.String() != ref.String() {
 		t.Fatalf("tracer output diverges from json.Encoder:\n got %s\nwant %s", sb.String(), ref.String())
+	}
+}
+
+// TestAppendEventKVMatchesMap: the span path's map-free encoder writes
+// the bytes appendEvent writes for the map attrMap and Span.End build
+// from the same lists — keys sorted, a repeated key keeping its last
+// value (within a list and across the start and end lists), non-string
+// keys and an odd trailing key dropped, and no attrs member at all when
+// nothing is left.
+func TestAppendEventKVMatchesMap(t *testing.T) {
+	ts := time.Date(2026, 1, 2, 3, 4, 5, 123456789, time.UTC)
+	start := ts.Add(-time.Millisecond)
+	for _, lists := range [][][]any{
+		nil,
+		{{}},
+		{{"cell", 3, "worker", 0, "a", 1, "b", 2}, {"pairs", int64(256), "factors", 0, "bad_pairs", 0}},
+		{{"b", 1, "a", 2, "b", 3}, {"a", "over", "c", nil}},
+		{{7, "int key", "k", "v", "odd"}, {true, 1}},
+		{{"z", 1, "y", 2, "x", 3, "w", 4, "v", 5, "u", 6, "t", 7, "s", 8, "r", 9},
+			{"q", 10, "p", 11, "o", 12, "n", 13, "m", 14, "l", 15, "k", 16, "j", 17, "z", 18}},
+		{{"html", "<a&b>", "f", 0.5, "list", []int{1, 2}}},
+	} {
+		ev := TraceEvent{Time: ts, SpanID: "s2", Parent: "s1", Kind: "span", Name: "cell", Start: &start, DurMS: 1}
+		got, err := appendEventKV(nil, &ev, lists...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range lists {
+			if len(kv) == 0 {
+				continue
+			}
+			if ev.Attrs == nil {
+				ev.Attrs = attrMap(kv)
+				continue
+			}
+			for k, v := range attrMap(kv) {
+				ev.Attrs[k] = v
+			}
+		}
+		want, err := appendEvent(nil, &ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("lists %v:\n got %s\nwant %s", lists, got, want)
+		}
+	}
+}
+
+// TestSpanKeepsStartAttrs: a span copies its start attributes, so a
+// caller reusing its slice before End does not change what is emitted.
+func TestSpanKeepsStartAttrs(t *testing.T) {
+	var sb strings.Builder
+	tr := NewTracer(&sb)
+	tr.SetClock(func() time.Time { return time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC) })
+	kv := []any{"cell", 1}
+	s := tr.StartSpan("cell", kv...)
+	kv[1] = 2
+	s.End()
+	if !strings.Contains(sb.String(), `"attrs":{"cell":1}`) {
+		t.Fatalf("span emitted %s, want its start attrs as given", sb.String())
+	}
+}
+
+// TestAppendTimeMatchesEncodingJSON: appendTime's cached second and
+// fraction formatting equal json.Marshal of the time, for runs of
+// timestamps inside one second (the cache hit path) with every
+// fraction length, across second and zone changes, before 1970 and at
+// the year range's ends, and for the same instant in two zones back to
+// back.
+func TestAppendTimeMatchesEncodingJSON(t *testing.T) {
+	jst := time.FixedZone("JST", 9*3600)
+	odd := time.FixedZone("ODD", -(3*3600 + 30*60))
+	base := time.Date(2026, 10, 17, 10, 5, 54, 0, time.UTC)
+	var times []time.Time
+	for _, ns := range []int{0, 1, 10, 120, 123456789, 500000000, 999999999, 100000000, 7} {
+		times = append(times, base.Add(time.Duration(ns)))
+	}
+	for _, ts := range []time.Time{
+		base.Add(time.Second), base.Add(1500 * time.Millisecond), base.In(jst), base.Add(5).In(jst),
+		base.In(odd), base, time.Date(1969, 12, 31, 23, 59, 59, 999, time.UTC),
+		time.Date(1900, 1, 1, 0, 0, 0, 1, jst), time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), time.Now(), time.Now(),
+	} {
+		times = append(times, ts)
+	}
+	for _, ts := range times {
+		want, err := json.Marshal(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendTime(nil, ts)
+		if err != nil {
+			t.Fatalf("%v: %v", ts, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%v: got %s, want %s", ts, got, want)
+		}
+	}
+}
+
+// TestTracerConcurrentSpans: spans ended from many goroutines at once
+// share the pooled line buffers and the cached second; every line must
+// still come out whole and carry its own span's attributes.
+func TestTracerConcurrentSpans(t *testing.T) {
+	var buf strings.Builder
+	tr := NewTracer(&buf)
+	const goroutines, spans = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				s := tr.StartSpan("cell", "g", g, "i", i)
+				s.End("sum", g*spans+i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != goroutines*spans {
+		t.Fatalf("%d lines, want %d", len(lines), goroutines*spans)
+	}
+	for _, line := range lines {
+		var ev struct {
+			Attrs struct{ G, I, Sum int } `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("torn line %q: %v", line, err)
+		}
+		if a := ev.Attrs; a.Sum != a.G*spans+a.I {
+			t.Fatalf("line %q mixes spans' attributes", line)
+		}
 	}
 }

@@ -207,7 +207,7 @@ func (s *store) build(k nodeKey) *big.Int {
 		for i := range leaves {
 			leaves[i] = s.leaf(lo + i)
 		}
-		t, err := subprod.Build(context.Background(), leaves, subprod.BuildOptions{Workers: s.workers})
+		t, err := subprod.Build(context.Background(), leaves, subprod.Options{Workers: s.workers})
 		if err == nil {
 			for l := 1; l < len(t.Levels); l++ {
 				for j, v := range t.Levels[l] {

@@ -1,17 +1,20 @@
 // Package subprod holds the subproduct machinery shared by the three
 // product-based paths: the level-parallel product tree that batch GCD
-// (internal/batchgcd) builds over the whole corpus, the per-tile
-// subproducts that the hybrid product-filter engine (internal/bulk)
-// caches under a memory budget, and the registry's persistent forest
+// (internal/batchgcd) builds over the whole corpus, the per-cell tile
+// trees and cached tile products of the hybrid product-filter engine
+// (internal/bulk), and the registry's persistent forest
 // (internal/registry).
 //
 // All three reduce the same primitive — multiply a set of moduli into
 // one integer so a single division+GCD can interrogate all of them at
-// once — so there is one node representation, a compact *big.Int, and
-// one construction loop, configured by the caller with per-level hooks
-// for batch GCD's observability. Division against a node is the
-// caller's math/big QuoRem; only the one-modulus remainder the hybrid
-// filter hands to the paper's GCD kernel goes back to mpnat.
+// once — so there is one node representation, a compact *big.Int, one
+// construction loop (Build), and one pair of descents back down a
+// built tree: Cofactors, the product of the other leaves modulo each
+// leaf (batch GCD's and the hybrid diagonal cell's), and Reduce, one
+// integer modulo each leaf (the hybrid cross cell's). Both are
+// configured by the caller with the same per-level hooks as Build, for
+// batch GCD's observability, and both run on a tree built with or
+// without SkipRoot.
 //
 // Every node is compacted after its multiplication (Mul): math/big's
 // Karatsuba leaves a product with max(6k, m+n) words of capacity, about
@@ -31,7 +34,7 @@ import (
 
 // Tree holds the levels of a product tree: level 0 is the input slice,
 // the last level is the single full product, or the root's two children
-// when the tree was built with BuildOptions.SkipRoot. An odd node at the
+// when the tree was built with Options.SkipRoot. An odd node at the
 // end of a level is promoted unchanged, so parent i covers children 2i
 // and 2i+1.
 type Tree struct {
@@ -72,29 +75,49 @@ func nodeBytes(x *big.Int) int64 {
 	return int64(len(x.Bits())) * bits.UintSize / 8
 }
 
-// BuildOptions configures Build. The zero value builds serially with no
-// hooks.
-type BuildOptions struct {
+// Options configures Build and the descents (Cofactors, Reduce). The
+// zero value runs serially with no hooks.
+type Options struct {
 	// Workers is the fan-out width within each level (the level's
-	// multiplications are independent); <= 1 runs inline.
+	// multiplications or residues are independent); <= 1 runs inline.
 	Workers int
 	// OnLevel, when non-nil, wraps each level's computation: level is the
-	// 1-based index of the level being built, nodes the number of
-	// multiplications in it. The hook must invoke run exactly once and
-	// propagate its error (batch GCD threads its tracing/timing phase
-	// wrapper through here).
+	// index of the level being computed (1-based for Build, whose level 0
+	// is the input; the tree level whose residues are computed for a
+	// descent), nodes the number of multiplications or residues in it.
+	// The hook must invoke run exactly once and propagate its error
+	// (batch GCD threads its tracing/timing phase wrapper through here).
 	OnLevel func(level, nodes int, run func() error) error
 	// OnNode, when non-nil, is called once per completed multiplication
-	// (possibly concurrently from several workers).
+	// or residue (possibly concurrently from several workers).
 	OnNode func()
 	// Metrics, when non-nil, instruments the per-level scheduler pools
 	// (engine_steals_total and friends).
 	Metrics *obs.Registry
-	// SkipRoot stops the tree at the root's two children and never makes
-	// the root multiplication, the largest in the tree. Batch GCD's
-	// cofactor descent needs the siblings under the root but not their
-	// product. A one-leaf tree still ends at its leaf, which is its root.
+	// SkipRoot, read by Build only, stops the tree at the root's two
+	// children and never makes the root multiplication, the largest in
+	// the tree. The descents need the siblings under the root but not
+	// their product. A one-leaf tree still ends at its leaf, which is its
+	// root.
 	SkipRoot bool
+}
+
+// level runs fn(i, w) for each of a level's nodes on the scheduler pool
+// (w is the stable worker index, for per-worker scratch), wrapped in
+// OnLevel and followed by OnNode per node.
+func (opt *Options) level(ctx context.Context, level, nodes int, fn func(i, w int)) error {
+	run := func() error {
+		return engine.Run(ctx, nodes, engine.PoolOptions{Workers: max(opt.Workers, 1), Metrics: opt.Metrics}, func(i, w int) {
+			fn(i, w)
+			if opt.OnNode != nil {
+				opt.OnNode()
+			}
+		})
+	}
+	if opt.OnLevel != nil {
+		return opt.OnLevel(level, nodes, run)
+	}
+	return run()
 }
 
 // Build constructs the product tree of the leaves bottom-up,
@@ -104,12 +127,11 @@ type BuildOptions struct {
 // allocated and compact (a promoted odd node stays the same pointer).
 // Every level above two nodes halves to a level of two before the root,
 // so SkipRoot drops exactly the last multiplication.
-func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, error) {
+func Build(ctx context.Context, leaves []*big.Int, opt Options) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("subprod: empty input")
 	}
-	workers := max(opt.Workers, 1)
-	scratch := make([]big.Int, workers)
+	scratch := make([]big.Int, max(opt.Workers, 1))
 	level := make([]*big.Int, len(leaves))
 	copy(level, leaves)
 	levels := [][]*big.Int{level}
@@ -121,21 +143,9 @@ func Build(ctx context.Context, leaves []*big.Int, opt BuildOptions) (*Tree, err
 		pairs := len(level) / 2
 		next := make([]*big.Int, (len(level)+1)/2)
 		src := level
-		run := func() error {
-			return engine.Run(ctx, pairs, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(i, w int) {
-				next[i] = Mul(&scratch[w], src[2*i], src[2*i+1])
-				if opt.OnNode != nil {
-					opt.OnNode()
-				}
-			})
-		}
-		var err error
-		if opt.OnLevel != nil {
-			err = opt.OnLevel(len(levels), pairs, run)
-		} else {
-			err = run()
-		}
-		if err != nil {
+		if err := opt.level(ctx, len(levels), pairs, func(i, w int) {
+			next[i] = Mul(&scratch[w], src[2*i], src[2*i+1])
+		}); err != nil {
 			return nil, err
 		}
 		if len(level)%2 == 1 {
@@ -159,7 +169,7 @@ func Product(ms []*big.Int) *big.Int {
 	case 1:
 		return compact(ms[0])
 	}
-	t, err := Build(context.Background(), ms, BuildOptions{})
+	t, err := Build(context.Background(), ms, Options{})
 	if err != nil {
 		// Unreachable: the input is non-empty and a background context
 		// with no hooks cannot fail.

@@ -30,7 +30,7 @@ func TestBuildMatchesDirectProduct(t *testing.T) {
 			}
 			var nodes int64
 			var mu sync.Mutex
-			tree, err := Build(context.Background(), leaves, BuildOptions{
+			tree, err := Build(context.Background(), leaves, Options{
 				Workers: workers,
 				OnNode: func() {
 					mu.Lock()
@@ -66,7 +66,7 @@ func TestBuildSkipRoot(t *testing.T) {
 			}
 			var nodes int64
 			var mu sync.Mutex
-			tree, err := Build(context.Background(), leaves, BuildOptions{
+			tree, err := Build(context.Background(), leaves, Options{
 				Workers:  workers,
 				SkipRoot: true,
 				OnNode: func() {
@@ -90,7 +90,7 @@ func TestBuildSkipRoot(t *testing.T) {
 			}
 		}
 	}
-	single, err := Build(context.Background(), []*big.Int{big.NewInt(42)}, BuildOptions{SkipRoot: true})
+	single, err := Build(context.Background(), []*big.Int{big.NewInt(42)}, Options{SkipRoot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBuildSkipRoot(t *testing.T) {
 // returning a child that is not the product.
 func TestRootRefusesRootlessTree(t *testing.T) {
 	leaves := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7)}
-	tree, err := Build(context.Background(), leaves, BuildOptions{SkipRoot: true})
+	tree, err := Build(context.Background(), leaves, Options{SkipRoot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBuildOnLevelWrapsEveryLevel(t *testing.T) {
 		leaves[i] = big.NewInt(int64(i + 2))
 	}
 	var levels []string
-	_, err := Build(context.Background(), leaves, BuildOptions{
+	_, err := Build(context.Background(), leaves, Options{
 		OnLevel: func(level, nodes int, run func() error) error {
 			levels = append(levels, fmt.Sprintf("%d:%d", level, nodes))
 			return run()
@@ -141,7 +141,7 @@ func TestBuildCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	leaves := []*big.Int{big.NewInt(3), big.NewInt(5)}
-	if _, err := Build(ctx, leaves, BuildOptions{}); err == nil {
+	if _, err := Build(ctx, leaves, Options{}); err == nil {
 		t.Fatal("expected context error")
 	}
 }
@@ -244,7 +244,7 @@ func TestBuildLeavesUntouched(t *testing.T) {
 		leaves[i] = randBig(r, 96)
 		snapshots[i] = new(big.Int).Set(leaves[i])
 	}
-	tree, err := Build(context.Background(), leaves, BuildOptions{Workers: 3})
+	tree, err := Build(context.Background(), leaves, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestBuildNodesCompact(t *testing.T) {
 		leaves[i] = randBig(r, 1024)
 	}
 	for _, workers := range []int{1, 3} {
-		tree, err := Build(context.Background(), leaves, BuildOptions{Workers: workers})
+		tree, err := Build(context.Background(), leaves, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
