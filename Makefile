@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke selftest reproduce clean
+.PHONY: all build test vet race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke loc selftest reproduce clean
 
 all: build vet test
 
@@ -18,9 +18,10 @@ test:
 # Every package with its own goroutine pool: the bulk all-pairs executor,
 # the batch-GCD tree engine, the attack pipeline that drives both, the
 # lock-free metrics layer, the lane-batched kernel (shared per-worker
-# arenas), the multiplier (per-worker scratch) + generic tree builder
-# they all multiply through, the streaming registry (findings forwarder
-# + node store), and the public facade.
+# arenas), mpnat (the per-worker DivScratch of Original and Fast
+# Euclid) + the generic tree builder they all multiply through, the
+# streaming registry (findings forwarder + node store), and the public
+# facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
 
@@ -94,17 +95,16 @@ bench-smoke:
 bench-e2e:
 	cd bench && $(GO) test .
 
-# 30-second budget per fuzzer over the arithmetic core: both multiplication
-# paths, division, the fused update, and hex parsing, each differential
-# against math/big (the corpus seeds pin the 24-word multiply cutoff),
-# plus the engines built on it: lanes, the scheduler, the registry's
+# 30-second budget per fuzzer over the arithmetic core: the long division
+# (DivScratch, fresh and reused, seeded with the Knuth-D correction corners
+# and exact divisions), the fused update, and hex parsing, each
+# differential against math/big, plus the engines built on it: lanes, the scheduler, the registry's
 # spine merges, subprod's two tile descents (Cofactors and Reduce, on
 # trees with and without their root) against math/big, the hybrid
 # engine's tile-tree filter against a naive scan, and batch GCD's
 # cofactor descent against naive pairwise GCDs (2-8 moduli reach the
 # lone top pair and promoted odd nodes).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzMulMatchesBig -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzSubMulRshift -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzHexRoundTrip -fuzztime 30s ./internal/mpnat/
@@ -114,6 +114,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/
+
+# Production Go line count: every tracked .go file except tests and the
+# benchmark module. Simplicity changes quote this one number.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
 
 selftest:
 	$(GO) run ./cmd/gcdselftest -n 5000 -v

@@ -53,6 +53,7 @@ import (
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/pemkeys"
+	"bulkgcd/internal/rsakey"
 	"bulkgcd/internal/sigctx"
 )
 
@@ -534,27 +535,27 @@ func readCorpus(r io.Reader, stderr io.Writer, lenient bool) ([]*mpnat.Nat, []pe
 }
 
 // emitPrivateKeys writes each fully recovered key as key<index>.pem under
-// dir, re-deriving d with the key's own exponent when PEM sources carry
-// one that differs from the default.
+// dir. A key is emitted only when both factors pass the attack's
+// primality test; d is re-derived with the key's own exponent when PEM
+// sources carry one, and with defaultE otherwise.
 func emitPrivateKeys(stdout io.Writer, dir string, rep *attack.Report, sources []pemkeys.Source, defaultE uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	written := 0
 	for _, bk := range rep.Broken {
-		d := bk.D
+		if !attack.IsPrime(bk.P) || !attack.IsPrime(bk.Q) {
+			fmt.Fprintf(stdout, "key %d: cannot emit (factors not both prime)\n", bk.Index)
+			continue
+		}
 		e := defaultE
 		if sources != nil && sources[bk.Index].E != 0 {
 			e = sources[bk.Index].E
 		}
-		if d == nil || e != defaultE {
-			// Re-derive with the key's own exponent.
-			var err error
-			d, _, err = recoverWithExponent(bk, e)
-			if err != nil {
-				fmt.Fprintf(stdout, "key %d: cannot emit (%v)\n", bk.Index, err)
-				continue
-			}
+		d, _, err := rsakey.RecoverPrivate(bk.N, bk.P, e)
+		if err != nil {
+			fmt.Fprintf(stdout, "key %d: cannot emit (%v)\n", bk.Index, err)
+			continue
 		}
 		key, err := pemkeys.AssemblePrivateKey(bk.N, bk.P, bk.Q, d, e)
 		if err != nil {
@@ -577,19 +578,6 @@ func emitPrivateKeys(stdout io.Writer, dir string, rep *attack.Report, sources [
 	}
 	fmt.Fprintf(stdout, "emitted %d private keys to %s\n", written, dir)
 	return nil
-}
-
-// recoverWithExponent recomputes d for a broken key under exponent e.
-func recoverWithExponent(bk attack.BrokenKey, e uint64) (d, q *big.Int, err error) {
-	phi := new(big.Int).Mul(
-		new(big.Int).Sub(bk.P, big.NewInt(1)),
-		new(big.Int).Sub(bk.Q, big.NewInt(1)),
-	)
-	dn := new(mpnat.Nat).ModInverse(mpnat.New(e), mpnat.FromBig(phi))
-	if dn == nil {
-		return nil, nil, fmt.Errorf("e = %d not invertible", e)
-	}
-	return dn.ToBig(), bk.Q, nil
 }
 
 // verifyTruth compares the attack findings against a keygen ground-truth

@@ -6,12 +6,15 @@ import (
 	"crypto/x509"
 	"encoding/pem"
 	"fmt"
+	"math/big"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"bulkgcd/internal/corpus"
+	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/pemkeys"
 	"bulkgcd/internal/rsakey"
 )
@@ -255,25 +258,128 @@ func TestRunPEMWorkflow(t *testing.T) {
 	// The emitted PEMs must parse and decrypt.
 	pp := c.Planted[0]
 	for _, idx := range []int{pp.I, pp.J} {
-		data, err := os.ReadFile(filepath.Join(emitDir, fmt.Sprintf("key%d.pem", idx)))
+		checkEmitted(t, emitDir, idx, c.Keys[idx].N.ToBig(), rsakey.DefaultExponent)
+	}
+}
+
+// checkEmitted reads key<idx>.pem from dir and fails unless it parses as
+// PKCS#1, carries modulus n and exponent e, passes crypto/rsa's Validate,
+// and decrypts a ciphertext made with (n, e). Validate alone accepts a
+// wrong d.
+func checkEmitted(t *testing.T, dir string, idx int, n *big.Int, e int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("key%d.pem", idx)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _ := pem.Decode(data)
+	if block == nil {
+		t.Fatalf("key%d.pem is not PEM", idx)
+	}
+	key, err := x509.ParsePKCS1PrivateKey(block.Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key.N.Cmp(n) != 0 || key.E != e {
+		t.Fatalf("key%d.pem has (n, e) = (%x, %d), want (%x, %d)", idx, key.N, key.E, n, e)
+	}
+	if err := key.Validate(); err != nil {
+		t.Fatalf("key%d.pem invalid: %v", idx, err)
+	}
+	m := big.NewInt(0xC0FFEE)
+	c := new(big.Int).Exp(m, big.NewInt(int64(e)), n)
+	if got := new(big.Int).Exp(c, key.D, n); got.Cmp(m) != 0 {
+		t.Fatalf("key%d.pem does not decrypt: got %v, want %v", idx, got, m)
+	}
+}
+
+// TestRunEmitSkipsCompositeFactors: a = p*q and b = p*r*s share p, so both
+// are factored, but b's cofactor r*s is composite. The report prints no d
+// for b, and -emit must write no key for it: a key assembled from a
+// composite factor passes Validate and does not decrypt.
+func TestRunEmitSkipsCompositeFactors(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	p, q := rsakey.GeneratePrime(r, 128), rsakey.GeneratePrime(r, 128)
+	rs := new(big.Int).Mul(rsakey.GeneratePrime(r, 80), rsakey.GeneratePrime(r, 80))
+	a := new(big.Int).Mul(p, q)
+	b := new(big.Int).Mul(p, rs)
+	moduli := []*mpnat.Nat{mpnat.FromBig(a), mpnat.FromBig(b)}
+	for len(moduli) < 5 {
+		k, err := rsakey.GenerateKey(r, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, _ := pem.Decode(data)
-		if block == nil {
-			t.Fatalf("key%d.pem is not PEM", idx)
-		}
-		key, err := x509.ParsePKCS1PrivateKey(block.Bytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key.N.Cmp(c.Keys[idx].N.ToBig()) != 0 {
-			t.Fatalf("key%d.pem has wrong modulus", idx)
-		}
-		if err := key.Validate(); err != nil {
-			t.Fatalf("key%d.pem invalid: %v", idx, err)
+		moduli = append(moduli, k.N)
+	}
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "corpus.txt")
+	var in bytes.Buffer
+	if err := corpus.Write(&in, moduli, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, in.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	emitDir := filepath.Join(dir, "broken")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-in", cp, "-emit", emitDir}, nil, &out, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	s := out.String()
+	for _, want := range []string{
+		"d = (factors not both prime",
+		"key 1: cannot emit (factors not both prime)",
+		"emitted 1 private keys",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("output lacks %q:\n%s", want, s)
 		}
 	}
+	if _, err := os.Stat(filepath.Join(emitDir, "key1.pem")); !os.IsNotExist(err) {
+		t.Fatalf("key1.pem written for a composite factor (stat err %v)", err)
+	}
+	checkEmitted(t, emitDir, 0, a, rsakey.DefaultExponent)
+}
+
+// TestRunEmitOwnExponent: a PEM key carries its own exponent (e = 17
+// here), and -emit re-derives d under it rather than the default 65537.
+func TestRunEmitOwnExponent(t *testing.T) {
+	const e = 17
+	r := rand.New(rand.NewSource(15))
+	// A pair sharing p, both invertible under e.
+	var weak []*rsakey.Key
+	p := rsakey.GeneratePrime(r, 128)
+	for len(weak) < 2 {
+		if k, err := rsakey.NewKey(p, rsakey.GeneratePrime(r, 128), e); err == nil {
+			weak = append(weak, k)
+		}
+	}
+	var in bytes.Buffer
+	write := func(k *rsakey.Key) {
+		if err := pemkeys.WritePublicKey(&in, k.N.ToBig(), k.E); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(weak[0])
+	for i := 0; i < 3; i++ {
+		k, err := rsakey.GenerateKey(r, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(k)
+	}
+	write(weak[1])
+
+	emitDir := filepath.Join(t.TempDir(), "broken")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-emit", emitDir}, &in, &out, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "emitted 2 private keys") {
+		t.Fatalf("emit summary missing:\n%s", out.String())
+	}
+	checkEmitted(t, emitDir, 0, weak[0].N.ToBig(), e)
+	checkEmitted(t, emitDir, 4, weak[1].N.ToBig(), e)
 }
 
 // TestRunPEMSkipsGarbageBlocks: mixed streams warn but work.

@@ -31,7 +31,7 @@ func main() {
 
 	// Encrypt a message to the victim's public key (n, e=65537).
 	msg := new(big.Int).SetBytes([]byte("attack at dawn"))
-	ct := rsakey.Encrypt(moduli[victim], rsakey.DefaultExponent, msg)
+	ct := new(big.Int).Exp(msg, big.NewInt(rsakey.DefaultExponent), moduli[victim])
 	fmt.Printf("intercepted ciphertext to key %d: %s...\n", victim, ct.Text(16)[:24])
 
 	// Run the attack over the public corpus only.
@@ -50,7 +50,7 @@ func main() {
 		if bk.D == nil {
 			log.Fatal("factored the modulus but no private exponent")
 		}
-		pt := rsakey.Decrypt(bk.N, bk.D, ct)
+		pt := new(big.Int).Exp(ct, bk.D, bk.N)
 		fmt.Printf("recovered private key for key %d\n", bk.Index)
 		fmt.Printf("decrypted message: %q\n", string(pt.Bytes()))
 		if string(pt.Bytes()) != "attack at dawn" {

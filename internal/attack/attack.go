@@ -339,7 +339,11 @@ func factorKeys(tasks []keyTask, opt Options) ([]BrokenKey, error) {
 	return keys, nil
 }
 
-// primeMemo shares ProbablyPrime(20) verdicts by value across goroutines.
+// IsPrime is the attack's primality test: a key's D is recovered only
+// when both of its factors pass it.
+func IsPrime(v *big.Int) bool { return v.ProbablyPrime(20) }
+
+// primeMemo shares IsPrime verdicts by value across goroutines.
 // Go's test seeds its bases from the value itself, so a shared verdict is
 // exactly the one a repeated test would return.
 type primeMemo struct {
@@ -358,7 +362,7 @@ func (pm *primeMemo) isPrime(v *big.Int) bool {
 		e, _ = pm.m.LoadOrStore(key, &primeVerdict{})
 	}
 	pv := e.(*primeVerdict)
-	pv.once.Do(func() { pv.prime = v.ProbablyPrime(20) })
+	pv.once.Do(func() { pv.prime = IsPrime(v) })
 	return pv.prime
 }
 

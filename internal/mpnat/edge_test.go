@@ -12,7 +12,8 @@ import (
 // This file covers the mpnat edge paths the main suites skirt around:
 // RshiftStrip over runs of all-zero trailing words, the aliasing
 // combinations DivScratch documents as legal, and the FromBig/ToBig
-// round trip exactly at 32-bit word and platform big.Word boundaries.
+// round trip exactly at 32-bit word and platform big.Word boundaries. It
+// also holds the division harness the division tests share.
 
 // TestRshiftStripAllZeroTrailingWords strips values whose low words are
 // entirely zero: the shift distance crosses one, several, and all-but-
@@ -105,6 +106,60 @@ func TestDivScratchAliasing(t *testing.T) {
 	if x.ToBig().Cmp(want) != 0 {
 		t.Fatalf("single-word Mod(r==x) = %s, want %s", x.Hex(), want.Text(16))
 	}
+}
+
+// divRig is a DivScratch with the quotient and remainder it writes, held
+// together the way internal/gcd's per-worker Scratch holds them.
+type divRig struct {
+	name string
+	s    DivScratch
+	q, r Nat
+}
+
+// divRigs returns the two rigs every division test runs on: a fresh one,
+// and one that has just divided 64 words by 33, so its buffers, quotient
+// and remainder are longer than a shorter division needs and hold stale
+// words. A worker's scratch carries over from one Euclid step to the
+// next in the same way.
+func divRigs() []*divRig {
+	r := rand.New(rand.NewSource(612))
+	reused := &divRig{name: "reused"}
+	reused.s.DivMod(&reused.q, &reused.r, randNat(r, 64), randNat(r, 33))
+	return []*divRig{{name: "fresh"}, reused}
+}
+
+// checkDivMod divides x by y with DivMod and with Mod on both rigs of
+// divRigs and fails unless every result matches math/big.
+func checkDivMod(t testing.TB, x, y *Nat) {
+	t.Helper()
+	wantQ, wantR := new(big.Int).QuoRem(x.ToBig(), y.ToBig(), new(big.Int))
+	for _, d := range divRigs() {
+		d.s.DivMod(&d.q, &d.r, x, y)
+		if d.q.ToBig().Cmp(wantQ) != 0 || d.r.ToBig().Cmp(wantR) != 0 {
+			t.Fatalf("%s scratch: DivMod(%s, %s) = (%s, %s), want (%s, %s)", d.name,
+				x.Hex(), y.Hex(), d.q.Hex(), d.r.Hex(), wantQ.Text(16), wantR.Text(16))
+		}
+		d.s.Mod(&d.q, x, y) // into a destination that already holds a value
+		if d.q.ToBig().Cmp(wantR) != 0 {
+			t.Fatalf("%s scratch: Mod(%s, %s) = %s, want %s", d.name, x.Hex(), y.Hex(), d.q.Hex(), wantR.Text(16))
+		}
+	}
+}
+
+// randNat returns a Nat of exactly words words (top word forced
+// non-zero) drawn from r.
+func randNat(r *rand.Rand, words int) *Nat {
+	if words == 0 {
+		return &Nat{}
+	}
+	ws := make([]uint32, words)
+	for i := range ws {
+		ws[i] = r.Uint32()
+	}
+	for ws[words-1] == 0 {
+		ws[words-1] = r.Uint32()
+	}
+	return NewFromWords(ws)
 }
 
 // TestFromBigToBigWordBoundaries round-trips values placed exactly at

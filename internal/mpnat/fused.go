@@ -88,58 +88,6 @@ func (n *Nat) SubMulRshift(x, y *Nat, alpha uint32) *Nat {
 	return n
 }
 
-// SubMul64 sets n = x - y*alpha for a full 64-bit alpha and returns n.
-// It requires x >= y*alpha. This services Case 1 of approx() (operands of
-// at most two words) where the exact 64-bit quotient is used directly.
-// Aliasing n == x or n == y is allowed.
-func (n *Nat) SubMul64(x, y *Nat, alpha uint64) *Nat {
-	aHi, aLo := word.Split(alpha)
-	if aHi == 0 {
-		if aLo == 0 {
-			return n.Set(x)
-		}
-		t := n
-		if n == x || n == y {
-			t = new(Nat)
-		}
-		subMulNoShift(t, x, y, aLo)
-		return n.Set(t)
-	}
-	// x - y*(aHi*D + aLo) = x - (y*aLo) - (y*aHi << d).
-	t := new(Nat).MulWord(y, aLo)
-	u := new(Nat).MulWord(y, aHi)
-	u.Lshift(u, word.Bits)
-	t.Add(t, u)
-	return n.Sub(x, t)
-}
-
-// subMulNoShift sets dst = x - y*alpha without stripping trailing zeros.
-// dst must not alias x or y.
-func subMulNoShift(dst, x, y *Nat, alpha uint32) {
-	lx, ly := len(x.w), len(y.w)
-	out := dst.w
-	if cap(out) < lx {
-		out = make([]uint32, lx)
-	}
-	out = out[:lx]
-	var mulCarry, borrow uint32
-	for i := 0; i < lx; i++ {
-		sub := mulCarry
-		mulCarry = 0
-		if i < ly {
-			hi, lo := word.MulAdd(y.w[i], alpha, sub, 0)
-			sub = lo
-			mulCarry = hi
-		}
-		out[i], borrow = word.Sub32(x.w[i], sub, borrow)
-	}
-	if borrow != 0 || mulCarry != 0 {
-		panic("mpnat: subMul underflow")
-	}
-	dst.w = out
-	dst.norm()
-}
-
 // MulWord sets n = y*alpha and returns n. Aliasing n == y is allowed.
 func (n *Nat) MulWord(y *Nat, alpha uint32) *Nat {
 	if alpha == 0 || y.IsZero() {

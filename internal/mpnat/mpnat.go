@@ -11,10 +11,12 @@
 // The GCD arithmetic deliberately does not depend on math/big: the point
 // of the reproduction is the word-level implementation described in
 // Section IV of the paper, including the exact per-iteration memory
-// operation counts 3*s/d + O(1). math/big enters only through the
-// conversions and the large products of Mul (mul.go), which the RSA
-// layer's modular arithmetic uses and the GCD kernels never do. Product
-// trees and their divisions live in math/big outright (internal/subprod).
+// operation counts 3*s/d + O(1). The package holds only what the
+// kernels run: compare, add and subtract, shifts, the fused updates
+// (fused.go), MulWord, one long division (DivScratch, for Original and
+// Fast Euclid), and the conversions. math/big enters only through the
+// conversions. Products, tree divisions and the RSA layer's modular
+// arithmetic live in math/big outright (internal/subprod, internal/rsakey).
 package mpnat
 
 import (
@@ -79,15 +81,6 @@ func (n *Nat) BitLen() int {
 		return 0
 	}
 	return (len(n.w)-1)*word.Bits + word.Len32(n.w[len(n.w)-1])
-}
-
-// Bit returns bit i of n (0 or 1). Bits beyond BitLen are zero.
-func (n *Nat) Bit(i int) uint {
-	wi := i / word.Bits
-	if wi >= len(n.w) {
-		return 0
-	}
-	return uint(n.w[wi]>>(i%word.Bits)) & 1
 }
 
 // Grow ensures n has storage capacity for at least words words without
@@ -328,28 +321,6 @@ func (n *Nat) RshiftStrip(x *Nat) *Nat {
 	return n.Rshift(x, x.TrailingZeroBits())
 }
 
-// Mod sets n = x mod y and returns n, using schoolbook long division.
-// y must be non-zero. This is the costly per-iteration operation of the
-// Original Euclidean algorithm (algorithm A); it exists so that the
-// baseline is faithfully "modulo computation of large numbers".
-func (n *Nat) Mod(x, y *Nat) *Nat {
-	_, r := divmod(x, y)
-	n.w = r.w
-	return n
-}
-
-// Div sets n = x div y (floor) and returns n. y must be non-zero.
-func (n *Nat) Div(x, y *Nat) *Nat {
-	q, _ := divmod(x, y)
-	n.w = q.w
-	return n
-}
-
-// DivMod returns (x div y, x mod y) as fresh Nats. y must be non-zero.
-func DivMod(x, y *Nat) (q, r *Nat) {
-	return divmod(x, y)
-}
-
 // DivScratch carries the working storage of a long division, so that hot
 // loops (the per-iteration Mod of the Original Euclidean algorithm, the
 // per-iteration DivMod of Fast) run without per-call allocation. A
@@ -381,9 +352,10 @@ func (s *DivScratch) Mod(r, x, y *Nat) {
 	divmodInto(&s.q, r, x, y, s)
 }
 
-// divmodInto is the allocation-free core of divmod: quotient and
-// remainder land in the caller's Nats, every intermediate lives in the
-// scratch. The algorithm is the same Knuth D as divmod below.
+// divmodInto is schoolbook base-2^32 long division (Knuth Algorithm D
+// with a per-digit correction loop), the package's only long division:
+// quotient and remainder land in the caller's Nats, every intermediate
+// lives in the scratch.
 func divmodInto(q, r, x, y *Nat, s *DivScratch) {
 	if y.IsZero() {
 		panic("mpnat: division by zero")
@@ -486,84 +458,6 @@ func divmodWordInto(q, r *Nat, x *Nat, y uint32) {
 	r.SetUint64(rem)
 }
 
-// divmod implements schoolbook base-2^32 long division (Knuth Algorithm D
-// with a per-digit correction loop). It returns fresh Nats.
-func divmod(x, y *Nat) (q, r *Nat) {
-	if y.IsZero() {
-		panic("mpnat: division by zero")
-	}
-	if x.Cmp(y) < 0 {
-		return &Nat{}, x.Clone()
-	}
-	if len(y.w) == 1 {
-		return divmodWord(x, y.w[0])
-	}
-	// Normalize so the divisor's top bit is set.
-	shift := word.LeadingZeros32(y.w[len(y.w)-1])
-	u := new(Nat).Lshift(x, shift)
-	v := new(Nat).Lshift(y, shift)
-	nn := len(v.w)
-	m := len(u.w) - nn
-	// Ensure u has an extra high word for the first quotient digit.
-	uw := append(append([]uint32(nil), u.w...), 0)
-	vw := v.w
-	qw := make([]uint32, m+1)
-	vTop := uint64(vw[nn-1])
-	vNext := uint64(vw[nn-2])
-	for j := m; j >= 0; j-- {
-		// Estimate the quotient digit from the top two words.
-		num := word.Join(uw[j+nn], uw[j+nn-1])
-		qh := num / vTop
-		rh := num % vTop
-		for qh >= word.Base || qh*vNext > (rh<<word.Bits|uint64(uw[j+nn-2])) {
-			qh--
-			rh += vTop
-			if rh >= word.Base {
-				break
-			}
-		}
-		// Multiply-subtract: uw[j..j+nn] -= qh * vw.
-		var borrow uint32
-		var mulCarry uint32
-		for i := 0; i < nn; i++ {
-			hi, lo := word.MulAdd(uint32(qh), vw[i], mulCarry, 0)
-			uw[j+i], borrow = word.Sub32(uw[j+i], lo, borrow)
-			mulCarry = hi
-		}
-		uw[j+nn], borrow = word.Sub32(uw[j+nn], mulCarry, borrow)
-		if borrow != 0 {
-			// qh was one too large: add back.
-			qh--
-			var c uint32
-			for i := 0; i < nn; i++ {
-				uw[j+i], c = word.Add32(uw[j+i], vw[i], c)
-			}
-			uw[j+nn] += c
-		}
-		qw[j] = uint32(qh)
-	}
-	q = &Nat{w: qw}
-	q.norm()
-	rem := &Nat{w: uw[:nn]}
-	rem.norm()
-	r = new(Nat).Rshift(rem, shift)
-	return q, r
-}
-
-// divmodWord divides x by a single non-zero word.
-func divmodWord(x *Nat, y uint32) (q, r *Nat) {
-	qw := make([]uint32, len(x.w))
-	var rem uint64
-	for i := len(x.w) - 1; i >= 0; i-- {
-		cur := rem<<word.Bits | uint64(x.w[i])
-		qw[i] = uint32(cur / uint64(y))
-		rem = cur % uint64(y)
-	}
-	q = &Nat{w: qw}
-	q.norm()
-	return q, New(rem)
-}
-
 // wordsPerBig is how many 32-bit words one big.Word holds (2 on 64-bit
 // platforms, 1 on 32-bit ones).
 const wordsPerBig = bits.UintSize / word.Bits
@@ -578,27 +472,6 @@ func (n *Nat) ToBig() *big.Int {
 		bw[i/wordsPerBig] |= big.Word(w) << ((i % wordsPerBig) * word.Bits)
 	}
 	return new(big.Int).SetBits(bw)
-}
-
-// ToBigInto sets dst to the value of n, reusing dst's limb storage when
-// it is large enough, and returns dst. The hybrid filter stages every
-// row modulus through one retained big.Int per worker, so the
-// conversion must not allocate once the scratch has warmed up.
-func (n *Nat) ToBigInto(dst *big.Int) *big.Int {
-	need := (len(n.w) + wordsPerBig - 1) / wordsPerBig
-	bw := dst.Bits()
-	if cap(bw) < need {
-		bw = make([]big.Word, need)
-	} else {
-		bw = bw[:need]
-		for i := range bw {
-			bw[i] = 0
-		}
-	}
-	for i, w := range n.w {
-		bw[i/wordsPerBig] |= big.Word(w) << ((i % wordsPerBig) * word.Bits)
-	}
-	return dst.SetBits(bw)
 }
 
 // SetBig sets n to the value of b, which must be non-negative, and
@@ -659,43 +532,4 @@ func ParseHex(s string) (*Nat, error) {
 		return nil, fmt.Errorf("mpnat: negative hex string %q", s)
 	}
 	return FromBig(b), nil
-}
-
-// Bytes returns the big-endian byte representation of n (empty for zero),
-// the interchange form used by key encodings.
-func (n *Nat) Bytes() []byte {
-	if n.IsZero() {
-		return nil
-	}
-	out := make([]byte, len(n.w)*4)
-	for i, w := range n.w {
-		base := len(out) - 4*i - 4
-		out[base] = byte(w >> 24)
-		out[base+1] = byte(w >> 16)
-		out[base+2] = byte(w >> 8)
-		out[base+3] = byte(w)
-	}
-	// Trim leading zero bytes of the top word.
-	i := 0
-	for i < len(out)-1 && out[i] == 0 {
-		i++
-	}
-	return out[i:]
-}
-
-// SetBytes sets n from big-endian bytes and returns n.
-func (n *Nat) SetBytes(b []byte) *Nat {
-	words := (len(b) + 3) / 4
-	n.w = n.w[:0]
-	n.Grow(words)
-	n.w = n.w[:words]
-	for i := range n.w {
-		n.w[i] = 0
-	}
-	for i := 0; i < len(b); i++ {
-		// b[len-1-i] is byte i counting from the least significant end.
-		n.w[i/4] |= uint32(b[len(b)-1-i]) << (8 * (i % 4))
-	}
-	n.norm()
-	return n
 }

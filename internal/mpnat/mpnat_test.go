@@ -254,62 +254,70 @@ func TestTrailingZeroBits(t *testing.T) {
 	}
 }
 
+// The division tests below run DivScratch, the long division Original
+// and Fast Euclid run, on both rigs of divRigs (edge_test.go): a fresh
+// scratch and one reused from a longer division.
+
 func TestDivModAgainstBig(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 400; i++ {
 		x := randBig(r, 1+r.Intn(800))
 		y := randBig(r, 1+r.Intn(800))
-		q, rem := DivMod(FromBig(x), FromBig(y))
-		wantQ, wantR := new(big.Int).QuoRem(x, y, new(big.Int))
-		if q.ToBig().Cmp(wantQ) != 0 || rem.ToBig().Cmp(wantR) != 0 {
-			t.Fatalf("DivMod(%v,%v) = (%v,%v), want (%v,%v)", x, y, q, rem, wantQ, wantR)
-		}
+		checkDivMod(t, FromBig(x), FromBig(y))
 	}
 }
 
+// divModAdversarial holds cases that stress the Knuth quotient-digit
+// correction: divisor top word just above/below half base, quotient
+// digits of D-1, remainders of 0. FuzzDivMod seeds its corpus with them.
+var divModAdversarial = [][2]string{
+	{"ffffffffffffffffffffffff", "800000000000000000000001"},
+	{"ffffffffffffffffffffffff", "80000000ffffffff"},
+	{"fffffffe00000001", "ffffffff"},          // exact square
+	{"100000000000000000000000", "100000001"}, // long zero runs
+	{"7fffffffffffffffffffffffffffffff", "80000000000000000000000000000001"},
+	{"80000000000000000000000000000000", "7fffffffffffffffffffffffffffffff"},
+}
+
 func TestDivModAdversarial(t *testing.T) {
-	// Cases that stress the Knuth quotient-digit correction: divisor top word
-	// just above/below half base, quotient digits of D-1, remainders of 0.
-	hex := func(s string) *Nat {
-		n, err := ParseHex(s)
+	for _, c := range divModAdversarial {
+		x, err := ParseHex(c[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-	cases := [][2]*Nat{
-		{hex("ffffffffffffffffffffffff"), hex("800000000000000000000001")},
-		{hex("ffffffffffffffffffffffff"), hex("80000000ffffffff")},
-		{hex("fffffffe00000001"), hex("ffffffff")},          // exact square
-		{hex("100000000000000000000000"), hex("100000001")}, // long zero runs
-		{hex("7fffffffffffffffffffffffffffffff"), hex("80000000000000000000000000000001")},
-		{hex("80000000000000000000000000000000"), hex("7fffffffffffffffffffffffffffffff")},
-	}
-	for _, c := range cases {
-		x, y := c[0], c[1]
-		q, r := DivMod(x, y)
-		wantQ, wantR := new(big.Int).QuoRem(x.ToBig(), y.ToBig(), new(big.Int))
-		if q.ToBig().Cmp(wantQ) != 0 || r.ToBig().Cmp(wantR) != 0 {
-			t.Fatalf("DivMod(%s,%s) wrong", x.Hex(), y.Hex())
+		y, err := ParseHex(c[1])
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkDivMod(t, x, y)
 	}
 }
 
 func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, d := range divRigs() {
+		for op, fn := range map[string]func(){
+			"DivMod": func() { d.s.DivMod(&d.q, &d.r, New(1), new(Nat)) },
+			"Mod":    func() { d.s.Mod(&d.r, New(1), new(Nat)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s scratch: %s by zero did not panic", d.name, op)
+					}
+				}()
+				fn()
+			}()
 		}
-	}()
-	new(Nat).Div(New(1), new(Nat))
+	}
 }
 
 func TestModAliasSafe(t *testing.T) {
-	x := New(1043915)
-	y := New(768955)
-	x.Mod(x, y)
-	if x.Uint64() != 1043915%768955 {
-		t.Fatalf("in-place Mod = %v", x)
+	for _, d := range divRigs() {
+		x := New(1043915)
+		d.s.Mod(x, x, New(768955))
+		if x.Uint64() != 1043915%768955 {
+			t.Fatalf("%s scratch: in-place Mod = %v", d.name, x)
+		}
 	}
 }
 
@@ -323,19 +331,6 @@ func TestTop2AndTopWord(t *testing.T) {
 	}
 	if New(0xABCD).Top2() != 0xABCD {
 		t.Fatal("Top2 of 1-word Nat should be the word itself")
-	}
-}
-
-func TestBit(t *testing.T) {
-	n := New(0b1011)
-	want := []uint{1, 1, 0, 1, 0}
-	for i, w := range want {
-		if n.Bit(i) != w {
-			t.Errorf("Bit(%d) = %d, want %d", i, n.Bit(i), w)
-		}
-	}
-	if n.Bit(1000) != 0 {
-		t.Fatal("out-of-range bit should be 0")
 	}
 }
 
@@ -356,11 +351,16 @@ func TestQuickIdentities(t *testing.T) {
 		if y.IsZero() {
 			y = New(1)
 		}
-		q, r := DivMod(x, y)
-		// x == q*y + r and r < y.
-		recon := new(big.Int).Mul(q.ToBig(), y.ToBig())
-		recon.Add(recon, r.ToBig())
-		return recon.Cmp(x.ToBig()) == 0 && r.Cmp(y) < 0
+		for _, d := range divRigs() {
+			d.s.DivMod(&d.q, &d.r, x, y)
+			// x == q*y + r and r < y.
+			recon := new(big.Int).Mul(d.q.ToBig(), y.ToBig())
+			recon.Add(recon, d.r.ToBig())
+			if recon.Cmp(x.ToBig()) != 0 || d.r.Cmp(y) >= 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -416,25 +416,6 @@ func TestSubMulRshiftUnderflowPanics(t *testing.T) {
 		}
 	}()
 	new(Nat).SubMulRshift(New(10), New(7), 2)
-}
-
-func TestSubMul64(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	for i := 0; i < 300; i++ {
-		y := randBig(r, 1+r.Intn(64))
-		alpha := r.Uint64()
-		x := new(big.Int).Mul(y, new(big.Int).SetUint64(alpha))
-		x.Add(x, randBig(r, 1+r.Intn(64)))
-		got := new(Nat).SubMul64(FromBig(x), FromBig(y), alpha)
-		want := new(big.Int).Sub(x, new(big.Int).Mul(y, new(big.Int).SetUint64(alpha)))
-		if got.ToBig().Cmp(want) != 0 {
-			t.Fatalf("SubMul64 mismatch")
-		}
-	}
-	// alpha == 0 is identity.
-	if got := new(Nat).SubMul64(New(5), New(3), 0); got.Uint64() != 5 {
-		t.Fatal("SubMul64 alpha=0 not identity")
-	}
 }
 
 func TestMulWord(t *testing.T) {
@@ -498,9 +479,11 @@ func BenchmarkDivMod1024(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	x := FromBig(randBig(r, 1024))
 	y := FromBig(randBig(r, 512))
+	var s DivScratch
+	q, rem := new(Nat), new(Nat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DivMod(x, y)
+		s.DivMod(q, rem, x, y)
 	}
 }
 
@@ -511,31 +494,6 @@ func BenchmarkCmp4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Cmp(y)
-	}
-}
-
-func TestBytesRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(40))
-	for i := 0; i < 200; i++ {
-		b := randBig(r, 1+r.Intn(600))
-		n := FromBig(b)
-		got := new(Nat).SetBytes(n.Bytes())
-		if got.Cmp(n) != 0 {
-			t.Fatalf("bytes round trip failed for %v", b)
-		}
-		// Must match big.Int's encoding exactly.
-		if want := b.Bytes(); string(n.Bytes()) != string(want) {
-			t.Fatalf("Bytes() = %x, big says %x", n.Bytes(), want)
-		}
-	}
-	if new(Nat).Bytes() != nil {
-		t.Fatal("zero Bytes not nil")
-	}
-	if !new(Nat).SetBytes(nil).IsZero() || !new(Nat).SetBytes([]byte{0, 0}).IsZero() {
-		t.Fatal("SetBytes of zeros not zero")
-	}
-	if got := new(Nat).SetBytes([]byte{1, 2, 3, 4, 5}); got.Uint64() != 0x0102030405 {
-		t.Fatalf("SetBytes endianness wrong: %x", got.Uint64())
 	}
 }
 
@@ -555,33 +513,6 @@ func TestSubRshiftDirect(t *testing.T) {
 	x.SubRshift(x, New(768955))
 	if x.Uint64() != 17185 {
 		t.Fatalf("in-place SubRshift = %v", x)
-	}
-}
-
-func TestSubMul64SmallAlpha(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	// alpha fits in one word: the subMulNoShift path.
-	for i := 0; i < 100; i++ {
-		y := randBig(r, 1+r.Intn(200))
-		alpha := uint64(r.Uint32())
-		x := new(big.Int).Mul(y, new(big.Int).SetUint64(alpha))
-		x.Add(x, randBig(r, 1+r.Intn(200)))
-		got := new(Nat).SubMul64(FromBig(x), FromBig(y), alpha)
-		want := new(big.Int).Sub(x, new(big.Int).Mul(y, new(big.Int).SetUint64(alpha)))
-		if got.ToBig().Cmp(want) != 0 {
-			t.Fatalf("SubMul64 small alpha mismatch")
-		}
-	}
-	// Aliased small-alpha path.
-	x := New(100)
-	x.SubMul64(x, New(7), 3)
-	if x.Uint64() != 79 {
-		t.Fatalf("aliased SubMul64 = %v", x)
-	}
-	y := New(7)
-	y.SubMul64(New(100), y, 3)
-	if y.Uint64() != 79 {
-		t.Fatalf("y-aliased SubMul64 = %v", y)
 	}
 }
 

@@ -135,6 +135,56 @@ func TestDifferentialStreamed(t *testing.T) {
 	diffBroken(t, r2, oracleBroken(t, moduli))
 }
 
+// TestDifferentialNonSquarefree: corpora of 2-7 moduli, each a product of
+// one to three primes from {3, 5, 7, 11, 13} with repeats allowed (so p^2,
+// p^2*q, p^3 and equal moduli all occur), end with every G equal to the
+// batch oracle's g_i = gcd(n_i, product of the others). That holds after
+// submission, and again after a close and reopen, where Open refolds the
+// journal's pairwise findings. Even trials submit one batch, odd trials
+// one key at a time.
+func TestDifferentialNonSquarefree(t *testing.T) {
+	primes := []int64{3, 5, 7, 11, 13}
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		moduli := make([]*big.Int, 2+rng.Intn(6))
+		for i := range moduli {
+			n := big.NewInt(1)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				n.Mul(n, big.NewInt(primes[rng.Intn(len(primes))]))
+			}
+			moduli[i] = n
+		}
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("trial %d corpus %v", trial, moduli)
+				}
+			}()
+			dir := t.TempDir()
+			r := openT(t, dir, Config{})
+			if trial%2 == 0 {
+				if _, err := r.SubmitBatch(moduli); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, n := range moduli {
+					if _, err := r.Submit(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			oracle := oracleBroken(t, moduli)
+			diffBroken(t, r, oracle)
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r = openT(t, dir, Config{})
+			defer r.Close()
+			diffBroken(t, r, oracle)
+		}()
+	}
+}
+
 // TestDifferentialWithRemovals: tombstoned keys stop participating;
 // verdicts over the surviving corpus match the oracle run with the
 // removed moduli excluded from every product but indices preserved.
@@ -182,8 +232,8 @@ func TestDifferentialWithRemovals(t *testing.T) {
 			}
 			g := new(big.Int).GCD(nil, nil, moduli[i], moduli[j])
 			if g.Cmp(big.NewInt(1)) > 0 {
-				// lcm fold, same as the registry's.
-				acc.Div(acc, new(big.Int).GCD(nil, nil, acc, g)).Mul(acc, g)
+				// gcd fold, same as the registry's.
+				acc.GCD(nil, nil, moduli[i], acc.Mul(acc, g))
 			}
 		}
 		if acc.Cmp(big.NewInt(1)) > 0 {

@@ -257,7 +257,13 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 		t.Fatal("Open rewrote corpus.log or journal.jsonl")
 	}
 
-	// The broken set is the journal's findings, lcm-folded per index.
+	// The broken set is the journal's findings, gcd-folded per index:
+	// G_k <- gcd(n_k, G_k*g).
+	var moduli []*big.Int
+	for _, line := range strings.Fields(string(corpusLog)) {
+		n, _ := new(big.Int).SetString(line, 16)
+		moduli = append(moduli, n)
+	}
 	st, err := checkpoint.Load(filepath.Join(dir, "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +278,7 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 					fromJournal[idx] = new(big.Int).Set(g)
 					continue
 				}
-				cur.Mul(cur.Div(cur, new(big.Int).GCD(nil, nil, cur, g)), g)
+				cur.GCD(nil, nil, moduli[idx], cur.Mul(cur, g))
 			}
 		}
 	}
@@ -280,11 +286,6 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 		t.Fatal("fixture journal records no findings")
 	}
 	diffBroken(t, r, fromJournal)
-	var moduli []*big.Int
-	for _, line := range strings.Fields(string(corpusLog)) {
-		n, _ := new(big.Int).SetString(line, 16)
-		moduli = append(moduli, n)
-	}
 	diffBroken(t, r, oracleBroken(t, moduli))
 
 	// A key sharing a planted prime (keys 9 and 14 share cdeaa64bfc4d)

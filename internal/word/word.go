@@ -6,8 +6,9 @@
 // with d = 32 and relies on three hardware facilities: 32-bit addition and
 // subtraction with carry/borrow, 32x32 -> 64-bit multiplication, and a single
 // 64-bit division used by the approx() quotient approximation. This package
-// wraps those facilities (via math/bits) with names that match the paper's
-// usage, so the higher layers read like the pseudo code in Sections III-IV.
+// wraps the first two (via math/bits) with names that match the paper's
+// usage, so the higher layers read like the pseudo code in Sections III-IV;
+// the 64-bit division is Go's native uint64 division.
 package word
 
 import "math/bits"
@@ -33,12 +34,6 @@ func Sub32(x, y, borrow uint32) (diff, borrowOut uint32) {
 	return bits.Sub32(x, y, borrow)
 }
 
-// Mul32 returns the full 2d-bit product x * y split into high and low words.
-func Mul32(x, y uint32) (hi, lo uint32) {
-	p := uint64(x) * uint64(y)
-	return uint32(p >> Bits), uint32(p)
-}
-
 // MulAdd returns x*y + a + carry as (hi, lo). The result never overflows
 // 2d bits: (D-1)^2 + 2(D-1) = D^2 - 1.
 func MulAdd(x, y, a, carry uint32) (hi, lo uint32) {
@@ -46,23 +41,11 @@ func MulAdd(x, y, a, carry uint32) (hi, lo uint32) {
 	return uint32(p >> Bits), uint32(p)
 }
 
-// Div64 returns the quotient and remainder of the plain two-word by
-// two-word 64-bit division the paper's approx() performs ("just one 64-bit
-// division"). y must be non-zero.
-func Div64(x, y uint64) (q, r uint64) {
-	return x / y, x % y
-}
-
 // Join forms the 2d-bit value x1*D + x2 from two words, mirroring the
 // paper's notation  <x1 x2>  for the integer represented by the two most
 // significant words of a number.
 func Join(x1, x2 uint32) uint64 {
 	return uint64(x1)<<Bits | uint64(x2)
-}
-
-// Split is the inverse of Join.
-func Split(v uint64) (hi, lo uint32) {
-	return uint32(v >> Bits), uint32(v)
 }
 
 // TrailingZeros32 returns the number of trailing zero bits in x

