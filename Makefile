@@ -99,11 +99,13 @@ bench-e2e:
 # (DivScratch, fresh and reused, seeded with the Knuth-D correction corners
 # and exact divisions), the fused update, and hex parsing, each
 # differential against math/big, plus the engines built on it: lanes, the scheduler, the registry's
-# spine merges, subprod's two tile descents (Cofactors and Reduce, on
-# trees with and without their root) against math/big, the hybrid
-# engine's tile-tree filter against a naive scan, and batch GCD's
-# cofactor descent against naive pairwise GCDs (2-8 moduli reach the
-# lone top pair and promoted odd nodes).
+# spine merges, the registry's batch checks against key-by-key
+# submission (FuzzSubmitBatchMatchesKeyByKey: random batch cuts, some
+# across the 256-key chunk boundary), subprod's three descents
+# (Cofactors, Reduce and Prefixes, on trees with and without their
+# root) against math/big, the hybrid engine's tile-tree filter against
+# a naive scan, and batch GCD's cofactor descent against naive pairwise
+# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzSubMulRshift -fuzztime 30s ./internal/mpnat/
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLanesMatchesScalar -fuzztime 30s ./internal/lanes/
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitBatchMatchesKeyByKey -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/

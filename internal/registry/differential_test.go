@@ -80,7 +80,7 @@ func weakModuli(t *testing.T, count, bits, pairs int, seed int64) []*big.Int {
 func TestDifferentialStreamed(t *testing.T) {
 	moduli := weakModuli(t, 48, 96, 5, 42)
 	dir := t.TempDir()
-	r := openT(t, dir, Config{NodeBudget: 1 << 12}) // small budget: force spill + reload
+	r := openT(t, dir, Config{NodeBudget: 1 << 12}) // small budget: force spill + rebuild from children
 	rng := rand.New(rand.NewSource(7))
 
 	for pos := 0; pos < len(moduli); {

@@ -74,3 +74,74 @@ func FuzzSpineMerge(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSubmitBatchMatchesKeyByKey: any cut of a key stream into batches
+// gets the verdicts, corpus log and journal of key-by-key submission.
+// Byte 0 sets how many keys (0-255) both registries hold before the
+// stream, the odd primes 3, 5, 7, ..., so a stream crosses the chunk
+// boundary at seedSpan and shares small primes with its history. Every
+// following byte triple is one key: a 16-bit modulus (zero, even, one
+// and repeats included) and a flag byte whose low bit ends the current
+// batch after the key.
+func FuzzSubmitBatchMatchesKeyByKey(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 15, 0, 0, 77, 1, 0, 21})
+	f.Add([]byte{250, 0, 0, 15, 0, 4, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 35, 0, 0, 35, 0, 0, 7, 0, 1, 1})
+	f.Add([]byte{255, 1, 0, 9, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxKeys = 32
+		if len(data) == 0 {
+			return
+		}
+		var history []*big.Int
+		for p := int64(3); len(history) < int(data[0]); p += 2 {
+			if big.NewInt(p).ProbablyPrime(0) {
+				history = append(history, big.NewInt(p))
+			}
+		}
+		batchDir, keyDir := t.TempDir(), t.TempDir()
+		batch, byKey := openT(t, batchDir, Config{}), openT(t, keyDir, Config{})
+		for _, r := range []*Registry{batch, byKey} {
+			if _, err := r.SubmitBatch(history); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var got, want, pending []*big.Int
+		var gotV, wantV []Verdict
+		for pos := 1; pos+3 <= len(data) && len(want) < maxKeys; pos += 3 {
+			n := big.NewInt(int64(data[pos+1])<<8 | int64(data[pos+2]))
+			v, err := byKey.Submit(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantV = append(want, n), append(wantV, v)
+			pending = append(pending, n)
+			if data[pos]&1 == 1 {
+				vs, err := batch.SubmitBatch(pending)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotV, pending = append(got, pending...), append(gotV, vs...), nil
+			}
+		}
+		if len(pending) > 0 {
+			vs, err := batch.SubmitBatch(pending)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotV = append(got, pending...), append(gotV, vs...)
+		}
+		defer func() {
+			if t.Failed() {
+				t.Logf("history %d keys, stream %v", len(history), want)
+			}
+		}()
+		sameVerdicts(t, gotV, wantV)
+		for _, r := range []*Registry{batch, byKey} {
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameLogs(t, batchDir, keyDir)
+	})
+}

@@ -13,5 +13,5 @@ func init() {
 	obs.RegisterHelp("registry_node_loads_total", "product-tree node values reloaded from validated node files")
 	obs.RegisterHelp("registry_node_builds_total", "product-tree node values rebuilt from their children")
 	obs.RegisterHelp("registry_keys", "accepted keys in the registry corpus, including tombstoned ones")
-	obs.RegisterHelp("registry_submit_seconds", "wall-clock duration of one submission (check + append + journal)")
+	obs.RegisterHelp("registry_submit_seconds", "wall-clock duration of one submitted key (check + append + journal); the first key of each batch chunk also carries the chunk's fold and prefix descent")
 }

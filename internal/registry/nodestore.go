@@ -31,11 +31,23 @@ func (k nodeKey) span() (lo, hi int) {
 // files (packed 32-bit words) fail the version check and are rebuilt.
 const nodeFileVersion = "bgrn2"
 
-// seedSpan is the smallest span the store builds through the parallel
-// subprod builder instead of serial child recursion; a cold open over a
-// large corpus seeds whole subtrees at once and harvests every interior
-// node into the file store.
-const seedSpan = 256
+// seedSpan is the smallest span the store keeps a node file for and
+// builds through the parallel subprod builder instead of serial child
+// recursion; a cold open over a large corpus seeds whole subtrees at
+// once and harvests every interior node into the cache, and those of
+// seedSpan or more into files. A smaller node remultiplies from its
+// children faster than its file is written (DESIGN.md 5i), so it lives
+// only in the cache. Batch checks are cut into chunks that end at
+// multiples of seedSpan (chunkEnd). seedLevel is the level of a
+// seedSpan-leaf node.
+const (
+	seedLevel = 8
+	seedSpan  = 1 << seedLevel
+)
+
+// filed reports whether the store keeps a file for node k: whether k
+// spans seedSpan leaves or more.
+func filed(k nodeKey) bool { return k.level >= seedLevel }
 
 // nodeHeader is the JSON first line of a node file. FP binds the node to
 // the exact corpus slice it multiplies: mismatch (a different corpus, a
@@ -49,14 +61,17 @@ type nodeHeader struct {
 }
 
 // store resolves node values through three layers: the byte-budgeted
-// in-RAM LRU cache, the node file directory, and a rebuild from
-// children (recursive for small spans, the parallel subprod builder for
-// large ones). Writes go through to disk so a restart reloads instead
-// of remultiplying. value() is safe for concurrent use — the cache is
-// thread-safe, reads are pure, builds use call-local scratch, and node
-// file writes are atomic temp+rename — which is what lets the registry
-// descend the spine roots in parallel. Mutating entry points (put,
-// invalidate, prune) stay serialized under the registry lock.
+// in-RAM LRU cache, the node file directory (nodes of seedSpan leaves
+// or more only), and a rebuild from children (recursive for small
+// spans, the parallel subprod builder for large ones). Writes of filed
+// nodes go through to disk so a restart reloads them instead of
+// remultiplying; a smaller node is rebuilt from its children on a cache
+// miss, as a missing or corrupt file is. value() is safe for concurrent
+// use — the cache is thread-safe, reads are pure, builds use call-local
+// scratch, and node file writes are atomic temp+rename — which is what
+// lets the registry descend the spine roots in parallel. Mutating entry
+// points (put, invalidate, prune) stay serialized under the registry
+// lock.
 type store struct {
 	dir     string
 	cache   *subprod.KeyedCache[nodeKey]
@@ -119,10 +134,10 @@ func (s *store) value(k nodeKey) *big.Int {
 }
 
 // put inserts a freshly multiplied node (a spine merge) write-through:
-// the file lands before the cache so a crash immediately after still
-// reloads it. Returns the retained value (the cache may already hold
-// an equal node built concurrently — impossible under the registry
-// lock, but Put's contract covers it).
+// a filed node's file lands before the cache so a crash immediately
+// after still reloads it. Returns the retained value (the cache may
+// already hold an equal node built concurrently — impossible under the
+// registry lock, but Put's contract covers it).
 func (s *store) put(k nodeKey, v *big.Int) *big.Int {
 	s.write(k, v)
 	return s.cache.Put(k, v)
@@ -132,13 +147,20 @@ func (s *store) put(k nodeKey, v *big.Int) *big.Int {
 // rebuilds it from children. Used when a leaf under it is tombstoned.
 func (s *store) invalidate(k nodeKey) {
 	s.cache.Drop(k)
-	os.Remove(s.path(k))
+	if filed(k) {
+		os.Remove(s.path(k))
+	}
 }
 
-// read loads and validates a node file, returning nil on any mismatch
-// (missing, torn, foreign corpus, stale tombstone state) — the caller
-// rebuilds, so a bad node file can cost time but never correctness.
+// read loads and validates a node file, returning nil for a node the
+// store keeps no file for and on any mismatch (missing, torn, foreign
+// corpus, stale tombstone state) — the caller rebuilds, so a bad node
+// file can cost time but never correctness. A file below seedSpan, left
+// by an older store, is never read.
 func (s *store) read(k nodeKey) *big.Int {
+	if !filed(k) {
+		return nil
+	}
 	data, err := os.ReadFile(s.path(k))
 	if err != nil {
 		return nil
@@ -170,10 +192,14 @@ func (s *store) read(k nodeKey) *big.Int {
 	return new(big.Int).SetBytes(body)
 }
 
-// write persists a node file atomically (temp + rename), so a crash
+// write persists a filed node atomically (temp + rename), so a crash
 // mid-write leaves either no file or a complete one; read rejects any
-// torn survivor via the length and fingerprint checks anyway.
+// torn survivor via the length and fingerprint checks anyway. Nodes
+// below seedSpan are not written.
 func (s *store) write(k nodeKey, v *big.Int) {
+	if !filed(k) {
+		return
+	}
 	size := (v.BitLen() + 7) / 8
 	hdr := nodeHeader{V: nodeFileVersion, Level: k.level, Index: k.index, FP: s.fingerprint(k), Bytes: size}
 	line, err := json.Marshal(hdr)
@@ -197,8 +223,9 @@ func (s *store) write(k nodeKey, v *big.Int) {
 // build computes a node from its children. Small spans recurse serially;
 // spans of seedSpan and larger go through the parallel subprod builder,
 // and every interior node of the built subtree is harvested into the
-// file store so neighbouring rebuilds (and the next restart) get them
-// for free. Both paths keep compact nodes (subprod.Mul).
+// cache (and the filed ones into files) so neighbouring rebuilds (and
+// the next restart) get them for free. Both paths keep compact nodes
+// (subprod.Mul).
 func (s *store) build(k nodeKey) *big.Int {
 	s.builds.Inc()
 	lo, hi := k.span()
@@ -232,10 +259,10 @@ func (s *store) build(k nodeKey) *big.Int {
 	return v
 }
 
-// prune removes node files that are not nodes of the forest over n
-// leaves (left over from before a compaction or from an older, larger
-// corpus directory) plus any stale temp files. Returns the number of
-// files removed.
+// prune removes node files that are not filed nodes of the forest over
+// n leaves (left over from before a compaction, from an older, larger
+// corpus directory, or from a store that filed nodes below seedSpan)
+// plus any stale temp files. Returns the number of files removed.
 func (s *store) prune(n int) (int, error) {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -253,8 +280,7 @@ func (s *store) prune(n int) (int, error) {
 			}
 			continue
 		}
-		hi := (index + 1) << level
-		if level < 1 || hi > n {
+		if hi := (index + 1) << level; !filed(nodeKey{level, index}) || hi > n {
 			os.Remove(filepath.Join(s.dir, name))
 			removed++
 		}

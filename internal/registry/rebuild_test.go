@@ -3,11 +3,13 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -81,13 +83,45 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// filedNodes returns the file names of the nodes of the forest over n
+// leaves that span seedSpan leaves or more, sorted.
+func filedNodes(n int) []string {
+	var names []string
+	for _, root := range rootsOf(n) {
+		lo, hi := root.span()
+		for l := root.level; filed(nodeKey{l, 0}); l-- {
+			for idx := lo >> l; idx < hi>>l; idx++ {
+				names = append(names, fmt.Sprintf("%02d-%08x.node", l, idx))
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// nodeFiles returns the names of the node files under dir, sorted.
+func nodeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "nodes", "*.node"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[i] = filepath.Base(p)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // TestColdRebuildAboveSeedSpan reopens a 594-key registry whose node
 // files were deleted, so the first fold rebuilds the 512-leaf root
-// through subprod.Build and harvests every interior node into the file
-// store (store.build's seedSpan path). Fresh submissions must get the
+// through subprod.Build and harvests every interior node into the store
+// (store.build's seedSpan path). Fresh submissions must get the
 // verdicts of an uninterrupted registry at pool widths 1 and 3 under a
 // small node budget, the broken set must match the batch oracle, and
-// every harvested file must be bgrn2.
+// the files must be exactly the forest's nodes of seedSpan leaves or
+// more, all bgrn2.
 func TestColdRebuildAboveSeedSpan(t *testing.T) {
 	moduli := weakModuli(t, 528, 96, 8, 21) // 528 keys plus 66 duplicates
 	seed, fresh := moduli[:len(moduli)-16], moduli[len(moduli)-16:]
@@ -128,9 +162,12 @@ func TestColdRebuildAboveSeedSpan(t *testing.T) {
 			t.Fatalf("workers=%d: stats %+v, want no replay and some node builds", workers, st)
 		}
 		r.Close()
-		versions := nodeVersions(t, dir)
-		if len(versions) != 1 || versions[nodeFileVersion] < 511 {
-			t.Fatalf("workers=%d: node files by version %v, want >= 511 %s files only (the harvested 512-leaf subtree)", workers, versions, nodeFileVersion)
+		want := filedNodes(len(moduli))
+		if got := nodeFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: node files %v, want %v (the forest's nodes of %d leaves or more)", workers, got, want, seedSpan)
+		}
+		if versions := nodeVersions(t, dir); len(versions) != 1 || versions[nodeFileVersion] != len(want) {
+			t.Fatalf("workers=%d: node files by version %v, want %d %s files only", workers, versions, len(want), nodeFileVersion)
 		}
 	}
 }
@@ -232,7 +269,9 @@ func TestSpineMergeNodesCompact(t *testing.T) {
 //
 // Opening must replay nothing and leave the corpus log and journal
 // byte-identical; the first submission must rebuild every old node
-// rather than load it, and the broken set must be the journal's.
+// rather than load it, and the broken set must be the journal's. No
+// node of the 41-key forest spans seedSpan leaves, so the store reads
+// and writes no file, and Compact deletes every old one.
 func TestParentEraDirectoryOpens(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "bgrn1"), dir)
@@ -304,7 +343,10 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 	if st := r.Stats(); st.NodeLoads != 0 || st.NodeBuilds == 0 {
 		t.Fatalf("stats %+v: bgrn1 nodes must be rebuilt, never loaded", st)
 	}
-	if v := nodeVersions(t, dir); v["bgrn1"] != 0 {
-		t.Fatalf("node versions after the first fold: %v, want no bgrn1 left", v)
+	if _, err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeFiles(t, dir); len(got) != 0 {
+		t.Fatalf("node files after Compact: %v, want none (every node spans fewer than %d leaves)", got, seedSpan)
 	}
 }

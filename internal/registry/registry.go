@@ -1,8 +1,10 @@
 // Package registry implements the streaming incremental key registry:
 // a long-lived, crash-safe index over every modulus ever submitted,
 // maintained as a binary-counter forest of perfect product subtrees so
-// each arriving key is checked against the full history with one
-// remainder fold and one GCD instead of a full batch rescan.
+// each arriving batch is checked against the full history with one
+// remainder fold per chunk of up to 256 keys, one prefix descent of the
+// chunk's product tree and one GCD per key, instead of a full batch
+// rescan.
 //
 // Layout on disk (one directory per registry):
 //
@@ -11,7 +13,8 @@
 //	journal.jsonl  growable checkpoint journal: one verdict record per
 //	               accepted key, bound to the corpus by a prefix hash
 //	               chain (checkpoint.Chain)
-//	nodes/       product-tree node files — a validated, rebuildable cache
+//	nodes/       files for product-tree nodes of 256 leaves or more — a
+//	             validated, rebuildable cache
 //
 // Durability argument: a submission is acknowledged only after its
 // corpus line and its journal record are synced. The corpus log alone
@@ -188,14 +191,15 @@ type Registry struct {
 	closed   bool
 
 	// Retained submit-path scratch, all used under mu, so a warm submit
-	// allocates no arithmetic storage: the fold's accumulator, the
-	// quotient and remainder QuoRem writes (both grow to the largest
-	// spine root), the product scratch the fold and the spine merges
-	// multiply into (subprod.Mul compacts what the forest keeps), the
-	// spine-root list, and one descent scratch per pool worker (descents
-	// over disjoint roots run on the work-stealing pool, and worker
-	// indices are stable, so each scratch stays pinned to one goroutine
-	// for the duration of a descent).
+	// allocates arithmetic storage only for its chunk's tree and
+	// residues (one key's residue for a one-key submit): the fold's
+	// accumulator, the quotient and remainder QuoRem writes (both grow
+	// to the largest spine root), the product scratch the fold and the
+	// spine merges multiply into (subprod.Mul compacts what the forest
+	// keeps), the spine-root list, and one descent scratch per pool
+	// worker (descents over disjoint roots run on the work-stealing
+	// pool, and worker indices are stable, so each scratch stays pinned
+	// to one goroutine for the duration of a descent).
 	acc, quo, rem, prod big.Int
 	rootsBuf            []nodeKey
 	descents            []*descentScratch
@@ -384,7 +388,7 @@ func (r *Registry) replay() error {
 	r.journal = w
 
 	recomputed := false
-	for i, n := range r.corpus {
+	for i := 0; i < len(r.corpus); {
 		if rec, ok := verified[i]; ok {
 			for _, f := range rec.Factors {
 				g, ok := new(big.Int).SetString(f.P, 16)
@@ -393,22 +397,35 @@ func (r *Registry) replay() error {
 				}
 				r.foldBroken(i, f.J, g)
 			}
+			i++
 			continue
 		}
-		// The corpus has this key but the journal does not durably cover
-		// it (crash between corpus sync and journal sync, or a pre-journal
-		// seed corpus). Recompute the verdict against the prefix forest —
-		// the same computation the original submission performed.
-		v := r.checkPrefix(n, i)
-		if err := r.journalVerdict(i, v); err != nil {
+		// The corpus has keys the journal does not durably cover (crash
+		// between corpus sync and journal sync, or a pre-journal seed
+		// corpus). Recompute the run's verdicts as one batch, the same
+		// computation their submission performed.
+		hi := i + 1
+		for hi < len(r.corpus) {
+			if _, ok := verified[hi]; ok {
+				break
+			}
+			hi++
+		}
+		err := r.checkRun(i, hi, func(v Verdict) error {
+			if err := r.journalVerdict(v.Index, v); err != nil {
+				return err
+			}
+			for _, p := range v.Partners {
+				r.foldBroken(v.Index, p.Index, p.Factor)
+				r.emit(Finding{Index: v.Index, Partner: p.Index, Factor: p.Factor})
+			}
+			r.replayed.Inc()
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		for _, p := range v.Partners {
-			r.foldBroken(i, p.Index, p.Factor)
-			r.emit(Finding{Index: i, Partner: p.Index, Factor: p.Factor})
-		}
-		r.replayed.Inc()
-		recomputed = true
+		i, recomputed = hi, true
 	}
 	if recomputed {
 		if err := r.journal.Sync(); err != nil {
@@ -438,22 +455,72 @@ func (r *Registry) foldBroken(i, j int, g *big.Int) {
 	}
 }
 
-// checkPrefix computes the verdict of modulus n against the forest over
-// the first m corpus keys: one remainder fold over the O(log m) spine
-// roots, one GCD, and — only on a hit — a remainder-tree descent to the
-// culprit leaves.
-func (r *Registry) checkPrefix(n *big.Int, m int) Verdict {
-	v := Verdict{Index: m, Kind: Clean}
-	if m == 0 {
-		v.G = big.NewInt(1)
-		return v
+// chunkEnd is the end of the chunk that starts at corpus index i: the
+// next multiple of seedSpan. Chunks aligned this way bound a check's
+// transient product tree at seedSpan leaves.
+func chunkEnd(i int) int { return (i/seedSpan + 1) * seedSpan }
+
+// prefixResidues returns, for the chunk ms of keys at corpus indices m,
+// m+1, ..., the product of the live keys before each one reduced mod
+// that key. It builds the chunk's product tree, folds the forest over
+// the first m keys mod the chunk's product (one foldPrefix for the whole
+// chunk), and pushes that residue down the tree with subprod.Prefixes,
+// which multiplies in the chunk's own earlier keys. Every key of ms
+// counts as live for the keys after it, so a tombstoned key may only be
+// the chunk's last.
+func (r *Registry) prefixResidues(ms []*big.Int, m int) ([]*big.Int, error) {
+	ctx := context.Background() // a check is short and bounded; see descendRoots
+	opt := subprod.Options{Workers: r.workers(), Metrics: r.cfg.Metrics}
+	t, err := subprod.Build(ctx, ms, opt)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
 	}
-	// gcd(n, 0) = n covers the fold's early exit: n divides the product.
-	v.G = new(big.Int).GCD(nil, nil, n, r.foldPrefix(n, m))
+	res, err := subprod.Prefixes(ctx, t, r.foldPrefix(t.Root(), m), opt)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return res, nil
+}
+
+// checkRun recomputes the verdicts of the corpus keys [lo, hi) against
+// the keys before each, a chunk at a time, and hands them to fn in
+// index order. A tombstoned key is checked with its own modulus but
+// multiplies later keys as 1 (leaf), so it ends its chunk.
+func (r *Registry) checkRun(lo, hi int, fn func(Verdict) error) error {
+	for lo < hi {
+		end := min(chunkEnd(lo), hi)
+		for k := lo; k < end-1; k++ {
+			if r.removed[k] {
+				end = k + 1
+				break
+			}
+		}
+		res, err := r.prefixResidues(r.corpus[lo:end], lo)
+		if err != nil {
+			return err
+		}
+		for k, n := range r.corpus[lo:end] {
+			if err := fn(r.check(n, lo+k, res[k])); err != nil {
+				return err
+			}
+		}
+		lo = end
+	}
+	return nil
+}
+
+// check turns the prefix residue of modulus n, the product of the live
+// keys among the first m reduced mod n, into n's verdict against them:
+// one GCD and, only on a hit, a remainder-tree descent to the culprit
+// leaves.
+func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
+	// gcd(n, 0) = n covers a residue of 0: n divides the product.
+	v := Verdict{Index: m, Kind: Clean, G: new(big.Int).GCD(nil, nil, n, res)}
 	if v.G.Cmp(one) == 0 {
 		return v
 	}
 	// Hit: descend to the leaves that share content with n.
+	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
 	v.Partners = r.descendRoots(r.rootsBuf, n)
 	sort.Slice(v.Partners, func(a, b int) bool { return v.Partners[a].Index < v.Partners[b].Index })
 	v.Kind = Shared
@@ -498,6 +565,15 @@ type descentScratch struct {
 	partners      []Partner
 }
 
+// workers is the pool width of checks and descents: Config.Workers, or
+// GOMAXPROCS when that is 0.
+func (r *Registry) workers() int {
+	if r.cfg.Workers > 0 {
+		return r.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // descendRoots resolves a prefix hit to its culprit leaves. The spine
 // roots cover disjoint leaf spans — no two descents can ever race on a
 // node — so a multi-root forest fans the descents out across the
@@ -508,13 +584,7 @@ type descentScratch struct {
 // each merge consumes the previous one's product, a carry chain with no
 // exploitable parallelism.
 func (r *Registry) descendRoots(roots []nodeKey, n *big.Int) []Partner {
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(roots) {
-		workers = len(roots)
-	}
+	workers := min(r.workers(), len(roots))
 	for len(r.descents) < workers {
 		r.descents = append(r.descents, &descentScratch{})
 	}
@@ -622,26 +692,64 @@ func (r *Registry) Submit(n *big.Int) (Verdict, error) {
 }
 
 // SubmitBatch submits a batch in order: each key's verdict accounts for
-// every earlier key, including earlier keys of the same batch. The
-// corpus log and journal are synced once per batch, so batching
-// amortizes the two fsyncs that dominate small-key submission cost.
+// every earlier key, including earlier keys of the same batch. The whole
+// batch is validated before anything is written: a nil or negative
+// modulus fails the call with nothing appended, journaled or counted,
+// so a retry without it gets the verdicts a clean registry gives. The
+// accepted keys are checked a chunk at a time (prefixResidues), chunks
+// ending at multiples of seedSpan, and written, appended and journaled
+// in order. The corpus log and journal are synced once per batch, so
+// batching amortizes the two fsyncs that dominate small-key submission
+// cost.
 func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, fmt.Errorf("registry: closed")
 	}
-	out := make([]Verdict, 0, len(ns))
-	accepted := false
-	for _, n := range ns {
-		v, err := r.submitLocked(n)
-		if err != nil {
+	reasons := make([]string, len(ns))
+	var keys []*big.Int // copies of the accepted moduli: the caller keeps ns
+	for j, n := range ns {
+		if n == nil || n.Sign() < 0 {
+			return nil, fmt.Errorf("registry: modulus is nil or negative")
+		}
+		if reasons[j] = corpus.ValidateBig(n); reasons[j] == "" {
+			keys = append(keys, new(big.Int).Set(n))
+		}
+	}
+	accepted := len(keys) > 0
+	out := make([]Verdict, len(ns))
+	var res []*big.Int // the current chunk's residues not yet used
+	for j := range ns {
+		// Each key has its own span and histogram sample; the first key of
+		// a chunk also carries the chunk's check, so a one-key request's
+		// span holds its whole check.
+		start := time.Now()
+		r.submissions.Inc()
+		i := len(r.corpus)
+		sp := r.trace.StartSpan("submit", "index", i)
+		if reasons[j] != "" {
+			sp.End("verdict", Malformed.String())
+			r.submitH.ObserveDuration(int64(time.Since(start)))
+			out[j] = Verdict{Index: -1, Kind: Malformed, Reason: reasons[j], G: new(big.Int).SetInt64(1)}
+			continue
+		}
+		if len(res) == 0 {
+			chunk := keys[:min(chunkEnd(i)-i, len(keys))]
+			var err error
+			if res, err = r.prefixResidues(chunk, i); err != nil {
+				return nil, err
+			}
+		}
+		m := keys[0]
+		v := r.check(m, i, res[0])
+		keys, res = keys[1:], res[1:]
+		if err := r.accept(m, v); err != nil {
 			return nil, err
 		}
-		if v.Index >= 0 {
-			accepted = true
-		}
-		out = append(out, v)
+		sp.End("verdict", v.Kind.String(), "partners", len(v.Partners))
+		r.submitH.ObserveDuration(int64(time.Since(start)))
+		out[j] = v
 	}
 	if accepted {
 		if err := r.corpusF.Sync(); err != nil {
@@ -655,44 +763,28 @@ func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	return out, nil
 }
 
-func (r *Registry) submitLocked(n *big.Int) (Verdict, error) {
-	start := time.Now()
-	r.submissions.Inc()
-	if n == nil || n.Sign() < 0 {
-		return Verdict{}, fmt.Errorf("registry: modulus is nil or negative")
-	}
-	sp := r.trace.StartSpan("submit", "index", len(r.corpus))
-	if reason := corpus.ValidateBig(n); reason != "" {
-		sp.End("verdict", Malformed.String())
-		r.submitH.ObserveDuration(int64(time.Since(start)))
-		return Verdict{Index: -1, Kind: Malformed, Reason: reason, G: new(big.Int).SetInt64(1)}, nil
-	}
-
+// accept appends checked key m with its verdict v at the next corpus
+// index. Durability order: corpus line first (the truth), then the
+// forest, then the journal record. A crash between the first and the
+// last leaves a corpus entry whose verdict replay recomputes.
+func (r *Registry) accept(m *big.Int, v Verdict) error {
 	i := len(r.corpus)
-	m := new(big.Int).Set(n) // the caller keeps n
-	v := r.checkPrefix(m, i)
-
-	// Durability order: corpus line first (the truth), then the forest,
-	// then the journal record. A crash between the first and the last
-	// leaves a corpus entry whose verdict replay recomputes.
 	hexLine := m.Text(16)
 	if _, err := r.corpusF.WriteString(hexLine + "\n"); err != nil {
-		return Verdict{}, fmt.Errorf("registry: %w", err)
+		return fmt.Errorf("registry: %w", err)
 	}
 	r.entries = append(r.entries, hexLine)
 	r.corpus = append(r.corpus, m)
 	r.chainVals = append(r.chainVals, r.chain.Extend([]byte(hexLine)))
 	r.appendLeaf(i)
 	if err := r.journalVerdict(i, v); err != nil {
-		return Verdict{}, err
+		return err
 	}
 	for _, p := range v.Partners {
 		r.foldBroken(i, p.Index, p.Factor)
 		r.emit(Finding{Index: i, Partner: p.Index, Factor: p.Factor})
 	}
-	sp.End("verdict", v.Kind.String(), "partners", len(v.Partners))
-	r.submitH.ObserveDuration(int64(time.Since(start)))
-	return v, nil
+	return nil
 }
 
 // Findings returns the stream of pairwise discoveries. The channel is

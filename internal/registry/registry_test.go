@@ -2,11 +2,13 @@ package registry
 
 import (
 	"math/big"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"bulkgcd/internal/obs"
+	"bulkgcd/internal/rsakey"
 )
 
 func b(v int64) *big.Int { return big.NewInt(v) }
@@ -256,12 +258,27 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// semiprimes returns count products of two random 48-bit primes,
+// deterministic in seed. 48-bit primes never share 3, 5, 7, 11 or 13
+// with the hand-picked moduli the tests mix them with.
+func semiprimes(count int, seed int64) []*big.Int {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*big.Int, count)
+	for i := range out {
+		out[i] = new(big.Int).Mul(rsakey.GeneratePrime(rng, 48), rsakey.GeneratePrime(rng, 48))
+	}
+	return out
+}
+
 // TestNodeFileCorruption: a damaged node file is rebuilt, never trusted.
+// The store files only nodes of seedSpan leaves or more, so the corpus
+// is 256 keys: four hand-picked ones and 252 random semiprimes.
 func TestNodeFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	r := openT(t, dir, Config{})
-	for _, n := range []int64{15, 77, 221, 13} {
-		mustSubmit(t, r, b(n))
+	keys := append([]*big.Int{b(15), b(77), b(221), b(13)}, semiprimes(seedSpan-4, 3)...)
+	if _, err := r.SubmitBatch(keys); err != nil {
+		t.Fatal(err)
 	}
 	r.Close()
 
@@ -284,6 +301,38 @@ func TestNodeFileCorruption(t *testing.T) {
 	}
 	if st := r2.Stats(); st.NodeBuilds == 0 {
 		t.Fatal("corrupted nodes were not rebuilt")
+	}
+}
+
+// TestNodeFilesFromSeedSpan: the store writes a file only for a node of
+// seedSpan leaves or more. 255 keys leave nodes/ empty (the largest
+// node spans 128); the 256th key's spine merges end in the node over
+// leaves [0, 256), the one file.
+func TestNodeFilesFromSeedSpan(t *testing.T) {
+	dir := t.TempDir()
+	r := openT(t, dir, Config{})
+	defer r.Close()
+	keys := semiprimes(seedSpan, 5)
+	if _, err := r.SubmitBatch(keys[:seedSpan-1]); err != nil {
+		t.Fatal(err)
+	}
+	list := func() []string {
+		des, err := os.ReadDir(filepath.Join(dir, "nodes"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+	if got := list(); len(got) != 0 {
+		t.Fatalf("%d keys left node files %v, want none", seedSpan-1, got)
+	}
+	mustSubmit(t, r, keys[seedSpan-1])
+	if got := list(); len(got) != 1 || got[0] != "08-00000000.node" {
+		t.Fatalf("%d keys left node files %v, want 08-00000000.node only", seedSpan, got)
 	}
 }
 

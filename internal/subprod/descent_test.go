@@ -33,8 +33,20 @@ func naiveReduce(ms []*big.Int, x *big.Int) []*big.Int {
 	return out
 }
 
+// naivePrefixes returns x·n_0⋯n_{i-1} mod n_i for every leaf, in
+// math/big.
+func naivePrefixes(ms []*big.Int, x *big.Int) []*big.Int {
+	out := make([]*big.Int, len(ms))
+	p := new(big.Int).Set(x)
+	for i, n := range ms {
+		out[i] = new(big.Int).Mod(p, n)
+		p.Mul(p, n)
+	}
+	return out
+}
+
 // checkDescents builds ms's tree with and without SkipRoot at Workers 1
-// and 3 and compares both descents with the naive residues.
+// and 3 and compares the three descents with the naive residues.
 func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 	t.Helper()
 	ctx := context.Background()
@@ -60,22 +72,31 @@ func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 				}
 			}
 			for _, x := range xs {
-				snapshot := new(big.Int).Set(x)
-				rs, err := Reduce(ctx, tree, x, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if x.Cmp(snapshot) != 0 {
-					t.Fatalf("%s: Reduce modified x", label)
-				}
-				want := naiveReduce(ms, x)
-				for i := range ms {
-					if rs[i].Cmp(want[i]) != 0 {
-						t.Fatalf("%s skip=%v workers=%d x=%v: leaf %d (n=%v) residue %v, want %v",
-							label, skip, workers, x, i, ms[i], rs[i], want[i])
+				for _, d := range []struct {
+					name  string
+					run   func(context.Context, *Tree, *big.Int, Options) ([]*big.Int, error)
+					naive func([]*big.Int, *big.Int) []*big.Int
+				}{
+					{"Reduce", Reduce, naiveReduce},
+					{"Prefixes", Prefixes, naivePrefixes},
+				} {
+					snapshot := new(big.Int).Set(x)
+					rs, err := d.run(ctx, tree, x, opt)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if rs[i] == x {
-						t.Fatalf("%s: residue %d aliases x", label, i)
+					if x.Cmp(snapshot) != 0 {
+						t.Fatalf("%s: %s modified x", label, d.name)
+					}
+					want := d.naive(ms, x)
+					for i := range ms {
+						if rs[i].Cmp(want[i]) != 0 {
+							t.Fatalf("%s %s skip=%v workers=%d x=%v: leaf %d (n=%v) residue %v, want %v",
+								label, d.name, skip, workers, x, i, ms[i], rs[i], want[i])
+						}
+						if rs[i] == x {
+							t.Fatalf("%s: %s residue %d aliases x", label, d.name, i)
+						}
 					}
 				}
 			}
@@ -83,8 +104,9 @@ func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 	}
 }
 
-// TestDescentsMatchNaive: Cofactors equals Π_{j≠i} n_j mod n_i and Reduce
-// equals x mod n_i at every leaf, on trees with and without their root
+// TestDescentsMatchNaive: Cofactors equals Π_{j≠i} n_j mod n_i, Reduce
+// equals x mod n_i and Prefixes equals x·Π_{j<i} n_j mod n_i at every
+// leaf, on trees with and without their root
 // and at Workers 1 and 3. The sizes cover a single leaf, a lone top
 // pair, and promoted odd nodes at one or several levels. Each size runs
 // on random leaves and on leaves planted with a 1, a duplicate pair and
@@ -171,6 +193,10 @@ func TestDescentHooks(t *testing.T) {
 				_, err := Reduce(context.Background(), tree, big.NewInt(1000), opt)
 				return err
 			},
+			"Prefixes": func(opt Options) error {
+				_, err := Prefixes(context.Background(), tree, big.NewInt(1000), opt)
+				return err
+			},
 		} {
 			var levels []string
 			var nodes atomic.Int64
@@ -208,14 +234,18 @@ func TestDescentsCanceled(t *testing.T) {
 	if _, err := Reduce(ctx, tree, big.NewInt(11), Options{}); err == nil {
 		t.Fatal("Reduce ignored a canceled context")
 	}
+	if _, err := Prefixes(ctx, tree, big.NewInt(11), Options{}); err == nil {
+		t.Fatal("Prefixes ignored a canceled context")
+	}
 }
 
-// FuzzDescentsMatchNaive cross-checks both descents against math/big on
-// arbitrary small leaf sets: byte 0 picks 1-9 leaves, each following
-// byte pair one 16-bit leaf (+1, so never zero; even leaves, ones and
-// repeats included), and the remaining bytes are x, big-endian. Small
-// leaves share factors and divide each other constantly, and 1-9 leaves
-// reach the one-leaf tree, the lone top pair and promoted odd nodes.
+// FuzzDescentsMatchNaive cross-checks the three descents against
+// math/big on arbitrary small leaf sets: byte 0 picks 1-9 leaves, each
+// following byte pair one 16-bit leaf (+1, so never zero; even leaves,
+// ones and repeats included), and the remaining bytes are x,
+// big-endian. Small leaves share factors and divide each other
+// constantly, and 1-9 leaves reach the one-leaf tree, the lone top pair
+// and promoted odd nodes.
 func FuzzDescentsMatchNaive(f *testing.F) {
 	f.Add([]byte{0, 0, 14, 1, 0})                          // one leaf
 	f.Add([]byte{1, 0, 14, 0, 20, 7, 7})                   // a top pair

@@ -8,13 +8,15 @@
 // All three reduce the same primitive — multiply a set of moduli into
 // one integer so a single division+GCD can interrogate all of them at
 // once — so there is one node representation, a compact *big.Int, one
-// construction loop (Build), and one pair of descents back down a
-// built tree: Cofactors, the product of the other leaves modulo each
-// leaf (batch GCD's and the hybrid diagonal cell's), and Reduce, one
-// integer modulo each leaf (the hybrid cross cell's). Both are
-// configured by the caller with the same per-level hooks as Build, for
-// batch GCD's observability, and both run on a tree built with or
-// without SkipRoot.
+// construction loop (Build), and three descents back down a built tree
+// on one level loop: Cofactors, the product of the other leaves modulo
+// each leaf (batch GCD's and the hybrid diagonal cell's); Reduce, one
+// integer modulo each leaf (the hybrid cross cell's); and Prefixes, one
+// integer times the leaves to the left modulo each leaf (the registry's
+// batch check, which pushes the history's residue down a batch's
+// tree). All three are configured by the caller with the same per-level
+// hooks as Build, for batch GCD's observability, and all three run on a
+// tree built with or without SkipRoot.
 //
 // Every node is compacted after its multiplication (Mul): math/big's
 // Karatsuba leaves a product with max(6k, m+n) words of capacity, about
@@ -75,8 +77,8 @@ func nodeBytes(x *big.Int) int64 {
 	return int64(len(x.Bits())) * bits.UintSize / 8
 }
 
-// Options configures Build and the descents (Cofactors, Reduce). The
-// zero value runs serially with no hooks.
+// Options configures Build and the descents (Cofactors, Reduce,
+// Prefixes). The zero value runs serially with no hooks.
 type Options struct {
 	// Workers is the fan-out width within each level (the level's
 	// multiplications or residues are independent); <= 1 runs inline.

@@ -194,8 +194,14 @@ func (r *Registry) Submit(n *big.Int) (KeyVerdict, error) {
 }
 
 // SubmitBatch registers a batch of moduli in order, returning one
-// verdict per modulus. The whole batch shares one durability sync, so
-// large batches are much cheaper than equivalent Submit loops.
+// verdict per modulus. The whole batch shares one durability sync and
+// is checked against the registry a chunk of up to 256 keys at a time,
+// so large batches are much cheaper than equivalent Submit loops; the
+// verdicts are those of the same keys submitted one at a time. A batch
+// holding a nil or negative modulus fails as a whole and writes
+// nothing: no key of it is registered, so a retry without the bad
+// modulus gets the verdicts a registry that never saw the failed call
+// gives.
 func (r *Registry) SubmitBatch(moduli []*big.Int) ([]KeyVerdict, error) {
 	vs, err := r.reg.SubmitBatch(moduli)
 	if err != nil {
