@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke loc selftest reproduce clean
+.PHONY: all build test vet fmt-check race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke loc selftest reproduce clean
 
 all: build vet test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; on failure the offenders are listed.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test -shuffle=on ./...

@@ -109,20 +109,20 @@ const (
 // when WithCheckpoint, WithMetrics or WithTrace are set (concurrent runs
 // would interleave on the shared file or writer).
 type Attack struct {
-	engine        Engine
-	algorithm     Algorithm
-	kernel        engine.KernelKind
-	noEarly       bool
-	workers       int
-	exponent      uint64
-	groupSize     int
-	tileSize      int
-	subprodBudget int64
-	quarantine    bool
-	progress      func(done, total int64)
-	metricsW      io.Writer
-	traceW        io.Writer
-	journalPath   string
+	engine      Engine
+	algorithm   Algorithm
+	kernel      engine.KernelKind
+	noEarly     bool
+	workers     int
+	exponent    uint64
+	groupSize   int
+	tileSize    int
+	nodeBudget  int64
+	quarantine  bool
+	progress    func(done, total int64)
+	metricsW    io.Writer
+	traceW      io.Writer
+	journalPath string
 }
 
 // Option configures an Attack. Options are applied in order by New;
@@ -169,13 +169,15 @@ func WithGroupSize(r int) Option { return func(a *Attack) { a.groupSize = r } }
 
 // WithTileSize sets the hybrid engine's tile width T (default 64).
 // Findings are identical at every value; only the filter's selectivity
-// and the subproduct cache footprint change.
+// and the size of each cell's product tree change.
 func WithTileSize(t int) Option { return func(a *Attack) { a.tileSize = t } }
 
-// WithSubproductBudget caps the bytes the hybrid engine may hold in its
-// tile-subproduct cache; least-recently-used entries are evicted and
-// rebuilt on demand. 0 (the default) means unlimited.
-func WithSubproductBudget(bytes int64) Option { return func(a *Attack) { a.subprodBudget = bytes } }
+// WithSubproductBudget caps the bytes of product-tree nodes an
+// [OpenRegistry] registry holds in RAM; least-recently-used nodes are
+// reloaded from their files or rebuilt from their children on demand.
+// 0 (the default) means unlimited. Run ignores it: the hybrid engine
+// keeps each column tile's product for the whole run.
+func WithSubproductBudget(bytes int64) Option { return func(a *Attack) { a.nodeBudget = bytes } }
 
 // WithQuarantine makes the pairs and hybrid engines skip zero or even
 // moduli and report them in Report.Quarantined instead of failing the
@@ -191,7 +193,8 @@ func WithProgress(fn func(done, total int64)) Option { return func(a *Attack) { 
 // WithMetrics writes the run's metrics to w in Prometheus text
 // exposition format after the run completes. The counters and
 // histograms cover the engine internals: per-pair GCDs, hybrid filter
-// hits and skips, subproduct-cache behaviour, checkpoint activity.
+// hits and skips, column tile products built and shared, checkpoint
+// activity.
 func WithMetrics(w io.Writer) Option { return func(a *Attack) { a.metricsW = w } }
 
 // WithTrace streams structured run events (JSON Lines, one object per
@@ -315,15 +318,14 @@ func (a *Attack) Run(ctx context.Context, moduli []*big.Int) (*Report, error) {
 			Workers:  a.workers,
 			Progress: a.progress,
 		},
-		Algorithm:     ialg,
-		Early:         !a.noEarly,
-		GroupSize:     a.groupSize,
-		Exponent:      a.exponent,
-		Engine:        kind,
-		Quarantine:    a.quarantine,
-		TileSize:      a.tileSize,
-		SubprodBudget: a.subprodBudget,
-		Kernel:        a.kernel,
+		Algorithm:  ialg,
+		Early:      !a.noEarly,
+		GroupSize:  a.groupSize,
+		Exponent:   a.exponent,
+		Engine:     kind,
+		Quarantine: a.quarantine,
+		TileSize:   a.tileSize,
+		Kernel:     a.kernel,
 	}
 	if a.metricsW != nil {
 		opt.Metrics = obs.NewRegistry()

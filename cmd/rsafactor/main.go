@@ -141,7 +141,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		noEarly    = fs.Bool("no-early", false, "disable s/2 early termination")
 		engName    = fs.String("engine", "pairs", "attack engine: pairs|batch|hybrid")
 		tile       = fs.Int("tile", 0, "hybrid engine tile width (0 = default 64)")
-		subBudget  = fs.Int64("subprod-budget", 0, "hybrid subproduct cache byte budget (0 = unlimited)")
 		workers    = fs.Int("workers", 0, "parallel workers (0 = all CPUs); more workers than CPUs adds no throughput, only scheduling overhead — the work-stealing pool already keeps every core busy")
 		e          = fs.Uint64("e", 65537, "RSA public exponent for key recovery")
 		truth      = fs.String("truth", "", "ground-truth file from keygen -truth; verify the findings")
@@ -255,14 +254,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	opt := attack.Options{
-		Config:        engine.Config{Workers: *workers},
-		Algorithm:     alg,
-		Early:         !*noEarly,
-		Exponent:      *e,
-		Engine:        kind,
-		Quarantine:    *quarantine,
-		TileSize:      *tile,
-		SubprodBudget: *subBudget,
+		Config:     engine.Config{Workers: *workers},
+		Algorithm:  alg,
+		Early:      !*noEarly,
+		Exponent:   *e,
+		Engine:     kind,
+		Quarantine: *quarantine,
+		TileSize:   *tile,
 	}
 
 	if *serveAddr != "" {

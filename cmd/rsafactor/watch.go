@@ -21,9 +21,11 @@ import (
 
 // runWatch implements `rsafactor watch`: a long-lived registry server.
 // Keys arrive over HTTP in any corpus format (hex lines or PEM), each
-// submission is checked against the full history with one product-tree
-// descent, journaled before it is acknowledged, and answered with a
-// clean/shared/duplicate/malformed verdict. The status endpoints
+// submission is checked against the full history as one batch (one fold
+// of the forest roots per chunk of up to 256 keys, a prefix descent and
+// one GCD per key, a forest descent only on a hit), journaled before it
+// is acknowledged, and answered with a clean/shared/duplicate/malformed
+// verdict. The status endpoints
 // (/metrics, /timeline, /dashboard, /healthz, pprof) ride on the same
 // address; kill + restart replays the journal to an identical registry.
 //

@@ -61,10 +61,6 @@ type Options struct {
 	// are identical at every value.
 	TileSize int
 
-	// SubprodBudget caps the hybrid engine's cached subproduct bytes
-	// (LRU); 0 means unlimited.
-	SubprodBudget int64
-
 	// Kernel is the reference override of the per-pair executor (see
 	// bulk.Config.Kernel). The zero value lets the executor follow the
 	// algorithm — the lane kernel for Approximate — and is what every
@@ -75,14 +71,13 @@ type Options struct {
 // bulkConfig maps the Options onto the bulk engines' configuration.
 func (o Options) bulkConfig() bulk.Config {
 	return bulk.Config{
-		Config:        o.Config,
-		Algorithm:     o.Algorithm,
-		Early:         o.Early,
-		GroupSize:     o.GroupSize,
-		Quarantine:    o.Quarantine,
-		TileSize:      o.TileSize,
-		SubprodBudget: o.SubprodBudget,
-		Kernel:        o.Kernel,
+		Config:     o.Config,
+		Algorithm:  o.Algorithm,
+		Early:      o.Early,
+		GroupSize:  o.GroupSize,
+		Quarantine: o.Quarantine,
+		TileSize:   o.TileSize,
+		Kernel:     o.Kernel,
 	}
 }
 

@@ -71,11 +71,6 @@ type Config struct {
 	// 64. Findings are identical at every value.
 	TileSize int
 
-	// SubprodBudget caps the bytes of tile subproducts the hybrid engine
-	// caches (LRU); 0 means unlimited. Evictions trade recompute time
-	// for memory, never results.
-	SubprodBudget int64
-
 	// Kernel is the reference override of the per-pair executor. The zero
 	// value lets the executor follow the algorithm (see engine.KernelKind):
 	// Approximate runs on the lane-batched lockstep kernel of

@@ -8,7 +8,6 @@ import (
 
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/mpnat"
-	"bulkgcd/internal/subprod"
 )
 
 // CellRunner exposes the hybrid engine's tile cells as individually
@@ -27,7 +26,6 @@ type CellRunner struct {
 	plan       *hybridPlan
 	cfg        Config // stable copy; pr holds a pointer into it
 	moduli     []*mpnat.Nat
-	cache      *subprod.Cache
 	pr         pairRunner
 	hm         *hybridMetrics
 	metrics    *runMetrics
@@ -47,7 +45,6 @@ func NewCellRunner(moduli []*mpnat.Nat, cfg Config) (*CellRunner, error) {
 		plan:   plan,
 		cfg:    cfg,
 		moduli: moduli,
-		cache:  subprod.NewCache(cfg.SubprodBudget),
 	}
 	r.cfg.Checkpoint = nil
 	r.cfg.Resume = nil
@@ -108,7 +105,7 @@ func (r *CellRunner) RunUnit(ctx context.Context, unit int) (rec checkpoint.Reco
 	span := r.cfg.Trace.StartSpanUnder(r.spanParent, "cell", "cell", unit, "a", c.A, "b", c.B)
 	start := time.Now()
 	var blk blockOut
-	r.pr.runCell(r.plan, c, r.cache, r.hm, &blk)
+	r.pr.runCell(r.plan, c, r.hm, &blk)
 	dur := time.Since(start)
 	r.metrics.observeBlock(&blk, dur)
 	r.hm.observeCell(dur)

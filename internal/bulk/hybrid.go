@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"sync"
 	"time"
 
 	"bulkgcd/internal/checkpoint"
@@ -35,12 +36,12 @@ import (
 // kernel with the identical options. A modulus equal to 1 gets residue 0
 // and g = 1, and no pair containing it has a factor to report.
 //
-// The row tile's tree is built per cell and dropped with it; the column
-// tile products Π(tile B) are big.Int products built once
-// (subprod.Product) and cached under Config.SubprodBudget (LRU). The
-// work unit for scheduling, checkpointing and cancellation is one cell,
-// so every journaled cell is final and an interrupted run resumes
-// exactly like the all-pairs engine.
+// The row tile's tree is built per cell and dropped with it; each column
+// tile product Π(tile B) is built once per run by the first cross cell
+// that needs it (subprod.Product) and shared read-only by every later
+// one. The work unit for scheduling, checkpointing and cancellation is
+// one cell, so every journaled cell is final and an interrupted run
+// resumes exactly like the all-pairs engine.
 
 // hybridCell is one tile-pair work unit, A <= B (tile indices).
 type hybridCell struct {
@@ -54,9 +55,37 @@ type hybridPlan struct {
 	cells []hybridCell // deterministic row-major order
 	// bigs holds the active moduli as big.Ints, by active position,
 	// converted once per run and shared read-only by every worker: the
-	// leaves of the row tiles' trees, the factors of the cached column
-	// products and the row GCDs' operands.
+	// leaves of the row tiles' trees, the factors of the column products
+	// and the row GCDs' operands.
 	bigs []*big.Int
+	// columns holds Π(tile b) by tile index, each built on first use.
+	columns []column
+}
+
+// column is one tile's product, built at most once per run.
+type column struct {
+	once sync.Once
+	prod *big.Int
+}
+
+// column returns Π(tile b), building it on the run's first request and
+// counting the request as a build (a miss) or a share (a hit). Workers
+// that ask while it is being built wait for it. A build that panics
+// leaves the product unset, and every request for it panics too, so
+// each cell that needs it filters conservatively.
+func (p *hybridPlan) column(b int, hm *hybridMetrics) *big.Int {
+	c := &p.columns[b]
+	built := false
+	c.once.Do(func() {
+		built = true
+		lo, hi := p.tileSpan(b)
+		c.prod = subprod.Product(p.bigs[lo:hi])
+	})
+	if c.prod == nil {
+		panic(fmt.Sprintf("bulk: no product for column tile %d", b))
+	}
+	hm.observeColumn(built)
+	return c.prod
 }
 
 // tileSpan returns the active-index range [lo, hi) of tile t.
@@ -90,6 +119,7 @@ func planHybrid(moduli []*mpnat.Nat, cfg Config) (*hybridPlan, error) {
 		p.bigs[k] = moduli[i].ToBig()
 	}
 	nt := p.tiles()
+	p.columns = make([]column, nt)
 	for a := 0; a < nt; a++ {
 		for b := a; b < nt; b++ {
 			p.cells = append(p.cells, hybridCell{A: a, B: b})
@@ -130,7 +160,7 @@ type cellFilter struct {
 // runner's, valid until the next cell. A panic anywhere in the filter
 // conservatively descends every row (the per-pair runner then computes
 // — and quarantines — the truth pairwise) and drops the filter state.
-func (p *pairRunner) filterCell(plan *hybridPlan, c hybridCell, cache *subprod.Cache, hm *hybridMetrics) (hits []bool) {
+func (p *pairRunner) filterCell(plan *hybridPlan, c hybridCell, hm *hybridMetrics) (hits []bool) {
 	aLo, aHi := plan.tileSpan(c.A)
 	rows := plan.bigs[aLo:aHi]
 	start := time.Now()
@@ -161,9 +191,7 @@ func (p *pairRunner) filterCell(plan *hybridPlan, c hybridCell, cache *subprod.C
 	if c.A == c.B {
 		res, err = subprod.Cofactors(ctx, tree, subprod.Options{})
 	} else {
-		bLo, bHi := plan.tileSpan(c.B)
-		prod := cache.Get(c.B, func() *big.Int { return subprod.Product(plan.bigs[bLo:bHi]) })
-		res, err = subprod.Reduce(ctx, tree, prod, subprod.Options{})
+		res, err = subprod.Reduce(ctx, tree, plan.column(c.B, hm), subprod.Options{})
 	}
 	if err != nil {
 		panic(err)
@@ -185,10 +213,10 @@ var one = big.NewInt(1)
 // kernel dispatch, so on the lane kernel a cell's hit rows accumulate
 // into bounded lockstep batches, the last drained before the cell is
 // sealed for journaling.
-func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, cache *subprod.Cache, hm *hybridMetrics, blk *blockOut) {
+func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, hm *hybridMetrics, blk *blockOut) {
 	aLo, aHi := plan.tileSpan(c.A)
 	bLo, bHi := plan.tileSpan(c.B)
-	hits := p.filterCell(plan, c, cache, hm)
+	hits := p.filterCell(plan, c, hm)
 	for k := aLo; k < aHi; k++ {
 		uLo := bLo
 		if c.A == c.B {
@@ -226,18 +254,14 @@ func HybridContext(ctx context.Context, moduli []*mpnat.Nat, cfg Config) (*Resul
 		return nil, err
 	}
 	hm := newHybridMetrics(cfg.Metrics)
-	// The tile-subproduct cache is probed by every worker's cross cells,
-	// so it is sharded to roughly one lock per worker.
-	cache := subprod.NewCacheShards(cfg.SubprodBudget, cfg.EffectiveWorkers())
 	up := &unitPool{
 		cfg: &cfg, moduli: moduli, plan: &plan.runPlan,
 		unit: "cell", runAttrs: []any{"tile", plan.tile, "cells", len(plan.cells)},
 		spanAttrs: func(i int) []any { return []any{"a", plan.cells[i].A, "b", plan.cells[i].B} },
 		run: func(pr *pairRunner, i int, blk *blockOut) {
-			pr.runCell(plan, plan.cells[i], cache, hm, blk)
+			pr.runCell(plan, plan.cells[i], hm, blk)
 		},
 		observeUnit: hm.observeCell,
-		finish:      func() { hm.finish(cache.Stats()) },
 	}
 	return up.execute(ctx)
 }

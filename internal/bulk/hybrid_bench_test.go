@@ -146,7 +146,7 @@ func BenchmarkHybridTraceOverhead(b *testing.B) {
 		return d
 	}
 
-	// Warm both runners off the clock (the column tile caches, the
+	// Warm both runners off the clock (the column tile products, the
 	// kernels' arenas, the tracer) and check the findings once.
 	for u := 0; u < bare.Units(); u++ {
 		cell(bare, u)

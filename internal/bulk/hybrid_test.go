@@ -100,30 +100,62 @@ func TestHybridSkipsPairs(t *testing.T) {
 		t.Fatalf("filter GCDs = %d, want one per row of every cell, %d", filters, rows)
 	}
 	if snap.Counters["bulk_subprod_cache_misses_total"] == 0 {
-		t.Fatal("subproduct cache never built anything")
+		t.Fatal("no column tile product was built")
 	}
 }
 
-// TestHybridSubprodBudget: a tiny budget forces evictions and rebuilds
-// but never changes the results.
-func TestHybridSubprodBudget(t *testing.T) {
-	c := corpus(t, 40, 64, 3, 79)
-	base, err := AllPairs(c.Moduli(), Config{Algorithm: gcd.Approximate, Early: true})
+// TestHybridBuildsEachColumnOnce: a run builds every column tile
+// product once and shares it with every later cross cell, whatever the
+// pool size, and so does one CellRunner running every cell. 8 tiles of
+// 8 make 28 cross cells over the 7 column tiles 1-7: 7 builds and 21
+// shares.
+func TestHybridBuildsEachColumnOnce(t *testing.T) {
+	c := corpus(t, 64, 64, 2, 78)
+	ms := c.Moduli()
+	base, err := AllPairs(ms, Config{Algorithm: gcd.Approximate, Early: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := func(reg *obs.Registry) (built, shared int64) {
+		snap := reg.Snapshot()
+		return snap.Counters["bulk_subprod_cache_misses_total"], snap.Counters["bulk_subprod_cache_hits_total"]
+	}
+	for _, workers := range []int{1, 2, 8} {
+		reg := obs.NewRegistry()
+		res, err := Hybrid(ms, Config{
+			Config:    engine.Config{Workers: workers, Metrics: reg},
+			Algorithm: gcd.Approximate, Early: true, TileSize: 8,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sameFactors(t, res.Factors, base.Factors)
+		if built, shared := counts(reg); built != 7 || shared != 21 {
+			t.Fatalf("workers=%d: %d column products built and %d shared, want 7 and 21", workers, built, shared)
+		}
+	}
+
 	reg := obs.NewRegistry()
-	res, err := Hybrid(c.Moduli(), Config{
+	r, err := NewCellRunner(ms, Config{
 		Config:    engine.Config{Metrics: reg},
-		Algorithm: gcd.Approximate, Early: true, TileSize: 4,
-		SubprodBudget: 64, // a couple of 64-bit×4 subproducts at most
+		Algorithm: gcd.Approximate, Early: true, TileSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	records := map[int]checkpoint.Record{}
+	for u := 0; u < r.Units(); u++ {
+		if records[u], err = r.RunUnit(context.Background(), u); err != nil {
+			t.Fatalf("cell %d: %v", u, err)
+		}
+	}
+	res, err := r.Assemble(records)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameFactors(t, res.Factors, base.Factors)
-	if reg.Snapshot().Counters["bulk_subprod_cache_evictions_total"] == 0 {
-		t.Fatal("64-byte budget evicted nothing")
+	if built, shared := counts(reg); r.Units() != 36 || built != 7 || shared != 21 {
+		t.Fatalf("CellRunner over %d cells: %d column products built and %d shared, want 36 cells, 7 and 21", r.Units(), built, shared)
 	}
 }
 
@@ -414,9 +446,9 @@ func TestHybridIntraTileSharing(t *testing.T) {
 }
 
 // filterFixture returns a hybrid plan over 128 random odd 2048-bit
-// values cut into two 64-key tiles, a fresh pairRunner and an empty
-// tile cache: the scan-hybrid tile shape.
-func filterFixture(t *testing.T) (*hybridPlan, *pairRunner, *subprod.Cache) {
+// values cut into two 64-key tiles, with no column product built yet,
+// and a fresh pairRunner: the scan-hybrid tile shape.
+func filterFixture(t *testing.T) (*hybridPlan, *pairRunner) {
 	t.Helper()
 	r := rand.New(rand.NewSource(86))
 	ms := make([]*mpnat.Nat, 128)
@@ -430,7 +462,7 @@ func filterFixture(t *testing.T) (*hybridPlan, *pairRunner, *subprod.Cache) {
 	}
 	var seq atomic.Int64
 	pr := newPairRunner(cfg, plan.maxBits, ms, &seq, nil)
-	return plan, &pr, subprod.NewCache(0)
+	return plan, &pr
 }
 
 // raceEnabled is set by race_test.go when the race detector is on.
@@ -447,7 +479,7 @@ var raceEnabled bool
 // their counts under Go 1.24's math/big. The collector is off while
 // counting, so math/big's pooled buffers are never dropped mid-count.
 func TestFilterCellAllocs(t *testing.T) {
-	plan, pr, cache := filterFixture(t)
+	plan, pr := filterFixture(t)
 	if raceEnabled {
 		t.Skip("allocation counts are inexact under the race detector")
 	}
@@ -471,16 +503,15 @@ func TestFilterCellAllocs(t *testing.T) {
 			rowGCDs(zs)
 		}, 1165},
 		{hybridCell{0, 1}, func() {
-			prod := cache.Get(1, func() *big.Int { return subprod.Product(plan.bigs[64:]) })
 			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
-			rs, _ := subprod.Reduce(ctx, tree, prod, subprod.Options{})
+			rs, _ := subprod.Reduce(ctx, tree, plan.column(1, nil), subprod.Options{})
 			rowGCDs(rs)
 		}, 1119},
 	} {
 		tc.direct()
-		pr.filterCell(plan, tc.cell, cache, nil) // warm the worker and the cache
+		pr.filterCell(plan, tc.cell, nil) // warm the worker and the column table
 		want := testing.AllocsPerRun(10, tc.direct)
-		got := testing.AllocsPerRun(10, func() { pr.filterCell(plan, tc.cell, cache, nil) })
+		got := testing.AllocsPerRun(10, func() { pr.filterCell(plan, tc.cell, nil) })
 		if got > want {
 			t.Errorf("cell %v: filter allocated %.0f times, the direct tree, descent and GCDs %.0f", tc.cell, got, want)
 		}
@@ -506,12 +537,11 @@ func TestFilterCellPanicResets(t *testing.T) {
 	}
 	var seq atomic.Int64
 	pr := newPairRunner(&cfg, plan.maxBits, ms, &seq, nil)
-	cache := subprod.NewCache(0)
 	// The verdicts of a clean runner, for comparison after the panics.
 	clean := map[hybridCell][]bool{}
 	for _, cell := range plan.cells {
 		var blk blockOut
-		pr.runCell(plan, cell, cache, nil, &blk)
+		pr.runCell(plan, cell, nil, &blk)
 		clean[cell] = append([]bool(nil), pr.filter.hits[:4]...)
 	}
 	if pr.filter.g.Bits() == nil {
@@ -523,7 +553,7 @@ func TestFilterCellPanicResets(t *testing.T) {
 		reg := obs.NewRegistry()
 		hm := newHybridMetrics(reg)
 		var blk blockOut
-		pr.runCell(plan, cell, cache, hm, &blk)
+		pr.runCell(plan, cell, hm, &blk)
 		plan.bigs[1] = good
 		snap := reg.Snapshot()
 		pairs := int64(4 * 4) // every pair of a 4×4 cross cell
@@ -548,9 +578,48 @@ func TestFilterCellPanicResets(t *testing.T) {
 		trace.Reset()
 		// The next cell filters normally.
 		next := hybridCell{1, 2}
-		pr.runCell(plan, next, cache, nil, &blk)
+		pr.runCell(plan, next, nil, &blk)
 		if got := pr.filter.hits[:4]; fmt.Sprint(got) != fmt.Sprint(clean[next]) {
 			t.Fatalf("after a panic in %v: cell %v verdicts %v, clean %v", cell, next, got, clean[next])
 		}
+	}
+}
+
+// TestColumnPanicDescends: a panic while a column tile product is built
+// leaves the cell's filter conservative, every row descending, and so
+// does every later cell that needs the same column, while the other
+// columns filter normally. A nil leaf in column tile 2 makes the
+// product's multiplication panic.
+func TestColumnPanicDescends(t *testing.T) {
+	c := corpus(t, 16, 64, 2, 88)
+	ms := c.Moduli()
+	cfg := Config{Algorithm: gcd.Approximate, TileSize: 4}
+	plan, err := planHybrid(ms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq atomic.Int64
+	pr := newPairRunner(&cfg, plan.maxBits, ms, &seq, nil)
+	good := plan.bigs[9]
+	plan.bigs[9] = nil
+	for _, cell := range []hybridCell{{0, 2}, {1, 2}} {
+		reg := obs.NewRegistry()
+		var blk blockOut
+		pr.runCell(plan, cell, newHybridMetrics(reg), &blk)
+		plan.bigs[9] = good
+		snap := reg.Snapshot()
+		if hits, d := snap.Counters["bulk_hybrid_tile_hits_total"], snap.Counters["bulk_hybrid_descended_pairs_total"]; hits != 4 || d != 16 || blk.pairs != 16 {
+			t.Fatalf("cell %v: %d of 4 rows and %d of 16 pairs descended, %d covered", cell, hits, d, blk.pairs)
+		}
+		if built, shared := snap.Counters["bulk_subprod_cache_misses_total"], snap.Counters["bulk_subprod_cache_hits_total"]; built+shared != 0 {
+			t.Fatalf("cell %v: %d column products counted built and %d shared, want none", cell, built, shared)
+		}
+	}
+	reg := obs.NewRegistry()
+	var blk blockOut
+	pr.runCell(plan, hybridCell{0, 3}, newHybridMetrics(reg), &blk)
+	snap := reg.Snapshot()
+	if built, skips := snap.Counters["bulk_subprod_cache_misses_total"], snap.Counters["bulk_hybrid_tile_skips_total"]; built != 1 || skips == 0 {
+		t.Fatalf("cell {0 3}: %d column products built and %d rows skipped, want 1 and some", built, skips)
 	}
 }

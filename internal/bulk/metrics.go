@@ -7,7 +7,6 @@ import (
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/lanes"
 	"bulkgcd/internal/obs"
-	"bulkgcd/internal/subprod"
 )
 
 // runMetrics pre-resolves the bulk engine's obs instruments once per
@@ -126,10 +125,8 @@ func (m *runMetrics) observeCheckpoint(dur time.Duration) {
 //	bulk_hybrid_filter_seconds        per-cell filter latency histogram
 //	                                  (tree, descent and row GCDs)
 //	bulk_hybrid_cell_seconds          per-cell latency histogram
-//	bulk_subprod_cache_hits_total     tile subproduct cache hits
-//	bulk_subprod_cache_misses_total   tile subproduct cache misses
-//	bulk_subprod_cache_evictions_total entries evicted to hold the budget
-//	bulk_subprod_cache_bytes          gauge: final cached payload size
+//	bulk_subprod_cache_hits_total     column tile products shared
+//	bulk_subprod_cache_misses_total   column tile products built
 type hybridMetrics struct {
 	filterGCDs *obs.Counter
 	tileHits   *obs.Counter
@@ -140,10 +137,8 @@ type hybridMetrics struct {
 	filterSeconds *obs.Histogram
 	cellSeconds   *obs.Histogram
 
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-	cacheBytes     *obs.Gauge
+	columnsShared *obs.Counter
+	columnsBuilt  *obs.Counter
 }
 
 func newHybridMetrics(reg *obs.Registry) *hybridMetrics {
@@ -151,17 +146,15 @@ func newHybridMetrics(reg *obs.Registry) *hybridMetrics {
 		return nil
 	}
 	return &hybridMetrics{
-		filterGCDs:     reg.Counter("bulk_hybrid_filter_gcds_total"),
-		tileHits:       reg.Counter("bulk_hybrid_tile_hits_total"),
-		tileSkips:      reg.Counter("bulk_hybrid_tile_skips_total"),
-		descended:      reg.Counter("bulk_hybrid_descended_pairs_total"),
-		skipped:        reg.Counter("bulk_hybrid_skipped_pairs_total"),
-		filterSeconds:  reg.Histogram("bulk_hybrid_filter_seconds", obs.DurationBuckets()),
-		cellSeconds:    reg.Histogram("bulk_hybrid_cell_seconds", obs.DurationBuckets()),
-		cacheHits:      reg.Counter("bulk_subprod_cache_hits_total"),
-		cacheMisses:    reg.Counter("bulk_subprod_cache_misses_total"),
-		cacheEvictions: reg.Counter("bulk_subprod_cache_evictions_total"),
-		cacheBytes:     reg.Gauge("bulk_subprod_cache_bytes"),
+		filterGCDs:    reg.Counter("bulk_hybrid_filter_gcds_total"),
+		tileHits:      reg.Counter("bulk_hybrid_tile_hits_total"),
+		tileSkips:     reg.Counter("bulk_hybrid_tile_skips_total"),
+		descended:     reg.Counter("bulk_hybrid_descended_pairs_total"),
+		skipped:       reg.Counter("bulk_hybrid_skipped_pairs_total"),
+		filterSeconds: reg.Histogram("bulk_hybrid_filter_seconds", obs.DurationBuckets()),
+		cellSeconds:   reg.Histogram("bulk_hybrid_cell_seconds", obs.DurationBuckets()),
+		columnsShared: reg.Counter("bulk_subprod_cache_hits_total"),
+		columnsBuilt:  reg.Counter("bulk_subprod_cache_misses_total"),
 	}
 }
 
@@ -198,15 +191,17 @@ func (m *hybridMetrics) observeCell(dur time.Duration) {
 	m.cellSeconds.ObserveDuration(int64(dur))
 }
 
-// finish folds the subproduct cache's lifetime accounting in.
-func (m *hybridMetrics) finish(st subprod.CacheStats) {
+// observeColumn records one column tile product handed to a cross
+// cell: built for it, or shared from the run's table.
+func (m *hybridMetrics) observeColumn(built bool) {
 	if m == nil {
 		return
 	}
-	m.cacheHits.Add(st.Hits)
-	m.cacheMisses.Add(st.Misses)
-	m.cacheEvictions.Add(st.Evictions)
-	m.cacheBytes.Set(float64(st.Bytes))
+	if built {
+		m.columnsBuilt.Inc()
+	} else {
+		m.columnsShared.Inc()
+	}
 }
 
 // lanesMetrics holds the instruments of the lane-batched kernel, fed

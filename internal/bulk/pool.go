@@ -45,9 +45,6 @@ type unitPool struct {
 	// observeUnit, when non-nil, sees each completed unit's duration
 	// (the hybrid engine's cell histogram).
 	observeUnit func(d time.Duration)
-	// finish, when non-nil, runs once the run metrics are final, before
-	// the run span ends (the hybrid engine's cache accounting).
-	finish func()
 }
 
 // execute runs every unit of the plan and assembles the Result. A
@@ -155,9 +152,6 @@ func (up *unitPool) execute(ctx context.Context) (*Result, error) {
 	sortFactors(res.Factors)
 	sortBadPairs(res.BadPairs)
 	metrics.finish(res, busy)
-	if up.finish != nil {
-		up.finish()
-	}
 	runSpan.End("pairs", res.Pairs, "factors", len(res.Factors),
 		"bad_pairs", len(res.BadPairs), "canceled", res.Canceled)
 	if !res.Canceled && res.Pairs != total {

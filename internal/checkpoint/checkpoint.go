@@ -144,20 +144,6 @@ func OpenAppend(path string) (*Writer, error) {
 // Path returns the journal's file path.
 func (w *Writer) Path() string { return w.path }
 
-// Prior returns the header already stored in an appended-to journal, or
-// nil on a fresh file. Growable-journal owners adopt it so Begin's
-// equality check holds across reopens regardless of how far the corpus
-// has grown since creation.
-func (w *Writer) Prior() *Header {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.prior == nil {
-		return nil
-	}
-	h := *w.prior
-	return &h
-}
-
 // Begin records the run's header: on a fresh journal it is written as the
 // first line; when appending to an existing journal it must match the
 // stored header exactly.

@@ -425,9 +425,6 @@ func TestGrowChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prior := w2.Prior(); prior == nil || !prior.Grow {
-		t.Fatalf("Prior() = %+v, want growable header", prior)
-	}
 	if err := w2.Begin(hdr); err != nil {
 		t.Fatal(err)
 	}

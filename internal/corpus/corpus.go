@@ -49,18 +49,7 @@ func Write(w io.Writer, moduli []*mpnat.Nat, comment string) error {
 // the attack layer can assume valid inputs. It is a collecting wrapper
 // over Source, so it also accepts PEM streams.
 func Read(r io.Reader) ([]*mpnat.Nat, error) {
-	return collect(NewSource(r))
-}
-
-// ReadLenient parses like Read but keeps zero and even moduli, leaving
-// validation to the caller. The bulk engines' quarantine mode reports
-// such entries per index instead of failing the whole corpus, which is
-// the right trade for large collected key sets with a few corrupt lines.
-func ReadLenient(r io.Reader) ([]*mpnat.Nat, error) {
-	return collect(NewLenientSource(r))
-}
-
-func collect(src *Source) ([]*mpnat.Nat, error) {
+	src := NewSource(r)
 	var out []*mpnat.Nat
 	for src.Next() {
 		out = append(out, src.Record().N)

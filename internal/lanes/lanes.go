@@ -217,9 +217,6 @@ func (k *Kernel) SetBatchDepth(d int) {
 	k.adaptive = false
 }
 
-// BatchDepth returns the current head-batch depth cap.
-func (k *Kernel) BatchDepth() int { return int(k.depthCap) }
-
 // lanePlanes returns lane j's X and Y matrices per its plane selector.
 // The swap decision is a coin flip on random operands, so the selector
 // indexes an array of the two planes instead of branching.

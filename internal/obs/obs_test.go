@@ -187,9 +187,6 @@ func TestNilSafety(t *testing.T) {
 	if fn := SerializeProgress(nil); fn != nil {
 		t.Error("SerializeProgress(nil) != nil")
 	}
-	if fn := Tee(nil, nil); fn != nil {
-		t.Error("Tee(nil, nil) != nil")
-	}
 }
 
 // TestSerializeProgressMonotonic: concurrent out-of-order delivery in,

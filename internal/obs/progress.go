@@ -44,7 +44,7 @@ func SerializeProgress(fn ProgressFunc) ProgressFunc {
 // line per Interval, plus a final line when done reaches total.
 //
 // Use it directly as an engine Progress callback (the engines serialize
-// delivery), or Tee it with another callback.
+// delivery).
 type ProgressPrinter struct {
 	w        io.Writer
 	unit     string
@@ -123,27 +123,5 @@ func (p *ProgressPrinter) Finish() {
 	if p.lines > 0 && !p.finished {
 		fmt.Fprintln(p.w)
 		p.finished = true
-	}
-}
-
-// Tee fans one progress stream out to several callbacks (nils are
-// skipped; nil result when all are nil).
-func Tee(fns ...ProgressFunc) ProgressFunc {
-	live := make([]ProgressFunc, 0, len(fns))
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(done, total int64) {
-		for _, fn := range live {
-			fn(done, total)
-		}
 	}
 }

@@ -1,15 +1,18 @@
 package registry
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
@@ -60,6 +63,83 @@ type nodeHeader struct {
 	Bytes int    `json:"bytes"`
 }
 
+// nodeCache is the store's byte-budgeted LRU of resolved nodes, sized
+// by their big.Word payload. It is safe for concurrent use, and its
+// values are shared read-only. A miss builds outside the lock, so two
+// descents racing on one node may both build it; the first insert wins
+// and both get equal values.
+type nodeCache struct {
+	mu      sync.Mutex
+	budget  int64 // <= 0 means unlimited
+	used    int64
+	order   *list.List // front = most recently used; values are *nodeEntry
+	entries map[nodeKey]*list.Element
+}
+
+type nodeEntry struct {
+	key nodeKey
+	val *big.Int
+}
+
+func newNodeCache(budget int64) *nodeCache {
+	return &nodeCache{budget: budget, order: list.New(), entries: map[nodeKey]*list.Element{}}
+}
+
+// nodeBytes is the size the cache accounts for a node.
+func nodeBytes(v *big.Int) int64 { return int64(len(v.Bits())) * bits.UintSize / 8 }
+
+// get returns the cached node k, building and (budget permitting)
+// inserting it on a miss.
+func (c *nodeCache) get(k nodeKey, build func() *big.Int) *big.Int {
+	c.mu.Lock()
+	if el, ok := c.entries[k]; ok {
+		c.order.MoveToFront(el)
+		v := el.Value.(*nodeEntry).val
+		c.mu.Unlock()
+		return v
+	}
+	c.mu.Unlock()
+	return c.put(k, build())
+}
+
+// put inserts v under k unless k is already cached, then evicts from
+// the LRU tail until the budget holds, and returns the retained value.
+// A value larger than the whole budget is returned but not retained.
+func (c *nodeCache) put(k nodeKey, v *big.Int) *big.Int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*nodeEntry).val
+	}
+	size := nodeBytes(v)
+	if c.budget > 0 && size > c.budget {
+		return v
+	}
+	c.entries[k] = c.order.PushFront(&nodeEntry{key: k, val: v})
+	c.used += size
+	for c.budget > 0 && c.used > c.budget {
+		c.remove(c.order.Back())
+	}
+	return v
+}
+
+// drop removes k if cached.
+func (c *nodeCache) drop(k nodeKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.remove(el)
+	}
+}
+
+// remove unlinks one entry; callers hold c.mu.
+func (c *nodeCache) remove(el *list.Element) {
+	e := c.order.Remove(el).(*nodeEntry)
+	delete(c.entries, e.key)
+	c.used -= nodeBytes(e.val)
+}
+
 // store resolves node values through three layers: the byte-budgeted
 // in-RAM LRU cache, the node file directory (nodes of seedSpan leaves
 // or more only), and a rebuild from children (recursive for small
@@ -74,7 +154,7 @@ type nodeHeader struct {
 // lock.
 type store struct {
 	dir     string
-	cache   *subprod.KeyedCache[nodeKey]
+	cache   *nodeCache
 	workers int
 
 	// leafHex returns the identity line for leaf i ("-" when
@@ -89,7 +169,7 @@ type store struct {
 func newStore(dir string, budget int64, workers int, reg *obs.Registry) *store {
 	s := &store{
 		dir:     dir,
-		cache:   subprod.NewKeyedCache[nodeKey](budget),
+		cache:   newNodeCache(budget),
 		workers: workers,
 	}
 	if reg != nil {
@@ -124,7 +204,7 @@ func (s *store) value(k nodeKey) *big.Int {
 	if k.level == 0 {
 		return s.leaf(k.index)
 	}
-	return s.cache.Get(k, func() *big.Int {
+	return s.cache.get(k, func() *big.Int {
 		if v := s.read(k); v != nil {
 			s.loads.Inc()
 			return v
@@ -137,16 +217,16 @@ func (s *store) value(k nodeKey) *big.Int {
 // a filed node's file lands before the cache so a crash immediately
 // after still reloads it. Returns the retained value (the cache may
 // already hold an equal node built concurrently — impossible under the
-// registry lock, but Put's contract covers it).
+// registry lock, but nodeCache.put's contract covers it).
 func (s *store) put(k nodeKey, v *big.Int) *big.Int {
 	s.write(k, v)
-	return s.cache.Put(k, v)
+	return s.cache.put(k, v)
 }
 
 // invalidate drops a node from cache and disk; the next value() call
 // rebuilds it from children. Used when a leaf under it is tombstoned.
 func (s *store) invalidate(k nodeKey) {
-	s.cache.Drop(k)
+	s.cache.drop(k)
 	if filed(k) {
 		os.Remove(s.path(k))
 	}
@@ -241,7 +321,7 @@ func (s *store) build(k nodeKey) *big.Int {
 					kk := nodeKey{l, (lo >> l) + j}
 					s.write(kk, v)
 					if l < len(t.Levels)-1 {
-						s.cache.Put(kk, v)
+						s.cache.put(kk, v)
 					}
 				}
 			}
@@ -296,9 +376,6 @@ func isNodeName(name string) bool {
 	n, _ := fmt.Sscanf(name, "%02d-%08x.node%s", &level, &index, &rest)
 	return n == 2 && fmt.Sprintf("%02d-%08x.node", level, index) == name
 }
-
-// stats returns the cache's counters for the registry's Stats surface.
-func (s *store) stats() subprod.CacheStats { return s.cache.Stats() }
 
 // rootsOf decomposes a forest over n leaves into its spine roots, one
 // perfect subtree per set bit of n, largest first. Each root's span is

@@ -249,13 +249,15 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	r.store.leafHex = r.leafHex
 	r.store.leaf = r.leaf
 
-	if err := r.loadCorpus(); err != nil {
-		return nil, err
+	err := r.loadCorpus()
+	if err == nil {
+		err = r.loadRemoved()
 	}
-	if err := r.loadRemoved(); err != nil {
-		return nil, err
+	if err == nil {
+		err = r.replay()
 	}
-	if err := r.replay(); err != nil {
+	if err != nil {
+		r.closeFiles()
 		return nil, err
 	}
 	r.keysGauge.Set(float64(len(r.corpus)))
@@ -931,19 +933,29 @@ func (r *Registry) Close() error {
 	}
 	r.closed = true
 	close(r.findings)
+	if err := r.closeFiles(); err != nil {
+		return fmt.Errorf("registry: %w", err)
+	}
+	return nil
+}
+
+// closeFiles syncs and closes whichever of the logs and the journal are
+// open and returns the first error.
+func (r *Registry) closeFiles() error {
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {
 			first = err
 		}
 	}
-	keep(r.corpusF.Sync())
-	keep(r.corpusF.Close())
-	keep(r.removedF.Sync())
-	keep(r.removedF.Close())
-	keep(r.journal.Close())
-	if first != nil {
-		return fmt.Errorf("registry: %w", first)
+	for _, f := range []*os.File{r.corpusF, r.removedF} {
+		if f != nil {
+			keep(f.Sync())
+			keep(f.Close())
+		}
 	}
-	return nil
+	if r.journal != nil {
+		keep(r.journal.Close())
+	}
+	return first
 }

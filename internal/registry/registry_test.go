@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"os"
@@ -222,6 +223,62 @@ func TestCrashBeforeJournal(t *testing.T) {
 	for i := range got {
 		if got[i].Index != want[i].Index || got[i].G.Cmp(want[i].G) != 0 {
 			t.Fatalf("broken[%d]: %+v != %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestOpenFailureClosesFiles: an Open that fails closes every file it
+// had opened. A journal path that is a directory fails after both logs
+// are open; a journal record naming a later partner passes the chain
+// check and fails replay after the journal is open too. Repeating
+// either failure must not grow the process's open file count.
+func TestOpenFailureClosesFiles(t *testing.T) {
+	fds := func() int {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files")
+		}
+		return len(des)
+	}
+	fds()
+
+	noJournal := t.TempDir()
+	if err := os.Mkdir(filepath.Join(noJournal, "journal.jsonl"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	badRecord := t.TempDir()
+	r := openT(t, badRecord, Config{})
+	mustSubmit(t, r, b(15))
+	if v := mustSubmit(t, r, b(21)); v.Kind != Shared {
+		t.Fatalf("21 after 15: %v, want shared", v.Kind)
+	}
+	r.Close()
+	jpath := filepath.Join(badRecord, "journal.jsonl")
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"i":1,"j":0`), []byte(`"i":1,"j":1`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatalf("journal has no finding of key 1 with key 0:\n%s", data)
+	}
+	if err := os.WriteFile(jpath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, dir := range []string{noJournal, badRecord} {
+		if _, err := Open(dir, Config{}); err == nil {
+			t.Fatalf("%s: Open succeeded", dir)
+		}
+		before := fds()
+		for i := 0; i < 20; i++ {
+			if _, err := Open(dir, Config{}); err == nil {
+				t.Fatalf("%s: Open succeeded", dir)
+			}
+		}
+		if after := fds(); after > before {
+			t.Fatalf("%s: 20 failed Opens left %d more open files", dir, after-before)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package subprod holds the subproduct machinery shared by the three
 // product-based paths: the level-parallel product tree that batch GCD
 // (internal/batchgcd) builds over the whole corpus, the per-cell tile
-// trees and cached tile products of the hybrid product-filter engine
+// trees and column tile products of the hybrid product-filter engine
 // (internal/bulk), and the registry's persistent forest
 // (internal/registry).
 //
@@ -20,15 +20,14 @@
 //
 // Every node is compacted after its multiplication (Mul): math/big's
 // Karatsuba leaves a product with max(6k, m+n) words of capacity, about
-// three times its length, and a tree or cache that retains those
-// products holds that slack for its whole life.
+// three times its length, and a tree, table or forest that retains
+// those products holds that slack for its whole life.
 package subprod
 
 import (
 	"context"
 	"fmt"
 	"math/big"
-	"math/bits"
 
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/obs"
@@ -69,12 +68,6 @@ func compact(x *big.Int) *big.Int {
 	w := make([]big.Word, len(x.Bits()))
 	copy(w, x.Bits())
 	return new(big.Int).SetBits(w)
-}
-
-// nodeBytes returns the in-memory size the cache accounts for a node:
-// its big.Word payload.
-func nodeBytes(x *big.Int) int64 {
-	return int64(len(x.Bits())) * bits.UintSize / 8
 }
 
 // Options configures Build and the descents (Cofactors, Reduce,

@@ -167,75 +167,10 @@ func TestProduct(t *testing.T) {
 	}
 }
 
-func TestCacheBudgetAndLRU(t *testing.T) {
-	build := func(k int) func() *big.Int {
-		return func() *big.Int {
-			// 5 words = 40 bytes each.
-			ws := make([]big.Word, 5)
-			for i := range ws {
-				ws[i] = big.Word(k + 1)
-			}
-			return new(big.Int).SetBits(ws)
-		}
-	}
-	c := NewCache(100) // fits 2 of the 40-byte values
-	a := c.Get(0, build(0))
-	if got := c.Get(0, build(0)); got != a {
-		t.Fatal("hit should return the cached pointer")
-	}
-	c.Get(1, build(1))
-	c.Get(2, build(2)) // evicts key 0 (LRU)
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats after eviction: %+v", st)
-	}
-	if got := c.Get(0, build(0)); got == a {
-		t.Fatal("evicted key rebuilt: must be a fresh value")
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 4 {
-		t.Fatalf("hit/miss accounting: %+v", st)
-	}
-
-	// A value bigger than the whole budget is returned but not retained.
-	tiny := NewCache(8)
-	tiny.Get(7, build(7))
-	if st := tiny.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("oversized value retained: %+v", st)
-	}
-
-	// Unlimited budget never evicts.
-	unl := NewCache(0)
-	for k := 0; k < 50; k++ {
-		unl.Get(k, build(k))
-	}
-	if st := unl.Stats(); st.Evictions != 0 || st.Entries != 50 {
-		t.Fatalf("unlimited cache: %+v", st)
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache(1 << 20)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := i % 17
-				v := c.Get(k, func() *big.Int { return big.NewInt(int64(k + 1)) })
-				if v.Uint64() != uint64(k+1) {
-					t.Errorf("key %d: got %d", k, v.Uint64())
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TestBuildLeavesUntouched: level 0 aliases the caller's leaves and
 // interior nodes never alias them, so a tree build must leave every
-// input intact (the hybrid engine shares leaves across cached tiles).
+// input intact (the hybrid engine shares leaves across its trees and
+// column products).
 func TestBuildLeavesUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	leaves := make([]*big.Int, 7)
@@ -287,58 +222,5 @@ func TestBuildNodesCompact(t *testing.T) {
 	}
 	if p := Product(leaves[:33]); cap(p.Bits())-len(p.Bits()) > 4 {
 		t.Fatalf("Product left %d spare words", cap(p.Bits())-len(p.Bits()))
-	}
-}
-
-// TestKeyedCache exercises the generic-key cache the registry's node
-// store uses: struct keys, Put insertion, Drop invalidation, and the
-// LRU budget discipline shared with the int-keyed tile cache.
-func TestKeyedCache(t *testing.T) {
-	type nodeKey struct{ level, index int }
-	val := func(words int) *big.Int { // words big.Words of payload
-		ws := make([]big.Word, words)
-		for i := range ws {
-			ws[i] = big.Word(i + 1)
-		}
-		return new(big.Int).SetBits(ws)
-	}
-	c := NewKeyedCache[nodeKey](40) // room for two 2-word (16-byte) values plus change
-	builds := 0
-	get := func(k nodeKey) *big.Int {
-		return c.Get(k, func() *big.Int { builds++; return val(2) })
-	}
-	a, b := nodeKey{1, 0}, nodeKey{1, 1}
-	get(a)
-	get(a)
-	if builds != 1 {
-		t.Fatalf("builds = %d after two Gets of one key, want 1", builds)
-	}
-	get(b)
-	get(nodeKey{2, 0}) // exceeds 40 bytes: evicts the LRU entry (a)
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats after eviction: %+v, want 1 eviction, 2 entries", st)
-	}
-	get(a) // must rebuild
-	if builds != 4 {
-		t.Fatalf("builds = %d, want 4 (a rebuilt after eviction)", builds)
-	}
-
-	// Put retains the value; a second Put of the same key keeps the first.
-	first := c.Put(nodeKey{3, 3}, val(1))
-	second := c.Put(nodeKey{3, 3}, val(1))
-	if first != second {
-		t.Fatal("second Put did not return the retained value")
-	}
-	// Drop invalidates: the next Get rebuilds.
-	c.Drop(nodeKey{3, 3})
-	rebuilt := c.Get(nodeKey{3, 3}, func() *big.Int { return val(3) })
-	if len(rebuilt.Bits()) != 3 {
-		t.Fatal("Drop did not invalidate the entry")
-	}
-	// A value larger than the whole budget is returned but never retained.
-	huge := c.Put(nodeKey{9, 9}, val(100))
-	if huge == nil || c.Stats().Bytes > 40 {
-		t.Fatalf("oversized value retained: %+v", c.Stats())
 	}
 }

@@ -53,7 +53,7 @@ type KeyPartner struct {
 
 // KeyVerdict is the registry's answer to one submission: the batch-GCD
 // outcome of the key against the corpus registered before it, computed
-// from one remainder-tree descent and durable before it is returned.
+// from its batch check and durable before it is returned.
 type KeyVerdict struct {
 	// Index is the key's position in the registry corpus, -1 when the
 	// submission was rejected as malformed.
@@ -108,11 +108,13 @@ type RegistryStats struct {
 }
 
 // Registry is a long-lived, crash-safe key registry: a persistent
-// product-tree index over every submitted modulus. Each submission is
-// checked against the full history with one remainder-tree descent
-// (O(log N) tree multiplications instead of a full rescan), journaled
-// before it is acknowledged, and replayed to an identical state after a
-// kill+restart.
+// product-tree index over every submitted modulus. Submissions are
+// checked against the full history in chunks of up to 256 keys instead
+// of a full rescan: one fold of the forest roots per chunk, pushed down
+// the chunk's product tree by one prefix descent, then one GCD per key,
+// with a forest descent only for a key that shares a factor. Each
+// verdict is journaled before it is acknowledged and replayed to an
+// identical state after a kill+restart.
 //
 // Open one with [OpenRegistry]; it is safe for concurrent use.
 type Registry struct {
@@ -128,8 +130,9 @@ type Registry struct {
 //
 // The option vocabulary is shared with [New]; OpenRegistry honors
 // [WithWorkers] (tree build parallelism), [WithSubproductBudget] (the
-// in-RAM node cache byte budget), [WithMetrics] (a Prometheus snapshot
-// is written on Close) and [WithTrace] (one span per submission).
+// byte budget of the in-RAM LRU of tree nodes, which only a registry
+// has), [WithMetrics] (a Prometheus snapshot is written on Close) and
+// [WithTrace] (one span per submission).
 // Options that configure the pairwise attack (engine, algorithm,
 // checkpoint path, quarantine) do not apply to a registry and are
 // ignored: its descents run on the product-tree forest, not a per-pair
@@ -139,7 +142,7 @@ func OpenRegistry(dir string, opts ...Option) (*Registry, error) {
 	reg := obs.NewRegistry()
 	cfg := registry.Config{
 		Workers:    a.workers,
-		NodeBudget: a.subprodBudget,
+		NodeBudget: a.nodeBudget,
 		Metrics:    reg,
 	}
 	if a.traceW != nil {
