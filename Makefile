@@ -108,8 +108,10 @@ bench-e2e:
 # across the 256-key chunk boundary), subprod's three descents
 # (Cofactors, Reduce and Prefixes, on trees with and without their
 # root) against math/big, the hybrid engine's tile-tree filter against
-# a naive scan, and batch GCD's cofactor descent against naive pairwise
-# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes).
+# a naive scan, batch GCD's cofactor descent against naive pairwise
+# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes), and
+# the attack's primality test against a Miller-Rabin over bases 2..37
+# (exact on 64-bit inputs) and on products of two fuzzed integers.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzSubMulRshift -fuzztime 30s ./internal/mpnat/
@@ -121,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/
+	$(GO) test -run '^$$' -fuzz FuzzIsPrime -fuzztime 30s ./internal/attack/
 
 # Production Go line count: every tracked .go file except tests and the
 # benchmark module. Simplicity changes quote this one number.

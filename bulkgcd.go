@@ -165,8 +165,9 @@ type BrokenKey struct {
 	Index int
 	// N is the modulus and P, Q its recovered factors, P <= Q.
 	N, P, Q *big.Int
-	// D is the recovered private exponent (nil if the cofactors are not
-	// both prime).
+	// D is the recovered private exponent, nil unless P and Q are two
+	// distinct primes (so nil for a composite factor and for n = p²)
+	// and the exponent is invertible.
 	D *big.Int
 	// FoundWith is the index of the other modulus in the revealing pair.
 	FoundWith int

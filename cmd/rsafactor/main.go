@@ -493,7 +493,7 @@ func printFindings(stdout io.Writer, rep *attack.Report) {
 		if bk.D != nil {
 			fmt.Fprintf(stdout, "  d = %x\n", bk.D)
 		} else {
-			fmt.Fprintf(stdout, "  d = (factors not both prime; modulus factored but exponent skipped)\n")
+			fmt.Fprintf(stdout, "  d = (not recovered: factors not two distinct primes, or e not invertible)\n")
 		}
 	}
 	for _, d := range rep.Duplicates {

@@ -293,6 +293,27 @@ func checkEmitted(t *testing.T, dir string, idx int, n *big.Int, e int) {
 	}
 }
 
+// runEmit writes moduli as a hex corpus, runs rsafactor -emit over it,
+// and returns the output and the directory the keys went to.
+func runEmit(t *testing.T, moduli []*mpnat.Nat) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	cp := filepath.Join(dir, "corpus.txt")
+	var in bytes.Buffer
+	if err := corpus.Write(&in, moduli, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, in.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	emitDir := filepath.Join(dir, "broken")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-in", cp, "-emit", emitDir}, nil, &out, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	return out.String(), emitDir
+}
+
 // TestRunEmitSkipsCompositeFactors: a = p*q and b = p*r*s share p, so both
 // are factored, but b's cofactor r*s is composite. The report prints no d
 // for b, and -emit must write no key for it: a key assembled from a
@@ -311,23 +332,9 @@ func TestRunEmitSkipsCompositeFactors(t *testing.T) {
 		}
 		moduli = append(moduli, k.N)
 	}
-	dir := t.TempDir()
-	cp := filepath.Join(dir, "corpus.txt")
-	var in bytes.Buffer
-	if err := corpus.Write(&in, moduli, "test"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cp, in.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	emitDir := filepath.Join(dir, "broken")
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-in", cp, "-emit", emitDir}, nil, &out, &bytes.Buffer{}); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	s := out.String()
+	s, emitDir := runEmit(t, moduli)
 	for _, want := range []string{
-		"d = (factors not both prime",
+		"d = (not recovered: factors not two distinct primes",
 		"key 1: cannot emit (factors not both prime)",
 		"emitted 1 private keys",
 	} {
@@ -339,6 +346,34 @@ func TestRunEmitSkipsCompositeFactors(t *testing.T) {
 		t.Fatalf("key1.pem written for a composite factor (stat err %v)", err)
 	}
 	checkEmitted(t, emitDir, 0, a, rsakey.DefaultExponent)
+}
+
+// TestRunEmitSquareModulus: in the corpus {p², p·q, s·u} both p² and p·q
+// are factored, and both factors of p² pass the primality test, but p = q
+// admits no PKCS#1 key: -emit prints why and writes key1.pem alone.
+func TestRunEmitSquareModulus(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	prime := func() *big.Int { return rsakey.GeneratePrime(r, 128) }
+	p, q, s, u := prime(), prime(), prime(), prime()
+	pq := new(big.Int).Mul(p, q)
+	moduli := []*mpnat.Nat{
+		mpnat.FromBig(new(big.Int).Mul(p, p)), mpnat.FromBig(pq), mpnat.FromBig(new(big.Int).Mul(s, u)),
+	}
+	out, emitDir := runEmit(t, moduli)
+	for _, want := range []string{
+		"BROKEN key 0 (found with key 1)",
+		"d = (not recovered: factors not two distinct primes",
+		"key 0: cannot emit (rsakey: p = q",
+		"emitted 1 private keys",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(emitDir, "key0.pem")); !os.IsNotExist(err) {
+		t.Fatalf("key0.pem written for n = p² (stat err %v)", err)
+	}
+	checkEmitted(t, emitDir, 1, pq, rsakey.DefaultExponent)
 }
 
 // TestRunEmitOwnExponent: a PEM key carries its own exponent (e = 17

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"sync"
 	"time"
 
 	"bulkgcd/internal/batchgcd"
@@ -116,9 +115,10 @@ type BrokenKey struct {
 	N *big.Int
 	// P and Q are the recovered factors, P <= Q.
 	P, Q *big.Int
-	// D is the recovered private exponent, nil when the factors are not
-	// both prime (possible only with synthetic pseudo-moduli) or e is not
-	// invertible.
+	// D is the recovered private exponent, set only when P and Q are two
+	// distinct values that pass IsPrime and e is invertible mod
+	// (P-1)(Q-1). A composite factor (synthetic pseudo-moduli, moduli of
+	// three or more primes) and n = p² get none.
 	D *big.Int
 	// FoundWith is the index of the other modulus of the revealing pair,
 	// or -1 when the batch-GCD engine found the factor (it has no notion
@@ -313,70 +313,58 @@ type keyTask struct {
 	n, g       *big.Int
 }
 
-// factorKeys factors every task on the shared work-stealing pool and
-// returns the keys in task order. Primality verdicts are shared across
-// the tasks, so the prime of an m-member cluster is tested once, not m
-// times. A failure returns the first failing task's error, exactly as a
-// serial loop would.
+// factorKeys factors every task and returns the keys in task order, in
+// three steps. A serial pass splits each modulus into P <= Q and collects
+// the distinct factor values; one pool task per distinct value runs
+// IsPrime, so the prime of an m-member cluster is tested once, not m
+// times; a serial pass then recovers D for every key whose factors are
+// two distinct primes. A failure returns the first failing task's
+// error, exactly as a serial loop would.
 func factorKeys(tasks []keyTask, opt Options) ([]BrokenKey, error) {
 	keys := make([]BrokenKey, len(tasks))
-	errs := make([]error, len(tasks))
-	primes := &primeMemo{}
-	engine.Run(context.Background(), len(tasks), engine.PoolOptions{Workers: opt.EffectiveWorkers()}, func(i, _ int) {
-		t := &tasks[i]
-		keys[i], errs[i] = factorKey(t.idx, t.n, t.g, opt.Exponent, t.other, primes)
+	slots := make([][2]int, len(tasks)) // indices of P and Q in values
+	slotOf := map[string]int{}
+	var values []*big.Int
+	for i, t := range tasks {
+		q, rem := new(big.Int).QuoRem(t.n, t.g, new(big.Int))
+		if rem.Sign() != 0 {
+			return nil, fmt.Errorf("attack: modulus %d: gcd %v does not divide modulus", t.idx, t.g)
+		}
+		p := new(big.Int).Set(t.g) // g may be shared by both keys of a pair
+		if p.Cmp(q) > 0 {
+			p, q = q, p
+		}
+		keys[i] = BrokenKey{Index: t.idx, N: t.n, P: p, Q: q, FoundWith: t.other}
+		for k, v := range [2]*big.Int{p, q} {
+			key := string(v.Bytes())
+			if _, ok := slotOf[key]; !ok {
+				slotOf[key] = len(values)
+				values = append(values, v)
+			}
+			slots[i][k] = slotOf[key]
+		}
+	}
+	prime := make([]bool, len(values))
+	engine.Run(context.Background(), len(values), engine.PoolOptions{Workers: opt.EffectiveWorkers()}, func(i, _ int) {
+		prime[i] = IsPrime(values[i])
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("attack: modulus %d: %w", tasks[i].idx, err)
+	for i := range keys {
+		bk := &keys[i]
+		if !prime[slots[i][0]] || !prime[slots[i][1]] {
+			continue
+		}
+		// RecoverPrivate refuses P == Q and an e not invertible mod phi.
+		if d, _, err := rsakey.RecoverPrivate(bk.N, bk.P, opt.Exponent); err == nil {
+			bk.D = d
 		}
 	}
 	return keys, nil
 }
 
 // IsPrime is the attack's primality test: a key's D is recovered only
-// when both of its factors pass it.
-func IsPrime(v *big.Int) bool { return v.ProbablyPrime(20) }
-
-// primeMemo shares IsPrime verdicts by value across goroutines.
-// Go's test seeds its bases from the value itself, so a shared verdict is
-// exactly the one a repeated test would return.
-type primeMemo struct {
-	m sync.Map // string(value.Bytes()) -> *primeVerdict
-}
-
-type primeVerdict struct {
-	once  sync.Once
-	prime bool
-}
-
-func (pm *primeMemo) isPrime(v *big.Int) bool {
-	key := string(v.Bytes())
-	e, ok := pm.m.Load(key)
-	if !ok {
-		e, _ = pm.m.LoadOrStore(key, &primeVerdict{})
-	}
-	pv := e.(*primeVerdict)
-	pv.once.Do(func() { pv.prime = IsPrime(v) })
-	return pv.prime
-}
-
-// factorKey turns a known non-trivial divisor into a BrokenKey, recovering
-// the private exponent when both factors are prime.
-func factorKey(idx int, n, g *big.Int, e uint64, other int, primes *primeMemo) (BrokenKey, error) {
-	q, rem := new(big.Int).QuoRem(n, g, new(big.Int))
-	if rem.Sign() != 0 {
-		return BrokenKey{}, fmt.Errorf("gcd %v does not divide modulus", g)
-	}
-	p := new(big.Int).Set(g) // g may be shared by both keys of a pair
-	if p.Cmp(q) > 0 {
-		p, q = q, p
-	}
-	bk := BrokenKey{Index: idx, N: n, P: p, Q: q, FoundWith: other}
-	if primes.isPrime(p) && primes.isPrime(q) {
-		if d, _, err := rsakey.RecoverPrivate(n, p, e); err == nil {
-			bk.D = d
-		}
-	}
-	return bk, nil
-}
+// when both of its factors pass it. It is Baillie–PSW alone
+// (ProbablyPrime(0)), which Go documents as exact below 2^64 and for
+// which no counterexample is known above; like every test math/big
+// offers, it is not documented as safe against input crafted to fool
+// it. DESIGN 5j records why it was chosen.
+func IsPrime(v *big.Int) bool { return v.ProbablyPrime(0) }

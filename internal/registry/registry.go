@@ -30,6 +30,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -379,13 +380,9 @@ func (r *Registry) replay() error {
 			verified = ok
 		}
 	}
-	w, err := checkpoint.OpenAppend(jpath)
+	w, err := openJournal(jpath)
 	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := w.Begin(journalHeader()); err != nil {
-		w.Close()
-		return fmt.Errorf("registry: %w", err)
+		return err
 	}
 	r.journal = w
 
@@ -435,6 +432,20 @@ func (r *Registry) replay() error {
 		}
 	}
 	return nil
+}
+
+// openJournal opens the registry journal at path for appending and
+// writes (or checks) its header.
+func openJournal(path string) (*checkpoint.Writer, error) {
+	w, err := checkpoint.OpenAppend(path)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	if err := w.Begin(journalHeader()); err != nil {
+		w.Close()
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return w, nil
 }
 
 // foldBroken accumulates a pairwise finding g = gcd(n_i, n_j) into both
@@ -709,6 +720,9 @@ func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	if r.closed {
 		return nil, fmt.Errorf("registry: closed")
 	}
+	if r.journal == nil {
+		return nil, fmt.Errorf("registry: no journal since a failed Compact; Compact again or reopen the registry")
+	}
 	reasons := make([]string, len(ns))
 	var keys []*big.Int // copies of the accepted moduli: the caller keeps ns
 	for j, n := range ns {
@@ -871,29 +885,34 @@ func (r *Registry) Remove(i int) error {
 // Compact rewrites the journal to its minimal form, prunes node files
 // that are no longer forest nodes, and rebuilds the spine roots (which
 // re-validates every node an active check can reach transitively).
-// Returns journal lines dropped plus node files pruned.
+// Returns journal lines dropped plus node files pruned. The journal is
+// reopened whether or not the rewrite succeeded (a failed rewrite leaves
+// the original file in place); if the reopen fails too, every later
+// Submit and SubmitBatch fails before writing anything until a Compact
+// reopens it or the registry is reopened.
 func (r *Registry) Compact() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return 0, fmt.Errorf("registry: closed")
 	}
-	if err := r.journal.Close(); err != nil {
-		return 0, fmt.Errorf("registry: %w", err)
+	jpath := filepath.Join(r.dir, "journal.jsonl")
+	var err error
+	if r.journal != nil {
+		err = r.journal.Close()
 	}
-	dropped, err := checkpoint.Compact(filepath.Join(r.dir, "journal.jsonl"))
+	dropped := 0
+	if err == nil {
+		dropped, err = checkpoint.Compact(jpath)
+	}
+	var openErr error
+	r.journal, openErr = openJournal(jpath)
 	if err != nil {
-		return 0, fmt.Errorf("registry: %w", err)
+		return 0, errors.Join(fmt.Errorf("registry: %w", err), openErr)
 	}
-	w, err := checkpoint.OpenAppend(filepath.Join(r.dir, "journal.jsonl"))
-	if err != nil {
-		return 0, fmt.Errorf("registry: %w", err)
+	if openErr != nil {
+		return 0, openErr
 	}
-	if err := w.Begin(journalHeader()); err != nil {
-		w.Close()
-		return 0, fmt.Errorf("registry: %w", err)
-	}
-	r.journal = w
 	pruned, err := r.store.prune(len(r.corpus))
 	if err != nil {
 		return 0, fmt.Errorf("registry: %w", err)

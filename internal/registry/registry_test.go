@@ -431,6 +431,87 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestCompactFailureKeepsJournal: a Compact that fails leaves the
+// registry on a live journal or on none at all, never on a closed one.
+// With journal.jsonl.compact a directory the rewrite fails and the
+// untouched journal is reopened, so a later Submit is acknowledged and
+// survives a reopen. With journal.jsonl itself a directory the reopen
+// fails too, and Submit and SubmitBatch fail before writing anything;
+// once the journal is back, Compact reopens it.
+func TestCompactFailureKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.jsonl")
+	cpath := filepath.Join(dir, "corpus.log")
+	r := openT(t, dir, Config{})
+	mustSubmit(t, r, b(15))
+
+	if err := os.Mkdir(jpath+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Compact(); err == nil {
+		t.Fatal("Compact succeeded over a directory")
+	}
+	if v := mustSubmit(t, r, b(21)); v.Kind != Shared || v.Index != 1 {
+		t.Fatalf("submit after failed Compact: %+v", v)
+	}
+	if err := os.Remove(jpath + ".compact"); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	corpusBefore, journalBefore := read(cpath), read(jpath)
+	if err := os.Rename(jpath, jpath+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Compact(); err == nil {
+		t.Fatal("Compact succeeded with the journal a directory")
+	}
+	if v, err := r.Submit(b(35)); err == nil {
+		t.Fatalf("Submit without a journal acknowledged %+v", v)
+	}
+	if vs, err := r.SubmitBatch([]*big.Int{b(35), b(77)}); err == nil {
+		t.Fatalf("SubmitBatch without a journal acknowledged %+v", vs)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("Len() = %d after failed submits, want 2", r.Len())
+	}
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(jpath+".aside", jpath); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(read(cpath), corpusBefore) || !bytes.Equal(read(jpath), journalBefore) {
+		t.Fatal("failed submits wrote to corpus.log or journal.jsonl")
+	}
+
+	if _, err := r.Compact(); err != nil {
+		t.Fatalf("Compact with the journal back: %v", err)
+	}
+	if v := mustSubmit(t, r, b(35)); v.Kind != Shared || v.Index != 2 {
+		t.Fatalf("submit after recovering Compact: %+v", v)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := openT(t, dir, Config{Metrics: obs.NewRegistry()})
+	defer r2.Close()
+	if st := r2.Stats(); st.Keys != 3 || st.Replayed != 0 {
+		t.Fatalf("reopen: %d keys, %d replayed; want 3 keys, none replayed", st.Keys, st.Replayed)
+	}
+}
+
 // TestRootsOf: spans of the spine roots partition [0, n) in order.
 func TestRootsOf(t *testing.T) {
 	for n := 0; n <= 300; n++ {

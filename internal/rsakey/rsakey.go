@@ -124,7 +124,9 @@ func GenerateKey(r *rand.Rand, bits int) (*Key, error) {
 // math/big's ModInverse (the extended Euclidean algorithm), the step the
 // paper describes as "the corresponding decryption key can be computed
 // easily" once gcd reveals p. It errors if p does not divide n, the
-// cofactor is trivial, or e is not invertible mod phi.
+// cofactor is trivial, q = p, or e is not invertible mod phi. For
+// n = p² the formula's (p-1)² is not phi(n) = p(p-1), and a PKCS#1 key
+// cannot hold two equal primes, so no key is returned.
 func RecoverPrivate(n *big.Int, p *big.Int, e uint64) (d, q *big.Int, err error) {
 	q, rem := new(big.Int).QuoRem(n, p, new(big.Int))
 	if rem.Sign() != 0 {
@@ -132,6 +134,9 @@ func RecoverPrivate(n *big.Int, p *big.Int, e uint64) (d, q *big.Int, err error)
 	}
 	if q.Cmp(big.NewInt(1)) == 0 || p.Cmp(big.NewInt(1)) == 0 {
 		return nil, nil, fmt.Errorf("rsakey: trivial factorization")
+	}
+	if q.Cmp(p) == 0 {
+		return nil, nil, fmt.Errorf("rsakey: p = q: the modulus is a square, not a product of two distinct primes")
 	}
 	if d = privateExponent(p, q, e); d == nil {
 		return nil, nil, fmt.Errorf("rsakey: e not invertible mod phi")

@@ -116,6 +116,11 @@ func TestRecoverPrivate(t *testing.T) {
 	if _, _, err := RecoverPrivate(n, n, k.E); err == nil {
 		t.Fatal("n itself accepted as factor")
 	}
+	// n = p²: (p-1)² is not phi(p²) = p(p-1), and no PKCS#1 key holds
+	// p = q, so there is no private key to return.
+	if _, _, err := RecoverPrivate(new(big.Int).Mul(k.P, k.P), k.P, k.E); err == nil || !strings.Contains(err.Error(), "p = q") {
+		t.Fatalf("RecoverPrivate of p²: err = %v, want p = q", err)
+	}
 }
 
 // TestExponentNotInvertible reaches the error branch of NewKey and of
