@@ -109,9 +109,11 @@ bench-e2e:
 # (Cofactors, Reduce and Prefixes, on trees with and without their
 # root) against math/big, the hybrid engine's tile-tree filter against
 # a naive scan, batch GCD's cofactor descent against naive pairwise
-# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes), and
-# the attack's primality test against a Miller-Rabin over bases 2..37
-# (exact on 64-bit inputs) and on products of two fuzzed integers.
+# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes), the
+# attack's primality test against a Miller-Rabin over bases 2..37
+# (exact on 64-bit inputs) and on products of two fuzzed integers, and
+# the lenient corpus reader over hex and PEM input against the strict
+# one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzSubMulRshift -fuzztime 30s ./internal/mpnat/
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/
 	$(GO) test -run '^$$' -fuzz FuzzBatchGCDMatchesNaive -fuzztime 30s ./internal/batchgcd/
 	$(GO) test -run '^$$' -fuzz FuzzIsPrime -fuzztime 30s ./internal/attack/
+	$(GO) test -run '^$$' -fuzz FuzzLenientSource -fuzztime 30s ./internal/corpus/
 
 # Production Go line count: every tracked .go file except tests and the
 # benchmark module. Simplicity changes quote this one number.

@@ -163,8 +163,8 @@ func WithWorkers(n int) Option { return func(a *Attack) { a.workers = n } }
 func WithExponent(e uint64) Option { return func(a *Attack) { a.exponent = e } }
 
 // WithGroupSize sets the pairs engine's scheduling group size, the
-// paper's r parameter (default: the corpus size). Findings are
-// identical at every value.
+// paper's r parameter (default 64, capped at the corpus size). Findings
+// are identical at every value.
 func WithGroupSize(r int) Option { return func(a *Attack) { a.groupSize = r } }
 
 // WithTileSize sets the hybrid engine's tile width T (default 64).

@@ -3,7 +3,7 @@
 //	gcdbench -table 4                reproduce Table IV (iteration counts)
 //	gcdbench -table 5                reproduce Table V (CPU vs GPU time)
 //	gcdbench -table 4,5 -json b.json both tables, plus a JSON report artifact
-//	gcdbench -cores 1,2,4,8          multicore scaling sweep (speedup, efficiency, steals)
+//	gcdbench -cores 1,2,4,8          multicore scaling sweep (speedup, efficiency)
 //	gcdbench -betastats              Section V beta > 0 statistics
 //	gcdbench -memops                 Section IV memory-op accounting (Fig. 1)
 //	gcdbench -status :8080           live /metrics + pprof while the sweep runs

@@ -141,7 +141,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		noEarly    = fs.Bool("no-early", false, "disable s/2 early termination")
 		engName    = fs.String("engine", "pairs", "attack engine: pairs|batch|hybrid")
 		tile       = fs.Int("tile", 0, "hybrid engine tile width (0 = default 64)")
-		workers    = fs.Int("workers", 0, "parallel workers (0 = all CPUs); more workers than CPUs adds no throughput, only scheduling overhead — the work-stealing pool already keeps every core busy")
+		workers    = fs.Int("workers", 0, "parallel workers (0 = all CPUs); more workers than CPUs adds no throughput, only scheduling overhead — a free worker always takes the next work unit, so the pool already keeps every core busy")
 		e          = fs.Uint64("e", 65537, "RSA public exponent for key recovery")
 		truth      = fs.String("truth", "", "ground-truth file from keygen -truth; verify the findings")
 		emit       = fs.String("emit", "", "directory to write recovered private keys as PKCS#1 PEM files")
@@ -535,14 +535,17 @@ func readCorpus(r io.Reader, stderr io.Writer, lenient bool) ([]*mpnat.Nat, []pe
 // emitPrivateKeys writes each fully recovered key as key<index>.pem under
 // dir. A key is emitted only when both factors pass the attack's
 // primality test; d is re-derived with the key's own exponent when PEM
-// sources carry one, and with defaultE otherwise.
+// sources carry one, and with defaultE otherwise. The factors of a key
+// with a D passed that test during interpretation, so only keys without
+// one are tested here: P = Q, a composite factor, or an attack exponent
+// that is not invertible while the key's own may be.
 func emitPrivateKeys(stdout io.Writer, dir string, rep *attack.Report, sources []pemkeys.Source, defaultE uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	written := 0
 	for _, bk := range rep.Broken {
-		if !attack.IsPrime(bk.P) || !attack.IsPrime(bk.Q) {
+		if bk.D == nil && (!attack.IsPrime(bk.P) || !attack.IsPrime(bk.Q)) {
 			fmt.Fprintf(stdout, "key %d: cannot emit (factors not both prime)\n", bk.Index)
 			continue
 		}

@@ -377,44 +377,72 @@ func TestRunEmitSquareModulus(t *testing.T) {
 }
 
 // TestRunEmitOwnExponent: a PEM key carries its own exponent (e = 17
-// here), and -emit re-derives d under it rather than the default 65537.
+// here), and -emit re-derives d under it rather than the attack's 65537.
+// The second corpus shares a prime p with 65537 | p−1: 65537 is not
+// invertible, so the report gives both keys no D, and -emit must still
+// test their factors itself and write both keys under e = 17.
 func TestRunEmitOwnExponent(t *testing.T) {
 	const e = 17
 	r := rand.New(rand.NewSource(15))
-	// A pair sharing p, both invertible under e.
-	var weak []*rsakey.Key
-	p := rsakey.GeneratePrime(r, 128)
-	for len(weak) < 2 {
-		if k, err := rsakey.NewKey(p, rsakey.GeneratePrime(r, 128), e); err == nil {
-			weak = append(weak, k)
+	for _, tc := range []struct {
+		name string
+		p    *big.Int
+		noD  int // keys the report prints without a d
+	}{
+		{"random-p", rsakey.GeneratePrime(r, 128), 0},
+		{"65537-divides-p-1", primeOneModF4(r, 128), 2},
+	} {
+		// A pair sharing p, both invertible under e.
+		var weak []*rsakey.Key
+		for len(weak) < 2 {
+			if k, err := rsakey.NewKey(tc.p, rsakey.GeneratePrime(r, 128), e); err == nil {
+				weak = append(weak, k)
+			}
 		}
-	}
-	var in bytes.Buffer
-	write := func(k *rsakey.Key) {
-		if err := pemkeys.WritePublicKey(&in, k.N.ToBig(), k.E); err != nil {
-			t.Fatal(err)
+		var in bytes.Buffer
+		write := func(k *rsakey.Key) {
+			if err := pemkeys.WritePublicKey(&in, k.N.ToBig(), k.E); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	write(weak[0])
-	for i := 0; i < 3; i++ {
-		k, err := rsakey.GenerateKey(r, 256)
-		if err != nil {
-			t.Fatal(err)
+		write(weak[0])
+		for i := 0; i < 3; i++ {
+			k, err := rsakey.GenerateKey(r, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(k)
 		}
-		write(k)
-	}
-	write(weak[1])
+		write(weak[1])
 
-	emitDir := filepath.Join(t.TempDir(), "broken")
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-emit", emitDir}, &in, &out, &bytes.Buffer{}); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+		emitDir := filepath.Join(t.TempDir(), "broken")
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"-emit", emitDir}, &in, &out, &bytes.Buffer{}); err != nil {
+			t.Fatalf("%s: run: %v\n%s", tc.name, err, out.String())
+		}
+		if got := strings.Count(out.String(), "d = (not recovered"); got != tc.noD {
+			t.Fatalf("%s: %d keys without d, want %d:\n%s", tc.name, got, tc.noD, out.String())
+		}
+		if !strings.Contains(out.String(), "emitted 2 private keys") {
+			t.Fatalf("%s: emit summary missing:\n%s", tc.name, out.String())
+		}
+		checkEmitted(t, emitDir, 0, weak[0].N.ToBig(), e)
+		checkEmitted(t, emitDir, 4, weak[1].N.ToBig(), e)
 	}
-	if !strings.Contains(out.String(), "emitted 2 private keys") {
-		t.Fatalf("emit summary missing:\n%s", out.String())
+}
+
+// primeOneModF4 returns a prime p of about bits bits with 65537 | p−1
+// and 17 ∤ p−1, so 65537 has no inverse mod φ(p·q) and 17 may have one.
+func primeOneModF4(r *rand.Rand, bits int) *big.Int {
+	step := big.NewInt(2 * 65537)
+	limit := new(big.Int).Lsh(big.NewInt(1), uint(bits-18))
+	for {
+		p := new(big.Int).Mul(new(big.Int).Rand(r, limit), step)
+		p.Add(p, big.NewInt(1))
+		if p.BitLen() > bits-4 && new(big.Int).Mod(p, big.NewInt(17)).Int64() != 1 && p.ProbablyPrime(20) {
+			return p
+		}
 	}
-	checkEmitted(t, emitDir, 0, weak[0].N.ToBig(), e)
-	checkEmitted(t, emitDir, 4, weak[1].N.ToBig(), e)
 }
 
 // TestRunPEMSkipsGarbageBlocks: mixed streams warn but work.

@@ -268,7 +268,8 @@ func runBatch(ctx context.Context, moduli []*mpnat.Nat, opt Options) (*Report, e
 	}
 	rep := &Report{
 		Moduli: len(moduli),
-		Bulk:   &bulk.Result{Elapsed: time.Since(start), Workers: cfg.EffectiveWorkers()},
+		// The leaf pass, one unit per modulus, is the widest pool.
+		Bulk: &bulk.Result{Elapsed: time.Since(start), Workers: min(cfg.EffectiveWorkers(), len(moduli))},
 	}
 	// A finding records only its smallest duplicate partner, so regroup
 	// identical moduli into classes and emit every pair within a class,

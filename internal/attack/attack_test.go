@@ -216,15 +216,20 @@ func TestAttackBatchMode(t *testing.T) {
 }
 
 // TestAttackBatchDuplicates: batch mode reports duplicates like the
-// pairwise mode does.
+// pairwise mode does. Asked for 16 workers, its widest pool (the leaf
+// pass, one unit per modulus) runs 7, and the report says so.
 func TestAttackBatchDuplicates(t *testing.T) {
 	c := weakCorpus(t, 6, 128, 0, 49)
 	moduli := append(c.Moduli(), c.Moduli()[3])
 	opt := DefaultOptions()
 	opt.Engine = engine.Batch
+	opt.Workers = 16
 	rep, err := Run(moduli, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Bulk.Workers != len(moduli) {
+		t.Fatalf("Workers = %d, want %d", rep.Bulk.Workers, len(moduli))
 	}
 	if len(rep.Broken) != 0 {
 		t.Fatalf("duplicates wrongly factored: %+v", rep.Broken)

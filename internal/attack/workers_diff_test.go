@@ -10,15 +10,14 @@ import (
 	"bulkgcd/internal/rsakey"
 )
 
-// TestDifferentialWorkerCounts pins the work-stealing pool's core
-// contract: findings are byte-identical at every pool width. The widths
-// deliberately include 1 (the inline no-pool path), 2 (one thief), 7
-// (odd, so the static split is ragged and steal-half rebalancing kicks
-// in) and 16 (far more workers than this machine has cores, so deques
-// drain in arbitrary interleavings). Each width runs the three engines
-// the scheduler now drives — all-pairs, hybrid cells, batch GCD — and
-// every report must match the brute-force math/big oracle and the
-// width-1 report exactly.
+// TestDifferentialWorkerCounts pins the scheduler's core contract:
+// findings are byte-identical at every pool width. The widths
+// deliberately include 1 (the inline no-pool path), 2, 7 (odd, so units
+// do not divide evenly among workers) and 16 (far more workers than
+// this machine has cores, so units finish in arbitrary interleavings).
+// Each width runs the three engines the scheduler drives — all-pairs,
+// hybrid cells, batch GCD — and every report must match the brute-force
+// math/big oracle and the width-1 report exactly.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := differentialCorpus(t, 77, 128)
 	wantBroken, wantDups := naiveReference(moduli)

@@ -83,7 +83,7 @@ type tracker struct {
 	remainderH *obs.Histogram // batchgcd_remainder_level_seconds
 	leafH      *obs.Histogram // batchgcd_leaf_gcd_seconds
 	trace      *obs.Tracer
-	metrics    *obs.Registry // scheduler pools (engine_steals_total and friends)
+	metrics    *obs.Registry // scheduler pools (engine_worker_busy_seconds)
 }
 
 func newTracker(total int64, cfg Config) *tracker {
@@ -244,7 +244,7 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	// pass is one GCD per modulus.
 	out := make([]*big.Int, len(moduli))
 	if err := tr.phase("leaf", 0, len(moduli), nil, func() error {
-		return engine.Run(ctx, len(moduli), engine.PoolOptions{Workers: workers, Grain: 8, Metrics: tr.metrics}, func(i, _ int) {
+		return engine.Run(ctx, len(moduli), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, _ int) {
 			if tr.leafH != nil {
 				start := time.Now()
 				out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])

@@ -9,6 +9,7 @@ import (
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
+	"bulkgcd/internal/obs"
 	"bulkgcd/internal/rsakey"
 	"bulkgcd/internal/umm"
 )
@@ -109,6 +110,36 @@ func TestAllPairsFindsPlantedFactors(t *testing.T) {
 					t.Fatalf("%v: factor at (%d,%d) value mismatch", alg, f.I, f.J)
 				}
 			}
+		}
+	}
+}
+
+// TestWorkersCountsPoolActuallyUsed: the pool never starts more workers
+// than there are units, so a one-block all-pairs run and a one-cell
+// hybrid run asked for 4 workers report 1, in Result.Workers and in the
+// bulk_workers gauge alike, while a ten-block run reports all 4.
+func TestWorkersCountsPoolActuallyUsed(t *testing.T) {
+	ms := corpus(t, 12, 64, 1, 31).Moduli()
+	for _, tc := range []struct {
+		name string
+		run  func([]*mpnat.Nat, Config) (*Result, error)
+		cfg  Config
+		want int
+	}{
+		{"pairs/one-block", AllPairs, Config{GroupSize: 12}, 1},
+		{"hybrid/one-cell", Hybrid, Config{TileSize: 16}, 1},
+		{"pairs/ten-blocks", AllPairs, Config{GroupSize: 3}, 4},
+	} {
+		reg := obs.NewRegistry()
+		cfg := tc.cfg
+		cfg.Config = engine.Config{Workers: 4, Metrics: reg}
+		cfg.Algorithm = gcd.Approximate
+		res, err := tc.run(ms, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reg.Snapshot().Gauges["bulk_workers"]; res.Workers != tc.want || got != float64(tc.want) {
+			t.Errorf("%s: Workers = %d, bulk_workers = %v, want %d", tc.name, res.Workers, got, tc.want)
 		}
 	}
 }

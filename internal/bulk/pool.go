@@ -14,19 +14,17 @@ import (
 )
 
 // unitPool is the run skeleton the two pairwise engines — all-pairs
-// blocks and hybrid cells — share around the work-stealing scheduler
-// (engine.Run): journal preparation and resume skips, run metrics,
-// quarantine events and the run span, lazily built per-worker
-// pairRunner arenas (worker indices are stable, so every arena stays
-// pinned to one goroutine and the per-pair zero-alloc guarantees
-// survive), fault-injection hooks, checkpoint journaling with
-// abort-on-error, per-unit metrics and tracing, serialized progress, and
-// the final Result assembly. Units are claimed grain-1 from per-worker
-// deques and rebalanced by steal-half, so a straggler unit (one dense
-// block, one hot cell) no longer strands the rest of a statically
-// partitioned pool; findings stay byte-identical at every pool size
-// because each unit's output is accumulated per worker and merged+sorted
-// exactly as before.
+// blocks and hybrid cells — share around the scheduler (engine.Run):
+// journal preparation and resume skips, run metrics, quarantine events
+// and the run span, lazily built per-worker pairRunner arenas (worker
+// indices are stable, so every arena stays pinned to one goroutine and
+// the per-pair zero-alloc guarantees survive), fault-injection hooks,
+// checkpoint journaling with abort-on-error, per-unit metrics and
+// tracing, serialized progress, and the final Result assembly. A free
+// worker always claims the next unclaimed unit, so a straggler unit (one
+// dense block, one hot cell) holds up only its own worker; findings stay
+// byte-identical at every pool size because each unit's output is
+// accumulated per worker, then merged and sorted.
 type unitPool struct {
 	cfg    *Config
 	moduli []*mpnat.Nat
@@ -58,7 +56,9 @@ func (up *unitPool) execute(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.EffectiveWorkers()
+	// engine.Run starts no more goroutines than there are units, and
+	// Result.Workers reports the pool size actually used.
+	workers := min(cfg.EffectiveWorkers(), n)
 	metrics := newRunMetrics(cfg.Metrics, cfg.Algorithm)
 	metrics.begin(workers, len(plan.bad), resumedPairs)
 	for _, q := range plan.bad {

@@ -2,52 +2,50 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-// FuzzRunCoverage drives the work-stealing pool with adversarial
-// (n, workers, grain) shapes and checks the one invariant everything
-// else in the repository leans on: every unit index in [0, n) is
-// executed exactly once, with a worker index inside [0, workers). The
-// fuzzer explores ragged partitions (n not divisible by workers),
-// more workers than units, grains larger than a whole partition, and
-// the degenerate inline paths (workers <= 1, n <= 1).
+// FuzzRunCoverage drives the pool with adversarial (n, workers) shapes
+// and checks the one invariant everything else in the repository leans
+// on: every unit index in [0, n) is executed exactly once, with a worker
+// index below min(workers, n), since the pool never starts more workers
+// than units. The fuzzer explores more workers than units and the
+// degenerate inline paths (workers <= 1, n <= 1).
 func FuzzRunCoverage(f *testing.F) {
-	f.Add(uint16(0), uint8(1), uint8(1))
-	f.Add(uint16(1), uint8(0), uint8(0))
-	f.Add(uint16(97), uint8(7), uint8(3))
-	f.Add(uint16(1000), uint8(16), uint8(8))
-	f.Add(uint16(5), uint8(200), uint8(1))
-	f.Add(uint16(64), uint8(4), uint8(255))
-	f.Fuzz(func(t *testing.T, n16 uint16, w8, g8 uint8) {
+	f.Add(uint16(0), uint8(1))
+	f.Add(uint16(1), uint8(0))
+	f.Add(uint16(97), uint8(7))
+	f.Add(uint16(1000), uint8(16))
+	f.Add(uint16(5), uint8(200))
+	f.Add(uint16(64), uint8(4))
+	f.Fuzz(func(t *testing.T, n16 uint16, w8 uint8) {
 		n := int(n16) % 2048
 		workers := int(w8) % 33 // 0 means GOMAXPROCS
-		grain := int(g8)        // 0 means 1
+		limit := workers
+		if limit == 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		limit = min(limit, n) // worker indices the pool may hand out
 
 		counts := make([]atomic.Int32, n)
-		stats, err := RunStats(context.Background(), n,
-			PoolOptions{Workers: workers, Grain: grain},
-			func(i, w int) {
-				if i < 0 || i >= n {
-					panic("unit index out of range")
-				}
-				if w < 0 || (workers > 0 && w >= workers) {
-					panic("worker index out of range")
-				}
-				counts[i].Add(1)
-			})
+		err := Run(context.Background(), n, PoolOptions{Workers: workers}, func(i, w int) {
+			if i < 0 || i >= n {
+				panic("unit index out of range")
+			}
+			if w < 0 || w >= limit {
+				panic("worker index out of range")
+			}
+			counts[i].Add(1)
+		})
 		if err != nil {
-			t.Fatalf("n=%d workers=%d grain=%d: %v", n, workers, grain, err)
+			t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("n=%d workers=%d grain=%d: unit %d ran %d times",
-					n, workers, grain, i, c)
+				t.Fatalf("n=%d workers=%d: unit %d ran %d times", n, workers, i, c)
 			}
-		}
-		if n > 0 && stats.Workers < 1 {
-			t.Fatalf("stats.Workers = %d with %d units", stats.Workers, n)
 		}
 	})
 }

@@ -2,10 +2,8 @@ package engine
 
 import "bulkgcd/internal/obs"
 
-// Metric help strings for the work-stealing scheduler; the doc-parity
-// test keeps these and DESIGN.md section 5c in lockstep.
+// Metric help strings for the scheduler; the doc-parity test keeps these
+// and DESIGN.md section 5c in lockstep.
 func init() {
-	obs.RegisterHelp("engine_steals_total", "work-stealing pool steal-half operations across all engines")
-	obs.RegisterHelp("engine_queue_depth", "unclaimed work units across the pool's deques, sampled at steal events")
 	obs.RegisterHelp("engine_worker_busy_seconds", "per-worker time spent inside work units (one observation per worker per pool run)")
 }

@@ -9,7 +9,6 @@ import (
 	"bulkgcd/internal/bulk"
 	"bulkgcd/internal/engine"
 	"bulkgcd/internal/gcd"
-	"bulkgcd/internal/obs"
 	"bulkgcd/internal/rsakey"
 	"bulkgcd/internal/tabfmt"
 )
@@ -40,13 +39,12 @@ type CoreScalingPoint struct {
 	NsPerPair  float64
 	Speedup    float64 // vs the first (narrowest) point
 	Efficiency float64 // Speedup / Cores
-	Steals     int64   // engine_steals_total over the run
 	Findings   int     // factor count; identical at every width by contract
 }
 
 // RunCoreScalingContext sweeps the all-pairs engine over cfg.Cores,
 // verifying along the way that every width reports byte-identical
-// findings (the work-stealing pool reorders execution, never results).
+// findings (the pool reorders execution, never results).
 // Widths beyond runtime.NumCPU() still run — oversubscribed — so the
 // sweep stays total on small machines; their efficiency column simply
 // documents that extra workers beyond the physical cores buy nothing.
@@ -76,11 +74,10 @@ func RunCoreScalingContext(ctx context.Context, cfg CoreScalingConfig) ([]CoreSc
 		if w < 1 {
 			return nil, fmt.Errorf("experiments: core count %d", w)
 		}
-		reg := obs.NewRegistry()
 		prev := runtime.GOMAXPROCS(w)
 		start := time.Now()
 		res, err := bulk.AllPairsContext(ctx, moduli, bulk.Config{
-			Config:    engine.Config{Workers: w, Metrics: reg},
+			Config:    engine.Config{Workers: w},
 			Algorithm: gcd.Approximate, Early: true, Kernel: cfg.Kernel,
 		})
 		elapsed := time.Since(start)
@@ -100,7 +97,6 @@ func RunCoreScalingContext(ctx context.Context, cfg CoreScalingConfig) ([]CoreSc
 			Cores:     w,
 			Elapsed:   elapsed,
 			NsPerPair: float64(elapsed.Nanoseconds()) / pairs,
-			Steals:    reg.Snapshot().Counters["engine_steals_total"],
 			Findings:  len(res.Factors),
 		}
 		p.Speedup = float64(out0Elapsed(out, elapsed)) / float64(elapsed)
@@ -144,7 +140,6 @@ func CoreScalingJSON(ps []CoreScalingPoint) []map[string]any {
 			"ns_pair":    p.NsPerPair,
 			"speedup":    p.Speedup,
 			"efficiency": p.Efficiency,
-			"steals":     p.Steals,
 			"findings":   p.Findings,
 		})
 	}
@@ -153,7 +148,7 @@ func CoreScalingJSON(ps []CoreScalingPoint) []map[string]any {
 
 // CoreScalingTable renders the sweep.
 func CoreScalingTable(ps []CoreScalingPoint) *tabfmt.Table {
-	t := tabfmt.NewTable("cores", "elapsed", "ns/pair", "speedup", "efficiency", "steals")
+	t := tabfmt.NewTable("cores", "elapsed", "ns/pair", "speedup", "efficiency")
 	for _, p := range ps {
 		t.AddRowF(
 			fmt.Sprintf("%d", p.Cores),
@@ -161,7 +156,6 @@ func CoreScalingTable(ps []CoreScalingPoint) *tabfmt.Table {
 			fmt.Sprintf("%.0f", p.NsPerPair),
 			fmt.Sprintf("%.2fx", p.Speedup),
 			fmt.Sprintf("%.0f%%", 100*p.Efficiency),
-			fmt.Sprintf("%d", p.Steals),
 		)
 	}
 	return t

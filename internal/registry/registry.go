@@ -198,9 +198,9 @@ type Registry struct {
 	// to the largest spine root), the product scratch the fold and the
 	// spine merges multiply into (subprod.Mul compacts what the forest
 	// keeps), the spine-root list, and one descent scratch per pool
-	// worker (descents over disjoint roots run on the work-stealing
-	// pool, and worker indices are stable, so each scratch stays pinned
-	// to one goroutine for the duration of a descent).
+	// worker (descents over disjoint roots run on engine.Run, whose
+	// worker indices are stable, so each scratch stays pinned to one
+	// goroutine for the duration of a descent).
 	acc, quo, rem, prod big.Int
 	rootsBuf            []nodeKey
 	descents            []*descentScratch
@@ -589,13 +589,12 @@ func (r *Registry) workers() int {
 
 // descendRoots resolves a prefix hit to its culprit leaves. The spine
 // roots cover disjoint leaf spans — no two descents can ever race on a
-// node — so a multi-root forest fans the descents out across the
-// work-stealing pool with one scratch per worker. Partners are
-// concatenated in root order (spans ascend left to right) and sorted by
-// index by the caller, so the verdict is byte-identical at every worker
-// count. The spine-merge multiplications in appendLeaf stay serial:
-// each merge consumes the previous one's product, a carry chain with no
-// exploitable parallelism.
+// node — so a multi-root forest fans the descents out on engine.Run
+// with one scratch per worker. Partners are concatenated in root order
+// (spans ascend left to right) and sorted by index by the caller, so the
+// verdict is byte-identical at every worker count. The spine-merge
+// multiplications in appendLeaf stay serial: each merge consumes the
+// previous one's product, a carry chain with no exploitable parallelism.
 func (r *Registry) descendRoots(roots []nodeKey, n *big.Int) []Partner {
 	workers := min(r.workers(), len(roots))
 	for len(r.descents) < workers {

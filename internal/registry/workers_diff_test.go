@@ -11,8 +11,8 @@ import (
 // requires the folded broken set to be hex-for-hex identical to the
 // batch oracle and across every width. Width 1 descends the spine roots
 // serially; the wider registries fan each prefix hit's root descents
-// across the work-stealing pool (descentScratch per worker), so this is
-// the determinism gate for the parallel descent path: partners are
+// out on engine.Run (descentScratch per worker), so this is the
+// determinism gate for the parallel descent path: partners are
 // collected per root and sorted by index, never by completion order.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := weakModuli(t, 40, 96, 5, 11)

@@ -87,7 +87,7 @@ type Options struct {
 	// or residue (possibly concurrently from several workers).
 	OnNode func()
 	// Metrics, when non-nil, instruments the per-level scheduler pools
-	// (engine_steals_total and friends).
+	// (engine_worker_busy_seconds).
 	Metrics *obs.Registry
 	// SkipRoot, read by Build only, stops the tree at the root's two
 	// children and never makes the root multiplication, the largest in
