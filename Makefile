@@ -79,10 +79,14 @@ bench:
 # artifact.
 # The registry line runs BenchmarkRegistrySubmit in -short mode (8192-key
 # seed), which self-enforces the O(log N) spine-merge bound per submission
-# and a >= 5x advantage over a full batch-GCD rescan.
+# and a >= 5x advantage over a full batch-GCD rescan. The batch-GCD line
+# runs BenchmarkBatchGCDDensity in -short mode (256 x 512-bit keys at
+# 0-100% sharing), so both ways of building batch GCD's candidate set,
+# the hit reduce and the dense guard, run on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 	$(GO) test -short -run '^$$' -bench 'BenchmarkRegistrySubmit$$' -benchtime=1x ./internal/registry/
+	$(GO) test -short -run '^$$' -bench 'BenchmarkBatchGCDDensity$$' -benchtime=1x ./internal/batchgcd/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybrid$$' -benchtime=1x ./internal/bulk/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybridTraceOverhead$$' -benchtime=1x ./internal/bulk/
 	GOMAXPROCS=1 $(GO) test -short -run '^$$' -bench 'BenchmarkLaneKernel$$' -benchtime=1x ./internal/lanes/
@@ -106,10 +110,12 @@ bench-e2e:
 # spine merges, the registry's batch checks against key-by-key
 # submission (FuzzSubmitBatchMatchesKeyByKey: random batch cuts, some
 # across the 256-key chunk boundary), subprod's three descents
-# (Cofactors, Reduce and Prefixes, on trees with and without their
-# root) against math/big, the hybrid engine's tile-tree filter against
-# a naive scan, batch GCD's cofactor descent against naive pairwise
-# GCDs (2-8 moduli reach the lone top pair and promoted odd nodes), the
+# (Prefixes, Suffixes and Reduce, on trees with and without their root)
+# against math/big,
+# the hybrid engine's tile-tree filter against a naive scan, batch
+# GCD's prefix, candidate and suffix passes against naive pairwise GCDs
+# (2-24 moduli reach the lone top pair, promoted odd nodes, a few hits
+# among many coprime keys and the dense guard), the
 # attack's primality test against a Miller-Rabin over bases 2..37
 # (exact on 64-bit inputs) and on products of two fuzzed integers, and
 # the lenient corpus reader over hex and PEM input against the strict

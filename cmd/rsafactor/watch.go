@@ -33,7 +33,10 @@ import (
 //
 //	POST /submit            corpus in the body (at most 16 MiB, else
 //	                        413); returns 202 + job id, or the
-//	                        finished job with ?sync=1
+//	                        finished job with ?sync=1. A key longer
+//	                        than 16384 bits gets a malformed verdict
+//	                        ("longer than 16384 bits") and is not
+//	                        added
 //	GET  /jobs/<id>         job status; the finished job embeds a
 //	                        Report-schema artifact with verdict counts
 //	GET  /broken            every broken key: index, modulus, factor

@@ -303,3 +303,31 @@ func TestWatchSubmitBodyCap(t *testing.T) {
 		t.Fatalf("registry holds %d keys, want 6", n)
 	}
 }
+
+// TestWatchMaxKeyBits: through /submit, a 16384-bit key is accepted and
+// a 16385-bit key gets a malformed verdict and is not added.
+func TestWatchMaxKeyBits(t *testing.T) {
+	base, cancel, done, _ := startWatch(t, t.TempDir())
+	defer func() {
+		cancel()
+		<-done
+	}()
+	one := big.NewInt(1)
+	longest := new(big.Int).Add(new(big.Int).Lsh(one, 16383), one)
+	tooLong := new(big.Int).Add(new(big.Int).Lsh(one, 16384), one)
+	job := postCorpus(t, base, []*big.Int{longest, tooLong})
+	if job.State != "done" || len(job.Verdicts) != 2 {
+		t.Fatalf("job: %+v", job)
+	}
+	if v := job.Verdicts[0]; v.Kind == "malformed" || v.Index != 0 {
+		t.Fatalf("16384-bit key: %+v", v)
+	}
+	if v := job.Verdicts[1]; v.Kind != "malformed" || v.Index != -1 || v.Reason != "longer than 16384 bits" {
+		t.Fatalf("16385-bit key: %+v", v)
+	}
+	var st struct{ Keys int }
+	getJSON(t, base+"/registry", &st)
+	if st.Keys != 1 {
+		t.Fatalf("registry holds %d keys, want 1", st.Keys)
+	}
+}

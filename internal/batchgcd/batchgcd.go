@@ -18,17 +18,33 @@
 // is asymptotically fast multiplication, which is orthogonal to the
 // paper's word-level contribution (see DESIGN.md, substitutions).
 //
-// The descent is subprod.Cofactors, shared with the hybrid engine's
-// diagonal cells: it carries cofactor residues z_C = (P/C) mod C from
-// the root down to the leaves, one level at a time. No node is squared,
-// no residue is longer than its node, and P itself is never formed, so
-// the product tree stops at the root's two children. A leaf's residue
-// is (P/n_i) mod n_i outright, and the leaf pass is one GCD per modulus
-// (DESIGN.md §5f.1).
+// It gets there in three passes over a product tree that stops at the
+// root's two children (DESIGN.md §5f.1), on subprod's Prefixes, Reduce
+// and Suffixes descents:
+//
+//  1. Prefix pass: Prefixes(tree, 1) and one GCD per modulus give
+//     g'_i = gcd(n_i, (n_0...n_{i-1}) mod n_i), which exceeds 1 exactly
+//     when n_i shares a prime with an earlier modulus (the hits S).
+//  2. Candidates: C is S plus every modulus that shares a prime with
+//     H = prod_{i in S} g'_i (one Reduce(tree, H) and one GCD per
+//     modulus). C holds every modulus that shares a prime, and no
+//     other. When 4|S| > m, C is every modulus instead.
+//  3. Suffix pass over C alone: Suffixes(1) over a product tree of C's
+//     moduli (the main tree when C is every modulus) gives s_j, the
+//     product of C's later moduli mod n_j, and g_j = gcd(n_j,
+//     z_j*s_j mod n_j) with z_j the prefix residue. Every modulus
+//     outside C gets g_i = 1.
+//
+// The moduli outside C are coprime to every n_j in C, so leaving them
+// out of s_j changes no GCD, and g_j equals gcd(n_j, (P/n_j) mod n_j)
+// exactly. Shared primes are rare in collected corpora, so passes 2
+// and 3 cost little next to the prefix pass, which pays one division
+// at a left child where a full cofactor descent pays two and a product
+// at every node.
 //
 // The engine is level-parallel: within each product-tree level the node
 // multiplications are independent, as are each descent level's residues
-// and the leaf GCDs, so all three fan out over a worker pool sized by
+// and the leaf GCDs, so all of them fan out over a worker pool sized by
 // Config.Workers. The tree shape and all scan orders are deterministic,
 // so every Workers setting produces the identical Finding list;
 // Workers: 1 is the provably-equivalent serial path (it runs inline on
@@ -54,15 +70,16 @@ import (
 var one = big.NewInt(1)
 
 // Config controls a batch-GCD run: the shared cross-engine
-// configuration, with no engine knob of its own. The product tree
-// (subprod.Build) and its cofactor descent (subprod.Cofactors) run on
-// math/big. Workers only split independent node computations within a
-// tree level, so the result is identical for every pool size; Progress
-// counts tree-operation units (product multiplications, descent
-// residues, leaf GCDs — the output-sensitive resolution pass over the
-// handful of flagged moduli is not counted). Checkpoint/Resume are
-// rejected: the tree has no resumable unit decomposition (use the pairs
-// or hybrid engine when resumable progress matters).
+// configuration, with no engine knob of its own. The product trees
+// (subprod.Build) and their descents (subprod.Prefixes, Suffixes and
+// Reduce) run on math/big. Workers only split independent node
+// computations within a tree level, so the result is identical for
+// every pool size; Progress counts tree-operation units (product
+// multiplications, prefix residues, leaf GCDs — the output-sensitive
+// candidate and suffix passes and the resolution pass over the handful
+// of flagged moduli are not counted). Checkpoint/Resume are rejected:
+// the tree has no resumable unit decomposition (use the pairs or hybrid
+// engine when resumable progress matters).
 type Config struct {
 	engine.Config
 }
@@ -182,33 +199,51 @@ func validateRSA(moduli []*big.Int) error {
 
 // levels returns the subprod options that run one tree pass on the
 // pool with the tracker's hooks: each level wrapped in a phase named
-// name (trace span + level-duration histogram hist), one progress tick
-// per node.
-func (t *tracker) levels(name string, hist *obs.Histogram, workers int) subprod.Options {
-	return subprod.Options{
+// name (trace span + level-duration histogram hist), and, when ticks
+// is set, one progress tick per node.
+func (t *tracker) levels(name string, hist *obs.Histogram, workers int, ticks bool) subprod.Options {
+	opt := subprod.Options{
 		Workers: workers,
 		Metrics: t.metrics,
 		OnLevel: func(level, nodes int, run func() error) error {
 			return t.phase(name, level, nodes, hist, run)
 		},
-		OnNode: t.tick,
 	}
+	if ticks {
+		opt.OnNode = t.tick
+	}
+	return opt
+}
+
+// leaves runs fn(k, w) for every k < n on the pool (w is the worker
+// index) as one "leaf" phase, with one progress tick per unit when
+// ticks is set.
+func (t *tracker) leaves(ctx context.Context, n, workers int, ticks bool, fn func(k, w int)) error {
+	return t.phase("leaf", 0, n, nil, func() error {
+		return engine.Run(ctx, n, engine.PoolOptions{Workers: workers, Metrics: t.metrics}, func(k, w int) {
+			fn(k, w)
+			if ticks {
+				t.tick()
+			}
+		})
+	})
 }
 
 // buildTree constructs the levels bottom-up via the shared subproduct
-// builder, up to the root's two children: the cofactor descent never
-// reads the root. The multiplications within one level are independent
-// and fan out over the pool, and each level is a "product" phase.
+// builder, up to the root's two children: the descents never read the
+// root. The multiplications within one level are independent and fan
+// out over the pool, and each level is a "product" phase.
 func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
-	opt := tr.levels("product", tr.productH, workers)
+	opt := tr.levels("product", tr.productH, workers, true)
 	opt.SkipRoot = true
 	return subprod.Build(ctx, moduli, opt)
 }
 
-// cofactors runs subprod's cofactor descent over the tree, each level a
-// "remainder" phase, and returns z_i = (P/n_i) mod n_i for every leaf.
-func cofactors(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
-	return subprod.Cofactors(ctx, t, tr.levels("remainder", tr.remainderH, workers))
+// prefixes runs the prefix descent over the tree, each level a
+// "remainder" phase, and returns z_i = (n_0...n_{i-1}) mod n_i for every
+// leaf.
+func prefixes(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
+	return subprod.Prefixes(ctx, t, one, tr.levels("remainder", tr.remainderH, workers, true))
 }
 
 // SharedFactorsContext returns, for each modulus,
@@ -218,8 +253,8 @@ func cofactors(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) (
 // primes shared). Any positive integers are accepted; only RunContext
 // enforces the RSA shape. A canceled context aborts between tree
 // operations and the context error is returned. Batch GCD has no
-// meaningful partial result — findings only exist once the descent
-// reaches the leaves — so cancellation discards the incomplete tree.
+// meaningful partial result — findings only exist once the descents
+// reach the leaves — so cancellation discards the incomplete trees.
 func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([]*big.Int, error) {
 	if err := rejectJournal(cfg); err != nil {
 		return nil, err
@@ -235,29 +270,135 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 	if err != nil {
 		return nil, err
 	}
-	zs, err := cofactors(ctx, t, workers, tr)
+	zs, err := prefixes(ctx, t, workers, tr)
 	if err != nil {
 		return nil, err
 	}
-
-	// The descent leaves z_i = (P/n_i) mod n_i at each leaf, so the leaf
-	// pass is one GCD per modulus.
+	// g'_i = gcd(n_i, z_i) exceeds 1 exactly when n_i shares a prime with
+	// an earlier modulus.
 	out := make([]*big.Int, len(moduli))
-	if err := tr.phase("leaf", 0, len(moduli), nil, func() error {
-		return engine.Run(ctx, len(moduli), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, _ int) {
-			if tr.leafH != nil {
-				start := time.Now()
-				out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
-				tr.leafH.ObserveDuration(int64(time.Since(start)))
-			} else {
-				out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
-			}
-			tr.tick()
-		})
+	if err := tr.leaves(ctx, len(moduli), workers, true, func(i, _ int) {
+		if tr.leafH != nil {
+			start := time.Now()
+			out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
+			tr.leafH.ObserveDuration(int64(time.Since(start)))
+		} else {
+			out[i] = new(big.Int).GCD(nil, nil, zs[i], moduli[i])
+		}
 	}); err != nil {
 		return nil, err
 	}
+	var hits []int
+	for i, g := range out {
+		if g.Cmp(one) != 0 {
+			hits = append(hits, i)
+		}
+	}
+	if len(hits) == 0 {
+		return out, nil
+	}
+	cand, err := candidates(ctx, t, moduli, out, hits, workers, tr)
+	if err != nil {
+		return nil, err
+	}
+	if err := finish(ctx, t, moduli, zs, cand, out, workers, tr); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// candidates returns, in index order, every modulus that can share a
+// prime: the hits S of the prefix pass, and every modulus that shares a
+// prime with H, the product of the hits' g'_i. For a sharing pair a < b,
+// b is a hit and the shared prime divides g'_b, hence H, so both are
+// returned; a modulus that shares a prime with H shares it with a hit,
+// so nothing else is. Past the dense guard every modulus is returned.
+// The product of the hits' g'_i and the reduction of H down the tree
+// are "remainder" phases, the GCDs a "leaf" phase; none is a progress
+// unit.
+func candidates(ctx context.Context, t *subprod.Tree, moduli, gs []*big.Int, hits []int, workers int, tr *tracker) ([]int, error) {
+	m := len(moduli)
+	if dense(len(hits), m) {
+		all := make([]int, m)
+		for i := range all {
+			all[i] = i
+		}
+		return all, nil
+	}
+	fs := make([]*big.Int, len(hits))
+	for k, i := range hits {
+		fs[k] = gs[i]
+	}
+	opt := tr.levels("remainder", tr.remainderH, workers, false)
+	ht, err := subprod.Build(ctx, fs, opt)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := subprod.Reduce(ctx, t, ht.Root(), opt)
+	if err != nil {
+		return nil, err
+	}
+	in := make([]bool, m)
+	for _, i := range hits {
+		in[i] = true
+	}
+	scratch := make([]big.Int, workers)
+	if err := tr.leaves(ctx, m, workers, false, func(i, w int) {
+		if !in[i] {
+			in[i] = scratch[w].GCD(nil, nil, rs[i], moduli[i]).Cmp(one) != 0
+		}
+	}); err != nil {
+		return nil, err
+	}
+	var cand []int
+	for i, c := range in {
+		if c {
+			cand = append(cand, i)
+		}
+	}
+	return cand, nil
+}
+
+// dense is the guard of candidates. With hits prefix hits among m
+// moduli, 4·hits > m means about half the moduli or more share (a
+// sharing pair gives one hit); there the hit reduce and a suffix
+// descent over the candidates cost about as much as one over every
+// modulus (DESIGN.md §5f.1 has the sweep).
+func dense(hits, m int) bool { return 4*hits > m }
+
+// finish computes g_j for every candidate j in place of its g'_j. The
+// suffix descent over the candidates' product tree (the main tree t
+// when every modulus is a candidate) gives s_j, the product of the later
+// candidates mod n_j, so z_j*s_j is, mod n_j, the product of every other
+// candidate times the earlier non-candidates. Those are coprime to n_j,
+// so g_j = gcd(n_j, z_j*s_j mod n_j) = gcd(n_j, (P/n_j) mod n_j). The
+// tree and its descent are "remainder" phases, the GCDs a "leaf" phase;
+// none is a progress unit.
+func finish(ctx context.Context, t *subprod.Tree, moduli, zs []*big.Int, cand []int, out []*big.Int, workers int, tr *tracker) error {
+	opt := tr.levels("remainder", tr.remainderH, workers, false)
+	if len(cand) < len(moduli) {
+		sub := make([]*big.Int, len(cand))
+		for k, j := range cand {
+			sub[k] = moduli[j]
+		}
+		opt.SkipRoot = true
+		var err error
+		if t, err = subprod.Build(ctx, sub, opt); err != nil {
+			return err
+		}
+	}
+	ss, err := subprod.Suffixes(ctx, t, one, opt)
+	if err != nil {
+		return err
+	}
+	type finishScratch struct{ prod, quo, rem big.Int }
+	scratch := make([]finishScratch, workers)
+	return tr.leaves(ctx, len(cand), workers, false, func(k, w int) {
+		j, sc := cand[k], &scratch[w]
+		sc.prod.Mul(zs[j], ss[k])
+		sc.quo.QuoRem(&sc.prod, moduli[j], &sc.rem)
+		out[j] = new(big.Int).GCD(nil, nil, &sc.rem, moduli[j])
+	})
 }
 
 // Finding is one modulus flagged by the batch run, resolved into a

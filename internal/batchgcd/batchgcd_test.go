@@ -2,6 +2,7 @@ package batchgcd
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -62,8 +63,8 @@ func TestProductTree(t *testing.T) {
 	}
 }
 
-// remainderTree is the mod-n^2 remainder tree that the cofactor descent
-// replaced, kept as its oracle. It pushes the root product down a full
+// remainderTree is the mod-n^2 remainder tree that the descents
+// replaced, kept as their oracle. It pushes the root product down a full
 // tree (one built without SkipRoot), reducing modulo the square of each
 // node, and returns the leaf remainders r_i = P mod n_i^2, from which
 // (P/n_i) mod n_i = r_i / n_i.
@@ -124,52 +125,112 @@ func descentCorpus(r *rand.Rand, m int, planted bool) (ms []*big.Int, div *big.I
 	return ms, div
 }
 
-// TestDescentMatchesSquaresOracle: every leaf's cofactor residue equals
-// the mod-n^2 oracle's (P mod n_i^2)/n_i. The sizes cover a single node
-// (m = 1), a lone top pair (m = 2), and promoted odd nodes at one or
-// several levels (3, 5, 7, 9, 33, 65, 513).
-func TestDescentMatchesSquaresOracle(t *testing.T) {
+// squaresOracle returns g_i = gcd(n_i, (P mod n_i^2)/n_i) for every
+// modulus, from remainderTree over a full product tree.
+func squaresOracle(t *testing.T, ms []*big.Int) []*big.Int {
+	t.Helper()
 	ctx := context.Background()
+	full, err := subprod.Build(ctx, ms, subprod.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rems, err := remainderTree(ctx, full, 1, newTracker(0, Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*big.Int, len(ms))
+	for i, n := range ms {
+		// remainderTree returns a one-node tree's root as is, so reduce
+		// mod n_i^2 here: P mod 1 is 0, not 1.
+		z := new(big.Int).Mod(rems[i], new(big.Int).Mul(n, n))
+		z.Quo(z, n)
+		out[i] = z.GCD(nil, nil, z, n)
+	}
+	return out
+}
+
+// checkOracle runs SharedFactorsContext on ms at Workers 1 and 3 and
+// compares every g_i with the squares oracle's.
+func checkOracle(t *testing.T, label string, ms []*big.Int) {
+	t.Helper()
+	want := squaresOracle(t, ms)
+	for _, workers := range []int{1, 3} {
+		gs, err := SharedFactorsContext(context.Background(), ms, Config{Config: engine.Config{Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gs) != len(ms) {
+			t.Fatalf("%s workers=%d: %d results for %d moduli", label, workers, len(gs), len(ms))
+		}
+		for i, n := range ms {
+			if gs[i].Cmp(want[i]) != 0 {
+				t.Fatalf("%s workers=%d: modulus %d (n=%v): g = %v, oracle %v", label, workers, i, n, gs[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDescentMatchesSquaresOracle: every g_i equals the mod-n^2
+// oracle's gcd(n_i, (P mod n_i^2)/n_i). The sizes cover a single node
+// (m = 1), a lone top pair (m = 2), and promoted odd nodes at one or
+// several levels (3, 5, 7, 9, 33, 65, 513). The planted divisor of the
+// others gets g = n.
+func TestDescentMatchesSquaresOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 65, 513} {
 		for _, planted := range []bool{false, true} {
 			ms, div := descentCorpus(r, m, planted)
-			full, err := subprod.Build(ctx, ms, subprod.Options{})
+			checkOracle(t, fmt.Sprintf("m=%d planted=%v", m, planted), ms)
+			if div == nil {
+				continue
+			}
+			gs, err := SharedFactorsContext(context.Background(), ms, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rems, err := remainderTree(ctx, full, 1, newTracker(0, Config{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3} {
-				tr := newTracker(0, Config{})
-				tree, err := buildTree(ctx, ms, workers, tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zs, err := cofactors(ctx, tree, workers, tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(zs) != m {
-					t.Fatalf("m=%d workers=%d: %d residues", m, workers, len(zs))
-				}
-				for i, n := range ms {
-					if n == div && zs[i].Sign() != 0 {
-						t.Fatalf("m=%d: the planted divisor of the others has residue %v", m, zs[i])
-					}
-					// remainderTree returns a one-node tree's root as is,
-					// so reduce mod n_i^2 here: P mod 1 is 0, not 1.
-					want := new(big.Int).Mod(rems[i], new(big.Int).Mul(n, n))
-					want.Quo(want, n)
-					if zs[i].Cmp(want) != 0 {
-						t.Fatalf("m=%d planted=%v workers=%d leaf %d (n=%v): residue %v, oracle %v",
-							m, planted, workers, i, n, zs[i], want)
-					}
+			for i, n := range ms {
+				if n == div && gs[i].Cmp(n) != 0 {
+					t.Fatalf("m=%d: the planted divisor of the others has g = %v", m, gs[i])
 				}
 			}
 		}
+	}
+}
+
+// prefixHits counts the moduli that share a prime with an earlier one,
+// by the definition.
+func prefixHits(ms []*big.Int) int {
+	hits := 0
+	prod := big.NewInt(1)
+	for _, n := range ms {
+		if new(big.Int).GCD(nil, nil, n, prod).Cmp(one) != 0 {
+			hits++
+		}
+		prod.Mul(prod, n)
+	}
+	return hits
+}
+
+// TestSharedFactorsDensities: on 257 moduli with 0%, 2%, 25%, 50% and
+// 100% of the keys sharing a prime, plus the fixed plants of
+// densityCorpus, every g_i equals the squares oracle's at Workers 1 and
+// 3. The densities fall on both sides of the dense guard (4|S| > m), so
+// both ways of building the candidate set run.
+func TestSharedFactorsDensities(t *testing.T) {
+	const m = 257
+	r := rand.New(rand.NewSource(27))
+	ps := randomPrimes(r, 2*m, 64)
+	sides := map[bool]bool{}
+	for _, frac := range densities {
+		ms := densityCorpus(r, ps, frac)
+		hits := prefixHits(ms)
+		sides[dense(hits, m)] = true
+		label := fmt.Sprintf("density %.0f%% (%d hits, dense=%v)", 100*frac, hits, dense(hits, m))
+		t.Log(label)
+		checkOracle(t, label, ms)
+	}
+	if !sides[false] || !sides[true] {
+		t.Fatalf("densities cover one side of the dense guard only: %v", sides)
 	}
 }
 
@@ -207,7 +268,7 @@ func TestTreeUnitsHandCounted(t *testing.T) {
 		if got := tr.done.Load(); got != c.mults {
 			t.Errorf("m=%d: product tree made %d multiplications, want %d", c.m, got, c.mults)
 		}
-		if _, err := cofactors(ctx, tree, 1, tr); err != nil {
+		if _, err := prefixes(ctx, tree, 1, tr); err != nil {
 			t.Fatal(err)
 		}
 		if got := tr.done.Load() - c.mults; got != c.reductions {

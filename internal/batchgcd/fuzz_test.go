@@ -8,15 +8,17 @@ import (
 	"bulkgcd/internal/engine"
 )
 
-// fuzzModuli decodes the fuzz input into 2..8 small odd positive moduli:
-// byte 0 picks the count, each following byte pair is one 16-bit value
-// forced odd. Small values collide on factors constantly, which is
-// exactly what exercises the resolution pass.
+// fuzzModuli decodes the fuzz input into 2..24 small odd positive
+// moduli: byte 0 picks the count, each following byte pair is one 16-bit
+// value forced odd. Small values collide on factors constantly, which is
+// exactly what exercises the resolution pass, and up to 24 moduli leave
+// room for a few hits among many coprime keys as well as the dense
+// guard.
 func fuzzModuli(data []byte) []*big.Int {
 	if len(data) < 5 {
 		return nil
 	}
-	n := 2 + int(data[0])%7
+	n := 2 + int(data[0])%23
 	var out []*big.Int
 	for i := 1; i+1 < len(data) && len(out) < n; i += 2 {
 		v := uint32(data[i])<<8 | uint32(data[i+1])
@@ -41,6 +43,15 @@ func FuzzBatchGCDMatchesNaive(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 45})                    // 3 divides 45: g_i == n_i without a duplicate
 	f.Add([]byte{6, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})   // random-ish spread
 	f.Add([]byte{3, 0, 1, 0, 1, 255, 255, 127, 253}) // ones and big odds
+	// One hit among coprime keys: 141 = 3·47 shares 3 with 15 alone, so
+	// the candidates come from the hit reduce.
+	f.Add([]byte{10, 0, 15, 0, 77, 0, 13, 0, 17, 0, 19, 0, 23, 0, 29, 0, 31, 0, 37, 0, 41, 0, 43, 0, 141})
+	// Every key a multiple of 3: the dense guard.
+	f.Add([]byte{6, 0, 15, 0, 21, 0, 33, 0, 39, 0, 51, 0, 57, 0, 69, 0, 87})
+	// n = 1 among keys that share.
+	f.Add([]byte{3, 0, 15, 0, 1, 0, 21, 0, 1, 0, 35})
+	// p^2 beside p·q: 9 and 15 among coprime keys.
+	f.Add([]byte{5, 0, 9, 0, 15, 0, 11, 0, 13, 0, 17, 0, 19, 0, 23})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ms := fuzzModuli(data)

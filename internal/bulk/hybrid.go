@@ -19,22 +19,23 @@ import (
 // (internal/subprod). Row n_i of A gets the residue
 //
 //	cross cell (A < B):  r_i = Π(tile B) mod n_i                (Reduce)
-//	diagonal (A = B):    z_i = Π(tile A \ {n_i}) mod n_i        (Cofactors)
+//	diagonal (A = B):    z_i = Π(rows of A before n_i) mod n_i  (Prefixes)
 //
 // and the row GCD g_i = gcd(n_i, r_i) (math/big's, as in batch GCD's
 // leaf pass). Any prime n_i shares with a modulus of the row's pairs
 // divides both n_i and that product, hence its residue mod n_i, hence
 // g_i — so g_i = 1 proves the whole row coprime and it is skipped. A
 // cross row covers its T pairs (i, B); a diagonal row covers only the
-// pairs (i, u > i), since a sharing pair makes both of its rows hit
-// and the lower row takes it. Only rows with g_i > 1 (a residue of 0 —
-// a duplicate or a modulus dividing the others — gives g_i = n_i)
-// descend to the exact per-pair runner, which is why the hybrid's
-// findings are byte-identical to the all-pairs engine at every tile
-// size: skipped pairs are proven coprime (the all-pairs engine would
-// have reported nothing for them) and descended pairs run the identical
-// kernel with the identical options. A modulus equal to 1 gets residue 0
-// and g = 1, and no pair containing it has a factor to report.
+// pairs (u < i, i), since a sharing pair makes its later row hit and
+// the later row takes it. Only rows with g_i > 1 (a residue of 0 — a
+// duplicate of an earlier row, or a modulus dividing the product of the
+// earlier rows — gives g_i = n_i) descend to the exact per-pair runner,
+// which is why the hybrid's findings are byte-identical to the
+// all-pairs engine at every tile size: skipped pairs are proven coprime
+// (the all-pairs engine would have reported nothing for them) and
+// descended pairs run the identical kernel with the identical options.
+// A modulus equal to 1 gets residue 0 and g = 1, and no pair containing
+// it has a factor to report.
 //
 // The row tile's tree is built per cell and dropped with it; each column
 // tile product Π(tile B) is built once per run by the first cross cell
@@ -189,7 +190,7 @@ func (p *pairRunner) filterCell(plan *hybridPlan, c hybridCell, hm *hybridMetric
 	}
 	var res []*big.Int
 	if c.A == c.B {
-		res, err = subprod.Cofactors(ctx, tree, subprod.Options{})
+		res, err = subprod.Prefixes(ctx, tree, one, subprod.Options{})
 	} else {
 		res, err = subprod.Reduce(ctx, tree, plan.column(c.B, hm), subprod.Options{})
 	}
@@ -209,7 +210,7 @@ var one = big.NewInt(1)
 
 // runCell computes one cell into blk: filterCell decides every row, and
 // hit rows descend to their pairs — all of tile B for a cross cell, the
-// pairs (k, u > k) for a diagonal one. Descended pairs go through the
+// pairs (u < k, k) for a diagonal one. Descended pairs go through the
 // kernel dispatch, so on the lane kernel a cell's hit rows accumulate
 // into bounded lockstep batches, the last drained before the cell is
 // sealed for journaling.
@@ -218,19 +219,23 @@ func (p *pairRunner) runCell(plan *hybridPlan, c hybridCell, hm *hybridMetrics, 
 	bLo, bHi := plan.tileSpan(c.B)
 	hits := p.filterCell(plan, c, hm)
 	for k := aLo; k < aHi; k++ {
-		uLo := bLo
+		uLo, uHi := bLo, bHi
 		if c.A == c.B {
-			uLo = k + 1
+			uLo, uHi = aLo, k
 		}
-		width := int64(bHi - uLo)
+		width := int64(uHi - uLo)
 		hm.observeRow(hits[k-aLo], width)
 		if !hits[k-aLo] {
 			blk.pairs += width // proven coprime, accounted as done
 			continue
 		}
 		i := plan.active[k]
-		for u := uLo; u < bHi; u++ {
-			p.pair(i, plan.active[u], blk)
+		for u := uLo; u < uHi; u++ {
+			if j := plan.active[u]; j < i {
+				p.pair(j, i, blk) // a diagonal pair, earlier row first
+			} else {
+				p.pair(i, j, blk)
+			}
 		}
 	}
 	p.flush(blk)

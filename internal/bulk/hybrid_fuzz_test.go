@@ -43,7 +43,7 @@ func FuzzHybridMatchesNaive(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 45})                    // 3 divides 45
 	f.Add([]byte{6, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9})   // random-ish spread
 	f.Add([]byte{3, 0, 1, 0, 1, 255, 255, 127, 253}) // ones and big odds
-	// Sharing only inside one tile, found by the diagonal cells' cofactor
+	// Sharing only inside one tile, found by the diagonal cells' prefix
 	// filter alone: 77 = 7·11 twice, 247 = 13·19 dividing 221·437 =
 	// 13·17·19·23, and 1.
 	f.Add([]byte{2, 0, 77, 0, 77, 0, 221, 1, 181})               // duplicate in the first tile of 2

@@ -396,7 +396,7 @@ func intraTileCorpus(t *testing.T, count int, seed int64) []*mpnat.Nat {
 }
 
 // TestHybridIntraTileSharing: when every sharing pair lies inside one
-// tile, only the diagonal cells' cofactor filter can find them. Findings
+// tile, only the diagonal cells' prefix filter can find them. Findings
 // match the all-pairs engine at every tile width and pool size, and at
 // T = 8 no cross cell row hits.
 func TestHybridIntraTileSharing(t *testing.T) {
@@ -430,14 +430,17 @@ func TestHybridIntraTileSharing(t *testing.T) {
 					t.Fatalf("tile=%d workers=%d: pairs %d/%d, all-pairs %d/%d",
 						tile, workers, res.Pairs, res.Total, base.Pairs, base.Total)
 				}
-				// At T = 8, tile 1 holds every sharing pair. Its diagonal
-				// cell's rows 8-12 hit (9 and 12 too: 9's residue is 0, and
-				// 12 shares with 10 and 11) and descend to 7+6+5+4+3 pairs;
-				// row 13 = 1 and every cross cell row is skipped.
+				// At T = 8, tile 1 holds every sharing pair. In its
+				// diagonal cell only the later row of each sharing pair
+				// hits: row 9 (its prefix residue is 0, a duplicate of 8)
+				// descends to (8, 9), and row 12 (sharing with 10 and 11)
+				// to (8..11, 12), 1+4 pairs. Rows 8, 10 and 11 share with
+				// no earlier row, row 13 = 1, and every cross cell row is
+				// skipped.
 				if tile == 8 {
 					snap := reg.Snapshot()
-					if h, d := snap.Counters["bulk_hybrid_tile_hits_total"], snap.Counters["bulk_hybrid_descended_pairs_total"]; h != 5 || d != 25 {
-						t.Fatalf("early=%v workers=%d: %d hit rows and %d descended pairs, want 5 and 25", early, workers, h, d)
+					if h, d := snap.Counters["bulk_hybrid_tile_hits_total"], snap.Counters["bulk_hybrid_descended_pairs_total"]; h != 2 || d != 5 {
+						t.Fatalf("early=%v workers=%d: %d hit rows and %d descended pairs, want 2 and 5", early, workers, h, d)
 					}
 				}
 			}
@@ -499,9 +502,9 @@ func TestFilterCellAllocs(t *testing.T) {
 	}{
 		{hybridCell{0, 0}, func() {
 			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
-			zs, _ := subprod.Cofactors(ctx, tree, subprod.Options{})
+			zs, _ := subprod.Prefixes(ctx, tree, one, subprod.Options{})
 			rowGCDs(zs)
-		}, 1165},
+		}, 1120},
 		{hybridCell{0, 1}, func() {
 			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
 			rs, _ := subprod.Reduce(ctx, tree, plan.column(1, nil), subprod.Options{})

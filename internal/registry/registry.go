@@ -76,7 +76,8 @@ const (
 	// key is still accepted (the batch oracle sees duplicates too), and
 	// it may simultaneously share primes with further keys.
 	Duplicate
-	// Malformed: zero or even modulus; rejected, not added to the corpus.
+	// Malformed: zero or even modulus, or one longer than maxKeyBits;
+	// rejected, not added to the corpus.
 	Malformed
 )
 
@@ -703,16 +704,23 @@ func (r *Registry) Submit(n *big.Int) (Verdict, error) {
 	return vs[0], nil
 }
 
+// maxKeyBits caps a submitted modulus: a longer key gets a Malformed
+// verdict and is neither appended nor journaled, so one request cannot
+// put an arbitrarily long modulus into every later check. 16384 bits is
+// four times the largest key size the paper measures.
+const maxKeyBits = 16384
+
 // SubmitBatch submits a batch in order: each key's verdict accounts for
 // every earlier key, including earlier keys of the same batch. The whole
 // batch is validated before anything is written: a nil or negative
 // modulus fails the call with nothing appended, journaled or counted,
-// so a retry without it gets the verdicts a clean registry gives. The
-// accepted keys are checked a chunk at a time (prefixResidues), chunks
-// ending at multiples of seedSpan, and written, appended and journaled
-// in order. The corpus log and journal are synced once per batch, so
-// batching amortizes the two fsyncs that dominate small-key submission
-// cost.
+// so a retry without it gets the verdicts a clean registry gives. A
+// zero, even or over-long (maxKeyBits) modulus gets a Malformed
+// verdict. The accepted keys are checked a chunk at a time
+// (prefixResidues), chunks ending at multiples of seedSpan, and
+// written, appended and journaled in order. The corpus log and journal
+// are synced once per batch, so batching amortizes the two fsyncs that
+// dominate small-key submission cost.
 func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -728,7 +736,10 @@ func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 		if n == nil || n.Sign() < 0 {
 			return nil, fmt.Errorf("registry: modulus is nil or negative")
 		}
-		if reasons[j] = corpus.ValidateBig(n); reasons[j] == "" {
+		if reasons[j] = corpus.ValidateBig(n); reasons[j] == "" && n.BitLen() > maxKeyBits {
+			reasons[j] = fmt.Sprintf("longer than %d bits", maxKeyBits)
+		}
+		if reasons[j] == "" {
 			keys = append(keys, new(big.Int).Set(n))
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bulkgcd/internal/obs"
@@ -96,6 +97,49 @@ func TestVerdicts(t *testing.T) {
 		if bk.G.Cmp(b(want[bk.Index])) != 0 {
 			t.Fatalf("broken[%d].G = %v, want %d", bk.Index, bk.G, want[bk.Index])
 		}
+	}
+}
+
+// TestSubmitMaxKeyBits: a 16384-bit modulus is accepted and a 16385-bit
+// one gets a Malformed verdict without being appended or journaled: the
+// corpus log and the journal grow by the accepted keys only, and a
+// reopened registry holds exactly those.
+func TestSubmitMaxKeyBits(t *testing.T) {
+	dir := t.TempDir()
+	r := openT(t, dir, Config{})
+	longest := new(big.Int).Lsh(one, 16383)
+	longest.Add(longest, one) // 2^16383 + 1: 16384 bits, odd
+	tooLong := new(big.Int).Lsh(one, 16384)
+	tooLong.Add(tooLong, one) // 16385 bits
+	if v := mustSubmit(t, r, tooLong); v.Kind != Malformed || v.Index != -1 || v.Reason != "longer than 16384 bits" {
+		t.Fatalf("16385-bit key: %+v", v)
+	}
+	if v := mustSubmit(t, r, longest); v.Kind == Malformed || v.Index != 0 {
+		t.Fatalf("16384-bit key: %+v", v)
+	}
+	vs, err := r.SubmitBatch([]*big.Int{b(15), tooLong, b(21)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs[0].Index != 1 || vs[1].Kind != Malformed || vs[2].Index != 2 || vs[2].Kind != Shared {
+		t.Fatalf("batch with an over-long key: %+v", vs)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"corpus.log", "journal.jsonl"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), tooLong.Text(16)) {
+			t.Fatalf("%s holds the over-long key", name)
+		}
+	}
+	r = openT(t, dir, Config{})
+	defer r.Close()
+	if r.Len() != 3 {
+		t.Fatalf("reopened registry holds %d keys, want 3", r.Len())
 	}
 }
 

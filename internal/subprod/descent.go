@@ -5,10 +5,6 @@ import (
 	"math/big"
 )
 
-// one is the shared constant 1, the cofactor residue above the root
-// (P/P). It is never written.
-var one = big.NewInt(1)
-
 // descentScratch is one worker's division state for a descent: the
 // quotient QuoRem discards, the two reduced factors and their product.
 type descentScratch struct {
@@ -28,31 +24,12 @@ func (s *descentScratch) residue(par, c, sib *big.Int) *big.Int {
 	return new(big.Int).Set(&s.zc)
 }
 
-// Cofactors returns, for every leaf n_i of t, z_i = (P/n_i) mod n_i,
-// P being the product of all leaves. It pushes cofactor residues down
-// the tree: above the top the residue is P/P = 1, and a node C with
-// sibling S under parent T gets
-//
-//	z_C = (P/C) mod C = ((z_T mod C) * (S mod C)) mod C
-//
-// because P/C = (P/T)*S and C divides T; a promoted odd node (C = T)
-// keeps z_T. T itself is never read, so t may stop at the root's two
-// children (Options.SkipRoot). No node is squared and no residue is
-// longer than its node. A leaf that divides the product of the others
-// gets 0, and a leaf equal to 1 gets 0. A one-leaf tree has no descent
-// level: its leaf gets 1 mod n without running the hooks.
-func Cofactors(ctx context.Context, t *Tree, opt Options) ([]*big.Int, error) {
-	return descend(ctx, t, one, opt, func(s *descentScratch, par, c, sib *big.Int, _ bool) *big.Int {
-		return s.residue(par, c, sib)
-	})
-}
-
 // Reduce returns x mod n_i for every leaf n_i of t, pushing x down the
 // tree: each top node C gets x mod C, each node below gets its parent's
-// residue mod C, and a promoted odd node keeps its parent's. Like
-// Cofactors it never reads the root, so t may be built with SkipRoot.
-// x must be non-negative. A one-leaf tree returns x mod n without
-// running the hooks.
+// residue mod C, and a promoted odd node keeps its parent's. It never
+// reads the root, so t may be built with SkipRoot. x must be
+// non-negative. A one-leaf tree returns x mod n without running the
+// hooks.
 func Reduce(ctx context.Context, t *Tree, x *big.Int, opt Options) ([]*big.Int, error) {
 	return descend(ctx, t, x, opt, func(s *descentScratch, par, c, _ *big.Int, _ bool) *big.Int {
 		return s.residue(par, c, nil)
@@ -68,13 +45,36 @@ func Reduce(ctx context.Context, t *Tree, x *big.Int, opt Options) ([]*big.Int, 
 //
 //	z_R = ((z_T mod R) * (L mod R)) mod R
 //
-// and a promoted odd node (C = T) keeps z_T. Like the other descents it
-// never reads the root, so t may be built with SkipRoot. x must be
-// non-negative and is only read. A one-leaf tree returns x mod n without
-// running the hooks.
+// and a promoted odd node (C = T) keeps z_T. Like Reduce it never reads
+// the root, so t may be built with SkipRoot. x must be non-negative and
+// is only read. A one-leaf tree returns x mod n without running the
+// hooks. With x = 1, gcd(n_i, z_i) > 1 exactly when n_i shares a prime
+// with a leaf to its left (batch GCD's prefix pass and the hybrid
+// engine's diagonal cells); a leaf equal to 1 gets 0.
 func Prefixes(ctx context.Context, t *Tree, x *big.Int, opt Options) ([]*big.Int, error) {
 	return descend(ctx, t, x, opt, func(s *descentScratch, par, c, sib *big.Int, right bool) *big.Int {
 		if !right {
+			sib = nil
+		}
+		return s.residue(par, c, sib)
+	})
+}
+
+// Suffixes returns, for every leaf n_i of t, (x * n_{i+1} * ... *
+// n_{m-1}) mod n_i: x times the product of the leaves right of n_i. It
+// mirrors Prefixes: a right child R of parent T gets z_T mod R, a left
+// child L, whose right sibling R holds the leaves between L's right
+// edge and T's, gets
+//
+//	z_L = ((z_T mod L) * (R mod L)) mod L
+//
+// and a promoted odd node, which has no right sibling, keeps z_T. It
+// never reads the root, x must be non-negative and is only read, and a
+// one-leaf tree returns x mod n without running the hooks. Prefixes(1)
+// times Suffixes(1) at leaf i is (P/n_i) mod n_i up to one reduction.
+func Suffixes(ctx context.Context, t *Tree, x *big.Int, opt Options) ([]*big.Int, error) {
+	return descend(ctx, t, x, opt, func(s *descentScratch, par, c, sib *big.Int, right bool) *big.Int {
+		if right {
 			sib = nil
 		}
 		return s.residue(par, c, sib)

@@ -9,21 +9,6 @@ import (
 	"testing"
 )
 
-// naiveCofactors returns Π_{j≠i} n_j mod n_i for every leaf, in math/big.
-func naiveCofactors(ms []*big.Int) []*big.Int {
-	out := make([]*big.Int, len(ms))
-	for i, n := range ms {
-		p := big.NewInt(1)
-		for j, m := range ms {
-			if j != i {
-				p.Mul(p, m)
-			}
-		}
-		out[i] = p.Mod(p, n)
-	}
-	return out
-}
-
 // naiveReduce returns x mod n_i for every leaf, in math/big.
 func naiveReduce(ms []*big.Int, x *big.Int) []*big.Int {
 	out := make([]*big.Int, len(ms))
@@ -45,31 +30,29 @@ func naivePrefixes(ms []*big.Int, x *big.Int) []*big.Int {
 	return out
 }
 
+// naiveSuffixes returns x·n_{i+1}⋯n_{m-1} mod n_i for every leaf, in
+// math/big.
+func naiveSuffixes(ms []*big.Int, x *big.Int) []*big.Int {
+	out := make([]*big.Int, len(ms))
+	p := new(big.Int).Set(x)
+	for i := len(ms) - 1; i >= 0; i-- {
+		out[i] = new(big.Int).Mod(p, ms[i])
+		p.Mul(p, ms[i])
+	}
+	return out
+}
+
 // checkDescents builds ms's tree with and without SkipRoot at Workers 1
 // and 3 and compares the three descents with the naive residues.
 func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 	t.Helper()
 	ctx := context.Background()
-	wantZ := naiveCofactors(ms)
 	for _, skip := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
 			opt := Options{Workers: workers, SkipRoot: skip}
 			tree, err := Build(ctx, ms, opt)
 			if err != nil {
 				t.Fatal(err)
-			}
-			zs, err := Cofactors(ctx, tree, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(zs) != len(ms) {
-				t.Fatalf("%s skip=%v workers=%d: %d cofactors for %d leaves", label, skip, workers, len(zs), len(ms))
-			}
-			for i := range ms {
-				if zs[i].Cmp(wantZ[i]) != 0 {
-					t.Fatalf("%s skip=%v workers=%d: leaf %d (n=%v) cofactor %v, want %v",
-						label, skip, workers, i, ms[i], zs[i], wantZ[i])
-				}
 			}
 			for _, x := range xs {
 				for _, d := range []struct {
@@ -79,6 +62,7 @@ func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 				}{
 					{"Reduce", Reduce, naiveReduce},
 					{"Prefixes", Prefixes, naivePrefixes},
+					{"Suffixes", Suffixes, naiveSuffixes},
 				} {
 					snapshot := new(big.Int).Set(x)
 					rs, err := d.run(ctx, tree, x, opt)
@@ -104,15 +88,14 @@ func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 	}
 }
 
-// TestDescentsMatchNaive: Cofactors equals Π_{j≠i} n_j mod n_i, Reduce
-// equals x mod n_i and Prefixes equals x·Π_{j<i} n_j mod n_i at every
-// leaf, on trees with and without their root
-// and at Workers 1 and 3. The sizes cover a single leaf, a lone top
+// TestDescentsMatchNaive: Reduce equals x mod n_i, Prefixes equals
+// x·Π_{j<i} n_j mod n_i and Suffixes x·Π_{j>i} n_j mod n_i at every
+// leaf, on trees with and without their root and at Workers 1 and 3. The sizes cover a single leaf, a lone top
 // pair, and promoted odd nodes at one or several levels. Each size runs
 // on random leaves and on leaves planted with a 1, a duplicate pair and
-// a leaf dividing the product of the others (its cofactor is 0); x runs
-// over 0, a value below every leaf, the product of the leaves times a
-// random factor, and a random value above them.
+// a leaf dividing the product of two others; x runs over 0, a value
+// below every leaf, the product of the leaves times a random factor, and
+// a random value above them.
 func TestDescentsMatchNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 33, 64, 65} {
@@ -121,15 +104,13 @@ func TestDescentsMatchNaive(t *testing.T) {
 			for i := range ms {
 				ms[i] = randBig(r, 64+r.Intn(65))
 			}
-			var div *big.Int
 			if planted {
 				ms[min(1, m-1)] = big.NewInt(1)
 				if m >= 3 {
 					ms[2] = new(big.Int).Set(ms[0])
 				}
 				if m >= 5 {
-					div = new(big.Int).Mul(ms[0], ms[4])
-					ms[3] = div
+					ms[3] = new(big.Int).Mul(ms[0], ms[4])
 				}
 				r.Shuffle(m, func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
 			}
@@ -145,21 +126,6 @@ func TestDescentsMatchNaive(t *testing.T) {
 			}
 			label := fmt.Sprintf("m=%d planted=%v", m, planted)
 			checkDescents(t, label, ms, xs)
-			if div != nil {
-				tree, err := Build(context.Background(), ms, Options{SkipRoot: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				zs, err := Cofactors(context.Background(), tree, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, n := range ms {
-					if n == div && zs[i].Sign() != 0 {
-						t.Fatalf("%s: the leaf dividing the others has cofactor %v", label, zs[i])
-					}
-				}
-			}
 		}
 	}
 }
@@ -188,13 +154,16 @@ func TestDescentHooks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func(Options) error{
-			"Cofactors": func(opt Options) error { _, err := Cofactors(context.Background(), tree, opt); return err },
 			"Reduce": func(opt Options) error {
 				_, err := Reduce(context.Background(), tree, big.NewInt(1000), opt)
 				return err
 			},
 			"Prefixes": func(opt Options) error {
 				_, err := Prefixes(context.Background(), tree, big.NewInt(1000), opt)
+				return err
+			},
+			"Suffixes": func(opt Options) error {
+				_, err := Suffixes(context.Background(), tree, big.NewInt(1000), opt)
 				return err
 			},
 		} {
@@ -228,14 +197,14 @@ func TestDescentsCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Cofactors(ctx, tree, Options{}); err == nil {
-		t.Fatal("Cofactors ignored a canceled context")
-	}
 	if _, err := Reduce(ctx, tree, big.NewInt(11), Options{}); err == nil {
 		t.Fatal("Reduce ignored a canceled context")
 	}
 	if _, err := Prefixes(ctx, tree, big.NewInt(11), Options{}); err == nil {
 		t.Fatal("Prefixes ignored a canceled context")
+	}
+	if _, err := Suffixes(ctx, tree, big.NewInt(11), Options{}); err == nil {
+		t.Fatal("Suffixes ignored a canceled context")
 	}
 }
 

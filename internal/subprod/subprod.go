@@ -9,14 +9,15 @@
 // one integer so a single division+GCD can interrogate all of them at
 // once — so there is one node representation, a compact *big.Int, one
 // construction loop (Build), and three descents back down a built tree
-// on one level loop: Cofactors, the product of the other leaves modulo
-// each leaf (batch GCD's and the hybrid diagonal cell's); Reduce, one
-// integer modulo each leaf (the hybrid cross cell's); and Prefixes, one
-// integer times the leaves to the left modulo each leaf (the registry's
-// batch check, which pushes the history's residue down a batch's
-// tree). All three are configured by the caller with the same per-level
-// hooks as Build, for batch GCD's observability, and all three run on a
-// tree built with or without SkipRoot.
+// on one level loop: Prefixes, one integer times the leaves to the left
+// modulo each leaf (batch GCD's prefix pass, the hybrid diagonal cell's
+// filter, and the registry's batch check, which pushes the history's
+// residue down a batch's tree); Suffixes, its mirror, the leaves to
+// the right (batch GCD's suffix pass); and Reduce, one integer modulo
+// each leaf (batch GCD's candidate pass and the hybrid cross cell's
+// filter). All three are configured by the caller with the same
+// per-level hooks as Build, for batch GCD's observability, and all
+// three run on a tree built with or without SkipRoot.
 //
 // Every node is compacted after its multiplication (Mul): math/big's
 // Karatsuba leaves a product with max(6k, m+n) words of capacity, about
@@ -70,8 +71,8 @@ func compact(x *big.Int) *big.Int {
 	return new(big.Int).SetBits(w)
 }
 
-// Options configures Build and the descents (Cofactors, Reduce,
-// Prefixes). The zero value runs serially with no hooks.
+// Options configures Build and the descents (Prefixes, Suffixes,
+// Reduce). The zero value runs serially with no hooks.
 type Options struct {
 	// Workers is the fan-out width within each level (the level's
 	// multiplications or residues are independent); <= 1 runs inline.
