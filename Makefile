@@ -24,8 +24,8 @@ test:
 # lock-free metrics layer, the lane-batched kernel (shared per-worker
 # arenas), mpnat (the per-worker DivScratch of Original and Fast
 # Euclid) + the generic tree builder they all multiply through, the
-# streaming registry (findings forwarder + node store), and the public
-# facade.
+# streaming registry (findings forwarder, and the pools of its chunk
+# trees and node rebuilds), and the public facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
 
@@ -79,13 +79,15 @@ bench:
 # artifact.
 # The registry line runs BenchmarkRegistrySubmit in -short mode (8192-key
 # seed), which self-enforces the O(log N) spine-merge bound per submission
-# and a >= 5x advantage over a full batch-GCD rescan. The batch-GCD line
-# runs BenchmarkBatchGCDDensity in -short mode (256 x 512-bit keys at
-# 0-100% sharing), so both ways of building batch GCD's candidate set,
-# the hit reduce and the dense guard, run on every push.
+# and a >= 5x advantage over a full batch-GCD rescan, and
+# BenchmarkRegistryReopen (same seed), which fails unless the node files
+# make the first submit after a reopen >= 3x faster than rebuilding. The
+# batch-GCD line runs BenchmarkBatchGCDDensity in -short mode (256 x
+# 512-bit keys at 0-100% sharing), so both ways of building batch GCD's
+# candidate set, the hit reduce and the dense guard, run on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
-	$(GO) test -short -run '^$$' -bench 'BenchmarkRegistrySubmit$$' -benchtime=1x ./internal/registry/
+	$(GO) test -short -run '^$$' -bench 'BenchmarkRegistry(Submit|Reopen)$$' -benchtime=1x ./internal/registry/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkBatchGCDDensity$$' -benchtime=1x ./internal/batchgcd/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybrid$$' -benchtime=1x ./internal/bulk/
 	$(GO) test -short -run '^$$' -bench 'BenchmarkHybridTraceOverhead$$' -benchtime=1x ./internal/bulk/

@@ -117,7 +117,6 @@ type Attack struct {
 	exponent    uint64
 	groupSize   int
 	tileSize    int
-	nodeBudget  int64
 	quarantine  bool
 	progress    func(done, total int64)
 	metricsW    io.Writer
@@ -171,13 +170,6 @@ func WithGroupSize(r int) Option { return func(a *Attack) { a.groupSize = r } }
 // Findings are identical at every value; only the filter's selectivity
 // and the size of each cell's product tree change.
 func WithTileSize(t int) Option { return func(a *Attack) { a.tileSize = t } }
-
-// WithSubproductBudget caps the bytes of product-tree nodes an
-// [OpenRegistry] registry holds in RAM; least-recently-used nodes are
-// reloaded from their files or rebuilt from their children on demand.
-// 0 (the default) means unlimited. Run ignores it: the hybrid engine
-// keeps each column tile's product for the whole run.
-func WithSubproductBudget(bytes int64) Option { return func(a *Attack) { a.nodeBudget = bytes } }
 
 // WithQuarantine makes the pairs and hybrid engines skip zero or even
 // moduli and report them in Report.Quarantined instead of failing the

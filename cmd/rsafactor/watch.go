@@ -38,20 +38,22 @@ import (
 //	                        ("longer than 16384 bits") and is not
 //	                        added
 //	GET  /jobs/<id>         job status; the finished job embeds a
-//	                        Report-schema artifact with verdict counts
+//	                        Report-schema artifact with verdict counts.
+//	                        The server keeps the newest 1024 finished
+//	                        jobs and every running one; an evicted id
+//	                        answers 410, an id never issued 404
 //	GET  /broken            every broken key: index, modulus, factor
 //	GET  /registry          corpus size, removed, broken, spine stats
 func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rsafactor watch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir        = fs.String("dir", "", "registry directory (created if absent; holds corpus log, journal, tree nodes)")
-		addr       = fs.String("addr", ":8080", "listen address for submissions and status endpoints")
-		workers    = fs.Int("workers", 0, "tree build parallelism (0 = all CPUs)")
-		nodeBudget = fs.Int64("node-budget", 0, "in-RAM tree node cache byte budget (0 = unlimited)")
-		tracePath  = fs.String("trace", "", "append a JSONL span per submission to this file")
-		report     = fs.String("report", "", "write an end-of-run JSON report (schema "+obs.ReportSchema+") on shutdown")
-		verbose    = fs.Bool("v", false, "log each finding as it is discovered")
+		dir       = fs.String("dir", "", "registry directory (created if absent; holds corpus log, journal, tree nodes)")
+		addr      = fs.String("addr", ":8080", "listen address for submissions and status endpoints")
+		workers   = fs.Int("workers", 0, "tree build parallelism (0 = all CPUs)")
+		tracePath = fs.String("trace", "", "append a JSONL span per submission to this file")
+		report    = fs.String("report", "", "write an end-of-run JSON report (schema "+obs.ReportSchema+") on shutdown")
+		verbose   = fs.Bool("v", false, "log each finding as it is discovered")
 	)
 	if err := fs.Parse(args); err != nil {
 		return &exitError{code: exitUsage, err: err}
@@ -66,7 +68,6 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	reg := obs.NewRegistry()
 	cfg := registry.Config{
 		Workers:        *workers,
-		NodeBudget:     *nodeBudget,
 		Metrics:        reg,
 		FindingsBuffer: 4096,
 	}
@@ -181,14 +182,20 @@ type watchPartner struct {
 // client puts on response bodies.
 const maxSubmitBody = 16 << 20
 
+// maxFinishedJobs is how many finished jobs the server keeps for
+// GET /jobs/<id>. Past it, the oldest finished job is evicted; a running
+// job never is.
+const maxFinishedJobs = 1024
+
 // watchServer carries the HTTP handler state.
 type watchServer struct {
 	reg *registry.Registry
 
-	mu     sync.Mutex
-	jobs   map[string]*watchJob
-	nextID int
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	jobs     map[string]*watchJob // running jobs and retained finished ones
+	finished []string             // ids of the retained finished jobs, oldest first
+	nextID   int
+	wg       sync.WaitGroup
 }
 
 func (ws *watchServer) wait() { ws.wg.Wait() }
@@ -291,6 +298,11 @@ func (ws *watchServer) finishJob(job *watchJob, verdicts []watchVerdict, rep *ob
 		job.Report = rep
 	}
 	close(job.done)
+	ws.finished = append(ws.finished, job.ID)
+	if len(ws.finished) > maxFinishedJobs {
+		delete(ws.jobs, ws.finished[0])
+		ws.finished = ws.finished[1:]
+	}
 }
 
 // respondJob encodes the job under the mutex: an async job may be
@@ -304,13 +316,19 @@ func (ws *watchServer) respondJob(w http.ResponseWriter, job *watchJob, code int
 }
 
 // handleJob serves GET /jobs/<id>; ?wait=1 blocks until the job leaves
-// the running state.
+// the running state. A job leaves ws.jobs only by eviction, so an id the
+// server issued but no longer holds answers 410 Gone.
 func (ws *watchServer) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := strings.TrimPrefix(req.URL.Path, "/jobs/")
 	ws.mu.Lock()
-	job := ws.jobs[id]
+	job, issued := ws.jobs[id], ws.nextID
 	ws.mu.Unlock()
 	if job == nil {
+		var n int
+		if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n >= 1 && n <= issued && fmt.Sprintf("job-%d", n) == id {
+			http.Error(w, fmt.Sprintf("job evicted: the server keeps the newest %d finished jobs", maxFinishedJobs), http.StatusGone)
+			return
+		}
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/big"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"bulkgcd/internal/batchgcd"
+	"bulkgcd/internal/registry"
 	"bulkgcd/internal/rsakey"
 )
 
@@ -329,5 +331,62 @@ func TestWatchMaxKeyBits(t *testing.T) {
 	getJSON(t, base+"/registry", &st)
 	if st.Keys != 1 {
 		t.Fatalf("registry holds %d keys, want 1", st.Keys)
+	}
+}
+
+// TestWatchJobRetention drives the handlers past the retention bound:
+// after maxFinishedJobs+1 finished jobs the oldest id answers 410 Gone,
+// the newest 200, an id the server never issued 404, and a running job
+// outlives every eviction.
+func TestWatchJobRetention(t *testing.T) {
+	r, err := registry.Open(t.TempDir(), registry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ws := &watchServer{reg: r, jobs: map[string]*watchJob{}}
+	get := func(id string) int {
+		rec := httptest.NewRecorder()
+		ws.handleJob(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
+		return rec.Code
+	}
+
+	// A running job, registered the way handleSubmit registers one.
+	ws.mu.Lock()
+	ws.nextID++
+	running := &watchJob{ID: fmt.Sprintf("job-%d", ws.nextID), State: "running", done: make(chan struct{})}
+	ws.jobs[running.ID] = running
+	ws.mu.Unlock()
+
+	var ids []string
+	for i := 0; i < maxFinishedJobs+1; i++ {
+		rec := httptest.NewRecorder()
+		ws.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/submit?sync=1", strings.NewReader("")))
+		var job watchJob
+		if err := json.NewDecoder(rec.Body).Decode(&job); err != nil || rec.Code != http.StatusOK || job.State != "done" {
+			t.Fatalf("submit %d: %d, job %+v, decode error %v", i, rec.Code, job, err)
+		}
+		ids = append(ids, job.ID)
+	}
+	oldest, newest := ids[0], ids[len(ids)-1]
+	if code := get(oldest); code != http.StatusGone {
+		t.Fatalf("oldest finished job %s: %d, want 410", oldest, code)
+	}
+	if code := get(ids[1]); code != http.StatusOK {
+		t.Fatalf("second-oldest finished job %s: %d, want 200", ids[1], code)
+	}
+	if code := get(newest); code != http.StatusOK {
+		t.Fatalf("newest job %s: %d, want 200", newest, code)
+	}
+	if code := get(running.ID); code != http.StatusOK {
+		t.Fatalf("running job %s: %d, want 200", running.ID, code)
+	}
+	for _, id := range []string{fmt.Sprintf("job-%d", maxFinishedJobs+3), "job-0", "job-02", "nope"} {
+		if code := get(id); code != http.StatusNotFound {
+			t.Fatalf("never-issued id %q: %d, want 404", id, code)
+		}
+	}
+	if n := len(ws.jobs); n != maxFinishedJobs+1 {
+		t.Fatalf("server holds %d jobs, want %d finished plus the running one", n, maxFinishedJobs)
 	}
 }

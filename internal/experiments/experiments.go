@@ -234,6 +234,10 @@ type TableVCell struct {
 
 	// CPUPerGCD is the sequential single-worker time per GCD.
 	CPUPerGCD time.Duration
+	// MemOpsPerGCD is the sequential path's word memory operations per
+	// GCD (gcd.Stats.MemOps, Section IV's accounting): the work behind
+	// CPUPerGCD, independent of the host's load.
+	MemOpsPerGCD float64
 	// ParallelPerGCD is the host-parallel bulk time per GCD.
 	ParallelPerGCD time.Duration
 	// SimUnitsPerGCD is the UMM-simulated time units per GCD.
@@ -339,16 +343,19 @@ func RunTableVContext(ctx context.Context, cfg TableVConfig) (*TableVResult, err
 			}
 			start := time.Now()
 			pairs := 0
+			var memOps int64
 			for i := 0; pairs < cfg.CPUPairs; i++ {
 				a := moduli[i%len(moduli)]
 				b := moduli[(i*7+1)%len(moduli)]
 				if a.Cmp(b) == 0 {
 					continue
 				}
-				scratch.Compute(alg, a, b, opt)
+				_, st := scratch.Compute(alg, a, b, opt)
+				memOps += st.MemOps
 				pairs++
 			}
 			cell.CPUPerGCD = time.Since(start) / time.Duration(pairs)
+			cell.MemOpsPerGCD = float64(memOps) / float64(pairs)
 
 			// Host-parallel bulk all-pairs, optionally journaled per cell.
 			bres, err := runTableVBulk(ctx, cfg, alg, size, moduli)

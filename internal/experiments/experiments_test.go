@@ -73,8 +73,9 @@ func TestTableIVShape(t *testing.T) {
 }
 
 // TestTableVShape asserts Table V's qualitative content on a small run:
-// (E) < (D) < (C) in CPU time and in simulated GPU time, and the parallel
-// executor beats the sequential CPU.
+// (E) < (D) < (C) in the CPU path's memory operations per GCD, in
+// simulated GPU time and on the device model, and positive timings. No
+// assertion compares wall-clock times, which follow the host's load.
 func TestTableVShape(t *testing.T) {
 	res, err := RunTableV(TableVConfig{
 		Sizes:      []int{512},
@@ -90,11 +91,10 @@ func TestTableVShape(t *testing.T) {
 	cC := res.Cells[gcd.Binary][512]
 	cD := res.Cells[gcd.FastBinary][512]
 	cE := res.Cells[gcd.Approximate][512]
-	// Wall-clock assertions stay loose (this can run on a loaded single
-	// core): (E) must clearly beat (C); the full E < D < C ranking is
-	// asserted on the deterministic simulated metrics below.
-	if cE.CPUPerGCD >= cC.CPUPerGCD {
-		t.Errorf("CPU: Approximate (%v) not faster than Binary (%v)", cE.CPUPerGCD, cC.CPUPerGCD)
+	// The CPU path's work, counted rather than timed.
+	if !(cE.MemOpsPerGCD < cD.MemOpsPerGCD && cD.MemOpsPerGCD < cC.MemOpsPerGCD) {
+		t.Errorf("CPU memory-op ranking violated: E=%.0f D=%.0f C=%.0f",
+			cE.MemOpsPerGCD, cD.MemOpsPerGCD, cC.MemOpsPerGCD)
 	}
 	if !(cE.SimUnitsPerGCD < cD.SimUnitsPerGCD && cD.SimUnitsPerGCD < cC.SimUnitsPerGCD) {
 		t.Errorf("sim ranking violated: E=%.0f D=%.0f C=%.0f",

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/big"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -52,7 +54,7 @@ func BenchmarkRegistrySubmit(b *testing.B) {
 	}
 	seed, fresh := all[:count], all[count:]
 
-	r := openT(b, b.TempDir(), Config{NodeBudget: 256 << 20})
+	r := openT(b, b.TempDir(), Config{})
 	for pos := 0; pos < len(seed); pos += 1024 {
 		end := pos + 1024
 		if end > len(seed) {
@@ -127,5 +129,89 @@ func BenchmarkRegistrySubmit(b *testing.B) {
 		if bytesPerOp > 64<<10 {
 			b.Fatalf("submit allocated %d bytes/op, want <= %d", bytesPerOp, 64<<10)
 		}
+	}
+}
+
+// BenchmarkRegistryReopen records why the registry keeps node files. It
+// seeds a registry with 65536 real 128-bit semiprimes (8192 under
+// -short), the corpus BenchmarkRegistrySubmit uses, and closes it. Each
+// iteration then reopens two copies of that directory and times Open
+// and the first Submit: one copy with nodes/ as the seed left it, where
+// the first fold reads the spine roots' files, and one with nodes/
+// removed, where it must remultiply every root from the corpus. Open
+// reads no node file either way. The bench reports all four times and
+// fails unless the files make the first submit at least 3× faster.
+func BenchmarkRegistryReopen(b *testing.B) {
+	count := 65536
+	if testing.Short() {
+		count = 8192
+	}
+	c, err := rsakey.GenerateCorpus(rsakey.CorpusSpec{
+		Count: count + 1, Bits: 128, WeakPairs: 16, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]*big.Int, 0, count+1)
+	for _, n := range c.Moduli() {
+		all = append(all, n.ToBig())
+	}
+	seed, fresh := all[:count], all[count]
+
+	seeded := b.TempDir()
+	r := openT(b, seeded, Config{})
+	for pos := 0; pos < len(seed); pos += 1024 {
+		if _, err := r.SubmitBatch(seed[pos:min(pos+1024, len(seed))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	// reopen times Open and then one Submit over a fresh copy of the
+	// seeded directory, without its node files when dropNodes is set.
+	reopen := func(dropNodes bool) (open, submit time.Duration) {
+		b.StopTimer()
+		dir := b.TempDir()
+		copyDir(b, seeded, dir)
+		if dropNodes {
+			if err := os.RemoveAll(filepath.Join(dir, "nodes")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		start := time.Now()
+		r := openT(b, dir, Config{})
+		open = time.Since(start)
+		if _, err := r.Submit(fresh); err != nil {
+			b.Fatal(err)
+		}
+		submit = time.Since(start) - open
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return open, submit
+	}
+
+	var filesOpen, filesSubmit, bareOpen, bareSubmit time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, s := reopen(false)
+		filesOpen, filesSubmit = filesOpen+o, filesSubmit+s
+		o, s = reopen(true)
+		bareOpen, bareSubmit = bareOpen+o, bareSubmit+s
+	}
+	b.StopTimer()
+	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
+	b.ReportMetric(per(filesOpen), "files-open-ns")
+	b.ReportMetric(per(filesSubmit), "files-submit-ns")
+	b.ReportMetric(per(bareOpen), "rebuild-open-ns")
+	b.ReportMetric(per(bareSubmit), "rebuild-submit-ns")
+	speedup := float64(bareSubmit) / float64(filesSubmit)
+	b.ReportMetric(speedup, "files-x")
+	if speedup < 3 {
+		b.Fatalf("first submit after a reopen: %v with node files, %v without: %.1fx, want >= 3x",
+			filesSubmit/time.Duration(b.N), bareSubmit/time.Duration(b.N), speedup)
 	}
 }

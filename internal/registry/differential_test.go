@@ -76,11 +76,13 @@ func weakModuli(t *testing.T, count, bits, pairs int, seed int64) []*big.Int {
 // streamed into the registry in shuffled order, in uneven batches, with
 // a restart and a simulated crash (torn journal tail) mid-stream, ends
 // with findings byte-identical to one batch-GCD run over the final
-// corpus.
+// corpus. No node of the 54-key forest spans 256 leaves, so nothing is
+// filed and each reopen rebuilds every node a check needs from the
+// corpus log.
 func TestDifferentialStreamed(t *testing.T) {
 	moduli := weakModuli(t, 48, 96, 5, 42)
 	dir := t.TempDir()
-	r := openT(t, dir, Config{NodeBudget: 1 << 12}) // small budget: force spill + rebuild from children
+	r := openT(t, dir, Config{})
 	rng := rand.New(rand.NewSource(7))
 
 	for pos := 0; pos < len(moduli); {
@@ -107,13 +109,13 @@ func TestDifferentialStreamed(t *testing.T) {
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r = openT(t, dir, Config{NodeBudget: 1 << 12})
+			r = openT(t, dir, Config{})
 		case 31: // crash: journal tail lost, corpus line retained
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
 			truncateLastLine(t, filepath.Join(dir, "journal.jsonl"))
-			r = openT(t, dir, Config{NodeBudget: 1 << 12})
+			r = openT(t, dir, Config{})
 			if st := r.Stats(); st.Replayed == 0 {
 				t.Fatal("torn journal tail did not force a replay")
 			}

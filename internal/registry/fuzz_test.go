@@ -6,22 +6,30 @@ import (
 )
 
 // FuzzSpineMerge drives the delta-update path — append, carry-merge
-// along the rightmost spine, node spill and reload — with arbitrary
-// small moduli and checks two invariants after every single submission:
+// along the rightmost spine, reopen and rebuild — with arbitrary small
+// moduli and checks three invariants after every single submission:
 //
 //  1. the verdict's G equals the direct big.Int computation
 //     gcd(n, Π previous mod n), the batch-GCD per-key value;
 //  2. the product of the spine-root node values equals the big.Int
 //     product of every accepted modulus, i.e. the forest still
-//     multiplies out to the corpus product after the merge.
+//     multiplies out to the corpus product after the merge;
+//  3. every node in the store's map equals the product of its span's
+//     leaves.
+//
+// A key whose first byte has its top bit set closes and reopens the
+// registry after its submission. No node of a forest under 256 keys has
+// a file, so the reopened store rebuilds every node it needs from the
+// corpus log.
 func FuzzSpineMerge(f *testing.F) {
 	f.Add([]byte{0x0f, 0x4d, 0x15, 0x63, 0x0f})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x01, 0x01, 0x01, 0x35, 0x35})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxKeys = 24
-		r := openT(t, t.TempDir(), Config{NodeBudget: 64}) // tiny budget: constant spill
-		defer r.Close()
+		dir := t.TempDir()
+		r := openT(t, dir, Config{})
+		defer func() { r.Close() }()
 
 		product := big.NewInt(1) // over accepted keys
 		var accepted []*big.Int
@@ -31,6 +39,12 @@ func FuzzSpineMerge(f *testing.F) {
 			verdict, err := r.Submit(n)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if data[pos]&0x80 != 0 {
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r = openT(t, dir, Config{})
 			}
 			if v == 0 || v%2 == 0 {
 				if verdict.Kind != Malformed {
@@ -70,6 +84,21 @@ func FuzzSpineMerge(f *testing.F) {
 			}
 			if forest.Cmp(product) != 0 {
 				t.Fatalf("after %d keys: forest product %v != corpus product %v", len(accepted), forest, product)
+			}
+
+			// Invariant 3: the map holds only products of their spans.
+			for k, got := range r.store.nodes {
+				lo, hi := k.span()
+				if hi > len(accepted) {
+					t.Fatalf("after %d keys: node %+v spans leaves [%d,%d)", len(accepted), k, lo, hi)
+				}
+				want := big.NewInt(1)
+				for _, m := range accepted[lo:hi] {
+					want.Mul(want, m)
+				}
+				if got.Cmp(want) != 0 {
+					t.Fatalf("after %d keys: node %+v = %v, want %v", len(accepted), k, got, want)
+				}
 			}
 		}
 	})

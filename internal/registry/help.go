@@ -11,7 +11,7 @@ func init() {
 	obs.RegisterHelp("registry_spine_mults_total", "product-tree spine merge multiplications (amortized one per accepted key)")
 	obs.RegisterHelp("registry_replayed_total", "verdicts recomputed during Open because the journal did not durably cover them")
 	obs.RegisterHelp("registry_node_loads_total", "product-tree node values reloaded from validated node files")
-	obs.RegisterHelp("registry_node_builds_total", "product-tree node values rebuilt from their children")
+	obs.RegisterHelp("registry_node_builds_total", "product-tree node values rebuilt from their leaves")
 	obs.RegisterHelp("registry_keys", "accepted keys in the registry corpus, including tombstoned ones")
 	obs.RegisterHelp("registry_submit_seconds", "wall-clock duration of one submitted key (check + append + journal); the first key of each batch chunk also carries the chunk's fold and prefix descent")
 }

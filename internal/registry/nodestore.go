@@ -1,18 +1,15 @@
 package registry
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/big"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
@@ -34,15 +31,11 @@ func (k nodeKey) span() (lo, hi int) {
 // files (packed 32-bit words) fail the version check and are rebuilt.
 const nodeFileVersion = "bgrn2"
 
-// seedSpan is the smallest span the store keeps a node file for and
-// builds through the parallel subprod builder instead of serial child
-// recursion; a cold open over a large corpus seeds whole subtrees at
-// once and harvests every interior node into the cache, and those of
-// seedSpan or more into files. A smaller node remultiplies from its
-// children faster than its file is written (DESIGN.md 5i), so it lives
-// only in the cache. Batch checks are cut into chunks that end at
-// multiples of seedSpan (chunkEnd). seedLevel is the level of a
-// seedSpan-leaf node.
+// seedSpan is the smallest span the store keeps a node file for. A
+// smaller node remultiplies from its leaves faster than its file is
+// written (DESIGN.md 5i), so it lives only in the store's map. Batch
+// checks are cut into chunks that end at multiples of seedSpan
+// (chunkEnd). seedLevel is the level of a seedSpan-leaf node.
 const (
 	seedLevel = 8
 	seedSpan  = 1 << seedLevel
@@ -63,98 +56,15 @@ type nodeHeader struct {
 	Bytes int    `json:"bytes"`
 }
 
-// nodeCache is the store's byte-budgeted LRU of resolved nodes, sized
-// by their big.Word payload. It is safe for concurrent use, and its
-// values are shared read-only. A miss builds outside the lock, so two
-// descents racing on one node may both build it; the first insert wins
-// and both get equal values.
-type nodeCache struct {
-	mu      sync.Mutex
-	budget  int64 // <= 0 means unlimited
-	used    int64
-	order   *list.List // front = most recently used; values are *nodeEntry
-	entries map[nodeKey]*list.Element
-}
-
-type nodeEntry struct {
-	key nodeKey
-	val *big.Int
-}
-
-func newNodeCache(budget int64) *nodeCache {
-	return &nodeCache{budget: budget, order: list.New(), entries: map[nodeKey]*list.Element{}}
-}
-
-// nodeBytes is the size the cache accounts for a node.
-func nodeBytes(v *big.Int) int64 { return int64(len(v.Bits())) * bits.UintSize / 8 }
-
-// get returns the cached node k, building and (budget permitting)
-// inserting it on a miss.
-func (c *nodeCache) get(k nodeKey, build func() *big.Int) *big.Int {
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		v := el.Value.(*nodeEntry).val
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	return c.put(k, build())
-}
-
-// put inserts v under k unless k is already cached, then evicts from
-// the LRU tail until the budget holds, and returns the retained value.
-// A value larger than the whole budget is returned but not retained.
-func (c *nodeCache) put(k nodeKey, v *big.Int) *big.Int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*nodeEntry).val
-	}
-	size := nodeBytes(v)
-	if c.budget > 0 && size > c.budget {
-		return v
-	}
-	c.entries[k] = c.order.PushFront(&nodeEntry{key: k, val: v})
-	c.used += size
-	for c.budget > 0 && c.used > c.budget {
-		c.remove(c.order.Back())
-	}
-	return v
-}
-
-// drop removes k if cached.
-func (c *nodeCache) drop(k nodeKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.remove(el)
-	}
-}
-
-// remove unlinks one entry; callers hold c.mu.
-func (c *nodeCache) remove(el *list.Element) {
-	e := c.order.Remove(el).(*nodeEntry)
-	delete(c.entries, e.key)
-	c.used -= nodeBytes(e.val)
-}
-
-// store resolves node values through three layers: the byte-budgeted
-// in-RAM LRU cache, the node file directory (nodes of seedSpan leaves
-// or more only), and a rebuild from children (recursive for small
-// spans, the parallel subprod builder for large ones). Writes of filed
+// store resolves node values through three layers: a map of every node
+// resolved so far, the node file directory (nodes of seedSpan leaves or
+// more only), and a rebuild from the node's leaves. Writes of filed
 // nodes go through to disk so a restart reloads them instead of
-// remultiplying; a smaller node is rebuilt from its children on a cache
-// miss, as a missing or corrupt file is. value() is safe for concurrent
-// use — the cache is thread-safe, reads are pure, builds use call-local
-// scratch, and node file writes are atomic temp+rename — which is what
-// lets the registry descend the spine roots in parallel. Mutating entry
-// points (put, invalidate, prune) stay serialized under the registry
-// lock.
+// remultiplying. The store is not safe for concurrent use: the registry
+// touches it only while holding Registry.mu.
 type store struct {
 	dir     string
-	cache   *nodeCache
+	nodes   map[nodeKey]*big.Int
 	workers int
 
 	// leafHex returns the identity line for leaf i ("-" when
@@ -166,10 +76,10 @@ type store struct {
 	loads, builds *obs.Counter // registry_node_loads_total, registry_node_builds_total
 }
 
-func newStore(dir string, budget int64, workers int, reg *obs.Registry) *store {
+func newStore(dir string, workers int, reg *obs.Registry) *store {
 	s := &store{
 		dir:     dir,
-		cache:   newNodeCache(budget),
+		nodes:   map[nodeKey]*big.Int{},
 		workers: workers,
 	}
 	if reg != nil {
@@ -198,35 +108,37 @@ func (s *store) path(k nodeKey) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%02d-%08x.node", k.level, k.index))
 }
 
-// value resolves a node: cache, then disk, then rebuild. Level 0 reads
-// the corpus directly and is never cached or spilled.
+// value resolves a node: map, then a validated file, then a rebuild.
+// Level 0 reads the corpus directly and is never kept in the map.
 func (s *store) value(k nodeKey) *big.Int {
 	if k.level == 0 {
 		return s.leaf(k.index)
 	}
-	return s.cache.get(k, func() *big.Int {
-		if v := s.read(k); v != nil {
-			s.loads.Inc()
-			return v
-		}
-		return s.build(k)
-	})
+	if v, ok := s.nodes[k]; ok {
+		return v
+	}
+	v := s.read(k)
+	if v != nil {
+		s.loads.Inc()
+	} else {
+		v = s.build(k)
+	}
+	s.nodes[k] = v
+	return v
 }
 
-// put inserts a freshly multiplied node (a spine merge) write-through:
-// a filed node's file lands before the cache so a crash immediately
-// after still reloads it. Returns the retained value (the cache may
-// already hold an equal node built concurrently — impossible under the
-// registry lock, but nodeCache.put's contract covers it).
-func (s *store) put(k nodeKey, v *big.Int) *big.Int {
+// put keeps a freshly multiplied node (a spine merge), write-through: a
+// filed node's file lands first so a crash immediately after still
+// reloads it.
+func (s *store) put(k nodeKey, v *big.Int) {
 	s.write(k, v)
-	return s.cache.put(k, v)
+	s.nodes[k] = v
 }
 
-// invalidate drops a node from cache and disk; the next value() call
-// rebuilds it from children. Used when a leaf under it is tombstoned.
+// invalidate drops a node from the map and disk; the next value() call
+// rebuilds it. Used when a leaf under it is tombstoned.
 func (s *store) invalidate(k nodeKey) {
-	s.cache.drop(k)
+	delete(s.nodes, k)
 	if filed(k) {
 		os.Remove(s.path(k))
 	}
@@ -300,43 +212,31 @@ func (s *store) write(k nodeKey, v *big.Int) {
 	}
 }
 
-// build computes a node from its children. Small spans recurse serially;
-// spans of seedSpan and larger go through the parallel subprod builder,
-// and every interior node of the built subtree is harvested into the
-// cache (and the filed ones into files) so neighbouring rebuilds (and
-// the next restart) get them for free. Both paths keep compact nodes
-// (subprod.Mul).
+// build multiplies a node from its leaves with the parallel subprod
+// builder and keeps every interior node of the built subtree in the map,
+// and the filed ones in files, so the descents below it (and the next
+// restart) find them. Nodes are compact (subprod.Mul).
 func (s *store) build(k nodeKey) *big.Int {
 	s.builds.Inc()
 	lo, hi := k.span()
-	if hi-lo >= seedSpan {
-		leaves := make([]*big.Int, hi-lo)
-		for i := range leaves {
-			leaves[i] = s.leaf(lo + i)
-		}
-		t, err := subprod.Build(context.Background(), leaves, subprod.Options{Workers: s.workers})
-		if err == nil {
-			for l := 1; l < len(t.Levels); l++ {
-				for j, v := range t.Levels[l] {
-					kk := nodeKey{l, (lo >> l) + j}
-					s.write(kk, v)
-					if l < len(t.Levels)-1 {
-						s.cache.put(kk, v)
-					}
-				}
-			}
-			return t.Root()
-		}
-		// The builder only fails on context cancellation; fall through to
-		// the serial path, which cannot fail.
+	leaves := make([]*big.Int, hi-lo)
+	for i := range leaves {
+		leaves[i] = s.leaf(lo + i)
 	}
-	left := s.value(nodeKey{k.level - 1, 2 * k.index})
-	right := s.value(nodeKey{k.level - 1, 2*k.index + 1})
-	// Call-local scratch: concurrent root descents may rebuild disjoint
-	// nodes at once, so the serial path must not share multiplier state.
-	v := subprod.Mul(new(big.Int), left, right)
-	s.write(k, v)
-	return v
+	t, err := subprod.Build(context.Background(), leaves, subprod.Options{Workers: s.workers})
+	if err != nil {
+		// Unreachable: a node spans at least two leaves and a background
+		// context with no hooks cannot fail.
+		panic("registry: node build: " + err.Error())
+	}
+	for l := 1; l < len(t.Levels); l++ {
+		for j, v := range t.Levels[l] {
+			kk := nodeKey{l, (lo >> l) + j}
+			s.nodes[kk] = v
+			s.write(kk, v)
+		}
+	}
+	return t.Root()
 }
 
 // prune removes node files that are not filed nodes of the forest over

@@ -62,7 +62,7 @@ func nodeVersions(t *testing.T, dir string) map[string]int {
 }
 
 // copyDir copies the regular files of the tree at src into dst.
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -116,12 +116,11 @@ func nodeFiles(t *testing.T, dir string) []string {
 
 // TestColdRebuildAboveSeedSpan reopens a 594-key registry whose node
 // files were deleted, so the first fold rebuilds the 512-leaf root
-// through subprod.Build and harvests every interior node into the store
-// (store.build's seedSpan path). Fresh submissions must get the
-// verdicts of an uninterrupted registry at pool widths 1 and 3 under a
-// small node budget, the broken set must match the batch oracle, and
-// the files must be exactly the forest's nodes of seedSpan leaves or
-// more, all bgrn2.
+// through subprod.Build and keeps every interior node in the store's
+// map (store.build). Fresh submissions must get the verdicts of an
+// uninterrupted registry at pool widths 1 and 3, the broken set must
+// match the batch oracle, and the files must be exactly the forest's
+// nodes of seedSpan leaves or more, all bgrn2.
 func TestColdRebuildAboveSeedSpan(t *testing.T) {
 	moduli := weakModuli(t, 528, 96, 8, 21) // 528 keys plus 66 duplicates
 	seed, fresh := moduli[:len(moduli)-16], moduli[len(moduli)-16:]
@@ -151,7 +150,7 @@ func TestColdRebuildAboveSeedSpan(t *testing.T) {
 		if err := os.RemoveAll(filepath.Join(dir, "nodes")); err != nil {
 			t.Fatal(err)
 		}
-		r := openT(t, dir, Config{Workers: workers, NodeBudget: 1 << 14, Metrics: obs.NewRegistry()})
+		r := openT(t, dir, Config{Workers: workers, Metrics: obs.NewRegistry()})
 		got, err := r.SubmitBatch(fresh)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +187,7 @@ func TestFoldPrefixResidue(t *testing.T) {
 	for i := range moduli {
 		moduli[i] = new(big.Int).Mul(primes[2*i], primes[2*i+1])
 	}
-	r := openT(t, t.TempDir(), Config{NodeBudget: 1 << 14})
+	r := openT(t, t.TempDir(), Config{})
 	defer r.Close()
 	if _, err := r.SubmitBatch(moduli); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,10 @@
 //	nodes/       files for product-tree nodes of 256 leaves or more — a
 //	             validated, rebuildable cache
 //
+// In memory the forest's nodes live in one map that only code holding
+// the registry's lock touches; a hit's descent to its partner leaves
+// runs serially under that lock.
+//
 // Durability argument: a submission is acknowledged only after its
 // corpus line and its journal record are synced. The corpus log alone
 // determines every verdict (checks are deterministic), so any crash
@@ -44,7 +48,6 @@ import (
 
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/corpus"
-	"bulkgcd/internal/engine"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -133,13 +136,10 @@ type Finding struct {
 
 // Config controls an open registry.
 type Config struct {
-	// Workers sizes the worker pool for large subtree (re)builds
-	// (0 = GOMAXPROCS).
+	// Workers sizes the worker pool of a check's chunk tree and prefix
+	// descent and of node rebuilds (0 = GOMAXPROCS). A hit's forest
+	// descent runs serially under the registry lock.
 	Workers int
-	// NodeBudget caps the bytes of product-tree nodes held in RAM;
-	// least-recently-used nodes spill to their files and reload on
-	// demand. 0 means unlimited.
-	NodeBudget int64
 	// FindingsBuffer is the findings channel capacity (0 = 64). The
 	// channel is a convenience stream: when no receiver keeps up the
 	// send is dropped (counted in registry_findings_dropped_total), and
@@ -161,7 +161,7 @@ type Stats struct {
 	SpineMults  int64 // spine merge multiplications this session
 	Replayed    int64 // verdicts recomputed during Open
 	NodeLoads   int64 // node files loaded
-	NodeBuilds  int64 // nodes rebuilt from children
+	NodeBuilds  int64 // nodes rebuilt from their leaves
 	Dropped     int64 // findings channel drops
 }
 
@@ -196,15 +196,13 @@ type Registry struct {
 	// allocates arithmetic storage only for its chunk's tree and
 	// residues (one key's residue for a one-key submit): the fold's
 	// accumulator, the quotient and remainder QuoRem writes (both grow
-	// to the largest spine root), the product scratch the fold and the
-	// spine merges multiply into (subprod.Mul compacts what the forest
-	// keeps), the spine-root list, and one descent scratch per pool
-	// worker (descents over disjoint roots run on engine.Run, whose
-	// worker indices are stable, so each scratch stays pinned to one
-	// goroutine for the duration of a descent).
-	acc, quo, rem, prod big.Int
-	rootsBuf            []nodeKey
-	descents            []*descentScratch
+	// to the largest spine root; the fold and the descent take turns
+	// with them), the product scratch the fold and the spine merges
+	// multiply into (subprod.Mul compacts what the forest keeps), the
+	// descent's per-node GCD and partner list, and the spine-root list.
+	acc, quo, rem, prod, gcd big.Int
+	partners                 []Partner
+	rootsBuf                 []nodeKey
 
 	submissions, found, spineMults, replayed, dropped *obs.Counter
 	keysGauge                                         *obs.Gauge
@@ -247,7 +245,7 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	r.dropped = reg.Counter("registry_findings_dropped_total")
 	r.keysGauge = reg.Gauge("registry_keys")
 	r.submitH = reg.Histogram("registry_submit_seconds", obs.DurationBuckets())
-	r.store = newStore(filepath.Join(dir, "nodes"), cfg.NodeBudget, cfg.Workers, reg)
+	r.store = newStore(filepath.Join(dir, "nodes"), r.workers(), reg)
 	r.store.leafHex = r.leafHex
 	r.store.leaf = r.leaf
 
@@ -483,7 +481,9 @@ func chunkEnd(i int) int { return (i/seedSpan + 1) * seedSpan }
 // counts as live for the keys after it, so a tombstoned key may only be
 // the chunk's last.
 func (r *Registry) prefixResidues(ms []*big.Int, m int) ([]*big.Int, error) {
-	ctx := context.Background() // a check is short and bounded; see descendRoots
+	// A check is short and bounded; the registry has no cancellation
+	// surface to thread through here.
+	ctx := context.Background()
 	opt := subprod.Options{Workers: r.workers(), Metrics: r.cfg.Metrics}
 	t, err := subprod.Build(ctx, ms, opt)
 	if err != nil {
@@ -533,10 +533,15 @@ func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
 	if v.G.Cmp(one) == 0 {
 		return v
 	}
-	// Hit: descend to the leaves that share content with n.
+	// Hit: descend every spine root to the leaves that share content
+	// with n. The roots ascend left to right and descend takes the left
+	// child first, so the partners come out ascending by index.
+	r.partners = r.partners[:0]
 	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
-	v.Partners = r.descendRoots(r.rootsBuf, n)
-	sort.Slice(v.Partners, func(a, b int) bool { return v.Partners[a].Index < v.Partners[b].Index })
+	for _, root := range r.rootsBuf {
+		r.descend(root, n)
+	}
+	v.Partners = append([]Partner(nil), r.partners...)
 	v.Kind = Shared
 	for _, p := range v.Partners {
 		if p.Dup {
@@ -570,17 +575,8 @@ func (r *Registry) foldPrefix(n *big.Int, m int) *big.Int {
 	return acc
 }
 
-// descentScratch is one worker's reusable state for a remainder-tree
-// descent: the quotient and remainder QuoRem writes, the per-node GCD,
-// and the partner accumulator. Owned by exactly one pool worker per
-// descent, so nothing in it needs locking.
-type descentScratch struct {
-	quo, rem, gcd big.Int
-	partners      []Partner
-}
-
-// workers is the pool width of checks and descents: Config.Workers, or
-// GOMAXPROCS when that is 0.
+// workers is the pool width of checks and node rebuilds:
+// Config.Workers, or GOMAXPROCS when that is 0.
 func (r *Registry) workers() int {
 	if r.cfg.Workers > 0 {
 		return r.cfg.Workers
@@ -588,65 +584,27 @@ func (r *Registry) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// descendRoots resolves a prefix hit to its culprit leaves. The spine
-// roots cover disjoint leaf spans — no two descents can ever race on a
-// node — so a multi-root forest fans the descents out on engine.Run
-// with one scratch per worker. Partners are concatenated in root order
-// (spans ascend left to right) and sorted by index by the caller, so the
-// verdict is byte-identical at every worker count. The spine-merge
-// multiplications in appendLeaf stay serial: each merge consumes the
-// previous one's product, a carry chain with no exploitable parallelism.
-func (r *Registry) descendRoots(roots []nodeKey, n *big.Int) []Partner {
-	workers := min(r.workers(), len(roots))
-	for len(r.descents) < workers {
-		r.descents = append(r.descents, &descentScratch{})
-	}
-	if workers <= 1 {
-		ds := r.descents[0]
-		ds.partners = ds.partners[:0]
-		for _, root := range roots {
-			r.descend(ds, root, n)
-		}
-		return append([]Partner(nil), ds.partners...)
-	}
-	perRoot := make([][]Partner, len(roots))
-	// context.Background: a descent is a short, bounded tree walk; the
-	// registry has no cancellation surface to thread through here. The
-	// error return is the context's, hence always nil.
-	_ = engine.Run(context.Background(), len(roots), engine.PoolOptions{Workers: workers, Metrics: r.cfg.Metrics}, func(i, w int) {
-		ds := r.descents[w]
-		ds.partners = ds.partners[:0]
-		r.descend(ds, roots[i], n)
-		perRoot[i] = append([]Partner(nil), ds.partners...)
-	})
-	var out []Partner
-	for _, ps := range perRoot {
-		out = append(out, ps...)
-	}
-	return out
-}
-
-// descend prunes subtrees coprime with n and recurses into the rest;
-// gcd(n, subproduct mod n) = gcd(n, subproduct), so the pruning is
-// exact: every reported leaf really shares a factor. Partner factors
-// are copied out of the scratch on a hit, so nothing in a returned
-// Verdict aliases reusable state.
-func (r *Registry) descend(ds *descentScratch, k nodeKey, n *big.Int) {
+// descend prunes subtrees coprime with n and recurses into the rest,
+// appending each partner leaf to r.partners; gcd(n, subproduct mod n) =
+// gcd(n, subproduct), so the pruning is exact: every reported leaf
+// really shares a factor. Partner factors are copied out of the scratch
+// on a hit, so nothing in a returned Verdict aliases reusable state.
+func (r *Registry) descend(k nodeKey, n *big.Int) {
 	if k.level == 0 {
 		j := k.index
 		if r.removed[j] {
 			return
 		}
-		if g := ds.gcd.GCD(nil, nil, n, r.corpus[j]); g.Cmp(one) > 0 {
+		if g := r.gcd.GCD(nil, nil, n, r.corpus[j]); g.Cmp(one) > 0 {
 			f := new(big.Int).Set(g)
-			ds.partners = append(ds.partners, Partner{Index: j, Factor: f, Dup: r.corpus[j].Cmp(n) == 0})
+			r.partners = append(r.partners, Partner{Index: j, Factor: f, Dup: r.corpus[j].Cmp(n) == 0})
 		}
 		return
 	}
-	ds.quo.QuoRem(r.store.value(k), n, &ds.rem)
-	if ds.rem.Sign() == 0 || ds.gcd.GCD(nil, nil, n, &ds.rem).Cmp(one) > 0 {
-		r.descend(ds, nodeKey{k.level - 1, 2 * k.index}, n)
-		r.descend(ds, nodeKey{k.level - 1, 2*k.index + 1}, n)
+	r.quo.QuoRem(r.store.value(k), n, &r.rem)
+	if r.rem.Sign() == 0 || r.gcd.GCD(nil, nil, n, &r.rem).Cmp(one) > 0 {
+		r.descend(nodeKey{k.level - 1, 2 * k.index}, n)
+		r.descend(nodeKey{k.level - 1, 2*k.index + 1}, n)
 	}
 }
 
@@ -893,9 +851,10 @@ func (r *Registry) Remove(i int) error {
 }
 
 // Compact rewrites the journal to its minimal form, prunes node files
-// that are no longer forest nodes, and rebuilds the spine roots (which
-// re-validates every node an active check can reach transitively).
-// Returns journal lines dropped plus node files pruned. The journal is
+// that are no longer forest nodes, and resolves every spine root, so a
+// root that a Remove invalidated is rebuilt, with its node files, before
+// the next check or a restart needs it. Returns journal lines dropped
+// plus node files pruned. The journal is
 // reopened whether or not the rewrite succeeded (a failed rewrite leaves
 // the original file in place); if the reopen fails too, every later
 // Submit and SubmitBatch fails before writing anything until a Compact

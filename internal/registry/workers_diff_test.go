@@ -9,18 +9,17 @@ import (
 // TestDifferentialWorkerCounts streams the same shuffled weak corpus
 // into registries configured with pool widths 1, 2, 7 and 16 and
 // requires the folded broken set to be hex-for-hex identical to the
-// batch oracle and across every width. Width 1 descends the spine roots
-// serially; the wider registries fan each prefix hit's root descents
-// out on engine.Run (descentScratch per worker), so this is the
-// determinism gate for the parallel descent path: partners are
-// collected per root and sorted by index, never by completion order.
+// batch oracle and across every width. The width sizes the pool of each
+// chunk's product tree and prefix descent and of node rebuilds, so this
+// is the determinism gate for those paths; a hit's forest descent runs
+// serially at every width.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := weakModuli(t, 40, 96, 5, 11)
 	oracle := oracleBroken(t, moduli)
 
 	var base string
 	for _, w := range []int{1, 2, 7, 16} {
-		r := openT(t, t.TempDir(), Config{Workers: w, NodeBudget: 1 << 12})
+		r := openT(t, t.TempDir(), Config{Workers: w})
 		for pos := 0; pos < len(moduli); pos += 7 {
 			end := pos + 7
 			if end > len(moduli) {

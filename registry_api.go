@@ -103,7 +103,7 @@ type RegistryStats struct {
 	// SpineMults counts product-tree merge multiplications (amortized
 	// one per accepted key); Replayed counts verdicts recomputed during
 	// OpenRegistry after an unclean shutdown; NodeLoads and NodeBuilds
-	// count tree nodes reloaded from disk and rebuilt from children.
+	// count tree nodes reloaded from disk and rebuilt from their leaves.
 	SpineMults, Replayed, NodeLoads, NodeBuilds int64
 }
 
@@ -129,10 +129,10 @@ type Registry struct {
 // byte-identical to the state before the last shutdown — clean or not.
 //
 // The option vocabulary is shared with [New]; OpenRegistry honors
-// [WithWorkers] (tree build parallelism), [WithSubproductBudget] (the
-// byte budget of the in-RAM LRU of tree nodes, which only a registry
-// has), [WithMetrics] (a Prometheus snapshot is written on Close) and
-// [WithTrace] (one span per submission).
+// [WithWorkers] (the pool of each check's product tree and prefix
+// descent and of tree node rebuilds), [WithMetrics] (a Prometheus
+// snapshot is written on Close) and [WithTrace] (one span per
+// submission).
 // Options that configure the pairwise attack (engine, algorithm,
 // checkpoint path, quarantine) do not apply to a registry and are
 // ignored: its descents run on the product-tree forest, not a per-pair
@@ -141,9 +141,8 @@ func OpenRegistry(dir string, opts ...Option) (*Registry, error) {
 	a := New(opts...)
 	reg := obs.NewRegistry()
 	cfg := registry.Config{
-		Workers:    a.workers,
-		NodeBudget: a.nodeBudget,
-		Metrics:    reg,
+		Workers: a.workers,
+		Metrics: reg,
 	}
 	if a.traceW != nil {
 		cfg.Trace = obs.NewTracer(a.traceW)

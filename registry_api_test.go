@@ -14,7 +14,6 @@ func TestOpenRegistry(t *testing.T) {
 	var metrics strings.Builder
 	r, err := OpenRegistry(dir,
 		WithWorkers(2),
-		WithSubproductBudget(1<<20),
 		WithMetrics(&metrics),
 	)
 	if err != nil {
