@@ -24,8 +24,8 @@ test:
 # lock-free metrics layer, the lane-batched kernel (shared per-worker
 # arenas), mpnat (the per-worker DivScratch of Original and Fast
 # Euclid) + the generic tree builder they all multiply through, the
-# streaming registry (findings forwarder, and the pools of its chunk
-# trees and node rebuilds), and the public facade.
+# streaming registry (findings forwarder, and the pools of its fold,
+# chunk trees and node rebuilds), and the public facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
 

@@ -50,7 +50,7 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	var (
 		dir       = fs.String("dir", "", "registry directory (created if absent; holds corpus log, journal, tree nodes)")
 		addr      = fs.String("addr", ":8080", "listen address for submissions and status endpoints")
-		workers   = fs.Int("workers", 0, "tree build parallelism (0 = all CPUs)")
+		workers   = fs.Int("workers", 0, "workers for each check's forest fold, chunk tree and prefix descent and for node rebuilds (0 = all CPUs)")
 		tracePath = fs.String("trace", "", "append a JSONL span per submission to this file")
 		report    = fs.String("report", "", "write an end-of-run JSON report (schema "+obs.ReportSchema+") on shutdown")
 		verbose   = fs.Bool("v", false, "log each finding as it is discovered")

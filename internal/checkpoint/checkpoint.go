@@ -134,9 +134,7 @@ func OpenAppend(path string) (*Writer, error) {
 				return nil, fmt.Errorf("checkpoint: %w", err)
 			}
 		}
-		if hdr, _, _ := parse(data); hdr != nil {
-			w.prior = hdr
-		}
+		w.prior = firstHeader(data)
 	}
 	return w, nil
 }
@@ -247,12 +245,9 @@ func parse(data []byte) (hdr *Header, done map[int]Record, ignored int) {
 			continue
 		}
 		if hdr == nil {
-			var h Header
-			if err := json.Unmarshal(line, &h); err == nil && h.Fingerprint != "" && h.Units > 0 {
-				hdr = &h
-				continue
+			if hdr = parseHeader(line); hdr == nil {
+				ignored++
 			}
-			ignored++
 			continue
 		}
 		var rec Record
@@ -265,6 +260,29 @@ func parse(data []byte) (hdr *Header, done map[int]Record, ignored int) {
 		}
 	}
 	return hdr, done, ignored
+}
+
+// parseHeader returns line as a header, or nil unless it parses as one
+// with a fingerprint and at least one unit.
+func parseHeader(line []byte) *Header {
+	var h Header
+	if err := json.Unmarshal(line, &h); err != nil || h.Fingerprint == "" || h.Units <= 0 {
+		return nil
+	}
+	return &h
+}
+
+// firstHeader returns the header parse would find in data, the first
+// line parseHeader accepts, without parsing the records after it.
+func firstHeader(data []byte) *Header {
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
+		if h := parseHeader(bytes.TrimSpace(line)); h != nil {
+			return h
+		}
+	}
+	return nil
 }
 
 // Verify checks that the journal belongs to the run described by h.
@@ -332,25 +350,20 @@ func (c *Chain) Extend(entry []byte) string {
 // Sum returns the current chain value in hex.
 func (c *Chain) Sum() string { return hex.EncodeToString(c.sum[:]) }
 
-// VerifyChain checks a loaded growable journal against the corpus
-// entries of the current run, in order. It returns the records whose
-// Chain matches the recomputed prefix chain, keyed by unit; records
-// beyond the corpus (or with a mismatched chain value) are dropped,
-// which means they are recomputed rather than trusted. An error is
-// returned only if the journal is not a growable journal.
-func (s *State) VerifyChain(seed string, entries [][]byte) (map[int]Record, error) {
+// VerifyChain checks a loaded growable journal against the prefix
+// chain of the current run's corpus: chain[i] is the value Chain.Extend
+// returned for entry i, starting from the journal's seed. It returns the
+// records whose Chain matches, keyed by unit; records beyond the corpus
+// (or with a mismatched chain value) are dropped, which means they are
+// recomputed rather than trusted. An error is returned only if the
+// journal is not a growable journal.
+func (s *State) VerifyChain(chain []string) (map[int]Record, error) {
 	if !s.Header.Grow {
 		return nil, fmt.Errorf("checkpoint: journal is not growable (header lacks grow flag)")
 	}
-	c := NewChain(seed)
 	ok := make(map[int]Record, len(s.Done))
-	for i, entry := range entries {
-		want := c.Extend(entry)
-		rec, found := s.Done[i]
-		if !found {
-			continue
-		}
-		if rec.Chain == want {
+	for i, want := range chain {
+		if rec, found := s.Done[i]; found && rec.Chain == want {
 			ok[i] = rec
 		}
 	}

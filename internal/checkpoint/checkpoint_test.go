@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,6 +167,33 @@ func TestOpenAppendHeaderMismatch(t *testing.T) {
 	h.Fingerprint = "other"
 	if err := w2.Begin(h); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("foreign header accepted: %v", err)
+	}
+}
+
+// TestFirstHeaderMatchesParse: OpenAppend parses only up to the header,
+// so firstHeader must find the header parse finds, past blank, torn and
+// header-like lines that fail the header rule, and the first of two.
+func TestFirstHeaderMatchesParse(t *testing.T) {
+	line := func(fp string, units int) string {
+		b, err := json.Marshal(Header{V: Version, Engine: "allpairs", Fingerprint: fp, Units: units})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, data := range []string{
+		"",
+		"\n\n",
+		"not json\n",
+		line("a", 4) + "\n" + `{"unit":0,"pairs":1}` + "\n",
+		" \n{\"v\":1,\"fingerprint\":\"torn\n" + line("", 4) + "\n" + line("b", 0) + "\n  " + line("c", 2) + "  \n" + line("d", 3) + "\n",
+		line("e", 1),
+	} {
+		want, _, _ := parse([]byte(data))
+		got := firstHeader([]byte(data))
+		if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+			t.Errorf("%q: firstHeader %+v, parse %+v", data, got, want)
+		}
 	}
 }
 
@@ -365,6 +393,17 @@ func TestCompactTornWrite(t *testing.T) {
 	}
 }
 
+// chainOf returns the prefix chain values of entries from seed, the
+// values a resumed run computes as it replays its corpus.
+func chainOf(seed string, entries [][]byte) []string {
+	c := NewChain(seed)
+	out := make([]string, len(entries))
+	for i, entry := range entries {
+		out[i] = c.Extend(entry)
+	}
+	return out
+}
+
 // TestGrowChain: a growable journal over an append-only corpus must
 // resume after the corpus has grown (records bind to the prefix chain,
 // not a whole-corpus digest), survive a torn final append, and reject
@@ -411,7 +450,7 @@ func TestGrowChain(t *testing.T) {
 	if st.Ignored != 1 {
 		t.Fatalf("Ignored = %d, want the torn fragment", st.Ignored)
 	}
-	ok, err := st.VerifyChain(hdr.Fingerprint, grown)
+	ok, err := st.VerifyChain(chainOf(hdr.Fingerprint, grown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +483,7 @@ func TestGrowChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err = st.VerifyChain(hdr.Fingerprint, grown)
+	ok, err = st.VerifyChain(chainOf(hdr.Fingerprint, grown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +495,7 @@ func TestGrowChain(t *testing.T) {
 	// from there on is recomputed, not trusted.
 	edited := append([][]byte{}, grown...)
 	edited[1] = []byte("tampered")
-	ok, err = st.VerifyChain(hdr.Fingerprint, edited)
+	ok, err = st.VerifyChain(chainOf(hdr.Fingerprint, edited))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +508,7 @@ func TestGrowChain(t *testing.T) {
 
 	// A non-growable journal refuses chain verification outright.
 	fixed := &State{Header: header()}
-	if _, err := fixed.VerifyChain("seed", nil); err == nil {
+	if _, err := fixed.VerifyChain(nil); err == nil {
 		t.Fatal("VerifyChain accepted a non-growable journal")
 	}
 }

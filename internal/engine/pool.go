@@ -14,7 +14,7 @@ import (
 // runs on: the all-pairs block pool and the hybrid cell pool
 // (internal/bulk), the level-wise product/remainder tree fan-outs
 // (internal/subprod, internal/batchgcd), batch GCD's leaf and resolve
-// passes, the registry's forest descent (internal/registry) and key
+// passes, the registry's forest fold (internal/registry) and key
 // interpretation (internal/attack).
 //
 // The pool is one shared cursor, the host analogue of the GPU grid in

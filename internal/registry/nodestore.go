@@ -108,13 +108,20 @@ func (s *store) path(k nodeKey) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%02d-%08x.node", k.level, k.index))
 }
 
-// value resolves a node: map, then a validated file, then a rebuild.
-// Level 0 reads the corpus directly and is never kept in the map.
-func (s *store) value(k nodeKey) *big.Int {
+// resident returns node k's value when the map already holds it, and
+// never reads a file or rebuilds. Level 0 reads the corpus directly and
+// is never kept in the map.
+func (s *store) resident(k nodeKey) (*big.Int, bool) {
 	if k.level == 0 {
-		return s.leaf(k.index)
+		return s.leaf(k.index), true
 	}
-	if v, ok := s.nodes[k]; ok {
+	v, ok := s.nodes[k]
+	return v, ok
+}
+
+// value resolves a node: map, then a validated file, then a rebuild.
+func (s *store) value(k nodeKey) *big.Int {
+	if v, ok := s.resident(k); ok {
 		return v
 	}
 	v := s.read(k)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -173,9 +174,12 @@ func TestColdRebuildAboveSeedSpan(t *testing.T) {
 
 // TestFoldPrefixResidue checks the fold against Π prefix mod n computed
 // directly with math/big, at prefix lengths on both sides of the 256-
-// and 512-leaf boundaries, with one tombstoned leaf, and for moduli
-// that take the fold's zero exits: one divides a spine root, the other
-// divides only the product of two roots.
+// and 512-leaf boundaries and over every key, with one tombstoned leaf,
+// and for moduli that take the fold's zero exits: one divides a spine
+// root, the other divides only the product of two roots. Every case runs
+// at pool widths 1, 2, 3 and 7, set explicitly because the pool starts
+// min(width, pieces) goroutines whatever GOMAXPROCS is; from 512 keys on
+// the fold cuts its roots into pieces at every width above 1.
 func TestFoldPrefixResidue(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	prime := func() *big.Int { return rsakey.GeneratePrime(rng, 48) }
@@ -187,15 +191,7 @@ func TestFoldPrefixResidue(t *testing.T) {
 	for i := range moduli {
 		moduli[i] = new(big.Int).Mul(primes[2*i], primes[2*i+1])
 	}
-	r := openT(t, t.TempDir(), Config{})
-	defer r.Close()
-	if _, err := r.SubmitBatch(moduli); err != nil {
-		t.Fatal(err)
-	}
 	const gone = 300
-	if err := r.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
 		name     string
@@ -208,8 +204,10 @@ func TestFoldPrefixResidue(t *testing.T) {
 		{"divides a root", moduli[3], 4},
 		{"split across roots", new(big.Int).Mul(primes[2*10], primes[2*512]), 513},
 	}
-	for _, tc := range cases {
-		for _, m := range []int{255, 256, 257, 511, 512, 513} {
+	prefixes := []int{255, 256, 257, 511, 512, 513, 520}
+	wants := make([][]*big.Int, len(cases))
+	for c, tc := range cases {
+		for _, m := range prefixes {
 			want := big.NewInt(1)
 			for j := 0; j < m; j++ {
 				if j != gone {
@@ -220,13 +218,107 @@ func TestFoldPrefixResidue(t *testing.T) {
 			if zero := tc.zeroFrom > 0 && m >= tc.zeroFrom; zero != (want.Sign() == 0) {
 				t.Fatalf("%s, m=%d: fixture residue %v does not take the intended path", tc.name, m, want)
 			}
-			r.mu.Lock()
-			got := new(big.Int).Set(r.foldPrefix(tc.n, m))
-			r.mu.Unlock()
-			if got.Cmp(want) != 0 {
-				t.Errorf("%s, m=%d: fold residue %v, want %v", tc.name, m, got, want)
+			wants[c] = append(wants[c], want)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 3, 7} {
+		r := openT(t, t.TempDir(), Config{Workers: workers})
+		if _, err := r.SubmitBatch(moduli); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Remove(gone); err != nil {
+			t.Fatal(err)
+		}
+		for c, tc := range cases {
+			for p, m := range prefixes {
+				r.mu.Lock()
+				got := new(big.Int).Set(r.foldPrefix(tc.n, m))
+				pieces := len(r.pieces)
+				r.mu.Unlock()
+				if got.Cmp(wants[c][p]) != 0 {
+					t.Errorf("workers=%d, %s, m=%d: fold residue %v, want %v", workers, tc.name, m, got, wants[c][p])
+				}
+				if workers > 1 && m >= 512 && pieces < 2 {
+					t.Errorf("workers=%d, %s, m=%d: the fold used %d piece, want the root cut", workers, tc.name, m, pieces)
+				}
 			}
 		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCutPieces checks the fold's cut alone, with every node of a
+// 4096-key forest resident in the store's map (as the spine merges left
+// it) and n one key long. For every prefix length m and pool widths 2,
+// 3, 4 and 7, the pieces must cover each leaf of [0, m) exactly once,
+// every piece that is not a spine root must be at least the floor (8×
+// n's words) long, and, from 256 keys on, handing the pieces out
+// largest first to the least-loaded worker must load no worker with
+// more than 1.5·total/W words. After a reopen only the spine roots are
+// resident, so the cut must stop at them without loading or rebuilding
+// a node.
+func TestCutPieces(t *testing.T) {
+	const keys = 4096
+	moduli := semiprimes(keys+1, 43)
+	n := moduli[keys]
+	floor := 8 * len(n.Bits())
+	dir := t.TempDir()
+	r := openT(t, dir, Config{})
+	if _, err := r.SubmitBatch(moduli[:keys]); err != nil {
+		t.Fatal(err)
+	}
+	words := func(k nodeKey) int { return len(r.store.value(k).Bits()) }
+
+	for m := 1; m <= keys; m++ {
+		roots := rootsOf(m)
+		total := 0
+		for _, k := range roots {
+			total += words(k)
+		}
+		for _, w := range []int{2, 3, 4, 7} {
+			pieces := append([]nodeKey(nil), r.cut(m, floor, w)...)
+			sort.Slice(pieces, func(a, b int) bool { return pieces[a].index<<pieces[a].level < pieces[b].index<<pieces[b].level })
+			next := 0
+			for _, k := range pieces {
+				lo, hi := k.span()
+				if lo != next {
+					t.Fatalf("m=%d, W=%d: piece %v starts at leaf %d, want %d", m, w, k, lo, next)
+				}
+				next = hi
+				if !slices.Contains(roots, k) && words(k) < floor {
+					t.Fatalf("m=%d, W=%d: piece %v has %d words, below the floor of %d", m, w, k, words(k), floor)
+				}
+			}
+			if next != m {
+				t.Fatalf("m=%d, W=%d: pieces end at leaf %d", m, w, next)
+			}
+			if m < 256 {
+				continue
+			}
+			sort.Slice(pieces, func(a, b int) bool { return words(pieces[a]) > words(pieces[b]) })
+			load := make([]int, w)
+			for _, k := range pieces {
+				load[slices.Index(load, slices.Min(load))] += words(k)
+			}
+			if busiest := slices.Max(load); 2*w*busiest > 3*total {
+				t.Fatalf("m=%d, W=%d: busiest worker folds %d of %d words, over 1.5·total/W", m, w, busiest, total)
+			}
+		}
+	}
+
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r = openT(t, dir, Config{Metrics: obs.NewRegistry()})
+	defer r.Close()
+	if pieces := r.cut(keys, floor, 2); fmt.Sprint(pieces) != fmt.Sprint(rootsOf(keys)) {
+		t.Fatalf("cut after a reopen: %v, want the spine roots %v", pieces, rootsOf(keys))
+	}
+	if st := r.Stats(); st.NodeLoads != 1 || st.NodeBuilds != 0 {
+		t.Fatalf("stats %+v: the cut should load the root's file and nothing else", st)
 	}
 }
 

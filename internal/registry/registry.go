@@ -17,8 +17,9 @@
 //	             validated, rebuildable cache
 //
 // In memory the forest's nodes live in one map that only code holding
-// the registry's lock touches; a hit's descent to its partner leaves
-// runs serially under that lock.
+// the registry's lock touches: a check's fold resolves its pieces under
+// the lock before the pool reduces them, and a hit's descent to its
+// partner leaves runs serially under it.
 //
 // Durability argument: a submission is acknowledged only after its
 // corpus line and its journal record are synced. The corpus log alone
@@ -40,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +50,7 @@ import (
 
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/corpus"
+	"bulkgcd/internal/engine"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
 )
@@ -136,9 +139,9 @@ type Finding struct {
 
 // Config controls an open registry.
 type Config struct {
-	// Workers sizes the worker pool of a check's chunk tree and prefix
-	// descent and of node rebuilds (0 = GOMAXPROCS). A hit's forest
-	// descent runs serially under the registry lock.
+	// Workers sizes the worker pool of a check's forest fold, chunk tree
+	// and prefix descent and of node rebuilds (0 = GOMAXPROCS). A hit's
+	// forest descent runs serially under the registry lock.
 	Workers int
 	// FindingsBuffer is the findings channel capacity (0 = 64). The
 	// channel is a convenience stream: when no receiver keeps up the
@@ -194,15 +197,19 @@ type Registry struct {
 
 	// Retained submit-path scratch, all used under mu, so a warm submit
 	// allocates arithmetic storage only for its chunk's tree and
-	// residues (one key's residue for a one-key submit): the fold's
-	// accumulator, the quotient and remainder QuoRem writes (both grow
-	// to the largest spine root; the fold and the descent take turns
-	// with them), the product scratch the fold and the spine merges
-	// multiply into (subprod.Mul compacts what the forest keeps), the
-	// descent's per-node GCD and partner list, and the spine-root list.
-	acc, quo, rem, prod, gcd big.Int
-	partners                 []Partner
-	rootsBuf                 []nodeKey
+	// residues (one key's residue for a one-key submit): one foldScratch
+	// per pool worker (the descent takes turns with worker 0's quotient
+	// and remainder, which then grow to the largest spine root), the
+	// fold's pieces (their keys, then their values), the descent's
+	// per-node GCD and partner list, the product scratch the spine
+	// merges multiply into (subprod.Mul compacts what the forest keeps),
+	// and the spine-root list.
+	folds     []foldScratch
+	pieceKeys []nodeKey
+	pieces    []*big.Int
+	gcd, prod big.Int
+	partners  []Partner
+	rootsBuf  []nodeKey
 
 	submissions, found, spineMults, replayed, dropped *obs.Counter
 	keysGauge                                         *obs.Gauge
@@ -245,6 +252,7 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	r.dropped = reg.Counter("registry_findings_dropped_total")
 	r.keysGauge = reg.Gauge("registry_keys")
 	r.submitH = reg.Histogram("registry_submit_seconds", obs.DurationBuckets())
+	r.folds = make([]foldScratch, r.workers())
 	r.store = newStore(filepath.Join(dir, "nodes"), r.workers(), reg)
 	r.store.leafHex = r.leafHex
 	r.store.leaf = r.leaf
@@ -371,11 +379,7 @@ func (r *Registry) replay() error {
 	jpath := filepath.Join(r.dir, "journal.jsonl")
 	verified := map[int]checkpoint.Record{}
 	if st, err := checkpoint.Load(jpath); err == nil {
-		entryBytes := make([][]byte, len(r.entries))
-		for i, e := range r.entries {
-			entryBytes[i] = []byte(e)
-		}
-		if ok, err := st.VerifyChain(Seed, entryBytes); err == nil {
+		if ok, err := st.VerifyChain(r.chainVals); err == nil {
 			verified = ok
 		}
 	}
@@ -552,30 +556,100 @@ func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
 	return v
 }
 
+// foldScratch is one fold worker's retained arithmetic: its running
+// product mod n, and the quotient, remainder and product that QuoRem
+// and Mul write. A hit's descent, which runs after the fold, divides
+// into worker 0's quotient and remainder.
+type foldScratch struct{ acc, quo, rem, prod big.Int }
+
+// foldIn multiplies piece p, reduced mod n, into the accumulator. Once
+// the accumulator is 0 (n divided a piece or the running product) the
+// product stays 0, so later pieces are skipped.
+func (f *foldScratch) foldIn(p, n *big.Int) {
+	if f.acc.Sign() == 0 {
+		return
+	}
+	f.quo.QuoRem(p, n, &f.rem)
+	f.prod.Mul(&f.acc, &f.rem)
+	f.quo.QuoRem(&f.prod, n, &f.acc)
+}
+
 // foldPrefix returns the product of the live keys among the first m,
-// reduced mod n: each spine root of the forest over m leaves is reduced
-// mod n with QuoRem and folded into the accumulator. It returns 0 as
-// soon as n divides a root or the running product. The result and
-// r.rootsBuf (the roots it folded) are retained scratch, valid until the
-// next call.
+// reduced mod n. It cuts the forest over the first m leaves into
+// pieces (cut), resolves them under the registry lock, and reduces them
+// on the pool, largest first: each worker folds its pieces into its own
+// accumulator mod n, and the accumulators are then multiplied together
+// mod n. The workers only read the pieces and n; the store stays with
+// the caller. One worker or one piece folds inline on the caller's
+// goroutine. The result is the unique value in [0, n) whatever the cut
+// and the width. It is retained scratch, valid until the next call.
 func (r *Registry) foldPrefix(n *big.Int, m int) *big.Int {
-	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
-	acc := r.acc.SetInt64(1)
-	for _, root := range r.rootsBuf {
-		r.quo.QuoRem(r.store.value(root), n, &r.rem)
-		if r.rem.Sign() == 0 {
-			return acc.SetInt64(0)
-		}
-		r.prod.Mul(acc, &r.rem)
-		r.quo.QuoRem(&r.prod, n, acc)
-		if acc.Sign() == 0 {
-			break
-		}
+	r.pieces = r.pieces[:0]
+	for _, k := range r.cut(m, 8*len(n.Bits()), len(r.folds)) {
+		r.pieces = append(r.pieces, r.store.value(k))
+	}
+	slices.SortFunc(r.pieces, func(a, b *big.Int) int { return len(b.Bits()) - len(a.Bits()) })
+	w := max(min(len(r.folds), len(r.pieces)), 1)
+	for i := range r.folds[:w] {
+		r.folds[i].acc.SetInt64(1)
+	}
+	// Run fails only when its context is cancelled, and this one never is.
+	_ = engine.Run(context.Background(), len(r.pieces), engine.PoolOptions{Workers: w, Metrics: r.cfg.Metrics},
+		func(i, worker int) { r.folds[worker].foldIn(r.pieces[i], n) })
+	acc := &r.folds[0].acc
+	for i := 1; i < w && acc.Sign() != 0; i++ {
+		f := &r.folds[i]
+		f.prod.Mul(acc, &f.acc)
+		f.quo.QuoRem(&f.prod, n, acc)
 	}
 	return acc
 }
 
-// workers is the pool width of checks and node rebuilds:
+// cut returns the pieces a fold on the given number of workers reduces:
+// the spine roots of the forest over the first m leaves, where, with
+// more than one worker, any piece longer than total/(2·workers) words
+// is replaced by its two children while both are already in the
+// store's map (the cut never reads a file or rebuilds a node) and both
+// are at least floor words long. Handing pieces of at most
+// total/(2·workers) out largest first keeps the busiest worker within
+// 1.5·total/workers. The floor keeps each piece's own division several
+// times the multiplication and division at n's size that folding its
+// residue costs, so the fold of a chunk of k keys splits only nodes of
+// 16k keys or more. The result aliases retained scratch.
+func (r *Registry) cut(m, floor, workers int) []nodeKey {
+	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
+	if workers <= 1 {
+		return r.rootsBuf
+	}
+	total := 0
+	for _, k := range r.rootsBuf {
+		total += len(r.store.value(k).Bits())
+	}
+	limit := total / (2 * workers)
+	r.pieceKeys = r.pieceKeys[:0]
+	for _, k := range r.rootsBuf {
+		r.pieceKeys = r.appendPieces(r.pieceKeys, k, r.store.value(k), limit, floor)
+	}
+	return r.pieceKeys
+}
+
+// appendPieces appends node k, whose value is v, to out, or the pieces
+// of its two children when v is longer than limit words and both
+// children are resident and at least floor words long.
+func (r *Registry) appendPieces(out []nodeKey, k nodeKey, v *big.Int, limit, floor int) []nodeKey {
+	if k.level > 0 && len(v.Bits()) > limit {
+		lk, rk := nodeKey{k.level - 1, 2 * k.index}, nodeKey{k.level - 1, 2*k.index + 1}
+		lv, lok := r.store.resident(lk)
+		rv, rok := r.store.resident(rk)
+		if lok && rok && len(lv.Bits()) >= floor && len(rv.Bits()) >= floor {
+			out = r.appendPieces(out, lk, lv, limit, floor)
+			return r.appendPieces(out, rk, rv, limit, floor)
+		}
+	}
+	return append(out, k)
+}
+
+// workers is the pool width of folds, chunk trees and node rebuilds:
 // Config.Workers, or GOMAXPROCS when that is 0.
 func (r *Registry) workers() int {
 	if r.cfg.Workers > 0 {
@@ -601,8 +675,9 @@ func (r *Registry) descend(k nodeKey, n *big.Int) {
 		}
 		return
 	}
-	r.quo.QuoRem(r.store.value(k), n, &r.rem)
-	if r.rem.Sign() == 0 || r.gcd.GCD(nil, nil, n, &r.rem).Cmp(one) > 0 {
+	s := &r.folds[0]
+	s.quo.QuoRem(r.store.value(k), n, &s.rem)
+	if s.rem.Sign() == 0 || r.gcd.GCD(nil, nil, n, &s.rem).Cmp(one) > 0 {
 		r.descend(nodeKey{k.level - 1, 2 * k.index}, n)
 		r.descend(nodeKey{k.level - 1, 2*k.index + 1}, n)
 	}

@@ -10,9 +10,9 @@ import (
 // into registries configured with pool widths 1, 2, 7 and 16 and
 // requires the folded broken set to be hex-for-hex identical to the
 // batch oracle and across every width. The width sizes the pool of each
-// chunk's product tree and prefix descent and of node rebuilds, so this
-// is the determinism gate for those paths; a hit's forest descent runs
-// serially at every width.
+// check's forest fold, of each chunk's product tree and prefix descent
+// and of node rebuilds, so this is the determinism gate for those paths;
+// a hit's forest descent runs serially at every width.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	moduli := weakModuli(t, 40, 96, 5, 11)
 	oracle := oracleBroken(t, moduli)

@@ -129,10 +129,10 @@ type Registry struct {
 // byte-identical to the state before the last shutdown — clean or not.
 //
 // The option vocabulary is shared with [New]; OpenRegistry honors
-// [WithWorkers] (the pool of each check's product tree and prefix
-// descent and of tree node rebuilds), [WithMetrics] (a Prometheus
-// snapshot is written on Close) and [WithTrace] (one span per
-// submission).
+// [WithWorkers] (the pool of each check's forest fold, product tree
+// and prefix descent and of tree node rebuilds), [WithMetrics] (a
+// Prometheus snapshot is written on Close) and [WithTrace] (one span
+// per submission).
 // Options that configure the pairwise attack (engine, algorithm,
 // checkpoint path, quarantine) do not apply to a registry and are
 // ignored: its descents run on the product-tree forest, not a per-pair
