@@ -19,13 +19,15 @@ fmt-check:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Every package with its own goroutine pool: the bulk all-pairs executor,
-# the batch-GCD tree engine, the attack pipeline that drives both, the
+# Every package with its own goroutine pool: the scheduler (the shared
+# cursor and the ready list), the bulk all-pairs executor, the
+# batch-GCD tree engine, the attack pipeline that drives both, the
 # lock-free metrics layer, the lane-batched kernel (shared per-worker
 # arenas), mpnat (the per-worker DivScratch of Original and Fast
-# Euclid) + the generic tree builder they all multiply through, the
-# streaming registry (findings forwarder, and the pools of its fold,
-# chunk trees and node rebuilds), and the public facade.
+# Euclid) + the generic tree builder and the descents that run on the
+# ready list, the streaming registry (findings forwarder, and the pools
+# of its fold, chunk trees, chunk descents and node rebuilds), and the
+# public facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
 
@@ -81,7 +83,8 @@ bench:
 # seed), which self-enforces the O(log N) spine-merge bound per submission
 # and a >= 5x advantage over a full batch-GCD rescan, and
 # BenchmarkRegistryReopen (same seed), which fails unless the node files
-# make the first submit after a reopen >= 3x faster than rebuilding. The
+# make the first submit after a reopen >= 3x faster than rebuilding, in
+# the median of 8 ABBA rounds (it reports files-x-q1/files-x-q3). The
 # batch-GCD line runs BenchmarkBatchGCDDensity in -short mode (256 x
 # 512-bit keys at 0-100% sharing), so both ways of building batch GCD's
 # candidate set, the hit reduce and the dense guard, run on every push.
@@ -108,7 +111,9 @@ bench-e2e:
 # 30-second budget per fuzzer over the arithmetic core: the long division
 # (DivScratch, fresh and reused, seeded with the Knuth-D correction corners
 # and exact divisions), the fused update, and hex parsing, each
-# differential against math/big, plus the engines built on it: lanes, the scheduler, the registry's
+# differential against math/big, plus the engines built on it: lanes, the
+# scheduler (the shared cursor, and the ready list over random forests:
+# every unit once, after the unit that released it), the registry's
 # spine merges, the registry's batch checks against key-by-key
 # submission (FuzzSubmitBatchMatchesKeyByKey: random batch cuts, some
 # across the 256-key chunk boundary), subprod's three descents
@@ -128,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHexRoundTrip -fuzztime 30s ./internal/mpnat/
 	$(GO) test -run '^$$' -fuzz FuzzLanesMatchesScalar -fuzztime 30s ./internal/lanes/
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzRunReadyCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBatchMatchesKeyByKey -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/

@@ -42,13 +42,14 @@
 // at a left child where a full cofactor descent pays two and a product
 // at every node.
 //
-// The engine is level-parallel: within each product-tree level the node
-// multiplications are independent, as are each descent level's residues
-// and the leaf GCDs, so all of them fan out over a worker pool sized by
-// Config.Workers. The tree shape and all scan orders are deterministic,
-// so every Workers setting produces the identical Finding list;
-// Workers: 1 is the provably-equivalent serial path (it runs inline on
-// the caller's goroutine).
+// The engine is parallel over a worker pool sized by Config.Workers:
+// within each product-tree level the node multiplications are
+// independent, a descent's node starts as soon as its parent's residue
+// is done (subprod on engine.RunReady), and the leaf GCDs are
+// independent. The tree shape and every residue are deterministic, so
+// every Workers setting produces the identical Finding list; Workers: 1
+// is the provably-equivalent serial path (it runs inline on the
+// caller's goroutine).
 package batchgcd
 
 import (
@@ -73,8 +74,9 @@ var one = big.NewInt(1)
 // configuration, with no engine knob of its own. The product trees
 // (subprod.Build) and their descents (subprod.Prefixes, Suffixes and
 // Reduce) run on math/big. Workers only split independent node
-// computations within a tree level, so the result is identical for
-// every pool size; Progress counts tree-operation units (product
+// computations (a product level's multiplications, the residues of
+// nodes whose parents are done), so the result is identical for every
+// pool size; Progress counts tree-operation units (product
 // multiplications, prefix residues, leaf GCDs — the output-sensitive
 // candidate and suffix passes and the resolution pass over the handful
 // of flagged moduli are not counted). Checkpoint/Resume are rejected:
@@ -96,8 +98,8 @@ type tracker struct {
 
 	ops        *obs.Counter   // batchgcd_tree_ops_total
 	findings   *obs.Counter   // batchgcd_findings_total
-	productH   *obs.Histogram // batchgcd_product_level_seconds
-	remainderH *obs.Histogram // batchgcd_remainder_level_seconds
+	productH   *obs.Histogram // batchgcd_product_pass_seconds
+	remainderH *obs.Histogram // batchgcd_remainder_pass_seconds
 	leafH      *obs.Histogram // batchgcd_leaf_gcd_seconds
 	trace      *obs.Tracer
 	metrics    *obs.Registry // scheduler pools (engine_worker_busy_seconds)
@@ -108,8 +110,8 @@ func newTracker(total int64, cfg Config) *tracker {
 	if reg := cfg.Metrics; reg != nil {
 		t.ops = reg.Counter("batchgcd_tree_ops_total")
 		t.findings = reg.Counter("batchgcd_findings_total")
-		t.productH = reg.Histogram("batchgcd_product_level_seconds", obs.DurationBuckets())
-		t.remainderH = reg.Histogram("batchgcd_remainder_level_seconds", obs.DurationBuckets())
+		t.productH = reg.Histogram("batchgcd_product_pass_seconds", obs.DurationBuckets())
+		t.remainderH = reg.Histogram("batchgcd_remainder_pass_seconds", obs.DurationBuckets())
 		t.leafH = reg.Histogram("batchgcd_leaf_gcd_seconds", obs.DurationBuckets())
 	}
 	return t
@@ -132,13 +134,14 @@ func (t *tracker) tick() {
 	}
 }
 
-// phase wraps one tree level (or the leaf pass): a trace span plus the
-// level's duration folded into hist.
-func (t *tracker) phase(name string, level, nodes int, hist *obs.Histogram, fn func() error) error {
+// phase wraps one pass over n leaves (a tree's construction, a descent,
+// or a leaf pass): a trace span plus the pass's duration folded into
+// hist.
+func (t *tracker) phase(name string, n int, hist *obs.Histogram, fn func() error) error {
 	if t == nil {
 		return fn()
 	}
-	sp := t.trace.StartSpan("phase", "phase", name, "level", level, "nodes", nodes)
+	sp := t.trace.StartSpan("phase", "phase", name, "leaves", n)
 	start := time.Now()
 	err := fn()
 	hist.ObserveDuration(int64(time.Since(start)))
@@ -197,29 +200,42 @@ func validateRSA(moduli []*big.Int) error {
 	return nil
 }
 
-// levels returns the subprod options that run one tree pass on the
-// pool with the tracker's hooks: each level wrapped in a phase named
-// name (trace span + level-duration histogram hist), and, when ticks
-// is set, one progress tick per node.
-func (t *tracker) levels(name string, hist *obs.Histogram, workers int, ticks bool) subprod.Options {
-	opt := subprod.Options{
-		Workers: workers,
-		Metrics: t.metrics,
-		OnLevel: func(level, nodes int, run func() error) error {
-			return t.phase(name, level, nodes, hist, run)
-		},
-	}
+// options returns the subprod options that run one tree pass on the
+// pool, with one progress tick per node when ticks is set.
+func (t *tracker) options(workers int, ticks bool) subprod.Options {
+	opt := subprod.Options{Workers: workers, Metrics: t.metrics}
 	if ticks {
 		opt.OnNode = t.tick
 	}
 	return opt
 }
 
+// build runs subprod.Build over leaves as one phase named name.
+func (t *tracker) build(ctx context.Context, name string, hist *obs.Histogram, leaves []*big.Int, opt subprod.Options) (tree *subprod.Tree, err error) {
+	err = t.phase(name, len(leaves), hist, func() error {
+		tree, err = subprod.Build(ctx, leaves, opt)
+		return err
+	})
+	return tree, err
+}
+
+// descent is the signature of subprod's three descents.
+type descent func(context.Context, *subprod.Tree, *big.Int, subprod.Options) ([]*big.Int, error)
+
+// descend runs one descent of x over tree as one "remainder" phase.
+func (t *tracker) descend(ctx context.Context, d descent, tree *subprod.Tree, x *big.Int, opt subprod.Options) (res []*big.Int, err error) {
+	err = t.phase("remainder", len(tree.Levels[0]), t.remainderH, func() error {
+		res, err = d(ctx, tree, x, opt)
+		return err
+	})
+	return res, err
+}
+
 // leaves runs fn(k, w) for every k < n on the pool (w is the worker
 // index) as one "leaf" phase, with one progress tick per unit when
 // ticks is set.
 func (t *tracker) leaves(ctx context.Context, n, workers int, ticks bool, fn func(k, w int)) error {
-	return t.phase("leaf", 0, n, nil, func() error {
+	return t.phase("leaf", n, nil, func() error {
 		return engine.Run(ctx, n, engine.PoolOptions{Workers: workers, Metrics: t.metrics}, func(k, w int) {
 			fn(k, w)
 			if ticks {
@@ -232,18 +248,17 @@ func (t *tracker) leaves(ctx context.Context, n, workers int, ticks bool, fn fun
 // buildTree constructs the levels bottom-up via the shared subproduct
 // builder, up to the root's two children: the descents never read the
 // root. The multiplications within one level are independent and fan
-// out over the pool, and each level is a "product" phase.
+// out over the pool, and the whole build is one "product" phase.
 func buildTree(ctx context.Context, moduli []*big.Int, workers int, tr *tracker) (*subprod.Tree, error) {
-	opt := tr.levels("product", tr.productH, workers, true)
+	opt := tr.options(workers, true)
 	opt.SkipRoot = true
-	return subprod.Build(ctx, moduli, opt)
+	return tr.build(ctx, "product", tr.productH, moduli, opt)
 }
 
-// prefixes runs the prefix descent over the tree, each level a
-// "remainder" phase, and returns z_i = (n_0...n_{i-1}) mod n_i for every
-// leaf.
+// prefixes runs the prefix descent over the tree as one "remainder"
+// phase and returns z_i = (n_0...n_{i-1}) mod n_i for every leaf.
 func prefixes(ctx context.Context, t *subprod.Tree, workers int, tr *tracker) ([]*big.Int, error) {
-	return subprod.Prefixes(ctx, t, one, tr.levels("remainder", tr.remainderH, workers, true))
+	return tr.descend(ctx, subprod.Prefixes, t, one, tr.options(workers, true))
 }
 
 // SharedFactorsContext returns, for each modulus,
@@ -313,9 +328,9 @@ func SharedFactorsContext(ctx context.Context, moduli []*big.Int, cfg Config) ([
 // b is a hit and the shared prime divides g'_b, hence H, so both are
 // returned; a modulus that shares a prime with H shares it with a hit,
 // so nothing else is. Past the dense guard every modulus is returned.
-// The product of the hits' g'_i and the reduction of H down the tree
-// are "remainder" phases, the GCDs a "leaf" phase; none is a progress
-// unit.
+// The tree over the hits' g'_i and the reduction of H down the main tree
+// are one "remainder" phase each, the GCDs a "leaf" phase; none is a
+// progress unit.
 func candidates(ctx context.Context, t *subprod.Tree, moduli, gs []*big.Int, hits []int, workers int, tr *tracker) ([]int, error) {
 	m := len(moduli)
 	if dense(len(hits), m) {
@@ -329,12 +344,12 @@ func candidates(ctx context.Context, t *subprod.Tree, moduli, gs []*big.Int, hit
 	for k, i := range hits {
 		fs[k] = gs[i]
 	}
-	opt := tr.levels("remainder", tr.remainderH, workers, false)
-	ht, err := subprod.Build(ctx, fs, opt)
+	opt := tr.options(workers, false)
+	ht, err := tr.build(ctx, "remainder", tr.remainderH, fs, opt)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := subprod.Reduce(ctx, t, ht.Root(), opt)
+	rs, err := tr.descend(ctx, subprod.Reduce, t, ht.Root(), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -372,10 +387,10 @@ func dense(hits, m int) bool { return 4*hits > m }
 // candidates mod n_j, so z_j*s_j is, mod n_j, the product of every other
 // candidate times the earlier non-candidates. Those are coprime to n_j,
 // so g_j = gcd(n_j, z_j*s_j mod n_j) = gcd(n_j, (P/n_j) mod n_j). The
-// tree and its descent are "remainder" phases, the GCDs a "leaf" phase;
-// none is a progress unit.
+// tree and its descent are one "remainder" phase each, the GCDs a
+// "leaf" phase; none is a progress unit.
 func finish(ctx context.Context, t *subprod.Tree, moduli, zs []*big.Int, cand []int, out []*big.Int, workers int, tr *tracker) error {
-	opt := tr.levels("remainder", tr.remainderH, workers, false)
+	opt := tr.options(workers, false)
 	if len(cand) < len(moduli) {
 		sub := make([]*big.Int, len(cand))
 		for k, j := range cand {
@@ -383,11 +398,11 @@ func finish(ctx context.Context, t *subprod.Tree, moduli, zs []*big.Int, cand []
 		}
 		opt.SkipRoot = true
 		var err error
-		if t, err = subprod.Build(ctx, sub, opt); err != nil {
+		if t, err = tr.build(ctx, "remainder", tr.remainderH, sub, opt); err != nil {
 			return err
 		}
 	}
-	ss, err := subprod.Suffixes(ctx, t, one, opt)
+	ss, err := tr.descend(ctx, subprod.Suffixes, t, one, opt)
 	if err != nil {
 		return err
 	}

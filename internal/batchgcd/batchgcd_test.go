@@ -77,7 +77,7 @@ func remainderTree(ctx context.Context, t *subprod.Tree, workers int, tr *tracke
 		nodes := t.Levels[lvl]
 		next := make([]*big.Int, len(nodes))
 		parent := cur
-		if err := tr.phase("remainder", lvl, len(nodes), tr.remainderH, func() error {
+		if err := tr.phase("remainder", len(nodes), tr.remainderH, func() error {
 			return engine.Run(ctx, len(nodes), engine.PoolOptions{Workers: workers, Metrics: tr.metrics}, func(i, w int) {
 				s := &scratch[w]
 				s.sq.Mul(nodes[i], nodes[i])
@@ -490,7 +490,7 @@ func TestRunConfigWorkersIdentical(t *testing.T) {
 	if len(base) == 0 {
 		t.Fatal("corpus with planted pairs produced no findings")
 	}
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{2, 3, 4, 7, 8} {
 		got, err := RunContext(context.Background(), ms, Config{Config: engine.Config{Workers: w}})
 		if err != nil {
 			t.Fatal(err)

@@ -504,12 +504,12 @@ func TestFilterCellAllocs(t *testing.T) {
 			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
 			zs, _ := subprod.Prefixes(ctx, tree, one, subprod.Options{})
 			rowGCDs(zs)
-		}, 1120},
+		}, 1096},
 		{hybridCell{0, 1}, func() {
 			tree, _ := subprod.Build(ctx, rows, subprod.Options{SkipRoot: true})
 			rs, _ := subprod.Reduce(ctx, tree, plan.column(1, nil), subprod.Options{})
 			rowGCDs(rs)
-		}, 1119},
+		}, 1084},
 	} {
 		tc.direct()
 		pr.filterCell(plan, tc.cell, nil) // warm the worker and the column table

@@ -49,3 +49,34 @@ func FuzzRunCoverage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRunReadyCoverage drives RunReady with adversarial forests and
+// widths: byte u of shape makes unit u a root when shape[u] mod (u+1)
+// is u, and otherwise the child of that earlier unit, so the fuzzer
+// reaches chains, fans, many roots and no units at all. Every unit must
+// run exactly once, after the unit that released it, with a worker
+// index below the width (workers 0 means GOMAXPROCS).
+func FuzzRunReadyCoverage(f *testing.F) {
+	f.Add([]byte{}, uint8(2))
+	f.Add([]byte{0}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(3))        // one fan
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7}, uint8(2))     // one chain
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(16))    // every unit a root
+	f.Add([]byte{0, 0, 0, 1, 1, 2, 2, 3, 3, 4}, uint8(7))  // a binary tree
+	f.Add([]byte{9, 200, 31, 4, 77, 0, 13, 250}, uint8(1)) // inline
+	f.Fuzz(func(t *testing.T, shape []byte, w8 uint8) {
+		n := min(len(shape), 1024)
+		fr := forest{parent: make([]int, n), children: make([][]int, n)}
+		for u := 0; u < n; u++ {
+			p := int(shape[u]) % (u + 1)
+			if p == u {
+				fr.parent[u] = -1
+				fr.roots = append(fr.roots, u)
+				continue
+			}
+			fr.parent[u] = p
+			fr.children[p] = append(fr.children[p], u)
+		}
+		fr.check(t, int(w8)%17)
+	})
+}

@@ -11,7 +11,8 @@ import (
 // Tracer emits structured run events as JSON Lines: one object per
 // line, safe for concurrent use, append-friendly and greppable. The
 // engines emit three span kinds — run (one per engine invocation),
-// phase (tree level, table cell) and block (bulk work unit) — plus
+// phase (one batch-GCD tree pass or leaf pass) and block (bulk work
+// unit) — plus
 // point events for irregular occurrences (quarantine, panic recovery,
 // checkpoint errors).
 //

@@ -3,6 +3,8 @@ package subprod
 import (
 	"context"
 	"math/big"
+
+	"bulkgcd/internal/engine"
 )
 
 // descentScratch is one worker's division state for a descent: the
@@ -86,41 +88,57 @@ func Suffixes(ctx context.Context, t *Tree, x *big.Int, opt Options) ([]*big.Int
 // node reads as its parent's; step computes a node's residue from its
 // parent's residue par, the node c, its sibling (nil for a node without
 // one) and whether c is its parent's right child. A promoted odd node
-// below the top keeps its parent's
-// residue, which is already reduced mod its equal value; at the top,
-// where above is unreduced, it goes through step with a nil sibling.
-// Each level's residues are independent and fan out over Options.Workers
-// with per-worker scratch; step copies each residue out at its own
-// length.
+// below the top keeps its parent's residue, which is already reduced
+// mod its equal value; at the top, where above is unreduced, it goes
+// through step with a nil sibling.
+//
+// Every node is one unit of engine.RunReady: it carries its parent's
+// residue, and when its own is done it releases its children with it,
+// or, at a leaf, writes its slot of the output. So a node starts as soon
+// as its parent is done, not when its whole level is, and a parent's
+// residue lives only until both of its children have computed theirs;
+// no level's residues are kept. Workers keep per-worker scratch, and
+// step copies each residue out at its own length.
 func descend(ctx context.Context, t *Tree, above *big.Int, opt Options, step func(s *descentScratch, par, c, sib *big.Int, right bool) *big.Int) ([]*big.Int, error) {
 	top := len(t.Levels) - 1
 	if top == 0 && len(t.Levels[0]) == 1 {
 		var s descentScratch
 		return []*big.Int{step(&s, above, t.Levels[0][0], nil, false)}, nil
 	}
-	scratch := make([]descentScratch, max(opt.Workers, 1))
-	cur := []*big.Int{above}
-	for lvl := top; lvl >= 0; lvl-- {
-		nodes := t.Levels[lvl]
-		next := make([]*big.Int, len(nodes))
-		parent, atTop := cur, lvl == top
-		if err := opt.level(ctx, lvl, len(nodes), func(i, w int) {
-			par := parent[0]
-			if !atTop {
-				par = parent[i/2]
-			}
-			var sib *big.Int
-			if j := i ^ 1; j < len(nodes) {
-				sib = nodes[j]
-			} else if !atTop {
-				next[i] = par // promoted odd node: C = T
-				return
-			}
-			next[i] = step(&scratch[w], par, nodes[i], sib, i&1 == 1)
-		}); err != nil {
-			return nil, err
-		}
-		cur = next
+	// node is one residue to compute: the node at index i of level lvl,
+	// with its parent's residue.
+	type node struct {
+		lvl, i int
+		par    *big.Int
 	}
-	return cur, nil
+	roots := make([]node, len(t.Levels[top]))
+	for i := range roots {
+		roots[i] = node{top, i, above}
+	}
+	out := make([]*big.Int, len(t.Levels[0]))
+	workers := max(opt.Workers, 1)
+	scratch := make([]descentScratch, workers)
+	err := engine.RunReady(ctx, roots, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(n node, w int, release func(node)) {
+		nodes := t.Levels[n.lvl]
+		z := n.par // promoted odd node: C = T
+		if j := n.i ^ 1; j < len(nodes) {
+			z = step(&scratch[w], n.par, nodes[n.i], nodes[j], n.i&1 == 1)
+		} else if n.lvl == top {
+			z = step(&scratch[w], n.par, nodes[n.i], nil, false)
+		}
+		if opt.OnNode != nil {
+			opt.OnNode()
+		}
+		if n.lvl == 0 {
+			out[n.i] = z
+			return
+		}
+		for c := 2 * n.i; c < min(2*n.i+2, len(t.Levels[n.lvl-1])); c++ {
+			release(node{n.lvl - 1, c, z})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -42,13 +42,13 @@ func naiveSuffixes(ms []*big.Int, x *big.Int) []*big.Int {
 	return out
 }
 
-// checkDescents builds ms's tree with and without SkipRoot at Workers 1
-// and 3 and compares the three descents with the naive residues.
+// checkDescents builds ms's tree with and without SkipRoot at Workers 1,
+// 2, 3 and 7 and compares the three descents with the naive residues.
 func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 	t.Helper()
 	ctx := context.Background()
 	for _, skip := range []bool{false, true} {
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 3, 7} {
 			opt := Options{Workers: workers, SkipRoot: skip}
 			tree, err := Build(ctx, ms, opt)
 			if err != nil {
@@ -90,8 +90,9 @@ func checkDescents(t *testing.T, label string, ms []*big.Int, xs []*big.Int) {
 
 // TestDescentsMatchNaive: Reduce equals x mod n_i, Prefixes equals
 // x·Π_{j<i} n_j mod n_i and Suffixes x·Π_{j>i} n_j mod n_i at every
-// leaf, on trees with and without their root and at Workers 1 and 3. The sizes cover a single leaf, a lone top
-// pair, and promoted odd nodes at one or several levels. Each size runs
+// leaf, on trees with and without their root and at Workers 1, 2, 3
+// and 7. The sizes cover a single leaf, a lone top pair, and promoted
+// odd nodes at one or several levels. Each size runs
 // on random leaves and on leaves planted with a 1, a duplicate pair and
 // a leaf dividing the product of two others; x runs over 0, a value
 // below every leaf, the product of the leaves times a random factor, and
@@ -130,10 +131,9 @@ func TestDescentsMatchNaive(t *testing.T) {
 	}
 }
 
-// TestDescentHooks: a descent wraps each tree level in OnLevel, top
-// first, with the level index and its node count, and calls OnNode once
-// per residue, promoted odd nodes included. A one-leaf tree has no
-// descent level and runs no hook.
+// TestDescentHooks: a descent has no level boundaries, so its one hook
+// is OnNode, called once per residue, promoted odd nodes included,
+// inline and on the pool. A one-leaf tree runs no hook.
 func TestDescentHooks(t *testing.T) {
 	leaves := make([]*big.Int, 5)
 	for i := range leaves {
@@ -142,53 +142,36 @@ func TestDescentHooks(t *testing.T) {
 	for _, c := range []struct {
 		leaves []*big.Int
 		skip   bool
-		levels string
 		nodes  int64
 	}{
-		{leaves, true, "[2:2 1:3 0:5]", 10},
-		{leaves, false, "[3:1 2:2 1:3 0:5]", 11},
-		{leaves[:1], true, "[]", 0},
+		{leaves, true, 10},  // 2 + 3 + 5: the top pair, 3 with one promoted, 5
+		{leaves, false, 11}, // the root above them
+		{leaves[:1], true, 0},
 	} {
 		tree, err := Build(context.Background(), c.leaves, Options{SkipRoot: c.skip})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, run := range map[string]func(Options) error{
-			"Reduce": func(opt Options) error {
-				_, err := Reduce(context.Background(), tree, big.NewInt(1000), opt)
-				return err
-			},
-			"Prefixes": func(opt Options) error {
-				_, err := Prefixes(context.Background(), tree, big.NewInt(1000), opt)
-				return err
-			},
-			"Suffixes": func(opt Options) error {
-				_, err := Suffixes(context.Background(), tree, big.NewInt(1000), opt)
-				return err
-			},
+		for name, run := range map[string]func(context.Context, *Tree, *big.Int, Options) ([]*big.Int, error){
+			"Reduce": Reduce, "Prefixes": Prefixes, "Suffixes": Suffixes,
 		} {
-			var levels []string
-			var nodes atomic.Int64
-			err := run(Options{
-				OnLevel: func(level, n int, run func() error) error {
-					levels = append(levels, fmt.Sprintf("%d:%d", level, n))
-					return run()
-				},
-				OnNode: func() { nodes.Add(1) },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprint(levels); got != c.levels || nodes.Load() != c.nodes {
-				t.Errorf("%s over %d leaves (skip=%v): levels %s and %d nodes, want %s and %d",
-					name, len(c.leaves), c.skip, got, nodes.Load(), c.levels, c.nodes)
+			for _, workers := range []int{1, 3} {
+				var nodes atomic.Int64
+				opt := Options{Workers: workers, OnNode: func() { nodes.Add(1) }}
+				if _, err := run(context.Background(), tree, big.NewInt(1000), opt); err != nil {
+					t.Fatal(err)
+				}
+				if nodes.Load() != c.nodes {
+					t.Errorf("%s over %d leaves (skip=%v, workers=%d): %d nodes, want %d",
+						name, len(c.leaves), c.skip, workers, nodes.Load(), c.nodes)
+				}
 			}
 		}
 	}
 }
 
 // TestDescentsCanceled: a canceled context stops a descent with its
-// error.
+// error, inline and on the pool.
 func TestDescentsCanceled(t *testing.T) {
 	leaves := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7)}
 	tree, err := Build(context.Background(), leaves, Options{SkipRoot: true})
@@ -197,14 +180,17 @@ func TestDescentsCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Reduce(ctx, tree, big.NewInt(11), Options{}); err == nil {
-		t.Fatal("Reduce ignored a canceled context")
-	}
-	if _, err := Prefixes(ctx, tree, big.NewInt(11), Options{}); err == nil {
-		t.Fatal("Prefixes ignored a canceled context")
-	}
-	if _, err := Suffixes(ctx, tree, big.NewInt(11), Options{}); err == nil {
-		t.Fatal("Suffixes ignored a canceled context")
+	for _, workers := range []int{1, 3} {
+		opt := Options{Workers: workers}
+		if _, err := Reduce(ctx, tree, big.NewInt(11), opt); err == nil {
+			t.Fatalf("workers=%d: Reduce ignored a canceled context", workers)
+		}
+		if _, err := Prefixes(ctx, tree, big.NewInt(11), opt); err == nil {
+			t.Fatalf("workers=%d: Prefixes ignored a canceled context", workers)
+		}
+		if _, err := Suffixes(ctx, tree, big.NewInt(11), opt); err == nil {
+			t.Fatalf("workers=%d: Suffixes ignored a canceled context", workers)
+		}
 	}
 }
 

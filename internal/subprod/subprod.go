@@ -9,15 +9,16 @@
 // one integer so a single division+GCD can interrogate all of them at
 // once — so there is one node representation, a compact *big.Int, one
 // construction loop (Build), and three descents back down a built tree
-// on one level loop: Prefixes, one integer times the leaves to the left
-// modulo each leaf (batch GCD's prefix pass, the hybrid diagonal cell's
-// filter, and the registry's batch check, which pushes the history's
-// residue down a batch's tree); Suffixes, its mirror, the leaves to
-// the right (batch GCD's suffix pass); and Reduce, one integer modulo
-// each leaf (batch GCD's candidate pass and the hybrid cross cell's
-// filter). All three are configured by the caller with the same
-// per-level hooks as Build, for batch GCD's observability, and all
-// three run on a tree built with or without SkipRoot.
+// on one ready list (engine.RunReady), in which a node starts as soon
+// as its parent is done: Prefixes, one integer times the leaves to the
+// left modulo each leaf (batch GCD's prefix pass, the hybrid diagonal
+// cell's filter, and the registry's batch check, which pushes the
+// history's residue down a batch's tree); Suffixes, its mirror, the
+// leaves to the right (batch GCD's suffix pass); and Reduce, one integer
+// modulo each leaf (batch GCD's candidate pass and the hybrid cross
+// cell's filter). All three take the same Options as Build (the pool width
+// and a per-node hook, for batch GCD's progress), and all three run on
+// a tree built with or without SkipRoot.
 //
 // Every node is compacted after its multiplication (Mul): math/big's
 // Karatsuba leaves a product with max(6k, m+n) words of capacity, about
@@ -74,20 +75,14 @@ func compact(x *big.Int) *big.Int {
 // Options configures Build and the descents (Prefixes, Suffixes,
 // Reduce). The zero value runs serially with no hooks.
 type Options struct {
-	// Workers is the fan-out width within each level (the level's
-	// multiplications or residues are independent); <= 1 runs inline.
+	// Workers is the fan-out width: Build's multiplications within a
+	// level, a descent's residues across the whole tree; <= 1 runs
+	// inline.
 	Workers int
-	// OnLevel, when non-nil, wraps each level's computation: level is the
-	// index of the level being computed (1-based for Build, whose level 0
-	// is the input; the tree level whose residues are computed for a
-	// descent), nodes the number of multiplications or residues in it.
-	// The hook must invoke run exactly once and propagate its error
-	// (batch GCD threads its tracing/timing phase wrapper through here).
-	OnLevel func(level, nodes int, run func() error) error
 	// OnNode, when non-nil, is called once per completed multiplication
 	// or residue (possibly concurrently from several workers).
 	OnNode func()
-	// Metrics, when non-nil, instruments the per-level scheduler pools
+	// Metrics, when non-nil, instruments the scheduler pools
 	// (engine_worker_busy_seconds).
 	Metrics *obs.Registry
 	// SkipRoot, read by Build only, stops the tree at the root's two
@@ -98,36 +93,21 @@ type Options struct {
 	SkipRoot bool
 }
 
-// level runs fn(i, w) for each of a level's nodes on the scheduler pool
-// (w is the stable worker index, for per-worker scratch), wrapped in
-// OnLevel and followed by OnNode per node.
-func (opt *Options) level(ctx context.Context, level, nodes int, fn func(i, w int)) error {
-	run := func() error {
-		return engine.Run(ctx, nodes, engine.PoolOptions{Workers: max(opt.Workers, 1), Metrics: opt.Metrics}, func(i, w int) {
-			fn(i, w)
-			if opt.OnNode != nil {
-				opt.OnNode()
-			}
-		})
-	}
-	if opt.OnLevel != nil {
-		return opt.OnLevel(level, nodes, run)
-	}
-	return run()
-}
-
 // Build constructs the product tree of the leaves bottom-up,
 // pair-and-promote, each level's multiplications fanned out on
 // engine.Run with one scratch big.Int per worker (Mul). The leaf slice
 // is aliased as level 0, never modified; every product is freshly
 // allocated and compact (a promoted odd node stays the same pointer).
 // Every level above two nodes halves to a level of two before the root,
-// so SkipRoot drops exactly the last multiplication.
+// so SkipRoot drops exactly the last multiplication. A level waits for
+// the one below it: the nodes of a level have about equal length, so
+// no node holds up its level for long.
 func Build(ctx context.Context, leaves []*big.Int, opt Options) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("subprod: empty input")
 	}
-	scratch := make([]big.Int, max(opt.Workers, 1))
+	workers := max(opt.Workers, 1)
+	scratch := make([]big.Int, workers)
 	level := make([]*big.Int, len(leaves))
 	copy(level, leaves)
 	levels := [][]*big.Int{level}
@@ -139,8 +119,11 @@ func Build(ctx context.Context, leaves []*big.Int, opt Options) (*Tree, error) {
 		pairs := len(level) / 2
 		next := make([]*big.Int, (len(level)+1)/2)
 		src := level
-		if err := opt.level(ctx, len(levels), pairs, func(i, w int) {
+		if err := engine.Run(ctx, pairs, engine.PoolOptions{Workers: workers, Metrics: opt.Metrics}, func(i, w int) {
 			next[i] = Mul(&scratch[w], src[2*i], src[2*i+1])
+			if opt.OnNode != nil {
+				opt.OnNode()
+			}
 		}); err != nil {
 			return nil, err
 		}

@@ -2,10 +2,10 @@ package subprod
 
 import (
 	"context"
-	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -115,25 +115,32 @@ func TestRootRefusesRootlessTree(t *testing.T) {
 	tree.Root()
 }
 
-func TestBuildOnLevelWrapsEveryLevel(t *testing.T) {
+// TestBuildOnNodeCountsMultiplications: Build's one hook, OnNode, runs
+// once per multiplication and never for a promoted odd node, inline and
+// on the pool.
+func TestBuildOnNodeCountsMultiplications(t *testing.T) {
 	leaves := make([]*big.Int, 9)
 	for i := range leaves {
 		leaves[i] = big.NewInt(int64(i + 2))
 	}
-	var levels []string
-	_, err := Build(context.Background(), leaves, Options{
-		OnLevel: func(level, nodes int, run func() error) error {
-			levels = append(levels, fmt.Sprintf("%d:%d", level, nodes))
-			return run()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 9 -> 5 -> 3 -> 2 -> 1: pairs per level 4, 2, 1, 1.
-	want := []string{"1:4", "2:2", "3:1", "4:1"}
-	if fmt.Sprint(levels) != fmt.Sprint(want) {
-		t.Errorf("levels = %v, want %v", levels, want)
+	// 9 -> 5 -> 3 -> 2 -> 1: pairs per level 4, 2, 1, 1, and the root
+	// pair is the one SkipRoot drops.
+	for _, c := range []struct {
+		skip bool
+		want int64
+	}{{false, 8}, {true, 7}} {
+		for _, workers := range []int{1, 3} {
+			var nodes atomic.Int64
+			_, err := Build(context.Background(), leaves, Options{
+				Workers: workers, SkipRoot: c.skip, OnNode: func() { nodes.Add(1) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nodes.Load() != c.want {
+				t.Errorf("skip=%v workers=%d: %d multiplications, want %d", c.skip, workers, nodes.Load(), c.want)
+			}
+		}
 	}
 }
 
