@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check race chaos fleet-smoke obs-smoke registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke loc selftest reproduce clean
+.PHONY: all build test vet fmt-check race chaos registry-smoke cover bench bench-smoke bench-e2e fuzz-smoke loc selftest reproduce clean
 
 all: build vet test
 
@@ -29,36 +29,23 @@ test:
 # of its fold, chunk trees, chunk descents and node rebuilds), and the
 # public facade.
 race:
-	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/fleet/ ./internal/registry/ .
+	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/registry/ .
 
 # Fault-injection hardening: the chaos suite (kill/resume/panic
-# campaigns plus the fleet partition/crash/poison campaigns,
-# chaos_test.go) and the resilience packages it drives, all under the
-# race detector. -short keeps only the soak tests out; the chaos tests
+# campaigns, chaos_test.go) and the resilience packages it drives, all
+# under the race detector. -short keeps only the soak tests out; the chaos tests
 # themselves stay enabled with reduced rounds.
 chaos:
 	$(GO) test -race -short -run 'TestChaos' .
 	$(GO) test -race -short ./internal/checkpoint/ ./internal/faultinject/ ./internal/sigctx/ \
-	    ./internal/bulk/ ./internal/attack/ ./internal/fleet/ ./internal/registry/ \
+	    ./internal/bulk/ ./internal/attack/ ./internal/registry/ \
 	    ./cmd/rsafactor/ ./cmd/gcdbench/
-
-# Real-process fleet run: one coordinator + two workers as separate
-# rsafactor processes over loopback HTTP, findings diffed against a
-# single-process run of the same corpus.
-fleet-smoke:
-	./scripts/fleet_smoke.sh
-
-# Fleet observability end to end: a traced coordinator + 2 workers over
-# loopback HTTP, validating the merged JSONL trace (one span per cell,
-# no orphan parents), the /fleet/cells attribution, /timeline,
-# /dashboard, and the report's attribution tables.
-obs-smoke:
-	./scripts/obs_smoke.sh
 
 # Streaming registry end to end: a real `rsafactor watch` server fed a
 # weak corpus over HTTP in three waves with a SIGKILL between waves two
-# and three; the replayed registry must lose nothing acknowledged and
-# the final /broken set must diff clean against a one-shot batch run.
+# and three; the replayed registry must lose nothing acknowledged, the
+# final /broken set must diff clean against a one-shot batch run, and
+# the server's /timeline and /dashboard pages must serve.
 registry-smoke:
 	./scripts/registry_smoke.sh
 

@@ -149,9 +149,14 @@ func WithKernel(k Kernel) Option {
 	}
 }
 
-// WithoutEarlyTermination disables the s/2 early-termination shortcut.
-// Early termination never misses a shared prime of RSA moduli; turning
-// it off is only useful for measurement.
+// WithoutEarlyTermination disables the s/2 early-termination shortcut
+// of the pairs and hybrid engines (batch GCD has none). With it, a
+// pair's GCD stops, and the pair counts as coprime, once the smaller
+// operand drops below s/2 bits, s the smaller modulus size. So a shared
+// prime below s/2 bits is missed: early termination is exact only for
+// moduli whose prime factors all have at least s/2 bits, such as
+// balanced two-prime RSA moduli. Turn it off to find shared primes in
+// unbalanced or multi-prime moduli.
 func WithoutEarlyTermination() Option { return func(a *Attack) { a.noEarly = true } }
 
 // WithWorkers sets the worker-pool size (default: GOMAXPROCS).

@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bulkgcd/internal/rsakey"
 )
 
 // apiCorpus builds a small planted corpus plus the set of indices the
@@ -322,6 +325,67 @@ func TestAttackAPIExecutorFollowsAlgorithm(t *testing.T) {
 			if bk.Index != b.Index || bk.P.Cmp(b.P) != 0 || bk.Q.Cmp(b.Q) != 0 || bk.D.Cmp(b.D) != 0 || bk.FoundWith != b.FoundWith {
 				t.Fatalf("%s: broken key %d differs from the default run", name, i)
 			}
+		}
+	}
+}
+
+// earlyBoundCorpus builds 16 keys of 1024 bits that sit outside the s/2
+// early exit's bound: keys 0 and 1 are three-prime moduli sharing a
+// 340-bit prime, keys 2 and 3 are two-prime moduli sharing a 300-bit
+// prime, both below s/2 = 512 bits, and keys 4-15 are balanced
+// two-prime moduli.
+func earlyBoundCorpus() []*big.Int {
+	r := rand.New(rand.NewSource(10))
+	threePrime := func(p *big.Int) *big.Int {
+		for {
+			n := new(big.Int).Mul(p, rsakey.GeneratePrime(r, 342))
+			if n.Mul(n, rsakey.GeneratePrime(r, 342)).BitLen() == 1024 {
+				return n
+			}
+		}
+	}
+	p, q := rsakey.GeneratePrime(r, 340), rsakey.GeneratePrime(r, 300)
+	moduli := []*big.Int{threePrime(p), threePrime(p),
+		new(big.Int).Mul(q, rsakey.GeneratePrime(r, 724)),
+		new(big.Int).Mul(q, rsakey.GeneratePrime(r, 724))}
+	for len(moduli) < 16 {
+		moduli = append(moduli, new(big.Int).Mul(rsakey.GeneratePrime(r, 512), rsakey.GeneratePrime(r, 512)))
+	}
+	return moduli
+}
+
+// TestEarlyTerminationBound pins what the s/2 early exit cannot see: by
+// default the pairs and hybrid engines miss a shared prime below s/2
+// bits, WithoutEarlyTermination finds it, and batch GCD, which has no
+// early exit, finds it either way.
+func TestEarlyTerminationBound(t *testing.T) {
+	moduli := earlyBoundCorpus()
+	for _, c := range []struct {
+		engine Engine
+		early  bool
+		want   []int
+	}{
+		{EnginePairs, true, nil},
+		{EnginePairs, false, []int{0, 1, 2, 3}},
+		{EngineHybrid, true, nil},
+		{EngineHybrid, false, []int{0, 1, 2, 3}},
+		{EngineBatch, true, []int{0, 1, 2, 3}},
+		{EngineBatch, false, []int{0, 1, 2, 3}},
+	} {
+		opts := []Option{WithEngine(c.engine)}
+		if !c.early {
+			opts = append(opts, WithoutEarlyTermination())
+		}
+		rep, err := New(opts...).Run(context.Background(), moduli)
+		if err != nil {
+			t.Fatalf("%v early=%v: %v", c.engine, c.early, err)
+		}
+		var got []int
+		for _, bk := range rep.Broken {
+			got = append(got, bk.Index)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%v early=%v: broke keys %v, want %v", c.engine, c.early, got, c.want)
 		}
 	}
 }

@@ -12,13 +12,10 @@
 //	rsafactor -in corpus.txt -truth truth.txt # verify against ground truth
 //	rsafactor -in corpus.txt -checkpoint run.jsonl   # journal progress
 //	rsafactor -in corpus.txt -resume run.jsonl       # continue after a kill
-//	rsafactor -in corpus.txt -status :8080           # live /metrics + pprof
+//	rsafactor -in corpus.txt -status :8080           # live /metrics, /dashboard
 //	rsafactor -in corpus.txt -report out.json        # end-of-run JSON artifact
 //	rsafactor -in corpus.txt -trace run-trace.jsonl  # span/event trace
-//	rsafactor -in corpus.txt -serve :9090 -checkpoint fleet.jsonl
-//	                                         # fleet coordinator (leases cells)
-//	rsafactor -in corpus.txt -worker host:9090 [-spill spill.jsonl]
-//	                                         # fleet worker (same corpus file)
+//	rsafactor watch -dir reg/ -addr :8080    # streaming registry server
 //
 // Output lists, per broken key, the corpus index, the prime factors and
 // the recovered private exponent for e = 65537.
@@ -48,7 +45,6 @@ import (
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/corpus"
 	"bulkgcd/internal/engine"
-	"bulkgcd/internal/fleet"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/mpnat"
 	"bulkgcd/internal/obs"
@@ -65,16 +61,15 @@ var algByName = map[string]gcd.Algorithm{
 	"approximate": gcd.Approximate,
 }
 
-// Structured exit codes, so orchestration (CI, fleet scripts, cron)
-// can distinguish failure modes without parsing stderr. Documented in
-// the README; asserted by the CLI acceptance tests.
+// Structured exit codes, so orchestration (CI, scripts, cron) can
+// distinguish failure modes without parsing stderr. Documented in the
+// README; asserted by the CLI acceptance tests.
 const (
-	exitOK          = 0 // clean completion
-	exitFailure     = 1 // generic error (I/O, bad corpus, engine failure)
-	exitUsage       = 2 // flag/usage error
-	exitCanceled    = 3 // interrupted (signal or -cancel-after)
-	exitIntegrity   = 4 // findings failed verification, or conflicting fleet records
-	exitQuarantined = 5 // scan finished but cells were quarantined (incomplete coverage)
+	exitOK        = 0 // clean completion
+	exitFailure   = 1 // generic error (I/O, bad corpus, engine failure)
+	exitUsage     = 2 // flag/usage error
+	exitCanceled  = 3 // interrupted (signal or -cancel-after)
+	exitIntegrity = 4 // findings failed -truth verification
 )
 
 // exitError carries a specific exit code up through run.
@@ -99,14 +94,6 @@ func exitCodeOf(err error) int {
 	var ee *exitError
 	if errors.As(err, &ee) {
 		return ee.code
-	}
-	if errors.Is(err, fleet.ErrIntegrity) {
-		return exitIntegrity
-	}
-	// A fingerprint mismatch means this invocation's corpus or engine
-	// flags disagree with the coordinator's run — a configuration error.
-	if errors.Is(err, fleet.ErrFingerprint) || errors.Is(err, flag.ErrHelp) {
-		return exitUsage
 	}
 	if errors.Is(err, context.Canceled) {
 		return exitCanceled
@@ -149,15 +136,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		resumePath = fs.String("resume", "", "resume from this journal, skipping completed blocks, and keep appending to it")
 		quarantine = fs.Bool("quarantine", false, "skip zero/even moduli and report them instead of failing the run")
 		verbose    = fs.Bool("v", false, "print progress with rate and ETA")
-		status     = fs.String("status", "", "serve /healthz, /metrics and /debug/pprof on this address (e.g. :8080) while the run lasts")
+		status     = fs.String("status", "", "serve /healthz, /metrics, /timeline, /dashboard and /debug/pprof on this address (e.g. :8080) while the run lasts")
 		report     = fs.String("report", "", "write an end-of-run JSON report (schema "+obs.ReportSchema+") to this file")
 		tracePath  = fs.String("trace", "", "append a JSONL span/event trace of the run to this file")
-		serveAddr  = fs.String("serve", "", "run as fleet coordinator: serve the cell-lease protocol plus /metrics on this address (e.g. :9090)")
-		workerURL  = fs.String("worker", "", "run as fleet worker: lease cells from the coordinator at this base URL (e.g. http://host:9090)")
-		workerID   = fs.String("worker-id", "", "fleet worker identity for leases and the fail quorum (default host-pid)")
-		leaseTTL   = fs.Duration("lease-ttl", 0, "coordinator: lease TTL before a silent worker's cell is re-queued (0 = 10s)")
-		failQuorum = fs.Int("fail-quorum", 0, "coordinator: distinct workers that must fail a cell before it is quarantined (0 = 3)")
-		spillPath  = fs.String("spill", "", "worker: journal a finished-but-unacknowledged cell here if the coordinator is lost")
 		// cancelAfter deterministically cancels the run once N pairs have
 		// completed; it exists so the interrupt/resume path is testable
 		// without racing real signals against the engine.
@@ -177,55 +158,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	if *ckptPath != "" && *resumePath != "" {
 		return usagef("-checkpoint starts a fresh journal and -resume continues one; use exactly one")
-	}
-
-	// Fleet modes: the coordinator serves the lease protocol; workers dial
-	// it. Both distribute hybrid cells, so the hybrid engine is implied
-	// when -engine is left at its default.
-	if *serveAddr != "" && *workerURL != "" {
-		return usagef("-serve and -worker are mutually exclusive")
-	}
-	if *serveAddr != "" || *workerURL != "" {
-		engineSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "engine" {
-				engineSet = true
-			}
-		})
-		if !engineSet {
-			kind = engine.Hybrid
-		}
-		if kind != engine.Hybrid {
-			return usagef("fleet mode distributes hybrid cells; use -engine=hybrid (or leave -engine unset)")
-		}
-		if *cancelAfter >= 0 {
-			return usagef("-cancel-after is a single-process testing flag; not supported in fleet mode")
-		}
-	}
-	if *serveAddr != "" {
-		if *status != "" {
-			return usagef("-serve already serves /metrics and /debug/pprof on the coordinator address; drop -status")
-		}
-		if *resumePath != "" {
-			return usagef("the fleet coordinator journal auto-resumes; use -checkpoint (it reopens an existing journal)")
-		}
-	}
-	if *workerURL != "" {
-		if *ckptPath != "" || *resumePath != "" {
-			return usagef("-checkpoint/-resume belong to the coordinator; workers spill undeliverable cells with -spill")
-		}
-		if *truth != "" || *emit != "" || *report != "" {
-			return usagef("-truth, -emit and -report apply to the coordinator's assembled findings, not to workers")
-		}
-		if *tracePath != "" {
-			return usagef("workers ship trace events to the coordinator; put -trace on -serve for the merged fleet trace")
-		}
-	}
-	if *spillPath != "" && *workerURL == "" {
-		return usagef("-spill applies to fleet workers (-worker)")
-	}
-	if (*workerID != "" || *leaseTTL != 0 || *failQuorum != 0) && *serveAddr == "" && *workerURL == "" {
-		return usagef("-worker-id, -lease-ttl and -fail-quorum apply to fleet modes (-serve / -worker)")
 	}
 
 	if (*ckptPath != "" || *resumePath != "") && kind == engine.Batch {
@@ -261,30 +193,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		Engine:     kind,
 		Quarantine: *quarantine,
 		TileSize:   *tile,
-	}
-
-	if *serveAddr != "" {
-		return runCoordinator(ctx, coordinatorFlags{
-			addr:       *serveAddr,
-			ckptPath:   *ckptPath,
-			leaseTTL:   *leaseTTL,
-			failQuorum: *failQuorum,
-			verbose:    *verbose,
-			truth:      *truth,
-			emit:       *emit,
-			exponent:   *e,
-			report:     *report,
-			tracePath:  *tracePath,
-		}, moduli, sources, opt, stdout, stderr)
-	}
-	if *workerURL != "" {
-		return runFleetWorker(ctx, fleetWorkerFlags{
-			url:     *workerURL,
-			id:      *workerID,
-			spill:   *spillPath,
-			status:  *status,
-			verbose: *verbose,
-		}, moduli, opt, stdout, stderr)
 	}
 
 	// Observability: the registry feeds both the live status server and
@@ -470,10 +378,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	return nil
 }
 
-// printFindings prints the findings block — quarantined moduli/pairs,
-// BROKEN/DUPLICATE lines and the summary — shared verbatim between the
-// single-process and fleet-coordinator paths, so a fleet scan's output
-// diffs clean against a local run of the same corpus.
+// printFindings prints the findings block: quarantined moduli/pairs,
+// BROKEN/DUPLICATE lines and the summary.
 func printFindings(stdout io.Writer, rep *attack.Report) {
 	for _, q := range rep.Quarantined {
 		fmt.Fprintf(stdout, "quarantined modulus %d: %s (excluded from the scan)\n", q.Index, q.Reason)

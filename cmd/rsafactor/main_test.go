@@ -470,3 +470,53 @@ func TestRunPEMSkipsGarbageBlocks(t *testing.T) {
 		t.Fatalf("attack failed on PEM input:\n%s", out.String())
 	}
 }
+
+// TestExitCodes pins the documented exit-code contract: orchestration
+// scripts branch on these numbers, so they are part of the CLI surface.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	cp, _ := writeCorpus(t, dir, 8, 128, 1, 3)
+
+	usage := [][]string{
+		{"-in", cp, "-alg", "nope"},
+		{"-in", cp, "-no-such-flag"},
+		{"-in", cp, "-quarantine", "-engine=batch"},
+		// Retired flags: -engine=batch replaced -batch, the streaming
+		// registry (rsafactor watch) replaced the -prev rescan, and the
+		// cell-lease modes are gone.
+		{"-in", cp, "-batch"},
+		{"-in", cp, "-prev", "f"},
+		{"-in", cp, "-serve", ":0"},
+		{"-in", cp, "-worker", "http://x"},
+	}
+	for _, args := range usage {
+		err := run(context.Background(), args, nil, &bytes.Buffer{}, &bytes.Buffer{})
+		if code := exitCodeOf(err); code != exitUsage {
+			t.Errorf("args %v: exit code %d (err %v), want %d", args, code, err, exitUsage)
+		}
+	}
+
+	// Canceled: -cancel-after trips mid-run.
+	jp := filepath.Join(dir, "cancel.jsonl")
+	err := run(context.Background(), []string{"-in", cp, "-checkpoint", jp, "-cancel-after", "0"},
+		nil, &bytes.Buffer{}, &bytes.Buffer{})
+	if code := exitCodeOf(err); code != exitCanceled {
+		t.Errorf("cancel-after: exit code %d (err %v), want %d", code, err, exitCanceled)
+	}
+
+	// Integrity: a truth file claiming a pair the scan cannot find.
+	badTruth := filepath.Join(dir, "badtruth.txt")
+	if err := os.WriteFile(badTruth, []byte("2 3 ff\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run(context.Background(), []string{"-in", cp, "-truth", badTruth}, nil, &out, &bytes.Buffer{})
+	if code := exitCodeOf(err); code != exitIntegrity {
+		t.Errorf("bad truth: exit code %d (err %v), want %d\n%s", code, err, exitIntegrity, out.String())
+	}
+
+	// OK path for contrast.
+	if err := run(context.Background(), []string{"-in", cp}, nil, &bytes.Buffer{}, &bytes.Buffer{}); err != nil {
+		t.Errorf("clean run: %v", err)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bulkgcd/internal/checkpoint"
 )
 
 // findings strips an rsafactor transcript down to its attack findings —
@@ -169,5 +171,25 @@ func TestQuarantineFlag(t *testing.T) {
 	}
 	if strings.Count(out.String(), "BROKEN key") != 4 {
 		t.Fatalf("quarantined run lost findings:\n%s", out.String())
+	}
+}
+
+// TestCheckpointCompactedOnCompletion: a clean checkpointed run leaves a
+// canonical journal behind (header + one record per unit, loadable).
+func TestCheckpointCompactedOnCompletion(t *testing.T) {
+	dir := t.TempDir()
+	cp, _ := writeCorpus(t, dir, 10, 128, 1, 5)
+	jp := filepath.Join(dir, "run.jsonl")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-in", cp, "-checkpoint", jp, "-engine", "hybrid", "-tile", "4"},
+		nil, &out, &bytes.Buffer{}); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	st, err := checkpoint.Load(jp)
+	if err != nil {
+		t.Fatalf("load compacted journal: %v", err)
+	}
+	if len(st.Done) != st.Header.Units {
+		t.Fatalf("compacted journal has %d/%d units", len(st.Done), st.Header.Units)
 	}
 }

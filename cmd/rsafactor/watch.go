@@ -107,7 +107,6 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	ws := &watchServer{reg: r, jobs: map[string]*watchJob{}}
 	srv, err := obs.ServeStatusOptions(*addr, obs.StatusOptions{
 		Registry: reg,
-		Ready:    true,
 		Handlers: map[string]http.Handler{
 			"/submit":   http.HandlerFunc(ws.handleSubmit),
 			"/jobs/":    http.HandlerFunc(ws.handleJob),
@@ -178,8 +177,10 @@ type watchPartner struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 }
 
-// maxSubmitBody caps a /submit request body: 16 MiB, the cap the fleet
-// client puts on response bodies.
+// maxSubmitBody caps a /submit request body at 16 MiB, about 65000
+// 1024-bit keys as hex lines. handleSubmit parses the whole body into
+// memory before the job runs, so the cap bounds what one request can
+// make the server hold; a larger corpus goes in several submissions.
 const maxSubmitBody = 16 << 20
 
 // maxFinishedJobs is how many finished jobs the server keeps for
@@ -305,14 +306,22 @@ func (ws *watchServer) finishJob(job *watchJob, verdicts []watchVerdict, rep *ob
 	}
 }
 
-// respondJob encodes the job under the mutex: an async job may be
-// finishing concurrently on its own goroutine.
-func (ws *watchServer) respondJob(w http.ResponseWriter, job *watchJob, code int) {
+// snapshot copies the job under the mutex: an async job may be
+// finishing concurrently on its own goroutine. finishJob sets Verdicts
+// and Report once and nothing mutates them afterwards, so the copy is
+// encoded after the lock is released, and a client that reads its reply
+// slowly, or never, holds up no other request.
+func (ws *watchServer) snapshot(job *watchJob) watchJob {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	return *job
+}
+
+func (ws *watchServer) respondJob(w http.ResponseWriter, job *watchJob, code int) {
+	snap := ws.snapshot(job)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(job)
+	json.NewEncoder(w).Encode(&snap)
 }
 
 // handleJob serves GET /jobs/<id>; ?wait=1 blocks until the job leaves
@@ -339,10 +348,9 @@ func (ws *watchServer) handleJob(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+	snap := ws.snapshot(job)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(job)
+	json.NewEncoder(w).Encode(&snap)
 }
 
 // handleBroken lists every broken key as {index, g} hex pairs — the

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -388,5 +390,46 @@ func TestWatchJobRetention(t *testing.T) {
 	}
 	if n := len(ws.jobs); n != maxFinishedJobs+1 {
 		t.Fatalf("server holds %d jobs, want %d finished plus the running one", n, maxFinishedJobs)
+	}
+}
+
+// TestWatchSlowReaderDoesNotStallSubmit: a client that posts a large
+// ?sync=1 body and then stops reading its reply must not hold up other
+// submissions. 300000 even moduli get one malformed verdict each, a
+// reply of about 23 MB, far more than the socket buffers take, so the
+// server's write blocks until the client reads.
+func TestWatchSlowReaderDoesNotStallSubmit(t *testing.T) {
+	base, cancel, done, _ := startWatch(t, t.TempDir())
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4096)
+	body := strings.Repeat("2\n", 300000)
+	fmt.Fprintf(conn, "POST /submit?sync=1 HTTP/1.1\r\nHost: watch\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil || !strings.HasPrefix(status, "HTTP/1.1 200") {
+		t.Fatalf("large submit: status line %q, %v", status, err)
+	}
+
+	// The large reply now waits on a client that has stopped reading.
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(base+"/submit?sync=1", "text/plain", strings.NewReader("4d\n"))
+	if err != nil {
+		t.Fatalf("one-key submit while another reply is unread: %v", err)
+	}
+	defer resp.Body.Close()
+	var job watchJob
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || job.State != "done" || len(job.Verdicts) != 1 {
+		t.Fatalf("one-key submit: %s, job %+v", resp.Status, job)
 	}
 }

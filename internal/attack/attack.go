@@ -35,7 +35,10 @@ type Options struct {
 	Algorithm gcd.Algorithm
 
 	// Early enables s/2 early termination (on by default in
-	// DefaultOptions; it is safe for RSA moduli and halves the work).
+	// DefaultOptions; it halves the work). It misses every shared prime
+	// below s/2 bits, s the smaller modulus size of a pair, so it is
+	// exact only for moduli whose primes all have at least s/2 bits,
+	// such as balanced two-prime RSA moduli.
 	Early bool
 
 	// GroupSize is passed to the pairs engine only (the paper's r).
@@ -78,23 +81,6 @@ func (o Options) bulkConfig() bulk.Config {
 		TileSize:   o.TileSize,
 		Kernel:     o.Kernel,
 	}
-}
-
-// BulkConfig is the exported form of bulkConfig for callers that drive
-// the bulk engines directly — the fleet worker runs bulk.CellRunner on
-// attack Options and must map them exactly as RunContext would.
-func (o Options) BulkConfig() bulk.Config { return o.bulkConfig() }
-
-// Interpret turns a raw bulk result into the attack report exactly as
-// RunContext does after the engine returns — duplicates detected, moduli
-// factored, private keys recovered. The fleet coordinator uses it to
-// interpret a Result assembled from journal records instead of computed
-// in-process.
-func Interpret(moduli []*mpnat.Nat, res *bulk.Result, opt Options) (*Report, error) {
-	if opt.Exponent == 0 {
-		opt.Exponent = rsakey.DefaultExponent
-	}
-	return interpretFactors(moduli, res, opt)
 }
 
 // DefaultOptions returns the recommended configuration: Approximate

@@ -52,7 +52,9 @@ type Config struct {
 
 	// Early enables the early-terminate variant with threshold s/2, where
 	// s is the pair's smaller modulus size. This is the mode the paper
-	// recommends for RSA moduli (Section V).
+	// recommends for RSA moduli (Section V). It misses every shared prime
+	// below s/2 bits: it is exact only when every prime factor has at
+	// least s/2 bits, as in balanced two-prime moduli.
 	Early bool
 
 	// GroupSize is the paper's r (threads per CUDA block, 64 there);
@@ -274,7 +276,7 @@ type pairRunner struct {
 
 // newPairRunner builds one worker's runner. This is the one place the
 // executor is chosen: the algorithm decides it, so every caller — the
-// facade, rsafactor, fleet workers — gets the lane kernel for
+// facade, rsafactor, the experiments — gets the lane kernel for
 // Approximate, the one algorithm it implements, without passing
 // anything.
 func newPairRunner(cfg *Config, maxBits int, moduli []*mpnat.Nat, seq *atomic.Int64, metrics *runMetrics) pairRunner {
@@ -343,13 +345,8 @@ func earlyBitsFor(x, y *mpnat.Nat) int {
 }
 
 // restoreJournal converts a verified resume state back into engine terms.
-// BadCell records — units a fleet coordinator quarantined instead of
-// completing — are skipped, so a local resume recomputes those units.
 func restoreJournal(st *checkpoint.State) (factors []Factor, bad []BadPair, pairs int64, err error) {
 	for _, rec := range st.Done {
-		if rec.BadCell != "" {
-			continue
-		}
 		pairs += rec.Pairs
 		for _, f := range rec.Factors {
 			p, perr := mpnat.ParseHex(f.P)

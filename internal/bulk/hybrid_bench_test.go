@@ -1,12 +1,12 @@
 package bulk
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,10 +102,12 @@ func BenchmarkHybrid(b *testing.B) {
 // alternated pairs of runs left the median difference spread over
 // 0.5-2.1%. The cell is the unit that carries the tracing cost, so the
 // gate times cells instead:
-//   - two CellRunners over the same corpus and configuration, one
-//     traced, each cell run in ABBA order (bare, traced, traced, bare,
-//     mirrored on alternate cells), so paired runs are a fraction of a
-//     millisecond apart and a linear drift cancels within each quad;
+//   - two cell runners over the same corpus and configuration, one
+//     traced, each running a cell as a HybridContext worker does (the
+//     cell span, runCell, the block and cell metrics); each cell run in
+//     ABBA order (bare, traced, traced, bare, mirrored on alternate
+//     cells), so paired runs are a fraction of a millisecond apart and
+//     a linear drift cancels within each quad;
 //   - the collector is off while a round of cells runs, and the heap is
 //     collected between rounds, so no cell pays for garbage it did not
 //     make;
@@ -122,33 +124,46 @@ func BenchmarkHybridTraceOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	ms := c.Moduli()
-	runner := func(tr *obs.Tracer) *CellRunner {
-		r, err := NewCellRunner(ms, Config{
+	var units int
+	runner := func(tr *obs.Tracer) func(u int) (factors int) {
+		cfg := Config{
 			Config:    engine.Config{Metrics: obs.NewRegistry(), Trace: tr},
 			Algorithm: gcd.Approximate, Early: true, TileSize: 16,
-		})
+		}
+		plan, err := planHybrid(ms, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return r
+		units = len(plan.cells)
+		metrics, hm := newRunMetrics(cfg.Metrics, cfg.Algorithm), newHybridMetrics(cfg.Metrics)
+		var seq atomic.Int64
+		pr := newPairRunner(&cfg, plan.maxBits, ms, &seq, metrics)
+		return func(u int) int {
+			c := plan.cells[u]
+			span := tr.StartSpan("cell", "cell", u, "a", c.A, "b", c.B)
+			start := time.Now()
+			var blk blockOut
+			pr.runCell(plan, c, hm, &blk)
+			dur := time.Since(start)
+			metrics.observeBlock(&blk, dur)
+			hm.observeCell(dur)
+			span.End("pairs", blk.pairs, "factors", len(blk.factors), "bad_pairs", len(blk.bad))
+			return len(blk.factors)
+		}
 	}
 	bare, traced := runner(nil), runner(obs.NewTracer(io.Discard))
-	ctx := context.Background()
 	var factors int
-	cell := func(r *CellRunner, u int) time.Duration {
+	cell := func(r func(int) int, u int) time.Duration {
 		t0 := time.Now()
-		rec, err := r.RunUnit(ctx, u)
+		n := r(u)
 		d := time.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factors += len(rec.Factors)
+		factors += n
 		return d
 	}
 
 	// Warm both runners off the clock (the column tile products, the
 	// kernels' arenas, the tracer) and check the findings once.
-	for u := 0; u < bare.Units(); u++ {
+	for u := 0; u < units; u++ {
 		cell(bare, u)
 		cell(traced, u)
 	}
@@ -163,7 +178,7 @@ func BenchmarkHybridTraceOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for round := 0; round < rounds; round++ {
 			runtime.GC()
-			for u := 0; u < bare.Units(); u++ {
+			for u := 0; u < units; u++ {
 				first, second := bare, traced
 				if (round+u)%2 == 1 {
 					first, second = traced, bare
@@ -173,7 +188,7 @@ func BenchmarkHybridTraceOverhead(b *testing.B) {
 				s2 := cell(second, u)
 				f2 := cell(first, u)
 				bareT, tracedT := f1+f2, s1+s2
-				if first == traced {
+				if (round+u)%2 == 1 {
 					bareT, tracedT = tracedT, bareT
 				}
 				diffs = append(diffs, float64(tracedT-bareT)/2)

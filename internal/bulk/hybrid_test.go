@@ -106,9 +106,8 @@ func TestHybridSkipsPairs(t *testing.T) {
 
 // TestHybridBuildsEachColumnOnce: a run builds every column tile
 // product once and shares it with every later cross cell, whatever the
-// pool size, and so does one CellRunner running every cell. 8 tiles of
-// 8 make 28 cross cells over the 7 column tiles 1-7: 7 builds and 21
-// shares.
+// pool size. 8 tiles of 8 make 28 cross cells over the 7 column tiles
+// 1-7: 7 builds and 21 shares.
 func TestHybridBuildsEachColumnOnce(t *testing.T) {
 	c := corpus(t, 64, 64, 2, 78)
 	ms := c.Moduli()
@@ -135,28 +134,6 @@ func TestHybridBuildsEachColumnOnce(t *testing.T) {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	r, err := NewCellRunner(ms, Config{
-		Config:    engine.Config{Metrics: reg},
-		Algorithm: gcd.Approximate, Early: true, TileSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := map[int]checkpoint.Record{}
-	for u := 0; u < r.Units(); u++ {
-		if records[u], err = r.RunUnit(context.Background(), u); err != nil {
-			t.Fatalf("cell %d: %v", u, err)
-		}
-	}
-	res, err := r.Assemble(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFactors(t, res.Factors, base.Factors)
-	if built, shared := counts(reg); r.Units() != 36 || built != 7 || shared != 21 {
-		t.Fatalf("CellRunner over %d cells: %d column products built and %d shared, want 36 cells, 7 and 21", r.Units(), built, shared)
-	}
 }
 
 // TestHybridQuarantine: quarantine mode reports bad inputs and the

@@ -163,7 +163,6 @@ func (up *unitPool) execute(ctx context.Context) (*Result, error) {
 // prepareJournal verifies and restores cfg.Resume, and writes (or
 // verifies) the header on cfg.Checkpoint.
 func prepareJournal(hdr checkpoint.Header, cfg *Config) (factors []Factor, bad []BadPair, pairs int64, resumed map[int]checkpoint.Record, err error) {
-	resumed = map[int]checkpoint.Record{}
 	if cfg.Resume != nil {
 		if err := cfg.Resume.Verify(hdr); err != nil {
 			return nil, nil, 0, nil, fmt.Errorf("bulk: resume: %w", err)
@@ -172,12 +171,7 @@ func prepareJournal(hdr checkpoint.Header, cfg *Config) (factors []Factor, bad [
 		if err != nil {
 			return nil, nil, 0, nil, err
 		}
-		for u, rec := range cfg.Resume.Done {
-			if rec.BadCell != "" {
-				continue // fleet-quarantined unit: recompute it locally
-			}
-			resumed[u] = rec
-		}
+		resumed = cfg.Resume.Done
 	}
 	if cfg.Checkpoint != nil {
 		if err := cfg.Checkpoint.Begin(hdr); err != nil {

@@ -2,8 +2,11 @@ package bulk
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bulkgcd/internal/checkpoint"
@@ -193,11 +196,75 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestHybridResumeOldQuarantineRecord: a hybrid journal written by the
+// retired multi-process mode may hold a bad_cell record, a cell that was
+// given up instead of completed. Resuming such a journal must recompute
+// that cell, so the findings equal an uninterrupted run's even when the
+// cell holds a planted pair.
+func TestHybridResumeOldQuarantineRecord(t *testing.T) {
+	ms := corpus(t, 24, 64, 3, 46).Moduli()
+	cfg := Config{Algorithm: gcd.Approximate, Early: true, TileSize: 4}
+	clean, err := Hybrid(ms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	w, err := checkpoint.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jcfg := cfg
+	jcfg.Checkpoint = w
+	if _, err := Hybrid(ms, jcfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replace the record of the first cell that holds a finding with the
+	// quarantine record the old coordinator journaled for it.
+	lines := strings.SplitAfter(string(data), "\n")
+	unit := -1
+	for i, line := range lines {
+		var rec checkpoint.Record
+		if i == 0 || json.Unmarshal([]byte(line), &rec) != nil || len(rec.Factors) == 0 {
+			continue
+		}
+		unit = rec.Unit
+		lines[i] = fmt.Sprintf(`{"unit":%d,"pairs":0,"bad_cell":"failed on 3 workers"}`+"\n", unit)
+		break
+	}
+	if unit < 0 {
+		t.Fatal("no cell holds a planted pair")
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.Resume = st
+	res, err := Hybrid(ms, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFactors(t, res.Factors, clean.Factors)
+	if res.Pairs != clean.Pairs || res.ResumedPairs >= res.Pairs {
+		t.Fatalf("resumed run covered %d pairs (%d replayed), want %d with cell %d recomputed",
+			res.Pairs, res.ResumedPairs, clean.Pairs, unit)
+	}
+}
+
 // TestJournalHeaderPinned pins the exact journal headers — fingerprint
 // hex included — of the pairs and hybrid engines for one fixed corpus
 // and configuration, so a refactor of the fingerprint or the unit
-// decomposition cannot silently orphan existing -checkpoint and fleet
-// journals.
+// decomposition cannot silently orphan existing -checkpoint journals.
 func TestJournalHeaderPinned(t *testing.T) {
 	moduli := []*mpnat.Nat{mpnat.New(15), mpnat.New(21), mpnat.New(35), mpnat.New(77)}
 	cfg := Config{Algorithm: gcd.Approximate, Early: true, GroupSize: 2, TileSize: 2}

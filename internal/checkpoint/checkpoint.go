@@ -70,17 +70,12 @@ type BadPair struct {
 	Err string `json:"err"`
 }
 
-// Record reports one fully completed work unit — or, when BadCell is
-// non-empty, one unit the fleet coordinator quarantined instead of
-// completing (the unit failed on enough distinct workers that retrying
-// forever would wedge the scan). A BadCell record accounts no pairs and
-// carries no findings; local resume skips it so the unit is recomputed.
+// Record reports one fully completed work unit.
 type Record struct {
 	Unit    int       `json:"unit"`
 	Pairs   int64     `json:"pairs"`
 	Factors []Factor  `json:"factors,omitempty"`
 	Bad     []BadPair `json:"bad,omitempty"`
-	BadCell string    `json:"bad_cell,omitempty"`
 	// Chain, in growable journals, is the prefix hash chain value after
 	// the corpus entry this record covers (Chain.Sum after Extend number
 	// Unit). A resumed run recomputes the chain over its corpus and
@@ -218,7 +213,8 @@ type State struct {
 	// once the first occurrence wins.
 	Done map[int]Record
 	// Ignored counts unparsable lines that were skipped (a torn final line
-	// after a crash is the normal cause).
+	// after a crash is the normal cause), and old quarantine records (see
+	// parse).
 	Ignored int
 }
 
@@ -237,6 +233,12 @@ func Load(path string) (*State, error) {
 }
 
 // parse scans JSONL content: the first parsable header line, then records.
+//
+// A journal written by the retired multi-process (fleet) mode may hold
+// quarantine records, {"unit":u,"pairs":0,"bad_cell":"..."}: a unit
+// that was given up, not completed. Such a line counts as ignored, like
+// a torn one, so a resumed run recomputes the unit instead of loading it
+// as done with no findings.
 func parse(data []byte) (hdr *Header, done map[int]Record, ignored int) {
 	done = map[int]Record{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
@@ -250,13 +252,16 @@ func parse(data []byte) (hdr *Header, done map[int]Record, ignored int) {
 			}
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Unit < 0 || (rec.Unit >= hdr.Units && !hdr.Grow) {
+		var rec struct {
+			Record
+			BadCell string `json:"bad_cell"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil || rec.BadCell != "" || rec.Unit < 0 || (rec.Unit >= hdr.Units && !hdr.Grow) {
 			ignored++
 			continue
 		}
 		if _, dup := done[rec.Unit]; !dup {
-			done[rec.Unit] = rec
+			done[rec.Unit] = rec.Record
 		}
 	}
 	return hdr, done, ignored
@@ -302,17 +307,6 @@ func (s *State) Pairs() int64 {
 		n += rec.Pairs
 	}
 	return n
-}
-
-// Quarantined returns the units recorded as BadCell, with reasons.
-func (s *State) Quarantined() map[int]string {
-	out := map[int]string{}
-	for u, rec := range s.Done {
-		if rec.BadCell != "" {
-			out[u] = rec.BadCell
-		}
-	}
-	return out
 }
 
 // Chain is a prefix hash chain over an append-only corpus:

@@ -269,14 +269,13 @@ func compactJournal(t *testing.T) string {
 	if err := w.Begin(header()); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate records (re-leased completes), a BadCell quarantine, and a
-	// torn final line: everything a long fleet run accumulates.
+	// Duplicate records (repeated resumes), an old quarantine record, and
+	// a torn final line: everything a long journal accumulates.
 	recs := []Record{
 		{Unit: 0, Pairs: 10, Factors: []Factor{{I: 1, J: 2, P: "ff"}}},
 		{Unit: 1, Pairs: 20},
 		{Unit: 0, Pairs: 10, Factors: []Factor{{I: 1, J: 2, P: "ff"}}},
 		{Unit: 1, Pairs: 20},
-		{Unit: 2, BadCell: "failed on 3 workers"},
 	}
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
@@ -290,7 +289,10 @@ func compactJournal(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, []byte(`{"unit":3,"pairs":4`)...) // torn crash fragment
+	// A unit the retired multi-process mode gave up on, then a torn
+	// crash fragment.
+	data = append(data, []byte(`{"unit":2,"pairs":0,"bad_cell":"failed on 3 workers"}`+"\n")...)
+	data = append(data, []byte(`{"unit":3,"pairs":4`)...)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -303,16 +305,19 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Ignored != 1 {
-		t.Fatalf("Ignored = %d, want the torn fragment", before.Ignored)
+	if before.Ignored != 2 {
+		t.Fatalf("Ignored = %d, want the quarantine record and the torn fragment", before.Ignored)
+	}
+	if _, ok := before.Done[2]; ok {
+		t.Fatal("a quarantine record loaded as a completed unit")
 	}
 	dropped, err := Compact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 duplicate records + 1 torn fragment.
-	if dropped != 3 {
-		t.Fatalf("dropped = %d, want 3", dropped)
+	// 2 duplicate records + 1 quarantine record + 1 torn fragment.
+	if dropped != 4 {
+		t.Fatalf("dropped = %d, want 4", dropped)
 	}
 	after, err := Load(path)
 	if err != nil {
@@ -326,12 +331,16 @@ func TestCompact(t *testing.T) {
 	}
 	for u, rec := range before.Done {
 		got := after.Done[u]
-		if got.Pairs != rec.Pairs || len(got.Factors) != len(rec.Factors) || got.BadCell != rec.BadCell {
+		if got.Pairs != rec.Pairs || len(got.Factors) != len(rec.Factors) {
 			t.Fatalf("unit %d: %+v != %+v", u, got, rec)
 		}
 	}
-	if q := after.Quarantined(); len(q) != 1 || q[2] != "failed on 3 workers" {
-		t.Fatalf("Quarantined() = %v", q)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "bad_cell") {
+		t.Fatalf("compaction kept the quarantine record:\n%s", data)
 	}
 	// The compacted journal accepts appends like any other.
 	w, err := OpenAppend(path)
@@ -351,8 +360,8 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(final.Done) != 4 {
-		t.Fatalf("done = %d after post-compaction append", len(final.Done))
+	if len(final.Done) != 3 {
+		t.Fatalf("done = %d after post-compaction append, want units 0, 1 and 3", len(final.Done))
 	}
 }
 

@@ -1,7 +1,7 @@
 package corpus
 
 // Source is the one ingestion path for every corpus consumer: the batch
-// CLIs, the fleet worker, and the streaming registry all iterate the
+// CLIs and the streaming registry all iterate the
 // same way over either on-disk format (hex lines or PEM streams), so
 // format detection, validation, and per-record skip reporting live in
 // exactly one place.

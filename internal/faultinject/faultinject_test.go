@@ -113,111 +113,3 @@ func TestNewPlanDisabled(t *testing.T) {
 		t.Fatal("disabled plan canceled the context")
 	}
 }
-
-// TestRPCPlanDeterministic: the same seed draws the same fault sequence
-// — the property that makes a chaos failure replayable from its seed.
-func TestRPCPlanDeterministic(t *testing.T) {
-	draw := func(seed int64) []RPCFault {
-		p := &RPCPlan{
-			PDropRequest: 0.2, PDropReply: 0.2, PDuplicate: 0.2,
-			PDelay: 0.3, Delay: time.Millisecond, Seed: seed,
-		}
-		out := make([]RPCFault, 50)
-		for i := range out {
-			out[i] = p.Next("lease")
-		}
-		return out
-	}
-	a, b := draw(7), draw(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	c := draw(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds drew identical sequences")
-	}
-}
-
-// TestRPCPlanMix: probabilities roughly govern the mix, faults are
-// mutually exclusive, and a zero plan injects nothing.
-func TestRPCPlanMix(t *testing.T) {
-	p := &RPCPlan{PDropRequest: 0.25, PDropReply: 0.25, PDuplicate: 0.25, Seed: 3}
-	var dropReq, dropRep, dup, clean int
-	const n = 2000
-	for i := 0; i < n; i++ {
-		f := p.Next("renew")
-		set := 0
-		if f.DropRequest {
-			dropReq++
-			set++
-		}
-		if f.DropReply {
-			dropRep++
-			set++
-		}
-		if f.Duplicate {
-			dup++
-			set++
-		}
-		if set > 1 {
-			t.Fatalf("draw %d set %d faults: %+v", i, set, f)
-		}
-		if set == 0 {
-			clean++
-		}
-		if f.Delay != 0 {
-			t.Fatalf("delay drawn with PDelay=0: %+v", f)
-		}
-	}
-	for name, got := range map[string]int{"drop-request": dropReq, "drop-reply": dropRep, "duplicate": dup, "clean": clean} {
-		if got < n/8 || got > n/2 {
-			t.Errorf("%s = %d of %d, want roughly %d", name, got, n, n/4)
-		}
-	}
-
-	var zero *RPCPlan
-	if f := zero.Next("lease"); f != (RPCFault{}) {
-		t.Fatalf("nil plan injected %+v", f)
-	}
-	if f := new(RPCPlan).Next("lease"); f != (RPCFault{}) {
-		t.Fatalf("zero plan injected %+v", f)
-	}
-}
-
-// TestRPCPlanExempt: exempting an op suppresses its faults without
-// shifting the draw sequence of the other ops.
-func TestRPCPlanExempt(t *testing.T) {
-	mk := func(exempt bool) *RPCPlan {
-		p := &RPCPlan{PDropRequest: 0.5, Seed: 11}
-		if exempt {
-			p.Exempt = map[string]bool{"complete": true}
-		}
-		return p
-	}
-	a, b := mk(false), mk(true)
-	for i := 0; i < 100; i++ {
-		op := "lease"
-		if i%3 == 0 {
-			op = "complete"
-		}
-		fa, fb := a.Next(op), b.Next(op)
-		if op == "complete" {
-			if fb != (RPCFault{}) {
-				t.Fatalf("draw %d: exempt op got fault %+v", i, fb)
-			}
-			continue
-		}
-		if fa != fb {
-			t.Fatalf("draw %d: exemption shifted sequence: %+v vs %+v", i, fa, fb)
-		}
-	}
-}

@@ -2,10 +2,7 @@ package obs
 
 // dashboardHTML is the whole /dashboard page: one self-contained HTML
 // document, no external assets, no frameworks. It polls /timeline every
-// two seconds for throughput, gauges and histogram quantiles, and — on
-// a fleet coordinator — /fleet/cells for per-worker attribution and the
-// straggler list (the fetch quietly no-ops where that route is absent,
-// so the same page works on plain worker status servers).
+// two seconds for throughput, gauges and histogram quantiles.
 const dashboardHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -27,10 +24,6 @@ const dashboardHTML = `<!DOCTYPE html>
   canvas { width: 100%; height: 90px; }
   .big { font-size: 1.6em; color: #e8eef5; }
   .unit { color: #9aa7b5; font-size: .8em; }
-  .bar { background: #2a323c; border-radius: 3px; height: 10px; overflow: hidden; }
-  .bar > div { background: #8ab4f8; height: 100%; }
-  .straggler { color: #f2a65a; }
-  .muted { color: #6b7682; }
 </style>
 </head>
 <body>
@@ -50,21 +43,12 @@ const dashboardHTML = `<!DOCTYPE html>
     <table id="hists"><thead><tr><th>histogram</th><th>count</th><th>p50</th><th>p95</th><th>p99</th></tr></thead><tbody></tbody></table>
   </div>
 </div>
-<div class="grid">
-  <div class="card" id="workersCard" style="display:none">
-    <h2>workers</h2>
-    <table id="workers"><thead><tr><th>worker</th><th>cells</th><th>pairs</th><th></th></tr></thead><tbody></tbody></table>
-  </div>
-  <div class="card" id="stragglersCard" style="display:none">
-    <h2>stragglers</h2>
-    <table id="stragglers"><thead><tr><th>cell</th><th>worker</th><th>running</th><th>leases</th></tr></thead><tbody></tbody></table>
-  </div>
-</div>
 <script>
 "use strict";
-// Preferred throughput counters, most specific first; the dashboard
-// follows whichever exists in the snapshot.
-const RATE_PREF = ["fleet_pairs_completed_total", "bulk_pairs_total", "batchgcd_findings_total"];
+// Preferred throughput counters: scan pairs, batch-GCD findings, and
+// keys submitted to a watch server. The dashboard follows the first one
+// the snapshot has.
+const RATE_PREF = ["bulk_pairs_total", "batchgcd_findings_total", "registry_submissions_total"];
 const fmt = v => {
   if (!isFinite(v)) return "–";
   if (v >= 1e6) return (v / 1e6).toFixed(1) + "M";
@@ -112,34 +96,8 @@ async function pollTimeline() {
   document.getElementById("state").textContent = "as of " + new Date(last.ts).toLocaleTimeString();
 }
 
-async function pollFleet() {
-  let body;
-  try {
-    const resp = await fetch("fleet/cells");
-    if (!resp.ok) return;
-    body = await resp.json();
-  } catch (e) { return; } // not a coordinator; leave fleet cards hidden
-  const workers = body.workers || [];
-  if (workers.length) {
-    document.getElementById("workersCard").style.display = "";
-    const maxCells = Math.max(...workers.map(w => w.completed), 1);
-    fillRows("#workers tbody", workers.map(w =>
-      "<tr><th>" + w.worker + "</th><td class=num>" + w.completed + "</td><td class=num>" +
-      fmt(w.pairs) + "</td><td style='min-width:8em'><div class=bar><div style='width:" +
-      (100 * w.completed / maxCells).toFixed(0) + "%'></div></div></td></tr>"));
-  }
-  const strag = (body.cells || []).filter(c => c.straggler);
-  if (strag.length) {
-    document.getElementById("stragglersCard").style.display = "";
-    fillRows("#stragglers tbody", strag.map(c =>
-      "<tr><th class=straggler>" + c.unit + "</th><td>" + (c.worker || "<span class=muted>–</span>") +
-      "</td><td class=num>" + secs(c.wall_seconds) + "</td><td class=num>" + c.leases + "</td></tr>"));
-  }
-}
-
 async function tick() {
   try { await pollTimeline(); } catch (e) { /* server draining */ }
-  await pollFleet();
 }
 tick();
 setInterval(tick, 2000);

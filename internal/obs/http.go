@@ -15,8 +15,8 @@ import (
 // StatusServer serves the live view of a running scan:
 //
 //	GET /healthz              liveness: {"status":"ok","uptime_seconds":...}
-//	GET /readyz               readiness: 200 once accepting work, 503 before
-//	                          and again during drain (see SetReady)
+//	GET /readyz               readiness: 200 while serving, 503 once drain
+//	                          begins (see Shutdown)
 //	GET /metrics              Prometheus text exposition of the registry
 //	GET /metrics?format=json  the same snapshot as expvar-style JSON
 //	GET /timeline             bounded snapshot ring with rates (JSON)
@@ -32,8 +32,8 @@ type StatusServer struct {
 	srv      *http.Server
 	start    time.Time
 	done     chan struct{}
-	ready    atomic.Bool
-	snapshot func() *Snapshot
+	draining atomic.Bool
+	reg      *Registry
 	timeline *TimeSeries
 	tlStop   chan struct{}
 	tlOnce   sync.Once
@@ -41,24 +41,14 @@ type StatusServer struct {
 }
 
 // StatusOptions extends ServeStatus for servers that are more than a
-// metrics endpoint — a fleet coordinator mounts its protocol handlers
-// and swaps in a merged fleet-wide snapshot.
+// metrics endpoint: rsafactor watch mounts its submission handlers.
 type StatusOptions struct {
-	// Registry backs /metrics and /debug/vars; nil serves empty snapshots
-	// unless Snapshot overrides it.
+	// Registry backs /metrics and /debug/vars; nil serves empty
+	// snapshots.
 	Registry *Registry
-	// Snapshot, when non-nil, replaces Registry.Snapshot() as the source
-	// for /metrics and /debug/vars (e.g. a coordinator merging worker
-	// snapshots into its own). Called per scrape; must be safe for
-	// concurrent use.
-	Snapshot func() *Snapshot
 	// Handlers are additional routes mounted on the server's mux; the
 	// patterns must not collide with the built-in endpoints.
 	Handlers map[string]http.Handler
-	// Ready is the initial /readyz state. ServeStatus (without options)
-	// starts ready for backward compatibility; a coordinator typically
-	// starts not-ready and flips via SetReady once it is accepting work.
-	Ready bool
 	// Timeline backs /timeline and /dashboard; nil gets a fresh ring of
 	// DefaultTimelineCapacity. The server records one snapshot per
 	// TimelineInterval (default one second) until Close/Shutdown.
@@ -70,7 +60,7 @@ type StatusOptions struct {
 // ServeStatus starts a status server for reg on addr (host:port; ":0"
 // picks a free port), immediately ready. The server runs until Close.
 func ServeStatus(addr string, reg *Registry) (*StatusServer, error) {
-	return ServeStatusOptions(addr, StatusOptions{Registry: reg, Ready: true})
+	return ServeStatusOptions(addr, StatusOptions{Registry: reg})
 }
 
 // ServeStatusOptions starts a status server configured by opts.
@@ -79,17 +69,12 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 	if err != nil {
 		return nil, fmt.Errorf("obs: status listener: %w", err)
 	}
-	reg := opts.Registry
 	s := &StatusServer{
-		ln:       ln,
-		start:    time.Now(),
-		done:     make(chan struct{}),
-		snapshot: opts.Snapshot,
+		ln:    ln,
+		start: time.Now(),
+		done:  make(chan struct{}),
+		reg:   opts.Registry,
 	}
-	if s.snapshot == nil {
-		s.snapshot = reg.Snapshot
-	}
-	s.ready.Store(opts.Ready)
 	s.timeline = opts.Timeline
 	if s.timeline == nil {
 		s.timeline = NewTimeSeries(0)
@@ -123,7 +108,7 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 	}
 	s.tlStop = make(chan struct{})
 	s.tlDone = make(chan struct{})
-	s.timeline.Record(time.Now(), s.snapshot())
+	s.timeline.Record(time.Now(), s.reg.Snapshot())
 	go func() {
 		defer close(s.tlDone)
 		t := time.NewTicker(interval)
@@ -133,7 +118,7 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 			case <-s.tlStop:
 				return
 			case now := <-t.C:
-				s.timeline.Record(now, s.snapshot())
+				s.timeline.Record(now, s.reg.Snapshot())
 			}
 		}
 	}()
@@ -153,11 +138,6 @@ func (s *StatusServer) stopTimeline() {
 // Addr returns the bound address (resolving ":0").
 func (s *StatusServer) Addr() string { return s.ln.Addr().String() }
 
-// SetReady flips the /readyz state: true once the process accepts work,
-// false again when drain begins, so load balancers and fleet workers
-// stop sending requests before the listener goes away.
-func (s *StatusServer) SetReady(ready bool) { s.ready.Store(ready) }
-
 // Close stops the server immediately (in-flight requests are dropped)
 // and waits for the serve loop to exit.
 func (s *StatusServer) Close() error {
@@ -167,12 +147,13 @@ func (s *StatusServer) Close() error {
 	return err
 }
 
-// Shutdown marks the server not-ready and drains gracefully: the
+// Shutdown marks the server not-ready, so load balancers stop sending
+// requests before the listener goes away, and drains gracefully: the
 // listener closes, in-flight requests run to completion, and new
 // connections are refused. It returns ctx.Err() if the drain outlives
 // ctx (remaining requests are then abandoned, as with Close).
 func (s *StatusServer) Shutdown(ctx context.Context) error {
-	s.ready.Store(false)
+	s.draining.Store(true)
 	s.stopTimeline()
 	err := s.srv.Shutdown(ctx)
 	<-s.done
@@ -189,7 +170,7 @@ func (s *StatusServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *StatusServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if !s.ready.Load() {
+	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(map[string]any{"status": "draining"})
 		return
@@ -198,7 +179,7 @@ func (s *StatusServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *StatusServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot()
+	snap := s.reg.Snapshot()
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(snap)
@@ -210,7 +191,7 @@ func (s *StatusServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *StatusServer) handleVars(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.snapshot())
+	_ = json.NewEncoder(w).Encode(s.reg.Snapshot())
 }
 
 func (s *StatusServer) handleTimeline(w http.ResponseWriter, _ *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -102,9 +103,9 @@ func TestStatusServer(t *testing.T) {
 	}
 }
 
-// TestStatusServerReadyz: ServeStatus starts ready (back-compat); a
-// server built with explicit options starts not-ready until flipped,
-// and goes not-ready again the instant Shutdown begins.
+// TestStatusServerReadyz: a server is ready from the start, with or
+// without options, serves the handlers it was given, and turns
+// not-ready once Shutdown begins.
 func TestStatusServerReadyz(t *testing.T) {
 	s, err := ServeStatus("127.0.0.1:0", NewRegistry())
 	if err != nil {
@@ -116,7 +117,7 @@ func TestStatusServerReadyz(t *testing.T) {
 	}
 
 	mounted := false
-	opts := StatusOptions{
+	c, err := ServeStatusOptions("127.0.0.1:0", StatusOptions{
 		Registry: NewRegistry(),
 		Handlers: map[string]http.Handler{
 			"/custom": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -124,53 +125,24 @@ func TestStatusServerReadyz(t *testing.T) {
 				w.WriteHeader(http.StatusNoContent)
 			}),
 		},
-	}
-	c, err := ServeStatusOptions("127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	base := "http://" + c.Addr()
-	if code, body, _ := get(t, base+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz before SetReady = %d %q", code, body)
-	}
-	if code, _, _ := get(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatal("not-ready must still be live")
-	}
-	c.SetReady(true)
-	if code, _, _ := get(t, base+"/readyz"); code != http.StatusOK {
-		t.Fatal("/readyz after SetReady not 200")
-	}
-	if code, _, _ := get(t, base+"/custom"); code != http.StatusNoContent || !mounted {
-		t.Fatal("custom handler not mounted")
-	}
-}
-
-// TestStatusServerSnapshotOverride: the Snapshot option replaces the
-// registry as the scrape source — the coordinator's merged fleet view.
-func TestStatusServerSnapshotOverride(t *testing.T) {
-	own := NewRegistry()
-	own.Counter("fleet_cells_completed_total").Add(3)
-	worker := NewRegistry()
-	worker.Counter("bulk_pairs_total").Add(9)
-	s, err := ServeStatusOptions("127.0.0.1:0", StatusOptions{
-		Registry: own,
-		Ready:    true,
-		Snapshot: func() *Snapshot {
-			snap := own.Snapshot()
-			_ = snap.Merge(worker.Snapshot())
-			return snap
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	_, body, _ := get(t, "http://"+s.Addr()+"/metrics")
-	for _, needle := range []string{"fleet_cells_completed_total 3", "bulk_pairs_total 9"} {
-		if !strings.Contains(body, needle) {
-			t.Errorf("merged metrics missing %q:\n%s", needle, body)
-		}
+	base := "http://" + c.Addr()
+	if code, body, _ := get(t, base+"/readyz"); code != http.StatusOK {
+		t.Fatalf("/readyz = %d %q", code, body)
+	}
+	if code, _, _ := get(t, base+"/custom"); code != http.StatusNoContent || !mounted {
+		t.Fatal("custom handler not mounted")
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	c.handleReadyz(rec, nil)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after Shutdown = %d, want 503", rec.Code)
 	}
 }
 
@@ -181,7 +153,6 @@ func TestStatusServerShutdownDrains(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s, err := ServeStatusOptions("127.0.0.1:0", StatusOptions{
-		Ready: true,
 		Handlers: map[string]http.Handler{
 			"/slow": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 				close(entered)

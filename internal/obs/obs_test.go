@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
-	"math/rand"
 	"os"
 	"strings"
 	"sync"
@@ -58,62 +56,6 @@ func TestConcurrentHammer(t *testing.T) {
 	wantSum := float64(goroutines) * float64(perG/1000) * (999 * 1000 / 2)
 	if h.Sum != wantSum {
 		t.Errorf("hist sum = %g, want %g", h.Sum, wantSum)
-	}
-}
-
-// TestSnapshotMergeEquivalence: sharding updates over two registries
-// and merging their snapshots must equal one registry receiving all
-// updates — the property the bulk engines rely on if they ever shard
-// per worker.
-func TestSnapshotMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shared := NewRegistry()
-	shards := []*Registry{NewRegistry(), NewRegistry()}
-	bounds := ExpBuckets(1, 2, 8)
-
-	for i := 0; i < 10000; i++ {
-		shard := shards[i%2]
-		v := rng.Float64() * 300
-		n := int64(rng.Intn(5) + 1)
-		for _, r := range []*Registry{shared, shard} {
-			r.Counter("ops_total").Add(n)
-			r.Histogram("latency", bounds).Observe(v)
-		}
-		shared.Gauge("level").Set(v)
-		shard.Gauge("level").Set(v)
-	}
-
-	merged := shards[0].Snapshot()
-	if err := merged.Merge(shards[1].Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := shared.Snapshot()
-
-	if merged.Counters["ops_total"] != want.Counters["ops_total"] {
-		t.Errorf("merged counter %d != shared %d", merged.Counters["ops_total"], want.Counters["ops_total"])
-	}
-	mh, wh := merged.Histograms["latency"], want.Histograms["latency"]
-	if mh.Count != wh.Count {
-		t.Errorf("merged count %d != %d", mh.Count, wh.Count)
-	}
-	for i := range mh.Buckets {
-		if mh.Buckets[i] != wh.Buckets[i] {
-			t.Errorf("bucket %d: merged %d != shared %d", i, mh.Buckets[i], wh.Buckets[i])
-		}
-	}
-	if math.Abs(mh.Sum-wh.Sum) > 1e-6*math.Abs(wh.Sum) {
-		t.Errorf("merged sum %g != shared %g", mh.Sum, wh.Sum)
-	}
-	// The last gauge write went to shards[1], which Merge takes.
-	if merged.Gauges["level"] != want.Gauges["level"] {
-		t.Errorf("merged gauge %g != shared %g", merged.Gauges["level"], want.Gauges["level"])
-	}
-
-	// Mismatched bucket layouts must refuse to merge.
-	bad := NewRegistry()
-	bad.Histogram("latency", LinearBuckets(1, 1, 3)).Observe(2)
-	if err := merged.Merge(bad.Snapshot()); err == nil {
-		t.Error("merge with different bounds accepted")
 	}
 }
 

@@ -26,8 +26,8 @@ type HistSnapshot struct {
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
 	// P50/P95/P99 are bucket-interpolated quantile estimates (see
-	// Quantile), refreshed whenever the snapshot is taken or merged so
-	// the JSON exposition and reports carry them ready-made.
+	// Quantile), refreshed whenever the snapshot is taken so the JSON
+	// exposition and reports carry them ready-made.
 	P50 float64 `json:"p50"`
 	P95 float64 `json:"p95"`
 	P99 float64 `json:"p99"`
@@ -87,61 +87,6 @@ func (h HistSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*frac
 	}
 	return h.Bounds[len(h.Bounds)-1]
-}
-
-// merge folds other into h; the bucket layouts must match.
-func (h *HistSnapshot) merge(other HistSnapshot) error {
-	if len(h.Bounds) != len(other.Bounds) {
-		return fmt.Errorf("obs: merging histograms with different bucket counts (%d vs %d)", len(h.Bounds), len(other.Bounds))
-	}
-	for i := range h.Bounds {
-		if h.Bounds[i] != other.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d (%g vs %g)", i, h.Bounds[i], other.Bounds[i])
-		}
-	}
-	for i := range h.Buckets {
-		h.Buckets[i] += other.Buckets[i]
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-	h.refreshQuantiles()
-	return nil
-}
-
-// Merge folds other into s: counters and histogram buckets add, gauges
-// take other's value when other has the name (last writer wins, like a
-// scrape). Merging the snapshots of per-shard registries must equal the
-// snapshot of one shared registry receiving all updates; the obs tests
-// assert this equivalence.
-func (s *Snapshot) Merge(other *Snapshot) error {
-	if other == nil {
-		return nil
-	}
-	for name, v := range other.Counters {
-		s.Counters[name] += v
-	}
-	for name, v := range other.Gauges {
-		s.Gauges[name] = v
-	}
-	for name, oh := range other.Histograms {
-		h, ok := s.Histograms[name]
-		if !ok {
-			cp := HistSnapshot{
-				Bounds:  append([]float64(nil), oh.Bounds...),
-				Buckets: append([]int64(nil), oh.Buckets...),
-				Count:   oh.Count,
-				Sum:     oh.Sum,
-			}
-			cp.refreshQuantiles()
-			s.Histograms[name] = cp
-			continue
-		}
-		if err := h.merge(oh); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		s.Histograms[name] = h
-	}
-	return nil
 }
 
 // sortedKeys returns the map's keys in lexical order, for deterministic

@@ -13,10 +13,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestTraceRecordGolden pins the trace wire format byte for byte: a
 // scripted emission under a fixed clock must reproduce the checked-in
-// JSONL exactly. Identity-less events must stay on the pre-fleet schema
-// (no trace/span/node keys), and identity-carrying ones must serialize
-// their fields in the pinned order. Run with -update to regenerate
-// after an intentional schema change.
+// JSONL exactly. A point event carries no span keys; spans carry
+// sequence IDs ("s1", "s2", ...) and their parent's ID, and so do events
+// emitted on a span. Run with -update to regenerate after an
+// intentional schema change.
 func TestTraceRecordGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
@@ -26,22 +26,11 @@ func TestTraceRecordGolden(t *testing.T) {
 		return at
 	})
 
-	// Pre-fleet schema: no identity, no span/trace keys on point events.
 	tr.Event("quarantine", "unit", 3, "reason", "panic")
-
-	// Fleet schema: identity stamped, deterministic node-prefixed span
-	// IDs, parentage across EmitEvent (a shipped worker span).
-	tr.SetIdentity("0123456789abcdef", "coordinator")
-	run := tr.StartSpan("fleet_run", "units", 2)
-	run.Event("lease", "cell", 0, "worker", "w0")
-	child := run.StartChild("sweep")
-	child.End("expired", 0)
-	start := time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC)
-	tr.EmitEvent(TraceEvent{
-		Time: start.Add(90 * time.Millisecond), TraceID: "0123456789abcdef",
-		SpanID: "w0:1", Parent: run.ID(), Node: "w0", Kind: "span", Name: "cell",
-		Start: &start, DurMS: 90, Attrs: map[string]any{"cell": 0, "pairs": 10},
-	})
+	run := tr.StartSpan("run", "engine", "hybrid", "units", 2)
+	run.Event("bad_pair", "i", 0, "j", 1)
+	cell := run.StartChild("cell", "cell", 0)
+	cell.End("pairs", 10)
 	run.End("completed", 2)
 
 	got := buf.Bytes()

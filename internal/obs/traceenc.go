@@ -83,10 +83,6 @@ func appendObject(buf []byte, ev *TraceEvent, attrs []attr) ([]byte, error) {
 	if buf, err = appendTime(buf, ev.Time); err != nil {
 		return nil, err
 	}
-	if ev.TraceID != "" {
-		buf = append(buf, `,"trace":`...)
-		buf = appendString(buf, ev.TraceID)
-	}
 	if ev.SpanID != "" {
 		buf = append(buf, `,"span":`...)
 		buf = appendString(buf, ev.SpanID)
@@ -94,10 +90,6 @@ func appendObject(buf []byte, ev *TraceEvent, attrs []attr) ([]byte, error) {
 	if ev.Parent != "" {
 		buf = append(buf, `,"parent":`...)
 		buf = appendString(buf, ev.Parent)
-	}
-	if ev.Node != "" {
-		buf = append(buf, `,"node":`...)
-		buf = appendString(buf, ev.Node)
 	}
 	buf = append(buf, `,"kind":`...)
 	buf = appendString(buf, ev.Kind)
@@ -204,9 +196,9 @@ func appendFloat(buf []byte, f float64) ([]byte, error) {
 }
 
 // appendValue appends one attribute value. The concrete types the
-// engines and the fleet merge path emit are handled inline; anything
-// else falls back to json.Marshal, whose compact HTML-escaped output is
-// what the inline cases reproduce.
+// engines emit are handled inline; anything else falls back to
+// json.Marshal, whose compact HTML-escaped output is what the inline
+// cases reproduce.
 func appendValue(buf []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:

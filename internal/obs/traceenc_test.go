@@ -10,19 +10,18 @@ import (
 )
 
 // TestAppendEventMatchesEncodingJSON differentially pins the hand-rolled
-// trace encoder to encoding/json: for every event shape the engines and
-// the fleet merge path produce — plus adversarial strings and floats —
-// appendEvent's bytes must equal json.Encoder's. This is what lets the
+// trace encoder to encoding/json: for every event shape the engines
+// produce — plus adversarial strings and floats — appendEvent's bytes must equal json.Encoder's. This is what lets the
 // fast path replace the reflective marshal without a schema break.
 func TestAppendEventMatchesEncodingJSON(t *testing.T) {
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 123456789, time.UTC)
 	start := ts.Add(-90 * time.Millisecond)
 	events := []TraceEvent{
 		{Time: ts, Kind: "event", Name: "quarantine", Attrs: map[string]any{"unit": 3, "reason": "panic"}},
-		{Time: ts, TraceID: "0123456789abcdef", SpanID: "coordinator:1", Node: "coordinator",
-			Kind: "span", Name: "fleet_run", Start: &start, DurMS: 90.125,
+		{Time: ts, SpanID: "s1",
+			Kind: "span", Name: "run", Start: &start, DurMS: 90.125,
 			Attrs: map[string]any{"units": int64(12), "done": true, "frac": 0.25}},
-		{Time: ts, TraceID: "t", SpanID: "w0:2", Parent: "coordinator:1", Node: "w0",
+		{Time: ts, SpanID: "s2", Parent: "s1",
 			Kind: "span", Name: "cell", Start: &start, DurMS: 1e-7,
 			Attrs: map[string]any{"pairs": uint64(1 << 40), "nil": nil}},
 		// Strings exercising every escape class, HTML escaping included.
@@ -85,7 +84,6 @@ func TestTracerEmitUsesFastPath(t *testing.T) {
 	tr := NewTracer(&sb)
 	at := time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC)
 	tr.SetClock(func() time.Time { at = at.Add(time.Second); return at })
-	tr.SetIdentity("deadbeefdeadbeef", "w1")
 	s := tr.StartSpan("cell", "cell", 7, "html", "<a&b>")
 	s.End("pairs", int64(100))
 
@@ -93,7 +91,7 @@ func TestTracerEmitUsesFastPath(t *testing.T) {
 	enc := json.NewEncoder(&ref)
 	startAt := time.Date(2026, 3, 4, 5, 6, 8, 0, time.UTC)
 	if err := enc.Encode(TraceEvent{
-		Time: startAt.Add(time.Second), TraceID: "deadbeefdeadbeef", SpanID: "w1:1", Node: "w1",
+		Time: startAt.Add(time.Second), SpanID: "s1",
 		Kind: "span", Name: "cell", Start: &startAt, DurMS: 1000,
 		Attrs: map[string]any{"cell": 7, "html": "<a&b>", "pairs": int64(100)},
 	}); err != nil {

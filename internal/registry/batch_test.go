@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -358,9 +359,9 @@ func TestReplayMatchesKeyByKey(t *testing.T) {
 // registry_submit_seconds sample per key, malformed keys included, in
 // key order, and a batch that crosses a chunk boundary is no exception.
 func TestSubmitSpanPerKey(t *testing.T) {
-	var spans obs.Collector
+	var trace bytes.Buffer
 	reg := obs.NewRegistry()
-	r := openT(t, t.TempDir(), Config{Metrics: reg, Trace: obs.NewTracerSink(&spans)})
+	r := openT(t, t.TempDir(), Config{Metrics: reg, Trace: obs.NewTracer(&trace)})
 	defer r.Close()
 	batch := append([]*big.Int{b(15), b(1024), b(77)}, semiprimes(seedSpan, 9)...)
 	if _, err := r.SubmitBatch(batch); err != nil {
@@ -369,7 +370,11 @@ func TestSubmitSpanPerKey(t *testing.T) {
 	mustSubmit(t, r, b(21))
 	want := len(batch) + 1
 	var verdicts []string
-	for _, ev := range spans.Drain() {
+	for dec := json.NewDecoder(&trace); dec.More(); {
+		var ev obs.TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
 		if ev.Kind == "span" && ev.Name == "submit" {
 			verdicts = append(verdicts, fmt.Sprint(ev.Attrs["verdict"]))
 		}

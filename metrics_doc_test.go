@@ -14,7 +14,6 @@ import (
 	_ "bulkgcd/internal/attack"
 	_ "bulkgcd/internal/batchgcd"
 	_ "bulkgcd/internal/bulk"
-	_ "bulkgcd/internal/fleet"
 	"bulkgcd/internal/gcd"
 	"bulkgcd/internal/obs"
 	_ "bulkgcd/internal/registry"

@@ -5,7 +5,8 @@
 # registry must have lost nothing that was acknowledged, and the final
 # /broken set must diff clean against a one-shot batch-GCD run of the
 # same corpus. Every acknowledged verdict survives the kill because the
-# server journals before it answers.
+# server journals before it answers. The restarted server's /timeline
+# and /dashboard pages are fetched and checked too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -127,6 +128,18 @@ EOF
 # written the rest of the body (curl then dies with exit 23).
 curl -sf "$base/metrics" > "$workdir/metrics.txt"
 grep -q '^registry_submissions_total' "$workdir/metrics.txt"
+
+# The status pages every server carries: the /timeline ring records its
+# first point at startup, and /dashboard is the page that polls it.
+curl -sf "$base/timeline" > "$workdir/timeline.json"
+jq -e '.capacity > 0 and (.points | length) >= 1' "$workdir/timeline.json" > /dev/null \
+    || { echo "/timeline has no capacity or no points" >&2; cat "$workdir/timeline.json" >&2; exit 1; }
+curl -sf "$base/dashboard" > "$workdir/dashboard.html"
+for needle in '<html' 'timeline'; do
+    grep -q "$needle" "$workdir/dashboard.html" \
+        || { echo "/dashboard page missing $needle" >&2; exit 1; }
+done
+
 replayed=$(curl -sf "$base/registry" | jq .Replayed)
 
 echo "== graceful shutdown + report =="
