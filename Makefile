@@ -101,7 +101,11 @@ bench-e2e:
 # differential against math/big, plus the engines built on it: lanes, the
 # scheduler (the shared cursor, and the ready list over random forests:
 # every unit once, after the unit that released it), the registry's
-# spine merges, the registry's batch checks against key-by-key
+# spine merges, the registry's fold reduction against big.Int.Mod
+# (FuzzFoldReduce: n of 1 to 300 words, n = 1 included, values on both
+# sides of the fold threshold, seeded with the all-ones carry corner, a
+# value shorter than n and a multiple of n), the registry's batch checks
+# against key-by-key
 # submission (FuzzSubmitBatchMatchesKeyByKey: random batch cuts, some
 # across the 256-key chunk boundary), subprod's three descents
 # (Prefixes, Suffixes and Reduce, on trees with and without their root)
@@ -122,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzRunReadyCoverage -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzSpineMerge -fuzztime 30s ./internal/registry/
+	$(GO) test -run '^$$' -fuzz FuzzFoldReduce -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitBatchMatchesKeyByKey -fuzztime 30s ./internal/registry/
 	$(GO) test -run '^$$' -fuzz FuzzDescentsMatchNaive -fuzztime 30s ./internal/subprod/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesNaive -fuzztime 30s ./internal/bulk/

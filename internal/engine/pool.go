@@ -116,6 +116,12 @@ func Run(ctx context.Context, n int, opt PoolOptions, fn func(i, worker int)) er
 // that released it, and a free worker takes the oldest ready unit. The
 // run ends when no unit is ready and none is running.
 //
+// RunReady takes ownership of roots: the slice becomes the ready list,
+// so the caller must not use it afterwards, and its spare capacity is
+// room the list grows into before it reallocates. A caller that knows
+// the most units ever ready at once can pass twice that capacity, and
+// the list never reallocates (see fifo).
+//
 // The contract is Run's: worker indices are stable and exclusive, ctx is
 // checked before each unit and its error returned once all workers have
 // stopped (some units may then not have run), and a panic in fn stops
@@ -128,10 +134,7 @@ func RunReady[U any](ctx context.Context, roots []U, opt PoolOptions, fn func(u 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var q fifo[U]
-	for _, u := range roots {
-		q.push(u)
-	}
+	q := fifo[U]{items: roots}
 	if workers <= 1 || len(roots) == 0 {
 		release := q.push
 		for u, ok := q.pop(); ok; u, ok = q.pop() {
@@ -223,7 +226,8 @@ func RunReady[U any](ctx context.Context, roots []U, opt PoolOptions, fn func(u 
 // prefix is reclaimed when a push finds it full and at least half
 // consumed, so it grows only while more than half of it is ready units
 // and its capacity stays within four times the most units ever ready at
-// once. A popped slot is zeroed, so the list keeps no reference to a
+// once. A list that starts with twice that capacity therefore never
+// grows. A popped slot is zeroed, so the list keeps no reference to a
 // unit that has left it.
 type fifo[U any] struct {
 	items []U

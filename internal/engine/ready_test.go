@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,7 +52,8 @@ func (f forest) check(t testing.TB, workers int) {
 	runs := make([]atomic.Int32, n)
 	done := make([]atomic.Bool, n)
 	var fault atomic.Value
-	err := RunReady(context.Background(), f.roots, PoolOptions{Workers: workers}, func(u, w int, release func(int)) {
+	// RunReady takes ownership of its roots, and f runs at several widths.
+	err := RunReady(context.Background(), slices.Clone(f.roots), PoolOptions{Workers: workers}, func(u, w int, release func(int)) {
 		switch {
 		case w < 0 || w >= limit:
 			fault.CompareAndSwap(nil, "worker index out of range")
@@ -274,5 +276,36 @@ func TestRunReadyBusyCountsOnlyFn(t *testing.T) {
 	}
 	if in := inside.Seconds(); h.Sum < in || h.Sum > 3*in {
 		t.Fatalf("engine_worker_busy_seconds sums %.4fs for one unit of %.4fs", h.Sum, in)
+	}
+}
+
+// TestRunReadyAdoptsRoots: RunReady uses the caller's roots slice as its
+// ready list. A breadth-first descent of a perfect binary tree, whose
+// roots slice has room for twice the tree's leaves, allocates no more
+// at 16 or 4096 leaves than a run of one unit that releases nothing:
+// the roots slice is the descent's one list allocation, and the list
+// never grows, though its last level puts every leaf on it at once.
+func TestRunReadyAdoptsRoots(t *testing.T) {
+	type unit struct{ lvl, i int }
+	descend := func(u unit, w int, release func(unit)) {
+		if u.lvl > 0 {
+			release(unit{u.lvl - 1, 2 * u.i})
+			release(unit{u.lvl - 1, 2*u.i + 1})
+		}
+	}
+	run := func(depth int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			roots := make([]unit, 1, 2<<depth)
+			roots[0] = unit{depth, 0}
+			if err := RunReady(context.Background(), roots, PoolOptions{Workers: 1}, descend); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := run(0)
+	for _, depth := range []int{4, 12} {
+		if got := run(depth); got != base {
+			t.Errorf("descent of %d leaves: %v allocations, want %v, as for one unit (the roots slice and the run's fixed cost)", 1<<depth, got, base)
+		}
 	}
 }

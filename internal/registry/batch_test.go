@@ -386,3 +386,37 @@ func TestSubmitSpanPerKey(t *testing.T) {
 		t.Fatalf("registry_submit_seconds has %d samples, want %d", n, want)
 	}
 }
+
+// TestFoldHistogramPerCheck: registry_fold_seconds gets one sample per
+// chunk check. A 300-key batch from index 0 spans two chunks, a one-key
+// submit observes it exactly once, and a replay of the 301 keys after
+// the journal is lost observes it once per chunk again.
+func TestFoldHistogramPerCheck(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	r := openT(t, dir, Config{Metrics: reg})
+	count := func(reg *obs.Registry) int64 { return reg.Snapshot().Histograms["registry_fold_seconds"].Count }
+	keys := semiprimes(301, 12)
+	if _, err := r.SubmitBatch(keys[:300]); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(reg); n != 2 {
+		t.Fatalf("a 300-key batch: %d registry_fold_seconds samples, want 2", n)
+	}
+	mustSubmit(t, r, keys[300])
+	if n := count(reg); n != 3 {
+		t.Fatalf("after a one-key submit: %d samples, want 3", n)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "journal.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	reg = obs.NewRegistry()
+	r = openT(t, dir, Config{Metrics: reg})
+	defer r.Close()
+	if n := count(reg); n != 2 {
+		t.Fatalf("replaying 301 keys: %d samples, want 2", n)
+	}
+}

@@ -13,5 +13,6 @@ func init() {
 	obs.RegisterHelp("registry_node_loads_total", "product-tree node values reloaded from validated node files")
 	obs.RegisterHelp("registry_node_builds_total", "product-tree node values rebuilt from their leaves")
 	obs.RegisterHelp("registry_keys", "accepted keys in the registry corpus, including tombstoned ones")
+	obs.RegisterHelp("registry_fold_seconds", "wall-clock duration of one chunk check's history fold (the forest's product mod the chunk's product); one sample per one-key submit, per batch chunk and per replayed chunk")
 	obs.RegisterHelp("registry_submit_seconds", "wall-clock duration of one submitted key (check + append + journal); the first key of each batch chunk also carries the chunk's fold and prefix descent")
 }

@@ -17,6 +17,7 @@ import (
 	"bulkgcd/internal/checkpoint"
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/rsakey"
+	"bulkgcd/internal/subprod"
 )
 
 // sameVerdicts asserts two verdict lists agree field for field.
@@ -179,7 +180,13 @@ func TestColdRebuildAboveSeedSpan(t *testing.T) {
 // root, the other divides only the product of two roots. Every case runs
 // at pool widths 1, 2, 3 and 7, set explicitly because the pool starts
 // min(width, pieces) goroutines whatever GOMAXPROCS is; from 512 keys on
-// the fold cuts its roots into pieces at every width above 1.
+// the fold cuts its roots into pieces at every width above 1, where the
+// cut floor lets the 512-key root split (not for the chunk-sized n). For
+// every n the 512-key root is long enough for mod to fold it and the
+// 8-key root after it is divided by one QuoRem, which the fixture
+// checks, so both paths run at every width; the one-word n and the
+// chunk-sized n (the product of 12 keys, as the fold of a chunk divides
+// by) are the two ends.
 func TestFoldPrefixResidue(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	prime := func() *big.Int { return rsakey.GeneratePrime(rng, 48) }
@@ -193,6 +200,14 @@ func TestFoldPrefixResidue(t *testing.T) {
 	}
 	const gone = 300
 
+	// The two ends draw from their own source, so the other cases keep
+	// their moduli.
+	ends := rand.New(rand.NewSource(32))
+	chunk := big.NewInt(1)
+	for range 12 {
+		chunk.Mul(chunk, new(big.Int).Mul(rsakey.GeneratePrime(ends, 48), rsakey.GeneratePrime(ends, 48)))
+	}
+	oneWord := new(big.Int).Mul(rsakey.GeneratePrime(ends, 31), rsakey.GeneratePrime(ends, 31))
 	cases := []struct {
 		name     string
 		n        *big.Int
@@ -203,10 +218,23 @@ func TestFoldPrefixResidue(t *testing.T) {
 		{"tombstoned key", moduli[gone], 0},
 		{"divides a root", moduli[3], 4},
 		{"split across roots", new(big.Int).Mul(primes[2*10], primes[2*512]), 513},
+		{"one word", oneWord, 0},
+		{"chunk-sized", chunk, 0},
+	}
+	live := slices.Clone(moduli[:512])
+	live[gone] = one
+	halves := [2]*big.Int{subprod.Product(live[:256]), subprod.Product(live[256:])}
+	root512, root8 := new(big.Int).Mul(halves[0], halves[1]), subprod.Product(moduli[512:520])
+	// cuts: the cut floor, foldLen(n), lets the 512-key root split.
+	cuts := func(n *big.Int) bool {
+		return len(halves[0].Bits()) >= foldLen(n) && len(halves[1].Bits()) >= foldLen(n)
 	}
 	prefixes := []int{255, 256, 257, 511, 512, 513, 520}
 	wants := make([][]*big.Int, len(cases))
 	for c, tc := range cases {
+		if len(root512.Bits()) < foldLen(tc.n) || len(root8.Bits()) >= foldLen(tc.n) {
+			t.Fatalf("%s: roots of %d and %d words around a fold threshold of %d, want the first folded and the second divided", tc.name, len(root512.Bits()), len(root8.Bits()), foldLen(tc.n))
+		}
 		for _, m := range prefixes {
 			want := big.NewInt(1)
 			for j := 0; j < m; j++ {
@@ -239,7 +267,7 @@ func TestFoldPrefixResidue(t *testing.T) {
 				if got.Cmp(wants[c][p]) != 0 {
 					t.Errorf("workers=%d, %s, m=%d: fold residue %v, want %v", workers, tc.name, m, got, wants[c][p])
 				}
-				if workers > 1 && m >= 512 && pieces < 2 {
+				if workers > 1 && m >= 512 && cuts(tc.n) && pieces < 2 {
 					t.Errorf("workers=%d, %s, m=%d: the fold used %d piece, want the root cut", workers, tc.name, m, pieces)
 				}
 			}

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -198,13 +199,15 @@ type Registry struct {
 	// Retained submit-path scratch, all used under mu, so a warm submit
 	// allocates arithmetic storage only for its chunk's tree and
 	// residues (one key's residue for a one-key submit): one foldScratch
-	// per pool worker (the descent takes turns with worker 0's quotient
-	// and remainder, which then grow to the largest spine root), the
+	// per pool worker (the descent takes turns with worker 0's, whose
+	// product buffers then grow up to the largest spine root), the table
+	// of powers of 2^64 mod the modulus a fold or descent folds by, the
 	// fold's pieces (their keys, then their values), the descent's
 	// per-node GCD and partner list, the product scratch the spine
 	// merges multiply into (subprod.Mul compacts what the forest keeps),
 	// and the spine-root list.
 	folds     []foldScratch
+	pow       powers
 	pieceKeys []nodeKey
 	pieces    []*big.Int
 	gcd, prod big.Int
@@ -213,7 +216,7 @@ type Registry struct {
 
 	submissions, found, spineMults, replayed, dropped *obs.Counter
 	keysGauge                                         *obs.Gauge
-	submitH                                           *obs.Histogram
+	submitH, foldH                                    *obs.Histogram
 	trace                                             *obs.Tracer
 }
 
@@ -252,6 +255,7 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	r.dropped = reg.Counter("registry_findings_dropped_total")
 	r.keysGauge = reg.Gauge("registry_keys")
 	r.submitH = reg.Histogram("registry_submit_seconds", obs.DurationBuckets())
+	r.foldH = reg.Histogram("registry_fold_seconds", obs.DurationBuckets())
 	r.folds = make([]foldScratch, r.workers())
 	r.store = newStore(filepath.Join(dir, "nodes"), r.workers(), reg)
 	r.store.leafHex = r.leafHex
@@ -539,9 +543,16 @@ func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
 	}
 	// Hit: descend every spine root to the leaves that share content
 	// with n. The roots ascend left to right and descend takes the left
-	// child first, so the partners come out ascending by index.
+	// child first, so the partners come out ascending by index. n's
+	// table of powers is built here, on the hit, and only if the longest
+	// root folds; after a one-key chunk's fold it is already n's.
 	r.partners = r.partners[:0]
 	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
+	longest := 0
+	for _, root := range r.rootsBuf {
+		longest = max(longest, len(r.store.value(root).Bits()))
+	}
+	r.pow.prepare(n, longest)
 	for _, root := range r.rootsBuf {
 		r.descend(root, n)
 	}
@@ -557,51 +568,159 @@ func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
 }
 
 // foldScratch is one fold worker's retained arithmetic: its running
-// product mod n, and the quotient, remainder and product that QuoRem
-// and Mul write. A hit's descent, which runs after the fold, divides
-// into worker 0's quotient and remainder.
-type foldScratch struct{ acc, quo, rem, prod big.Int }
+// product mod n, the quotient, remainder and product that QuoRem and
+// Mul write, the second buffer (alt) that fold alternates with the
+// product, and the two read-only views into the value being folded. A
+// hit's descent, which runs after the fold, reduces with worker 0's.
+type foldScratch struct{ acc, quo, rem, prod, alt, hi, lo big.Int }
 
 // foldIn multiplies piece p, reduced mod n, into the accumulator. Once
 // the accumulator is 0 (n divided a piece or the running product) the
 // product stays 0, so later pieces are skipped.
-func (f *foldScratch) foldIn(p, n *big.Int) {
+func (f *foldScratch) foldIn(p, n *big.Int, pw *powers) {
 	if f.acc.Sign() == 0 {
 		return
 	}
-	f.quo.QuoRem(p, n, &f.rem)
+	f.mod(p, n, pw)
 	f.prod.Mul(&f.acc, &f.rem)
 	f.quo.QuoRem(&f.prod, n, &f.acc)
 }
 
+// mod folds a value when it is at least foldRatio times as long as n,
+// n counted as at least foldMinWords words; every shorter value takes
+// one QuoRem, which is as fast or faster there. The fold pays a fixed
+// cost per table entry and per step, while QuoRem's cost per word falls
+// with n's length, down to one hardware division per word for a
+// one-word n (DESIGN.md 5i, "Fold cost", has the grid).
+const foldRatio, foldMinWords = 32, 8
+
+// foldLen is the length in words from which mod folds a value mod n.
+func foldLen(n *big.Int) int { return foldRatio * max(len(n.Bits()), foldMinWords) }
+
+// mod sets f.rem to x mod n: by one QuoRem, after folding x down (fold)
+// when it is at least foldLen(n) words long. pw must then hold n's
+// powers up to x's length.
+func (f *foldScratch) mod(x, n *big.Int, pw *powers) {
+	if len(x.Bits()) >= foldLen(n) {
+		x = f.fold(x, n, pw)
+	}
+	f.quo.QuoRem(x, n, &f.rem)
+}
+
+// fold returns a value congruent to x mod n and at most 2w+1 words
+// long, w being n's words, from n's powers pw. While x is longer, it
+// splits at k = w·2^i words, the largest table size below its length:
+// x = hi·2^(64k) + lo ≡ hi·c_i + lo (mod n), and since c_i < n <
+// 2^(64k) each step strictly lowers the value and about halves its
+// length. Where x has k+1 words (hi is one word) the sum is below
+// 2^(64k) + 2^(64(w+1)) ≤ 2^(64k+1), as k ≥ 2w, so at most three steps
+// leave that length. Every product and sum goes to the worker's own
+// prod and alt buffers, in turn; hi and lo only view x, which is a
+// piece other workers read or the other buffer, so x is never written.
+func (f *foldScratch) fold(x, n *big.Int, pw *powers) *big.Int {
+	w := len(n.Bits())
+	bufs := [2]*big.Int{&f.prod, &f.alt}
+	for j := 0; len(x.Bits()) > 2*w+1; j ^= 1 {
+		xs := x.Bits()
+		i := splitIndex(len(xs), w)
+		k := w << i
+		f.hi.SetBits(xs[k:])
+		f.lo.SetBits(xs[:k])
+		bufs[j].Mul(&f.hi, &pw.c[i])
+		x = bufs[j].Add(bufs[j], &f.lo)
+	}
+	f.hi.SetBits(nil)
+	f.lo.SetBits(nil)
+	return x
+}
+
+// splitIndex is the i of the largest table size w·2^i below a length of
+// words words (words > w).
+func splitIndex(words, w int) int { return bits.Len(uint((words-1)/w)) - 1 }
+
+// powers is the folding reduction's table for one modulus n of w words:
+// c[i] = 2^(64·w·2^i) mod n, c[0] by one QuoRem of 2^(64w) and every
+// later entry as the square of the one before, mod n. Its entries keep
+// their storage across rebuilds. Fold workers only read it.
+type powers struct {
+	n       big.Int // the modulus c is for
+	c       []big.Int
+	sq, quo big.Int
+}
+
+// prepare builds n's table for values up to words words long (build)
+// if mod folds a value that long, and otherwise leaves it alone.
+func (p *powers) prepare(n *big.Int, words int) {
+	if words >= foldLen(n) {
+		p.build(n, words)
+	}
+}
+
+// build makes p n's table for values up to words words long. It starts
+// over when n is not the modulus the table was built for, and squares
+// on while the table is too short, so a descent after a one-key fold
+// reuses the fold's table.
+func (p *powers) build(n *big.Int, words int) {
+	w := len(n.Bits())
+	if p.n.Cmp(n) != 0 || len(p.c) == 0 {
+		p.n.Set(n)
+		p.c = p.c[:0]
+		p.sq.Lsh(one, uint(64*w))
+		p.quo.QuoRem(&p.sq, n, p.grow())
+	}
+	for len(p.c) <= splitIndex(words, w) {
+		last := &p.c[len(p.c)-1]
+		p.sq.Mul(last, last)
+		p.quo.QuoRem(&p.sq, n, p.grow())
+	}
+}
+
+// grow appends one entry to the table, reusing the storage a longer
+// table left there, and returns it.
+func (p *powers) grow() *big.Int {
+	if len(p.c) == cap(p.c) {
+		p.c = slices.Grow(p.c, 1)
+	}
+	p.c = p.c[:len(p.c)+1]
+	return &p.c[len(p.c)-1]
+}
+
 // foldPrefix returns the product of the live keys among the first m,
 // reduced mod n. It cuts the forest over the first m leaves into
-// pieces (cut), resolves them under the registry lock, and reduces them
-// on the pool, largest first: each worker folds its pieces into its own
-// accumulator mod n, and the accumulators are then multiplied together
-// mod n. The workers only read the pieces and n; the store stays with
-// the caller. One worker or one piece folds inline on the caller's
-// goroutine. The result is the unique value in [0, n) whatever the cut
-// and the width. It is retained scratch, valid until the next call.
+// pieces (cut), resolves them under the registry lock, builds n's
+// powers when a piece is long enough to fold by multiplication (mod),
+// and reduces the pieces on the pool, largest first: each worker
+// reduces its pieces mod n into its own accumulator, and the
+// accumulators are then multiplied together mod n. The workers only
+// read the pieces, the table and n; the store stays with the caller.
+// One worker or one piece folds inline on the caller's goroutine. The
+// result is the unique value in [0, n) whatever the cut, the width and
+// the reduction path. It is retained scratch, valid until the next
+// call. Each call is one registry_fold_seconds sample.
 func (r *Registry) foldPrefix(n *big.Int, m int) *big.Int {
+	start := time.Now()
 	r.pieces = r.pieces[:0]
-	for _, k := range r.cut(m, 8*len(n.Bits()), len(r.folds)) {
+	for _, k := range r.cut(m, foldLen(n), len(r.folds)) {
 		r.pieces = append(r.pieces, r.store.value(k))
 	}
 	slices.SortFunc(r.pieces, func(a, b *big.Int) int { return len(b.Bits()) - len(a.Bits()) })
+	if len(r.pieces) > 0 {
+		r.pow.prepare(n, len(r.pieces[0].Bits()))
+	}
 	w := max(min(len(r.folds), len(r.pieces)), 1)
 	for i := range r.folds[:w] {
 		r.folds[i].acc.SetInt64(1)
 	}
 	// Run fails only when its context is cancelled, and this one never is.
 	_ = engine.Run(context.Background(), len(r.pieces), engine.PoolOptions{Workers: w, Metrics: r.cfg.Metrics},
-		func(i, worker int) { r.folds[worker].foldIn(r.pieces[i], n) })
+		func(i, worker int) { r.folds[worker].foldIn(r.pieces[i], n, &r.pow) })
 	acc := &r.folds[0].acc
 	for i := 1; i < w && acc.Sign() != 0; i++ {
 		f := &r.folds[i]
 		f.prod.Mul(acc, &f.acc)
 		f.quo.QuoRem(&f.prod, n, acc)
 	}
+	r.foldH.ObserveDuration(int64(time.Since(start)))
 	return acc
 }
 
@@ -612,10 +731,13 @@ func (r *Registry) foldPrefix(n *big.Int, m int) *big.Int {
 // store's map (the cut never reads a file or rebuilds a node) and both
 // are at least floor words long. Handing pieces of at most
 // total/(2·workers) out largest first keeps the busiest worker within
-// 1.5·total/workers. The floor keeps each piece's own division several
-// times the multiplication and division at n's size that folding its
-// residue costs, so the fold of a chunk of k keys splits only nodes of
-// 16k keys or more. The result aliases retained scratch.
+// 1.5·total/workers. foldPrefix sets the floor to foldLen(n), so a
+// split never turns a piece that mod folds into pieces it divides,
+// which cost 1.5–3× more per word; that also keeps each piece several
+// times longer than the multiplication and division at n's size that
+// joining its residue to the accumulator costs. The fold of a chunk of
+// k keys of at least 512 bits therefore splits only nodes of 64k keys
+// or more. The result aliases retained scratch.
 func (r *Registry) cut(m, floor, workers int) []nodeKey {
 	r.rootsBuf = appendRootsOf(r.rootsBuf[:0], m)
 	if workers <= 1 {
@@ -661,8 +783,11 @@ func (r *Registry) workers() int {
 // descend prunes subtrees coprime with n and recurses into the rest,
 // appending each partner leaf to r.partners; gcd(n, subproduct mod n) =
 // gcd(n, subproduct), so the pruning is exact: every reported leaf
-// really shares a factor. Partner factors are copied out of the scratch
-// on a hit, so nothing in a returned Verdict aliases reusable state.
+// really shares a factor. Each node is reduced mod n as the fold reduces
+// a piece (mod, with worker 0's scratch and r.pow, which check has made
+// n's table when a root is long enough to fold). Partner factors are
+// copied out of the scratch on a hit, so nothing in a returned Verdict
+// aliases reusable state.
 func (r *Registry) descend(k nodeKey, n *big.Int) {
 	if k.level == 0 {
 		j := k.index
@@ -676,7 +801,7 @@ func (r *Registry) descend(k nodeKey, n *big.Int) {
 		return
 	}
 	s := &r.folds[0]
-	s.quo.QuoRem(r.store.value(k), n, &s.rem)
+	s.mod(r.store.value(k), n, &r.pow)
 	if s.rem.Sign() == 0 || r.gcd.GCD(nil, nil, n, &s.rem).Cmp(one) > 0 {
 		r.descend(nodeKey{k.level - 1, 2 * k.index}, n)
 		r.descend(nodeKey{k.level - 1, 2*k.index + 1}, n)

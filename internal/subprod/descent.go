@@ -111,7 +111,9 @@ func descend(ctx context.Context, t *Tree, above *big.Int, opt Options, step fun
 		lvl, i int
 		par    *big.Int
 	}
-	roots := make([]node, len(t.Levels[top]))
+	// The ready list: nodes ready at once form an antichain of the tree,
+	// so at most its leaf count, and twice that never grows (RunReady).
+	roots := make([]node, len(t.Levels[top]), 2*len(t.Levels[0]))
 	for i := range roots {
 		roots[i] = node{top, i, above}
 	}
