@@ -25,9 +25,8 @@ test:
 # lock-free metrics layer, the lane-batched kernel (shared per-worker
 # arenas), mpnat (the per-worker DivScratch of Original and Fast
 # Euclid) + the generic tree builder and the descents that run on the
-# ready list, the streaming registry (findings forwarder, and the pools
-# of its fold, chunk trees, chunk descents and node rebuilds), and the
-# public facade.
+# ready list, the streaming registry (the pools of its fold, chunk
+# trees, chunk descents and node rebuilds), and the public facade.
 race:
 	$(GO) test -race ./internal/engine/ ./internal/bulk/ ./internal/batchgcd/ ./internal/attack/ ./internal/obs/ ./internal/lanes/ ./internal/mpnat/ ./internal/subprod/ ./internal/registry/ .
 

@@ -115,7 +115,6 @@ type Attack struct {
 	noEarly     bool
 	workers     int
 	exponent    uint64
-	groupSize   int
 	tileSize    int
 	quarantine  bool
 	progress    func(done, total int64)
@@ -165,11 +164,6 @@ func WithWorkers(n int) Option { return func(a *Attack) { a.workers = n } }
 // WithExponent sets the RSA public exponent used for private-key
 // recovery (default 65537).
 func WithExponent(e uint64) Option { return func(a *Attack) { a.exponent = e } }
-
-// WithGroupSize sets the pairs engine's scheduling group size, the
-// paper's r parameter (default 64, capped at the corpus size). Findings
-// are identical at every value.
-func WithGroupSize(r int) Option { return func(a *Attack) { a.groupSize = r } }
 
 // WithTileSize sets the hybrid engine's tile width T (default 64).
 // Findings are identical at every value; only the filter's selectivity
@@ -317,7 +311,6 @@ func (a *Attack) Run(ctx context.Context, moduli []*big.Int) (*Report, error) {
 		},
 		Algorithm:  ialg,
 		Early:      !a.noEarly,
-		GroupSize:  a.groupSize,
 		Exponent:   a.exponent,
 		Engine:     kind,
 		Quarantine: a.quarantine,

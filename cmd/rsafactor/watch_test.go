@@ -4,7 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
 	"encoding/json"
+	"encoding/pem"
 	"fmt"
 	"io"
 	"math/big"
@@ -19,6 +24,7 @@ import (
 	"time"
 
 	"bulkgcd/internal/batchgcd"
+	"bulkgcd/internal/pemkeys"
 	"bulkgcd/internal/registry"
 	"bulkgcd/internal/rsakey"
 )
@@ -52,7 +58,8 @@ func startWatch(t *testing.T, dir string, extra ...string) (string, context.Canc
 	return "", nil, nil, nil
 }
 
-// postCorpus submits a hex corpus synchronously and decodes the job.
+// postCorpus posts a hex corpus with ?sync=1, the form older clients
+// send, and decodes the reply.
 func postCorpus(t *testing.T, base string, moduli []*big.Int) *watchJob {
 	t.Helper()
 	var body bytes.Buffer
@@ -96,8 +103,8 @@ type brokenLine struct {
 }
 
 // TestWatchServer is the watch-mode acceptance test: keys submitted over
-// HTTP in waves, async job status, a kill+restart in the middle, and a
-// final /broken diff against the batch-GCD oracle over everything
+// HTTP in waves, with and without ?sync=1, a kill+restart in the middle,
+// and a final /broken diff against the batch-GCD oracle over everything
 // submitted across both server lives.
 func TestWatchServer(t *testing.T) {
 	dir := t.TempDir()
@@ -114,7 +121,7 @@ func TestWatchServer(t *testing.T) {
 		moduli = append(moduli, n.ToBig())
 	}
 
-	// Life 1: two waves, then an async job polled to completion.
+	// Life 1: two waves, then a plain POST.
 	base, cancel, done, _ := startWatch(t, regDir, "-trace", trace)
 	job := postCorpus(t, base, moduli[:10])
 	if job.State != "done" || len(job.Verdicts) != 10 {
@@ -127,28 +134,27 @@ func TestWatchServer(t *testing.T) {
 	}
 	postCorpus(t, base, moduli[10:18])
 
-	// Async submission + job polling with ?wait=1.
+	// A plain POST, without ?sync=1, answers with its verdicts too, and
+	// no endpoint takes a job id.
 	var body bytes.Buffer
 	fmt.Fprintf(&body, "%x\n", moduli[18])
 	resp, err := http.Post(base+"/submit", "text/plain", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async POST: %s", resp.Status)
+	var plain watchJob
+	err = json.NewDecoder(resp.Body).Decode(&plain)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || plain.State != "done" || len(plain.Verdicts) != 1 || plain.Verdicts[0].Index != 18 {
+		t.Fatalf("plain POST: %s, job %+v (decode error %v), want 200 and key 18's verdict", resp.Status, plain, err)
 	}
-	var async watchJob
-	if err := json.NewDecoder(resp.Body).Decode(&async); err != nil {
+	jresp, err := http.Get(base + "/jobs/job-1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	var polled watchJob
-	getJSON(t, base+"/jobs/"+async.ID+"?wait=1", &polled)
-	if polled.State != "done" || len(polled.Verdicts) != 1 || polled.Verdicts[0].Index != 18 {
-		t.Fatalf("polled job: %+v", polled)
-	}
-	if polled.Report == nil || polled.Report.Schema == "" {
-		t.Fatalf("finished job carries no report artifact: %+v", polled)
+	jresp.Body.Close()
+	if jresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /jobs/job-1: %s, want 404", jresp.Status)
 	}
 
 	// Live metrics and timeline while serving.
@@ -293,8 +299,8 @@ func TestWatchSubmitBodyCap(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&job)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || job.State != "failed" {
-		t.Fatalf("oversized body: %s, job %s in state %q with %d verdicts (decode err %v), want 413 and a failed job",
-			resp.Status, job.ID, job.State, len(job.Verdicts), err)
+		t.Fatalf("oversized body: %s, job in state %q with %d verdicts (decode err %v), want 413 and a failed job",
+			resp.Status, job.State, len(job.Verdicts), err)
 	}
 	if n := keys(); n != 3 {
 		t.Fatalf("registry holds %d keys after the oversized body, want 3", n)
@@ -336,60 +342,80 @@ func TestWatchMaxKeyBits(t *testing.T) {
 	}
 }
 
-// TestWatchJobRetention drives the handlers past the retention bound:
-// after maxFinishedJobs+1 finished jobs the oldest id answers 410 Gone,
-// the newest 200, an id the server never issued 404, and a running job
-// outlives every eviction.
-func TestWatchJobRetention(t *testing.T) {
+// TestWatchSubmitStatusCodes: /submit answers 405 to a GET, 400 with a
+// failed job to a corpus that does not parse, and 500 with a failed job
+// when the registry refuses the batch, here because it is closed.
+func TestWatchSubmitStatusCodes(t *testing.T) {
+	r, err := registry.Open(t.TempDir(), registry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws := &watchServer{reg: r}
+	for _, c := range []struct {
+		method, body string
+		code         int
+		err          string
+	}{
+		{http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{http.MethodPost, "not-hex\n", http.StatusBadRequest, "line 1"},
+		{http.MethodPost, "4d\n", http.StatusInternalServerError, "registry: closed"},
+	} {
+		rec := httptest.NewRecorder()
+		ws.handleSubmit(rec, httptest.NewRequest(c.method, "/submit", strings.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Fatalf("%s %q: %d, want %d", c.method, c.body, rec.Code, c.code)
+		}
+		if c.err == "" {
+			continue
+		}
+		var job watchJob
+		if err := json.NewDecoder(rec.Body).Decode(&job); err != nil || job.State != "failed" || !strings.Contains(job.Error, c.err) {
+			t.Fatalf("%s %q: job %+v (decode error %v), want a failed job naming %q", c.method, c.body, job, err, c.err)
+		}
+	}
+}
+
+// TestWatchSkippedPEMBlocks: a PEM body with a non-RSA block answers
+// the RSA keys' verdicts and counts the skipped block.
+func TestWatchSkippedPEMBlocks(t *testing.T) {
 	r, err := registry.Open(t.TempDir(), registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	ws := &watchServer{reg: r, jobs: map[string]*watchJob{}}
-	get := func(id string) int {
-		rec := httptest.NewRecorder()
-		ws.handleJob(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
-		return rec.Code
+	ec, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := x509.MarshalPKIXPublicKey(&ec.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := pemkeys.WritePublicKey(&body, big.NewInt(15), 65537); err != nil {
+		t.Fatal(err)
+	}
+	if err := pem.Encode(&body, &pem.Block{Type: "PUBLIC KEY", Bytes: der}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pemkeys.WritePublicKey(&body, big.NewInt(21), 65537); err != nil {
+		t.Fatal(err)
 	}
 
-	// A running job, registered the way handleSubmit registers one.
-	ws.mu.Lock()
-	ws.nextID++
-	running := &watchJob{ID: fmt.Sprintf("job-%d", ws.nextID), State: "running", done: make(chan struct{})}
-	ws.jobs[running.ID] = running
-	ws.mu.Unlock()
-
-	var ids []string
-	for i := 0; i < maxFinishedJobs+1; i++ {
-		rec := httptest.NewRecorder()
-		ws.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/submit?sync=1", strings.NewReader("")))
-		var job watchJob
-		if err := json.NewDecoder(rec.Body).Decode(&job); err != nil || rec.Code != http.StatusOK || job.State != "done" {
-			t.Fatalf("submit %d: %d, job %+v, decode error %v", i, rec.Code, job, err)
-		}
-		ids = append(ids, job.ID)
+	rec := httptest.NewRecorder()
+	(&watchServer{reg: r}).handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/submit", &body))
+	var job watchJob
+	if err := json.NewDecoder(rec.Body).Decode(&job); err != nil || rec.Code != http.StatusOK || job.State != "done" {
+		t.Fatalf("PEM submit: %d, job %+v (decode error %v)", rec.Code, job, err)
 	}
-	oldest, newest := ids[0], ids[len(ids)-1]
-	if code := get(oldest); code != http.StatusGone {
-		t.Fatalf("oldest finished job %s: %d, want 410", oldest, code)
+	if job.SkippedPEMBlocks != 1 || len(job.Verdicts) != 2 {
+		t.Fatalf("PEM submit: %d skipped blocks and %d verdicts, want 1 and 2", job.SkippedPEMBlocks, len(job.Verdicts))
 	}
-	if code := get(ids[1]); code != http.StatusOK {
-		t.Fatalf("second-oldest finished job %s: %d, want 200", ids[1], code)
-	}
-	if code := get(newest); code != http.StatusOK {
-		t.Fatalf("newest job %s: %d, want 200", newest, code)
-	}
-	if code := get(running.ID); code != http.StatusOK {
-		t.Fatalf("running job %s: %d, want 200", running.ID, code)
-	}
-	for _, id := range []string{fmt.Sprintf("job-%d", maxFinishedJobs+3), "job-0", "job-02", "nope"} {
-		if code := get(id); code != http.StatusNotFound {
-			t.Fatalf("never-issued id %q: %d, want 404", id, code)
-		}
-	}
-	if n := len(ws.jobs); n != maxFinishedJobs+1 {
-		t.Fatalf("server holds %d jobs, want %d finished plus the running one", n, maxFinishedJobs)
+	if v := job.Verdicts[1]; v.Kind != "shared-factor" || len(v.Partners) != 1 || v.Partners[0].Index != 0 || v.Partners[0].Factor != "3" {
+		t.Fatalf("21 after 15: %+v", v)
 	}
 }
 

@@ -41,16 +41,13 @@ type Options struct {
 	// such as balanced two-prime RSA moduli.
 	Early bool
 
-	// GroupSize is passed to the pairs engine only (the paper's r).
-	GroupSize int
-
 	// Exponent is the public exponent for private-key recovery.
 	Exponent uint64
 
 	// Engine selects the attack engine: engine.Pairs (default) is the
 	// paper's all-pairs computation, engine.Batch the Bernstein
-	// product-tree baseline (Algorithm, Early and GroupSize are ignored
-	// there), engine.Hybrid the tiled product-filter engine.
+	// product-tree baseline (Algorithm and Early are ignored there),
+	// engine.Hybrid the tiled product-filter engine.
 	Engine engine.Kind
 
 	// Quarantine makes the pairs and hybrid engines skip zero/even moduli
@@ -76,7 +73,6 @@ func (o Options) bulkConfig() bulk.Config {
 		Config:     o.Config,
 		Algorithm:  o.Algorithm,
 		Early:      o.Early,
-		GroupSize:  o.GroupSize,
 		Quarantine: o.Quarantine,
 		TileSize:   o.TileSize,
 		Kernel:     o.Kernel,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bulkgcd/internal/obs"
@@ -384,6 +385,40 @@ func TestSubmitSpanPerKey(t *testing.T) {
 	}
 	if n := reg.Snapshot().Histograms["registry_submit_seconds"].Count; n != int64(want) {
 		t.Fatalf("registry_submit_seconds has %d samples, want %d", n, want)
+	}
+}
+
+// TestSubmitSpanCarriesSync: the batch's corpus and journal fsyncs are
+// timed in its last key's submit span (sync_ms), so a 3-key batch has
+// one such span, last, a one-key submit's span has it, and a batch that
+// accepts no key, which syncs nothing, has none.
+func TestSubmitSpanCarriesSync(t *testing.T) {
+	var trace bytes.Buffer
+	r := openT(t, t.TempDir(), Config{Trace: obs.NewTracer(&trace)})
+	defer r.Close()
+	if _, err := r.SubmitBatch([]*big.Int{b(15), b(1024), b(77)}); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, r, b(21))
+	if _, err := r.SubmitBatch([]*big.Int{b(1024), b(0)}); err != nil {
+		t.Fatal(err)
+	}
+	var synced []bool
+	for dec := json.NewDecoder(&trace); dec.More(); {
+		var ev obs.TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == "span" && ev.Name == "submit" {
+			ms, ok := ev.Attrs["sync_ms"].(float64)
+			if ok && ms < 0 {
+				t.Fatalf("submit span with sync_ms %v", ms)
+			}
+			synced = append(synced, ok)
+		}
+	}
+	if want := []bool{false, false, true, true, false, false}; !slices.Equal(synced, want) {
+		t.Fatalf("submit spans carrying sync_ms: %v, want %v", synced, want)
 	}
 }
 

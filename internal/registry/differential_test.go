@@ -275,8 +275,9 @@ func TestDifferentialWithRemovals(t *testing.T) {
 // corpus with duplicates.
 func TestDifferentialAgainstRun(t *testing.T) {
 	moduli := weakModuli(t, 24, 96, 3, 7)
-	r := openT(t, t.TempDir(), Config{FindingsBuffer: 4096})
-	if _, err := r.SubmitBatch(moduli); err != nil {
+	r := openT(t, t.TempDir(), Config{})
+	vs, err := r.SubmitBatch(moduli)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -302,11 +303,13 @@ func TestDifferentialAgainstRun(t *testing.T) {
 		}
 	}
 
-	// Every streamed finding is a true shared factor.
-	for f := range r.Findings() {
-		g := new(big.Int).GCD(nil, nil, moduli[f.Index], moduli[f.Partner])
-		if new(big.Int).Mod(g, f.Factor).Sign() != 0 || f.Factor.Cmp(big.NewInt(1)) <= 0 {
-			t.Fatalf("finding %+v is not a shared factor (gcd=%s)", f, g.Text(16))
+	// Every partner a verdict names is a true shared factor.
+	for _, v := range vs {
+		for _, p := range v.Partners {
+			g := new(big.Int).GCD(nil, nil, moduli[v.Index], moduli[p.Index])
+			if new(big.Int).Mod(g, p.Factor).Sign() != 0 || p.Factor.Cmp(big.NewInt(1)) <= 0 {
+				t.Fatalf("key %d partner %+v is not a shared factor (gcd=%s)", v.Index, p, g.Text(16))
+			}
 		}
 	}
 }

@@ -130,25 +130,12 @@ type Verdict struct {
 	Partners []Partner
 }
 
-// Finding is one pairwise discovery streamed on the findings channel:
-// keys Index and Partner (Partner < Index) share Factor.
-type Finding struct {
-	Index   int
-	Partner int
-	Factor  *big.Int
-}
-
 // Config controls an open registry.
 type Config struct {
 	// Workers sizes the worker pool of a check's forest fold, chunk tree
 	// and prefix descent and of node rebuilds (0 = GOMAXPROCS). A hit's
 	// forest descent runs serially under the registry lock.
 	Workers int
-	// FindingsBuffer is the findings channel capacity (0 = 64). The
-	// channel is a convenience stream: when no receiver keeps up the
-	// send is dropped (counted in registry_findings_dropped_total), and
-	// every finding remains recoverable from Broken and the journal.
-	FindingsBuffer int
 	// Metrics receives the registry's instruments (may be nil).
 	Metrics *obs.Registry
 	// Trace receives one span per submission (may be nil).
@@ -160,13 +147,11 @@ type Stats struct {
 	Keys        int   // accepted keys (including tombstoned)
 	Removed     int   // tombstoned keys
 	Broken      int   // keys with a known shared factor
-	Submissions int64 // submissions processed this session
-	Findings    int64 // pairwise findings this session
+	Submissions int64 // keys submitted this session, malformed ones included
 	SpineMults  int64 // spine merge multiplications this session
 	Replayed    int64 // verdicts recomputed during Open
 	NodeLoads   int64 // node files loaded
 	NodeBuilds  int64 // nodes rebuilt from their leaves
-	Dropped     int64 // findings channel drops
 }
 
 // Registry is the open registry. All methods are safe for concurrent
@@ -193,8 +178,7 @@ type Registry struct {
 	// DESIGN.md 5i.
 	brokenG map[int]*big.Int
 
-	findings chan Finding
-	closed   bool
+	closed bool
 
 	// Retained submit-path scratch, all used under mu, so a warm submit
 	// allocates arithmetic storage only for its chunk's tree and
@@ -214,10 +198,10 @@ type Registry struct {
 	partners  []Partner
 	rootsBuf  []nodeKey
 
-	submissions, found, spineMults, replayed, dropped *obs.Counter
-	keysGauge                                         *obs.Gauge
-	submitH, foldH                                    *obs.Histogram
-	trace                                             *obs.Tracer
+	submissions, spineMults, replayed *obs.Counter
+	keysGauge                         *obs.Gauge
+	submitH, foldH                    *obs.Histogram
+	trace                             *obs.Tracer
 }
 
 // Open opens (or creates) the registry directory at dir, replays the
@@ -228,18 +212,13 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "nodes"), 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	buf := cfg.FindingsBuffer
-	if buf == 0 {
-		buf = 64
-	}
 	r := &Registry{
-		dir:      dir,
-		cfg:      cfg,
-		removed:  map[int]bool{},
-		brokenG:  map[int]*big.Int{},
-		chain:    checkpoint.NewChain(Seed),
-		findings: make(chan Finding, buf),
-		trace:    cfg.Trace,
+		dir:     dir,
+		cfg:     cfg,
+		removed: map[int]bool{},
+		brokenG: map[int]*big.Int{},
+		chain:   checkpoint.NewChain(Seed),
+		trace:   cfg.Trace,
 	}
 	// Stats() reads the instrument values, so the registry always keeps
 	// a metrics registry — a private one when the caller did not supply
@@ -249,10 +228,8 @@ func Open(dir string, cfg Config) (*Registry, error) {
 		reg = obs.NewRegistry()
 	}
 	r.submissions = reg.Counter("registry_submissions_total")
-	r.found = reg.Counter("registry_findings_total")
 	r.spineMults = reg.Counter("registry_spine_mults_total")
 	r.replayed = reg.Counter("registry_replayed_total")
-	r.dropped = reg.Counter("registry_findings_dropped_total")
 	r.keysGauge = reg.Gauge("registry_keys")
 	r.submitH = reg.Histogram("registry_submit_seconds", obs.DurationBuckets())
 	r.foldH = reg.Histogram("registry_fold_seconds", obs.DurationBuckets())
@@ -423,7 +400,6 @@ func (r *Registry) replay() error {
 			}
 			for _, p := range v.Partners {
 				r.foldBroken(v.Index, p.Index, p.Factor)
-				r.emit(Finding{Index: v.Index, Partner: p.Index, Factor: p.Factor})
 			}
 			r.replayed.Inc()
 			return nil
@@ -838,17 +814,6 @@ func (r *Registry) appendLeaf(i int) {
 	}
 }
 
-// emit sends a finding without blocking; a full channel drops the send
-// (the finding stays durable in the journal and visible via Broken).
-func (r *Registry) emit(f Finding) {
-	select {
-	case r.findings <- f:
-		r.found.Inc()
-	default:
-		r.dropped.Inc()
-	}
-}
-
 // Submit checks one modulus against the full history and, unless
 // malformed, appends it to the corpus. It returns after the corpus line
 // and the journal record are on stable storage. The error is non-nil
@@ -878,7 +843,8 @@ const maxKeyBits = 16384
 // (prefixResidues), chunks ending at multiples of seedSpan, and
 // written, appended and journaled in order. The corpus log and journal
 // are synced once per batch, so batching amortizes the two fsyncs that
-// dominate small-key submission cost.
+// dominate small-key submission cost; the syncs are timed in the batch's
+// last key's span (its sync_ms attribute) and histogram sample.
 func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -907,42 +873,46 @@ func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	for j := range ns {
 		// Each key has its own span and histogram sample; the first key of
 		// a chunk also carries the chunk's check, so a one-key request's
-		// span holds its whole check.
+		// span holds its whole check, and the batch's last key carries the
+		// batch's syncs when the batch accepted a key.
 		start := time.Now()
 		r.submissions.Inc()
 		i := len(r.corpus)
 		sp := r.trace.StartSpan("submit", "index", i)
+		var attrs []any
 		if reasons[j] != "" {
-			sp.End("verdict", Malformed.String())
-			r.submitH.ObserveDuration(int64(time.Since(start)))
 			out[j] = Verdict{Index: -1, Kind: Malformed, Reason: reasons[j], G: new(big.Int).SetInt64(1)}
-			continue
-		}
-		if len(res) == 0 {
-			chunk := keys[:min(chunkEnd(i)-i, len(keys))]
-			var err error
-			if res, err = r.prefixResidues(chunk, i); err != nil {
+			attrs = []any{"verdict", Malformed.String()}
+		} else {
+			if len(res) == 0 {
+				chunk := keys[:min(chunkEnd(i)-i, len(keys))]
+				var err error
+				if res, err = r.prefixResidues(chunk, i); err != nil {
+					return nil, err
+				}
+			}
+			m := keys[0]
+			v := r.check(m, i, res[0])
+			keys, res = keys[1:], res[1:]
+			if err := r.accept(m, v); err != nil {
 				return nil, err
 			}
+			out[j] = v
+			attrs = []any{"verdict", v.Kind.String(), "partners", len(v.Partners)}
 		}
-		m := keys[0]
-		v := r.check(m, i, res[0])
-		keys, res = keys[1:], res[1:]
-		if err := r.accept(m, v); err != nil {
-			return nil, err
+		if accepted && j == len(ns)-1 {
+			syncStart := time.Now()
+			if err := r.corpusF.Sync(); err != nil {
+				return nil, fmt.Errorf("registry: %w", err)
+			}
+			if err := r.journal.Sync(); err != nil {
+				return nil, fmt.Errorf("registry: %w", err)
+			}
+			r.keysGauge.Set(float64(len(r.corpus)))
+			attrs = append(attrs, "sync_ms", float64(time.Since(syncStart).Nanoseconds())/1e6)
 		}
-		sp.End("verdict", v.Kind.String(), "partners", len(v.Partners))
+		sp.End(attrs...)
 		r.submitH.ObserveDuration(int64(time.Since(start)))
-		out[j] = v
-	}
-	if accepted {
-		if err := r.corpusF.Sync(); err != nil {
-			return nil, fmt.Errorf("registry: %w", err)
-		}
-		if err := r.journal.Sync(); err != nil {
-			return nil, fmt.Errorf("registry: %w", err)
-		}
-		r.keysGauge.Set(float64(len(r.corpus)))
 	}
 	return out, nil
 }
@@ -966,15 +936,9 @@ func (r *Registry) accept(m *big.Int, v Verdict) error {
 	}
 	for _, p := range v.Partners {
 		r.foldBroken(i, p.Index, p.Factor)
-		r.emit(Finding{Index: i, Partner: p.Index, Factor: p.Factor})
 	}
 	return nil
 }
-
-// Findings returns the stream of pairwise discoveries. The channel is
-// closed by Close. It is a lossy convenience: a full buffer drops sends
-// (counted), and every finding stays recoverable from Broken.
-func (r *Registry) Findings() <-chan Finding { return r.findings }
 
 // Len returns the number of accepted keys (including tombstoned ones).
 func (r *Registry) Len() int {
@@ -993,11 +957,6 @@ func (r *Registry) Modulus(index int) *big.Int {
 	}
 	return new(big.Int).Set(r.corpus[index])
 }
-
-// NoteDroppedFinding counts a finding dropped by a delivery layer above
-// the registry (the public channel forwarder), so DroppedFindings stays
-// honest however the findings reach the consumer.
-func (r *Registry) NoteDroppedFinding() { r.dropped.Inc() }
 
 // BrokenKey is one corpus index with its accumulated shared factor.
 type BrokenKey struct {
@@ -1101,18 +1060,15 @@ func (r *Registry) Stats() Stats {
 		Removed:     len(r.removed),
 		Broken:      len(r.brokenG),
 		Submissions: r.submissions.Value(),
-		Findings:    r.found.Value(),
 		SpineMults:  r.spineMults.Value(),
 		Replayed:    r.replayed.Value(),
 		NodeLoads:   r.store.loads.Value(),
 		NodeBuilds:  r.store.builds.Value(),
-		Dropped:     r.dropped.Value(),
 	}
 }
 
-// Close syncs and closes the logs and the journal and closes the
-// findings channel. The registry is unusable afterwards; reopen with
-// Open.
+// Close syncs and closes the logs and the journal. The registry is
+// unusable afterwards; reopen with Open.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1120,7 +1076,6 @@ func (r *Registry) Close() error {
 		return nil
 	}
 	r.closed = true
-	close(r.findings)
 	if err := r.closeFiles(); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}

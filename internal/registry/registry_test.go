@@ -143,21 +143,6 @@ func TestSubmitMaxKeyBits(t *testing.T) {
 	}
 }
 
-// TestFindingsChannel: every pairwise discovery is streamed.
-func TestFindingsChannel(t *testing.T) {
-	r := openT(t, t.TempDir(), Config{FindingsBuffer: 16})
-	mustSubmit(t, r, b(15))
-	mustSubmit(t, r, b(21))
-	r.Close()
-	var got []Finding
-	for f := range r.Findings() {
-		got = append(got, f)
-	}
-	if len(got) != 1 || got[0].Index != 1 || got[0].Partner != 0 || got[0].Factor.Cmp(b(3)) != 0 {
-		t.Fatalf("findings = %+v", got)
-	}
-}
-
 // TestRestartIdentity: close + reopen replays to identical state without
 // recomputing any verdict, and the registry keeps accepting keys.
 func TestRestartIdentity(t *testing.T) {

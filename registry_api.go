@@ -70,15 +70,6 @@ type KeyVerdict struct {
 	Partners []KeyPartner
 }
 
-// KeyFinding is one pairwise shared-factor discovery streamed on the
-// registry's findings channel.
-type KeyFinding struct {
-	// Index is the newly broken key, Partner the registered key it
-	// shares Factor with.
-	Index, Partner int
-	Factor         *big.Int
-}
-
 // BrokenModulus is one registry key known to share factors.
 type BrokenModulus struct {
 	// Index is the registry index and N the modulus.
@@ -96,10 +87,9 @@ type RegistryStats struct {
 	// remain reserved), Removed the tombstoned count, Broken the number
 	// of keys known to share factors.
 	Keys, Removed, Broken int
-	// Submissions counts Submit calls, Findings delivered pairwise
-	// discoveries, DroppedFindings discoveries not delivered because the
-	// findings channel was full.
-	Submissions, Findings, DroppedFindings int64
+	// Submissions counts the keys passed to Submit and SubmitBatch,
+	// malformed ones included.
+	Submissions int64
 	// SpineMults counts product-tree merge multiplications (amortized
 	// one per accepted key); Replayed counts verdicts recomputed during
 	// OpenRegistry after an unclean shutdown; NodeLoads and NodeBuilds
@@ -118,10 +108,9 @@ type RegistryStats struct {
 //
 // Open one with [OpenRegistry]; it is safe for concurrent use.
 type Registry struct {
-	reg      *registry.Registry
-	metrics  *obs.Registry
-	a        *Attack // the options the registry was opened with
-	findings chan KeyFinding
+	reg     *registry.Registry
+	metrics *obs.Registry
+	a       *Attack // the options the registry was opened with
 }
 
 // OpenRegistry opens the persistent key registry rooted at dir, creating
@@ -151,21 +140,7 @@ func OpenRegistry(dir string, opts ...Option) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	pub := &Registry{reg: r, metrics: reg, a: a, findings: make(chan KeyFinding, 256)}
-	go func() {
-		// Non-blocking forward: a consumer that stops reading never
-		// wedges this goroutine (or Close); overflow is counted and the
-		// discoveries stay durable and visible via Broken.
-		for f := range r.Findings() {
-			select {
-			case pub.findings <- KeyFinding{Index: f.Index, Partner: f.Partner, Factor: f.Factor}:
-			default:
-				r.NoteDroppedFinding()
-			}
-		}
-		close(pub.findings)
-	}()
-	return pub, nil
+	return &Registry{reg: r, metrics: reg, a: a}, nil
 }
 
 func publicVerdict(v registry.Verdict) KeyVerdict {
@@ -216,14 +191,6 @@ func (r *Registry) SubmitBatch(moduli []*big.Int) ([]KeyVerdict, error) {
 	return out, nil
 }
 
-// Findings returns the channel of pairwise shared-factor discoveries.
-// The channel is never closed while the registry is open; Close drains
-// and closes it. A slow receiver never blocks submissions — discoveries
-// beyond the buffer are dropped from the channel (counted in
-// [RegistryStats].DroppedFindings) but remain durable and visible via
-// [Registry.Broken].
-func (r *Registry) Findings() <-chan KeyFinding { return r.findings }
-
 // Broken lists every registry key known to share factors, ordered by
 // index. The G values are byte-identical to what one batch-GCD run over
 // the full registry corpus would report for those keys.
@@ -253,22 +220,20 @@ func (r *Registry) Compact() (int, error) { return r.reg.Compact() }
 func (r *Registry) Stats() RegistryStats {
 	s := r.reg.Stats()
 	return RegistryStats{
-		Keys:            s.Keys,
-		Removed:         s.Removed,
-		Broken:          s.Broken,
-		Submissions:     s.Submissions,
-		Findings:        s.Findings,
-		DroppedFindings: s.Dropped,
-		SpineMults:      s.SpineMults,
-		Replayed:        s.Replayed,
-		NodeLoads:       s.NodeLoads,
-		NodeBuilds:      s.NodeBuilds,
+		Keys:        s.Keys,
+		Removed:     s.Removed,
+		Broken:      s.Broken,
+		Submissions: s.Submissions,
+		SpineMults:  s.SpineMults,
+		Replayed:    s.Replayed,
+		NodeLoads:   s.NodeLoads,
+		NodeBuilds:  s.NodeBuilds,
 	}
 }
 
-// Close syncs and closes the registry's logs and journal, closes the
-// findings channel, and — when the registry was opened [WithMetrics] —
-// writes a final Prometheus snapshot to the configured writer.
+// Close syncs and closes the registry's logs and journal and — when the
+// registry was opened [WithMetrics] — writes a final Prometheus snapshot
+// to the configured writer.
 func (r *Registry) Close() error {
 	err := r.reg.Close()
 	if r.a.metricsW != nil {

@@ -91,8 +91,11 @@ if [ "$keys" -ne 24 ]; then
     exit 1
 fi
 
-curl -sf --data-binary @"$workdir/wave3.txt" "$base/submit?sync=1" > "$workdir/job3.json"
+# Waves 1 and 2 post ?sync=1, as older clients do; wave 3 posts plain,
+# and the server answers every submit inline once it is durable.
+curl -sf --data-binary @"$workdir/wave3.txt" "$base/submit" > "$workdir/job3.json"
 [ "$(jq -r .state "$workdir/job3.json")" = done ]
+[ "$(jq '.verdicts | length' "$workdir/job3.json")" -eq 12 ]
 
 echo "== diff /broken against the oracle =="
 curl -sf "$base/broken" > "$workdir/broken.json"
