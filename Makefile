@@ -43,8 +43,9 @@ chaos:
 # Streaming registry end to end: a real `rsafactor watch` server fed a
 # weak corpus over HTTP in three waves with a SIGKILL between waves two
 # and three; the replayed registry must lose nothing acknowledged, the
-# final /broken set must diff clean against a one-shot batch run, and
-# the server's /timeline and /dashboard pages must serve.
+# final /broken set must diff clean against a one-shot batch run, the
+# server's /timeline and /dashboard pages must serve, and the registry
+# directory it leaves must hold only corpus.log, journal.jsonl and nodes/.
 registry-smoke:
 	./scripts/registry_smoke.sh
 

@@ -40,7 +40,7 @@ import (
 //	                        added. ?sync=1, which older clients send,
 //	                        is accepted and ignored
 //	GET  /broken            every broken key: index, modulus, factor
-//	GET  /registry          corpus size, removed, broken, spine stats
+//	GET  /registry          corpus size, broken, spine stats
 func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("rsafactor watch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -121,7 +121,6 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	if *report != "" {
 		rep.Summary["keys"] = st.Keys
-		rep.Summary["removed"] = st.Removed
 		rep.Summary["broken"] = st.Broken
 		rep.Summary["submissions"] = st.Submissions
 		rep.Summary["spine_mults"] = st.SpineMults

@@ -63,6 +63,17 @@ func ServeStatus(addr string, reg *Registry) (*StatusServer, error) {
 	return ServeStatusOptions(addr, StatusOptions{Registry: reg})
 }
 
+// A status server, rsafactor watch's listener included, bounds how long
+// a client holds a connection without sending: a request's header must
+// arrive within statusReadHeaderTimeout, and a kept-alive connection
+// closes after statusIdleTimeout without a request. It sets no
+// ReadTimeout or WriteTimeout, which would also cut off a legitimately
+// long 16 MiB submit or its reply.
+const (
+	statusReadHeaderTimeout = 10 * time.Second
+	statusIdleTimeout       = 2 * time.Minute
+)
+
 // ServeStatusOptions starts a status server configured by opts.
 func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -94,7 +105,7 @@ func ServeStatusOptions(addr string, opts StatusOptions) (*StatusServer, error) 
 	for pattern, h := range opts.Handlers {
 		mux.Handle(pattern, h)
 	}
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: statusReadHeaderTimeout, IdleTimeout: statusIdleTimeout}
 	go func() {
 		defer close(s.done)
 		_ = s.srv.Serve(ln) // returns ErrServerClosed on Close/Shutdown

@@ -197,3 +197,24 @@ func TestStatusServerShutdownDrains(t *testing.T) {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }
+
+// TestStatusServerTimeouts pins how long a client may hold a status
+// server's connection: 10 s to send a request's header and 2 min idle
+// between requests, and no read or write deadline, which would cut off
+// a long submit to rsafactor watch or its reply.
+func TestStatusServerTimeouts(t *testing.T) {
+	s, err := ServeStatus("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.srv.ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
+	}
+	if got := s.srv.IdleTimeout; got != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", got)
+	}
+	if s.srv.ReadTimeout != 0 || s.srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v, want none", s.srv.ReadTimeout, s.srv.WriteTimeout)
+	}
+}

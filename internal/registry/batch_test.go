@@ -164,9 +164,7 @@ func mixedCorpus(t *testing.T) []*big.Int {
 // random uneven batches (one larger than seedSpan, several straddling a
 // multiple of it) and one key at a time gets the same verdicts, corpus
 // log and journal all three ways. Each corpus is submitted after a
-// prefix of its own keys, submitted the same way, and the removal of a
-// prefix key that shares factors with later keys, so the checks see a
-// tombstoned leaf in the forest.
+// prefix of its own keys, submitted the same way.
 func TestBatchMatchesKeyByKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	small := make([]*big.Int, 600)
@@ -192,28 +190,10 @@ func TestBatchMatchesKeyByKey(t *testing.T) {
 				left -= size
 			}
 
-			// Tombstone the first prefix key that shares a factor with a
-			// later key, so the removal changes later verdicts.
-			tomb := -1
-			for p := 0; p < prefix && tomb < 0; p++ {
-				for _, n := range rest {
-					if head[p].Bit(0) == 1 && new(big.Int).GCD(nil, nil, head[p], n).Cmp(one) > 0 {
-						tomb = p
-						break
-					}
-				}
-			}
-			if tomb < 0 {
-				t.Fatal("fixture: no prefix key shares a factor with a later key")
-			}
-
 			run := func(submit func(*Registry, []*big.Int) []Verdict) (string, []Verdict) {
 				dir := t.TempDir()
 				r := openT(t, dir, Config{})
 				vs := submit(r, head)
-				if err := r.Remove(vs[tomb].Index); err != nil {
-					t.Fatal(err)
-				}
 				vs = append(vs, submit(r, rest)...)
 				if err := r.Close(); err != nil {
 					t.Fatal(err)
@@ -281,77 +261,39 @@ func cutJournal(t *testing.T, dir string, k int) {
 // time, whose journal is cut to its first k records, reopens with
 // Replayed = 600-k and a journal byte-identical to the uncut one: the
 // chunked replay recomputes exactly the records key-by-key submission
-// wrote. In the second registry key tomb is tombstoned right after its
-// own submission, so every later record was computed without it, and
-// the replay runs from 0 and 300 hold it: the key is checked with its
-// own modulus and ends its chunk, and the keys after it count it as 1.
-// The journal records partners only, so the replay's check path is
-// also compared verdict for verdict, G included, with the verdicts
+// wrote. The journal records partners only, so the replay's check path
+// is also compared verdict for verdict, G included, with the verdicts
 // key-by-key submission returned.
 func TestReplayMatchesKeyByKey(t *testing.T) {
 	moduli := weakModuli(t, 544, 96, 8, 27)[:600]
-	tomb, partner := -1, -1
-	for i := 300; i < len(moduli) && tomb < 0; i++ {
-		for j := i + 1; j < len(moduli); j++ {
-			if new(big.Int).GCD(nil, nil, moduli[i], moduli[j]).Cmp(one) > 0 {
-				tomb, partner = i, j
-				break
-			}
-		}
-	}
-	if tomb < 0 || tomb >= 511 {
-		t.Fatalf("fixture: tombstone candidate %d, want one in [300, 511) with a later partner", tomb)
+	ref := t.TempDir()
+	r := openT(t, ref, Config{})
+	verdicts := submitEach(t, r, moduli)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	verdicts := map[string][]Verdict{}
-	build := func(removeTomb bool) string {
+	for _, k := range []int{0, 1, 255, 256, 300} {
 		dir := t.TempDir()
-		r := openT(t, dir, Config{})
-		for i, n := range moduli {
-			verdicts[dir] = append(verdicts[dir], mustSubmit(t, r, n))
-			if removeTomb && i == tomb {
-				if err := r.Remove(tomb); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	plain, tombed := build(false), build(true)
-	if bytes.Equal(readFile(t, plain, "journal.jsonl"), readFile(t, tombed, "journal.jsonl")) {
-		t.Fatalf("fixture: tombstoning key %d left the journal unchanged (its partner is %d)", tomb, partner)
-	}
-
-	for _, c := range []struct {
-		ref string
-		k   int
-	}{
-		{plain, 0}, {plain, 1}, {plain, 255}, {plain, 256}, {plain, 300},
-		{tombed, 0}, {tombed, 300},
-	} {
-		dir := t.TempDir()
-		copyDir(t, c.ref, dir)
-		cutJournal(t, dir, c.k)
+		copyDir(t, ref, dir)
+		cutJournal(t, dir, k)
 		r := openT(t, dir, Config{Metrics: obs.NewRegistry()})
-		if st := r.Stats(); st.Replayed != int64(len(moduli)-c.k) {
-			t.Fatalf("tombed=%v k=%d: Replayed = %d, want %d", c.ref == tombed, c.k, st.Replayed, len(moduli)-c.k)
+		if st := r.Stats(); st.Replayed != int64(len(moduli)-k) {
+			t.Fatalf("k=%d: Replayed = %d, want %d", k, st.Replayed, len(moduli)-k)
 		}
 		var got []Verdict
 		r.mu.Lock()
-		err := r.checkRun(c.k, len(moduli), func(v Verdict) error { got = append(got, v); return nil })
+		err := r.checkRun(k, len(moduli), func(v Verdict) error { got = append(got, v); return nil })
 		r.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameVerdicts(t, got, verdicts[c.ref][c.k:])
+		sameVerdicts(t, got, verdicts[k:])
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(readFile(t, dir, "journal.jsonl"), readFile(t, c.ref, "journal.jsonl")) {
-			t.Fatalf("tombed=%v k=%d: replayed journal differs from the key-by-key one", c.ref == tombed, c.k)
+		if !bytes.Equal(readFile(t, dir, "journal.jsonl"), readFile(t, ref, "journal.jsonl")) {
+			t.Fatalf("k=%d: replayed journal differs from the key-by-key one", k)
 		}
 	}
 }

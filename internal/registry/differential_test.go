@@ -187,89 +187,6 @@ func TestDifferentialNonSquarefree(t *testing.T) {
 	}
 }
 
-// TestDifferentialWithRemovals: tombstoned keys stop participating;
-// verdicts over the surviving corpus match the oracle run with the
-// removed moduli excluded from every product but indices preserved.
-func TestDifferentialWithRemovals(t *testing.T) {
-	moduli := weakModuli(t, 32, 96, 4, 99)
-	dir := t.TempDir()
-	r := openT(t, dir, Config{})
-	defer r.Close()
-
-	half := len(moduli) / 2
-	if _, err := r.SubmitBatch(moduli[:half]); err != nil {
-		t.Fatal(err)
-	}
-	// Remove a few keys, then stream the rest.
-	removed := []int{1, 5, 9}
-	for _, i := range removed {
-		if err := r.Remove(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.SubmitBatch(moduli[half:]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Oracle over the surviving corpus: removed moduli replaced by 1-free
-	// placeholders is not expressible in SharedFactors, so compare
-	// pairwise by brute force instead.
-	alive := func(i int) bool {
-		for _, j := range removed {
-			if i == j {
-				return false
-			}
-		}
-		return true
-	}
-	oracle := make(map[int]*big.Int)
-	for i := range moduli {
-		if !alive(i) {
-			continue
-		}
-		acc := big.NewInt(1)
-		for j := range moduli {
-			if j == i || !alive(j) {
-				continue
-			}
-			g := new(big.Int).GCD(nil, nil, moduli[i], moduli[j])
-			if g.Cmp(big.NewInt(1)) > 0 {
-				// gcd fold, same as the registry's.
-				acc.GCD(nil, nil, moduli[i], acc.Mul(acc, g))
-			}
-		}
-		if acc.Cmp(big.NewInt(1)) > 0 {
-			oracle[i] = acc
-		}
-	}
-
-	got := r.Broken()
-	// Keys broken before their partner was removed keep their finding:
-	// the registry never un-learns. The oracle above is the
-	// post-removal view, so every oracle entry must be present and
-	// byte-identical; registry entries may be a superset only for
-	// indices whose sole partners were removed after the finding.
-	gotMap := make(map[int]*big.Int)
-	for _, bk := range got {
-		gotMap[bk.Index] = bk.G
-	}
-	for i, want := range oracle {
-		g, ok := gotMap[i]
-		if !ok {
-			t.Fatalf("oracle broke index %d, registry did not", i)
-		}
-		if new(big.Int).Mod(g, want).Sign() != 0 {
-			t.Fatalf("index %d: registry G=%s does not cover oracle g=%s", i, g.Text(16), want.Text(16))
-		}
-	}
-	for i := range gotMap {
-		if alive(i) {
-			continue
-		}
-		// Removed keys may retain pre-removal findings; fine.
-	}
-}
-
 // TestDifferentialAgainstRun: the registry's pairwise findings (index,
 // partner, factor) agree with batchgcd.RunContext's per-key factors on a
 // corpus with duplicates.

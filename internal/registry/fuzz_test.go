@@ -79,7 +79,7 @@ func FuzzSpineMerge(f *testing.F) {
 			// Invariant 2: the spine still multiplies out to the corpus
 			// product after the carry merges.
 			forest := big.NewInt(1)
-			for _, k := range rootsOf(len(accepted)) {
+			for _, k := range appendRootsOf(nil, len(accepted)) {
 				forest.Mul(forest, r.store.value(k))
 			}
 			if forest.Cmp(product) != 0 {

@@ -9,7 +9,6 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"bulkgcd/internal/obs"
 	"bulkgcd/internal/subprod"
@@ -46,8 +45,8 @@ const (
 func filed(k nodeKey) bool { return k.level >= seedLevel }
 
 // nodeHeader is the JSON first line of a node file. FP binds the node to
-// the exact corpus slice it multiplies: mismatch (a different corpus, a
-// tombstoned leaf) makes the store rebuild instead of trusting the file.
+// the exact corpus slice it multiplies: a mismatch makes the store
+// rebuild instead of trusting the file.
 type nodeHeader struct {
 	V     string `json:"v"`
 	Level int    `json:"level"`
@@ -67,9 +66,9 @@ type store struct {
 	nodes   map[nodeKey]*big.Int
 	workers int
 
-	// leafHex returns the identity line for leaf i ("-" when
-	// tombstoned), leaf its value (1 when tombstoned); both are provided
-	// by the registry so the store never sees corpus bookkeeping.
+	// leafHex returns leaf i's corpus hex line and leaf its value; both
+	// are provided by the registry so the store never sees corpus
+	// bookkeeping.
 	leafHex func(i int) string
 	leaf    func(i int) *big.Int
 
@@ -90,9 +89,9 @@ func newStore(dir string, workers int, reg *obs.Registry) *store {
 }
 
 // fingerprint binds a node to the corpus slice it covers: the version,
-// the node coordinates, and each leaf's identity line (the corpus hex,
-// or "-" for a tombstoned leaf). Hashing the span is linear in the leaf
-// count but byte-cheap compared to the multiplications it guards.
+// the node coordinates, and each leaf's corpus hex line. Hashing the
+// span is linear in the leaf count but byte-cheap compared to the
+// multiplications it guards.
 func (s *store) fingerprint(k nodeKey) string {
 	lo, hi := k.span()
 	h := sha256.New()
@@ -142,20 +141,11 @@ func (s *store) put(k nodeKey, v *big.Int) {
 	s.nodes[k] = v
 }
 
-// invalidate drops a node from the map and disk; the next value() call
-// rebuilds it. Used when a leaf under it is tombstoned.
-func (s *store) invalidate(k nodeKey) {
-	delete(s.nodes, k)
-	if filed(k) {
-		os.Remove(s.path(k))
-	}
-}
-
 // read loads and validates a node file, returning nil for a node the
 // store keeps no file for and on any mismatch (missing, torn, foreign
-// corpus, stale tombstone state) — the caller rebuilds, so a bad node
-// file can cost time but never correctness. A file below seedSpan, left
-// by an older store, is never read.
+// corpus) — the caller rebuilds, so a bad node file can cost time but
+// never correctness. A file below seedSpan, left by an older store, is
+// never read.
 func (s *store) read(k nodeKey) *big.Int {
 	if !filed(k) {
 		return nil
@@ -246,52 +236,11 @@ func (s *store) build(k nodeKey) *big.Int {
 	return t.Root()
 }
 
-// prune removes node files that are not filed nodes of the forest over
-// n leaves (left over from before a compaction, from an older, larger
-// corpus directory, or from a store that filed nodes below seedSpan)
-// plus any stale temp files. Returns the number of files removed.
-func (s *store) prune(n int) (int, error) {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, de := range des {
-		name := de.Name()
-		var level, index int
-		if _, err := fmt.Sscanf(name, "%02d-%08x.node", &level, &index); err != nil || !isNodeName(name) {
-			// Not a node file; drop only our own temp leftovers.
-			if filepath.Ext(name) == ".tmp" {
-				os.Remove(filepath.Join(s.dir, name))
-				removed++
-			}
-			continue
-		}
-		if hi := (index + 1) << level; !filed(nodeKey{level, index}) || hi > n {
-			os.Remove(filepath.Join(s.dir, name))
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-// isNodeName reports whether name matches the node file pattern exactly
-// (Sscanf alone accepts trailing garbage).
-func isNodeName(name string) bool {
-	var level, index int
-	var rest string
-	n, _ := fmt.Sscanf(name, "%02d-%08x.node%s", &level, &index, &rest)
-	return n == 2 && fmt.Sprintf("%02d-%08x.node", level, index) == name
-}
-
-// rootsOf decomposes a forest over n leaves into its spine roots, one
-// perfect subtree per set bit of n, largest first. Each root's span is
-// aligned because every higher root's span is a multiple of its size.
-func rootsOf(n int) []nodeKey { return appendRootsOf(nil, n) }
-
-// appendRootsOf is rootsOf into a caller-owned buffer; the submit path
-// calls it once per key, so reusing the slice keeps the hot path
-// allocation-flat.
+// appendRootsOf appends the spine roots of a forest over n leaves to
+// out: one perfect subtree per set bit of n, largest first. Each root's
+// span is aligned because every higher root's span is a multiple of its
+// size. The submit path calls it once per key, so reusing out keeps the
+// hot path allocation-flat.
 func appendRootsOf(out []nodeKey, n int) []nodeKey {
 	offset := 0
 	for k := 62; k >= 0; k-- {
@@ -300,24 +249,5 @@ func appendRootsOf(out []nodeKey, n int) []nodeKey {
 			offset += 1 << k
 		}
 	}
-	return out
-}
-
-// ancestorsOf lists the existing forest nodes (level ≥ 1) whose span
-// contains leaf i, in a forest over n leaves — the nodes a tombstone at
-// i invalidates.
-func ancestorsOf(i, n int) []nodeKey {
-	var out []nodeKey
-	for _, root := range rootsOf(n) {
-		lo, hi := root.span()
-		if i < lo || i >= hi {
-			continue
-		}
-		for l := root.level; l >= 1; l-- {
-			out = append(out, nodeKey{l, i >> l})
-		}
-		break
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].level > out[b].level })
 	return out
 }

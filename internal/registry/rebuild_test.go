@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math/big"
 	"math/rand"
 	"os"
@@ -89,7 +90,7 @@ func copyDir(t testing.TB, src, dst string) {
 // leaves that span seedSpan leaves or more, sorted.
 func filedNodes(n int) []string {
 	var names []string
-	for _, root := range rootsOf(n) {
+	for _, root := range appendRootsOf(nil, n) {
 		lo, hi := root.span()
 		for l := root.level; filed(nodeKey{l, 0}); l-- {
 			for idx := lo >> l; idx < hi>>l; idx++ {
@@ -175,15 +176,19 @@ func TestColdRebuildAboveSeedSpan(t *testing.T) {
 
 // TestFoldPrefixResidue checks the fold against Π prefix mod n computed
 // directly with math/big, at prefix lengths on both sides of the 256-
-// and 512-leaf boundaries and over every key, with one tombstoned leaf,
-// and for moduli that take the fold's zero exits: one divides a spine
-// root, the other divides only the product of two roots. Every case runs
-// at pool widths 1, 2, 3 and 7, set explicitly because the pool starts
-// min(width, pieces) goroutines whatever GOMAXPROCS is; from 512 keys on
-// the fold cuts its roots into pieces at every width above 1, where the
-// cut floor lets the 512-key root split (not for the chunk-sized n). For
-// every n the 512-key root is long enough for mod to fold it and the
-// 8-key root after it is divided by one QuoRem, which the fixture
+// and 512-leaf boundaries and over every key, and for moduli that take
+// the fold's zero exits: one divides a spine root, the other divides
+// only the product of two roots. Every case runs at pool widths 1, 2, 3
+// and 7, set explicitly because the pool starts min(width, pieces)
+// goroutines whatever GOMAXPROCS is; from 512 keys on the fold cuts its
+// roots into pieces at every width above 1, where the cut floor lets the
+// 512-key root split (not for the chunk-sized n). At width 3 the
+// registry is then closed, reopened and every case run again, so the
+// folded pieces are the spine roots as a reopen resolves them: the 256-
+// and 512-key roots loaded from their node files, the shorter ones
+// rebuilt from their leaves, instead of the map the spine merges fill.
+// For every n the 512-key root is long enough for mod to fold it and
+// the 8-key root after it is divided by one QuoRem, which the fixture
 // checks, so both paths run at every width; the one-word n and the
 // chunk-sized n (the product of 12 keys, as the fold of a chunk divides
 // by) are the two ends.
@@ -198,7 +203,6 @@ func TestFoldPrefixResidue(t *testing.T) {
 	for i := range moduli {
 		moduli[i] = new(big.Int).Mul(primes[2*i], primes[2*i+1])
 	}
-	const gone = 300
 
 	// The two ends draw from their own source, so the other cases keep
 	// their moduli.
@@ -215,15 +219,12 @@ func TestFoldPrefixResidue(t *testing.T) {
 	}{
 		{"fresh", new(big.Int).Mul(prime(), prime()), 0},
 		{"shares a prime", new(big.Int).Mul(primes[2*5], prime()), 0},
-		{"tombstoned key", moduli[gone], 0},
 		{"divides a root", moduli[3], 4},
 		{"split across roots", new(big.Int).Mul(primes[2*10], primes[2*512]), 513},
 		{"one word", oneWord, 0},
 		{"chunk-sized", chunk, 0},
 	}
-	live := slices.Clone(moduli[:512])
-	live[gone] = one
-	halves := [2]*big.Int{subprod.Product(live[:256]), subprod.Product(live[256:])}
+	halves := [2]*big.Int{subprod.Product(moduli[:256]), subprod.Product(moduli[256:512])}
 	root512, root8 := new(big.Int).Mul(halves[0], halves[1]), subprod.Product(moduli[512:520])
 	// cuts: the cut floor, foldLen(n), lets the 512-key root split.
 	cuts := func(n *big.Int) bool {
@@ -237,10 +238,8 @@ func TestFoldPrefixResidue(t *testing.T) {
 		}
 		for _, m := range prefixes {
 			want := big.NewInt(1)
-			for j := 0; j < m; j++ {
-				if j != gone {
-					want.Mul(want, moduli[j])
-				}
+			for _, mod := range moduli[:m] {
+				want.Mul(want, mod)
 			}
 			want.Mod(want, tc.n)
 			if zero := tc.zeroFrom > 0 && m >= tc.zeroFrom; zero != (want.Sign() == 0) {
@@ -250,14 +249,9 @@ func TestFoldPrefixResidue(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{1, 2, 3, 7} {
-		r := openT(t, t.TempDir(), Config{Workers: workers})
-		if _, err := r.SubmitBatch(moduli); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Remove(gone); err != nil {
-			t.Fatal(err)
-		}
+	// foldAll folds every case at every prefix length; wantCut asks for
+	// the 512-key root to be cut wherever the floor lets it split.
+	foldAll := func(r *Registry, label string, wantCut bool) {
 		for c, tc := range cases {
 			for p, m := range prefixes {
 				r.mu.Lock()
@@ -265,12 +259,31 @@ func TestFoldPrefixResidue(t *testing.T) {
 				pieces := len(r.pieces)
 				r.mu.Unlock()
 				if got.Cmp(wants[c][p]) != 0 {
-					t.Errorf("workers=%d, %s, m=%d: fold residue %v, want %v", workers, tc.name, m, got, wants[c][p])
+					t.Errorf("%s, %s, m=%d: fold residue %v, want %v", label, tc.name, m, got, wants[c][p])
 				}
-				if workers > 1 && m >= 512 && cuts(tc.n) && pieces < 2 {
-					t.Errorf("workers=%d, %s, m=%d: the fold used %d piece, want the root cut", workers, tc.name, m, pieces)
+				if wantCut && m >= 512 && cuts(tc.n) && pieces < 2 {
+					t.Errorf("%s, %s, m=%d: the fold used %d piece, want the root cut", label, tc.name, m, pieces)
 				}
 			}
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		dir := t.TempDir()
+		r := openT(t, dir, Config{Workers: workers})
+		if _, err := r.SubmitBatch(moduli); err != nil {
+			t.Fatal(err)
+		}
+		foldAll(r, fmt.Sprintf("workers=%d", workers), workers > 1)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if workers != 3 {
+			continue
+		}
+		r = openT(t, dir, Config{Workers: workers, Metrics: obs.NewRegistry()})
+		foldAll(r, "reopened, workers=3", false)
+		if st := r.Stats(); st.NodeLoads == 0 || st.NodeBuilds == 0 {
+			t.Errorf("reopened: stats %+v, want pieces both loaded from node files and rebuilt", st)
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
@@ -301,7 +314,7 @@ func TestCutPieces(t *testing.T) {
 	words := func(k nodeKey) int { return len(r.store.value(k).Bits()) }
 
 	for m := 1; m <= keys; m++ {
-		roots := rootsOf(m)
+		roots := appendRootsOf(nil, m)
 		total := 0
 		for _, k := range roots {
 			total += words(k)
@@ -342,8 +355,8 @@ func TestCutPieces(t *testing.T) {
 	}
 	r = openT(t, dir, Config{Metrics: obs.NewRegistry()})
 	defer r.Close()
-	if pieces := r.cut(keys, floor, 2); fmt.Sprint(pieces) != fmt.Sprint(rootsOf(keys)) {
-		t.Fatalf("cut after a reopen: %v, want the spine roots %v", pieces, rootsOf(keys))
+	if pieces, roots := r.cut(keys, floor, 2), appendRootsOf(nil, keys); fmt.Sprint(pieces) != fmt.Sprint(roots) {
+		t.Fatalf("cut after a reopen: %v, want the spine roots %v", pieces, roots)
 	}
 	if st := r.Stats(); st.NodeLoads != 1 || st.NodeBuilds != 0 {
 		t.Fatalf("stats %+v: the cut should load the root's file and nothing else", st)
@@ -390,7 +403,7 @@ func TestSpineMergeNodesCompact(t *testing.T) {
 // byte-identical; the first submission must rebuild every old node
 // rather than load it, and the broken set must be the journal's. No
 // node of the 41-key forest spans seedSpan leaves, so the store reads
-// and writes no file, and Compact deletes every old one.
+// and writes no file: the old files stay on disk byte for byte.
 func TestParentEraDirectoryOpens(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "bgrn1"), dir)
@@ -401,7 +414,14 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 		}
 		return data
 	}
-	corpusLog, journal := read("corpus.log"), read("journal.jsonl")
+	nodeBytes := func() map[string][]byte {
+		out := map[string][]byte{}
+		for _, name := range nodeFiles(t, dir) {
+			out[name] = read(filepath.Join("nodes", name))
+		}
+		return out
+	}
+	corpusLog, journal, oldNodes := read("corpus.log"), read("journal.jsonl"), nodeBytes()
 	if v := nodeVersions(t, dir); v["bgrn1"] == 0 || len(v) != 1 {
 		t.Fatalf("fixture node versions %v, want bgrn1 only", v)
 	}
@@ -462,10 +482,41 @@ func TestParentEraDirectoryOpens(t *testing.T) {
 	if st := r.Stats(); st.NodeLoads != 0 || st.NodeBuilds == 0 {
 		t.Fatalf("stats %+v: bgrn1 nodes must be rebuilt, never loaded", st)
 	}
-	if _, err := r.Compact(); err != nil {
+	if !maps.EqualFunc(nodeBytes(), oldNodes, bytes.Equal) {
+		t.Fatalf("node files %v after a submit, want the %d bgrn1 files unchanged", nodeFiles(t, dir), len(oldNodes))
+	}
+}
+
+// TestRemovedLogRefused: a removed.log that lists a key, as an older
+// version wrote one when it removed a key, makes Open fail with an
+// error naming the file, and corpus.log and journal.jsonl stay
+// byte-identical. A fresh registry writes no removed.log.
+func TestRemovedLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "bgrn1"), dir)
+	if err := os.WriteFile(filepath.Join(dir, "removed.log"), []byte("3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := nodeFiles(t, dir); len(got) != 0 {
-		t.Fatalf("node files after Compact: %v, want none (every node spans fewer than %d leaves)", got, seedSpan)
+	corpusLog, journal := readFile(t, dir, "corpus.log"), readFile(t, dir, "journal.jsonl")
+	r, err := Open(dir, Config{})
+	if err == nil {
+		r.Close()
+		t.Fatal("Open accepted a removed.log that lists key 3")
+	}
+	if !strings.Contains(err.Error(), "removed.log") {
+		t.Fatalf("Open: %v, want an error naming removed.log", err)
+	}
+	if !bytes.Equal(readFile(t, dir, "corpus.log"), corpusLog) || !bytes.Equal(readFile(t, dir, "journal.jsonl"), journal) {
+		t.Fatal("the refused Open rewrote corpus.log or journal.jsonl")
+	}
+
+	fresh := t.TempDir()
+	r = openT(t, fresh, Config{})
+	mustSubmit(t, r, b(15))
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(fresh, "removed.log")); !os.IsNotExist(err) {
+		t.Fatalf("a fresh registry wrote removed.log (stat: %v)", err)
 	}
 }

@@ -6,15 +6,20 @@
 // chunk's product tree and one GCD per key, instead of a full batch
 // rescan.
 //
+// The registry is append-only: every accepted key stays in every later
+// check, so its verdicts are those of batch GCD over the corpus.
+//
 // Layout on disk (one directory per registry):
 //
 //	corpus.log   append-only hex lines — the source of truth
-//	removed.log  append-only tombstoned indices
 //	journal.jsonl  growable checkpoint journal: one verdict record per
 //	               accepted key, bound to the corpus by a prefix hash
 //	               chain (checkpoint.Chain)
 //	nodes/       files for product-tree nodes of 256 leaves or more — a
 //	             validated, rebuildable cache
+//
+// A removed.log left by an older version that removed keys must be
+// empty (checkRemovedLog).
 //
 // In memory the forest's nodes live in one map that only code holding
 // the registry's lock touches: a check's fold resolves its pieces under
@@ -34,8 +39,9 @@
 package registry
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -44,7 +50,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -74,7 +79,7 @@ func journalHeader() checkpoint.Header {
 type Kind int
 
 const (
-	// Clean: the key shares no factor with any prior live key.
+	// Clean: the key shares no factor with any prior key.
 	Clean Kind = iota
 	// Shared: the key shares at least one prime with a prior key; both
 	// are broken.
@@ -122,7 +127,7 @@ type Verdict struct {
 	Kind Kind
 	// Reason explains a Malformed rejection.
 	Reason string
-	// G is gcd(n, product of all prior live keys): 1 when Clean.
+	// G is gcd(n, product of all prior keys): 1 when Clean.
 	G *big.Int
 	// Partners lists every prior key sharing content with this one,
 	// ascending by index. Each partner is newly broken (or newly
@@ -144,8 +149,7 @@ type Config struct {
 
 // Stats is a point-in-time view of the registry's counters.
 type Stats struct {
-	Keys        int   // accepted keys (including tombstoned)
-	Removed     int   // tombstoned keys
+	Keys        int   // accepted keys
 	Broken      int   // keys with a known shared factor
 	Submissions int64 // keys submitted this session, malformed ones included
 	SpineMults  int64 // spine merge multiplications this session
@@ -166,12 +170,10 @@ type Registry struct {
 	corpus    []*big.Int
 	chain     *checkpoint.Chain
 	chainVals []string
-	removed   map[int]bool
 
-	corpusF  *os.File
-	removedF *os.File
-	journal  *checkpoint.Writer
-	store    *store
+	corpusF *os.File
+	journal *checkpoint.Writer
+	store   *store
 
 	// brokenG folds every pairwise finding per index (foldBroken) into
 	// the batch oracle's g_i = gcd(n_i, prod of all other moduli). See
@@ -208,14 +210,18 @@ type Registry struct {
 // corpus log against the journal, and recomputes any verdict the
 // journal does not durably cover. After Open the in-memory state is
 // byte-identical to the state an uninterrupted run would have reached.
+// It refuses a directory whose removed.log lists keys and touches
+// nothing in it.
 func Open(dir string, cfg Config) (*Registry, error) {
+	if err := checkRemovedLog(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(filepath.Join(dir, "nodes"), 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	r := &Registry{
 		dir:     dir,
 		cfg:     cfg,
-		removed: map[int]bool{},
 		brokenG: map[int]*big.Int{},
 		chain:   checkpoint.NewChain(Seed),
 		trace:   cfg.Trace,
@@ -235,13 +241,10 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	r.foldH = reg.Histogram("registry_fold_seconds", obs.DurationBuckets())
 	r.folds = make([]foldScratch, r.workers())
 	r.store = newStore(filepath.Join(dir, "nodes"), r.workers(), reg)
-	r.store.leafHex = r.leafHex
-	r.store.leaf = r.leaf
+	r.store.leafHex = func(i int) string { return r.entries[i] }
+	r.store.leaf = func(i int) *big.Int { return r.corpus[i] }
 
 	err := r.loadCorpus()
-	if err == nil {
-		err = r.loadRemoved()
-	}
 	if err == nil {
 		err = r.replay()
 	}
@@ -253,23 +256,20 @@ func Open(dir string, cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// leafHex is the identity line of leaf i for node fingerprints: the
-// corpus hex, or "-" once tombstoned (so node files built before a
-// removal stop validating).
-func (r *Registry) leafHex(i int) string {
-	if r.removed[i] {
-		return "-"
+// checkRemovedLog refuses a directory whose removed.log, written by an
+// older version that could remove keys, lists any: opening it would put
+// those keys back into every check while the journal and node files
+// still leave them out. An empty or missing removed.log is ignored.
+func checkRemovedLog(dir string) error {
+	path := filepath.Join(dir, "removed.log")
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("registry: %w", err)
 	}
-	return r.entries[i]
-}
-
-// leaf is the value of leaf i: the modulus, or 1 once tombstoned. The
-// value is shared and read-only.
-func (r *Registry) leaf(i int) *big.Int {
-	if r.removed[i] {
-		return one
+	if len(bytes.TrimSpace(data)) > 0 {
+		return fmt.Errorf("registry: %s lists removed keys, which every check would include again; delete it and journal.jsonl to recompute the verdicts with them", path)
 	}
-	return r.corpus[i]
+	return nil
 }
 
 // loadCorpus reads corpus.log, drops a torn final line (rewriting the
@@ -327,32 +327,6 @@ func (r *Registry) loadCorpus() error {
 	return nil
 }
 
-// loadRemoved reads the tombstone log and opens it for appending.
-func (r *Registry) loadRemoved() error {
-	path := filepath.Join(r.dir, "removed.log")
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("registry: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		i, perr := strconv.Atoi(line)
-		if perr != nil || i < 0 || i >= len(r.corpus) {
-			continue // torn or stale tombstone; ignoring it is safe
-		}
-		r.removed[i] = true
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	r.removedF = f
-	return nil
-}
-
 // replay reconciles the journal with the corpus: verified records are
 // adopted as-is, anything else (torn tail, journal behind the corpus,
 // fresh registry) is recomputed deterministically and journaled.
@@ -364,11 +338,14 @@ func (r *Registry) replay() error {
 			verified = ok
 		}
 	}
-	w, err := openJournal(jpath)
+	w, err := checkpoint.OpenAppend(jpath)
 	if err != nil {
-		return err
+		return fmt.Errorf("registry: %w", err)
 	}
-	r.journal = w
+	r.journal = w // closed by Open's closeFiles if anything below fails
+	if err := w.Begin(journalHeader()); err != nil {
+		return fmt.Errorf("registry: %w", err)
+	}
 
 	recomputed := false
 	for i := 0; i < len(r.corpus); {
@@ -417,20 +394,6 @@ func (r *Registry) replay() error {
 	return nil
 }
 
-// openJournal opens the registry journal at path for appending and
-// writes (or checks) its header.
-func openJournal(path string) (*checkpoint.Writer, error) {
-	w, err := checkpoint.OpenAppend(path)
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	if err := w.Begin(journalHeader()); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	return w, nil
-}
-
 // foldBroken accumulates a pairwise finding g = gcd(n_i, n_j) into both
 // endpoints' per-index factor: G_k <- gcd(n_k, G_k*g). For each prime
 // power p^e exactly dividing n_k, with x_j the exponent of p in n_j, the
@@ -457,13 +420,11 @@ func (r *Registry) foldBroken(i, j int, g *big.Int) {
 func chunkEnd(i int) int { return (i/seedSpan + 1) * seedSpan }
 
 // prefixResidues returns, for the chunk ms of keys at corpus indices m,
-// m+1, ..., the product of the live keys before each one reduced mod
-// that key. It builds the chunk's product tree, folds the forest over
-// the first m keys mod the chunk's product (one foldPrefix for the whole
+// m+1, ..., the product of the keys before each one reduced mod that
+// key. It builds the chunk's product tree, folds the forest over the
+// first m keys mod the chunk's product (one foldPrefix for the whole
 // chunk), and pushes that residue down the tree with subprod.Prefixes,
-// which multiplies in the chunk's own earlier keys. Every key of ms
-// counts as live for the keys after it, so a tombstoned key may only be
-// the chunk's last.
+// which multiplies in the chunk's own earlier keys.
 func (r *Registry) prefixResidues(ms []*big.Int, m int) ([]*big.Int, error) {
 	// A check is short and bounded; the registry has no cancellation
 	// surface to thread through here.
@@ -482,17 +443,10 @@ func (r *Registry) prefixResidues(ms []*big.Int, m int) ([]*big.Int, error) {
 
 // checkRun recomputes the verdicts of the corpus keys [lo, hi) against
 // the keys before each, a chunk at a time, and hands them to fn in
-// index order. A tombstoned key is checked with its own modulus but
-// multiplies later keys as 1 (leaf), so it ends its chunk.
+// index order.
 func (r *Registry) checkRun(lo, hi int, fn func(Verdict) error) error {
 	for lo < hi {
 		end := min(chunkEnd(lo), hi)
-		for k := lo; k < end-1; k++ {
-			if r.removed[k] {
-				end = k + 1
-				break
-			}
-		}
 		res, err := r.prefixResidues(r.corpus[lo:end], lo)
 		if err != nil {
 			return err
@@ -507,10 +461,9 @@ func (r *Registry) checkRun(lo, hi int, fn func(Verdict) error) error {
 	return nil
 }
 
-// check turns the prefix residue of modulus n, the product of the live
-// keys among the first m reduced mod n, into n's verdict against them:
-// one GCD and, only on a hit, a remainder-tree descent to the culprit
-// leaves.
+// check turns the prefix residue of modulus n, the product of the first
+// m keys reduced mod n, into n's verdict against them: one GCD and, only
+// on a hit, a remainder-tree descent to the culprit leaves.
 func (r *Registry) check(n *big.Int, m int, res *big.Int) Verdict {
 	// gcd(n, 0) = n covers a residue of 0: n divides the product.
 	v := Verdict{Index: m, Kind: Clean, G: new(big.Int).GCD(nil, nil, n, res)}
@@ -661,8 +614,7 @@ func (p *powers) grow() *big.Int {
 	return &p.c[len(p.c)-1]
 }
 
-// foldPrefix returns the product of the live keys among the first m,
-// reduced mod n. It cuts the forest over the first m leaves into
+// foldPrefix returns the product of the first m keys, reduced mod n. It cuts the forest over the first m leaves into
 // pieces (cut), resolves them under the registry lock, builds n's
 // powers when a piece is long enough to fold by multiplication (mod),
 // and reduces the pieces on the pool, largest first: each worker
@@ -767,9 +719,6 @@ func (r *Registry) workers() int {
 func (r *Registry) descend(k nodeKey, n *big.Int) {
 	if k.level == 0 {
 		j := k.index
-		if r.removed[j] {
-			return
-		}
 		if g := r.gcd.GCD(nil, nil, n, r.corpus[j]); g.Cmp(one) > 0 {
 			f := new(big.Int).Set(g)
 			r.partners = append(r.partners, Partner{Index: j, Factor: f, Dup: r.corpus[j].Cmp(n) == 0})
@@ -850,9 +799,6 @@ func (r *Registry) SubmitBatch(ns []*big.Int) ([]Verdict, error) {
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, fmt.Errorf("registry: closed")
-	}
-	if r.journal == nil {
-		return nil, fmt.Errorf("registry: no journal since a failed Compact; Compact again or reopen the registry")
 	}
 	reasons := make([]string, len(ns))
 	var keys []*big.Int // copies of the accepted moduli: the caller keeps ns
@@ -940,7 +886,7 @@ func (r *Registry) accept(m *big.Int, v Verdict) error {
 	return nil
 }
 
-// Len returns the number of accepted keys (including tombstoned ones).
+// Len returns the number of accepted keys.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -980,84 +926,12 @@ func (r *Registry) Broken() []BrokenKey {
 	return out
 }
 
-// Remove tombstones key i: it stays in the corpus log (indices are
-// stable forever) but is excluded from every future product and
-// verdict. The tombstone is durable before Remove returns. Historical
-// findings involving i are kept — they were true when found.
-func (r *Registry) Remove(i int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("registry: closed")
-	}
-	if i < 0 || i >= len(r.corpus) {
-		return fmt.Errorf("registry: index %d out of range [0,%d)", i, len(r.corpus))
-	}
-	if r.removed[i] {
-		return nil
-	}
-	if _, err := r.removedF.WriteString(strconv.Itoa(i) + "\n"); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := r.removedF.Sync(); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	r.removed[i] = true
-	for _, k := range ancestorsOf(i, len(r.corpus)) {
-		r.store.invalidate(k)
-	}
-	return nil
-}
-
-// Compact rewrites the journal to its minimal form, prunes node files
-// that are no longer forest nodes, and resolves every spine root, so a
-// root that a Remove invalidated is rebuilt, with its node files, before
-// the next check or a restart needs it. Returns journal lines dropped
-// plus node files pruned. The journal is
-// reopened whether or not the rewrite succeeded (a failed rewrite leaves
-// the original file in place); if the reopen fails too, every later
-// Submit and SubmitBatch fails before writing anything until a Compact
-// reopens it or the registry is reopened.
-func (r *Registry) Compact() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, fmt.Errorf("registry: closed")
-	}
-	jpath := filepath.Join(r.dir, "journal.jsonl")
-	var err error
-	if r.journal != nil {
-		err = r.journal.Close()
-	}
-	dropped := 0
-	if err == nil {
-		dropped, err = checkpoint.Compact(jpath)
-	}
-	var openErr error
-	r.journal, openErr = openJournal(jpath)
-	if err != nil {
-		return 0, errors.Join(fmt.Errorf("registry: %w", err), openErr)
-	}
-	if openErr != nil {
-		return 0, openErr
-	}
-	pruned, err := r.store.prune(len(r.corpus))
-	if err != nil {
-		return 0, fmt.Errorf("registry: %w", err)
-	}
-	for _, root := range rootsOf(len(r.corpus)) {
-		r.store.value(root)
-	}
-	return dropped + pruned, nil
-}
-
 // Stats returns a point-in-time view of the registry's counters.
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Stats{
 		Keys:        len(r.corpus),
-		Removed:     len(r.removed),
 		Broken:      len(r.brokenG),
 		Submissions: r.submissions.Value(),
 		SpineMults:  r.spineMults.Value(),
@@ -1082,23 +956,15 @@ func (r *Registry) Close() error {
 	return nil
 }
 
-// closeFiles syncs and closes whichever of the logs and the journal are
-// open and returns the first error.
+// closeFiles syncs and closes the corpus log and the journal, whichever
+// are open, and returns the first error.
 func (r *Registry) closeFiles() error {
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, f := range []*os.File{r.corpusF, r.removedF} {
-		if f != nil {
-			keep(f.Sync())
-			keep(f.Close())
-		}
+	var errs [3]error
+	if r.corpusF != nil {
+		errs[0], errs[1] = r.corpusF.Sync(), r.corpusF.Close()
 	}
 	if r.journal != nil {
-		keep(r.journal.Close())
+		errs[2] = r.journal.Close()
 	}
-	return first
+	return cmp.Or(errs[:]...)
 }

@@ -312,38 +312,6 @@ func TestOpenFailureClosesFiles(t *testing.T) {
 	}
 }
 
-// TestRemove: a tombstoned key disappears from every future product and
-// verdict, durably.
-func TestRemove(t *testing.T) {
-	dir := t.TempDir()
-	r := openT(t, dir, Config{})
-	mustSubmit(t, r, b(15)) // 3·5
-	mustSubmit(t, r, b(77)) // 7·11
-	if err := r.Remove(0); err != nil {
-		t.Fatal(err)
-	}
-	// 21 = 3·7 no longer shares with removed key 0; only 7 with key 1.
-	v := mustSubmit(t, r, b(21))
-	if v.Kind != Shared || len(v.Partners) != 1 || v.Partners[0].Index != 1 {
-		t.Fatalf("after remove: %+v", v)
-	}
-	if v.G.Cmp(b(7)) != 0 {
-		t.Fatalf("G = %v, want 7", v.G)
-	}
-	r.Close()
-
-	// The tombstone survives restart.
-	r2 := openT(t, dir, Config{})
-	defer r2.Close()
-	v = mustSubmit(t, r2, b(15))
-	if v.Kind != Shared || len(v.Partners) != 1 || v.Partners[0].Index != 2 {
-		t.Fatalf("duplicate of removed key after restart: %+v", v)
-	}
-	if err := r2.Remove(99); err == nil {
-		t.Fatal("out-of-range Remove accepted")
-	}
-}
-
 // semiprimes returns count products of two random 48-bit primes,
 // deterministic in seed. 48-bit primes never share 3, 5, 7, 11 or 13
 // with the hand-picked moduli the tests mix them with.
@@ -422,130 +390,11 @@ func TestNodeFilesFromSeedSpan(t *testing.T) {
 	}
 }
 
-// TestCompact: journal duplicates collapse, orphan node files go away,
-// and the registry keeps working.
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	r := openT(t, dir, Config{})
-	for _, n := range []int64{15, 77, 21} {
-		mustSubmit(t, r, b(n))
-	}
-	// Plant an orphan node file and a stale temp.
-	orphan := filepath.Join(dir, "nodes", "05-00000007.node")
-	if err := os.WriteFile(orphan, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "nodes", "01-00000000.node.tmp"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	removedN, err := r.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removedN < 2 {
-		t.Fatalf("Compact removed %d, want >= 2 (orphan + temp)", removedN)
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphan node file survived")
-	}
-	if v := mustSubmit(t, r, b(33)); v.Kind != Shared {
-		t.Fatalf("submit after compact: %+v", v)
-	}
-	r.Close()
-
-	r2 := openT(t, dir, Config{})
-	defer r2.Close()
-	if r2.Len() != 4 {
-		t.Fatalf("Len() = %d after compacted restart", r2.Len())
-	}
-}
-
-// TestCompactFailureKeepsJournal: a Compact that fails leaves the
-// registry on a live journal or on none at all, never on a closed one.
-// With journal.jsonl.compact a directory the rewrite fails and the
-// untouched journal is reopened, so a later Submit is acknowledged and
-// survives a reopen. With journal.jsonl itself a directory the reopen
-// fails too, and Submit and SubmitBatch fail before writing anything;
-// once the journal is back, Compact reopens it.
-func TestCompactFailureKeepsJournal(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
-	cpath := filepath.Join(dir, "corpus.log")
-	r := openT(t, dir, Config{})
-	mustSubmit(t, r, b(15))
-
-	if err := os.Mkdir(jpath+".compact", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Compact(); err == nil {
-		t.Fatal("Compact succeeded over a directory")
-	}
-	if v := mustSubmit(t, r, b(21)); v.Kind != Shared || v.Index != 1 {
-		t.Fatalf("submit after failed Compact: %+v", v)
-	}
-	if err := os.Remove(jpath + ".compact"); err != nil {
-		t.Fatal(err)
-	}
-
-	read := func(path string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	corpusBefore, journalBefore := read(cpath), read(jpath)
-	if err := os.Rename(jpath, jpath+".aside"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(jpath, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Compact(); err == nil {
-		t.Fatal("Compact succeeded with the journal a directory")
-	}
-	if v, err := r.Submit(b(35)); err == nil {
-		t.Fatalf("Submit without a journal acknowledged %+v", v)
-	}
-	if vs, err := r.SubmitBatch([]*big.Int{b(35), b(77)}); err == nil {
-		t.Fatalf("SubmitBatch without a journal acknowledged %+v", vs)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len() = %d after failed submits, want 2", r.Len())
-	}
-	if err := os.Remove(jpath); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(jpath+".aside", jpath); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(read(cpath), corpusBefore) || !bytes.Equal(read(jpath), journalBefore) {
-		t.Fatal("failed submits wrote to corpus.log or journal.jsonl")
-	}
-
-	if _, err := r.Compact(); err != nil {
-		t.Fatalf("Compact with the journal back: %v", err)
-	}
-	if v := mustSubmit(t, r, b(35)); v.Kind != Shared || v.Index != 2 {
-		t.Fatalf("submit after recovering Compact: %+v", v)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := openT(t, dir, Config{Metrics: obs.NewRegistry()})
-	defer r2.Close()
-	if st := r2.Stats(); st.Keys != 3 || st.Replayed != 0 {
-		t.Fatalf("reopen: %d keys, %d replayed; want 3 keys, none replayed", st.Keys, st.Replayed)
-	}
-}
-
 // TestRootsOf: spans of the spine roots partition [0, n) in order.
 func TestRootsOf(t *testing.T) {
 	for n := 0; n <= 300; n++ {
 		next := 0
-		for _, k := range rootsOf(n) {
+		for _, k := range appendRootsOf(nil, n) {
 			lo, hi := k.span()
 			if lo != next || hi <= lo {
 				t.Fatalf("n=%d: root %+v spans [%d,%d), want lo=%d", n, k, lo, hi, next)
@@ -554,29 +403,6 @@ func TestRootsOf(t *testing.T) {
 		}
 		if next != n {
 			t.Fatalf("n=%d: roots cover [0,%d)", n, next)
-		}
-	}
-}
-
-// TestAncestorsOf: each listed node contains the leaf, lives in the
-// forest, and the list covers every level from the leaf's root down.
-func TestAncestorsOf(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 100} {
-		for i := 0; i < n; i++ {
-			anc := ancestorsOf(i, n)
-			for _, k := range anc {
-				lo, hi := k.span()
-				if i < lo || i >= hi {
-					t.Fatalf("n=%d i=%d: ancestor %+v misses leaf", n, i, k)
-				}
-				if hi > n {
-					t.Fatalf("n=%d i=%d: ancestor %+v outside forest", n, i, k)
-				}
-			}
-			// The leaf's root subtree has some level k; ancestors are k..1.
-			if len(anc) > 0 && anc[0].level != len(anc) {
-				t.Fatalf("n=%d i=%d: ancestors %+v not contiguous", n, i, anc)
-			}
 		}
 	}
 }

@@ -83,10 +83,9 @@ type BrokenModulus struct {
 
 // RegistryStats is a point-in-time snapshot of registry counters.
 type RegistryStats struct {
-	// Keys is the corpus size (including removed keys, whose indices
-	// remain reserved), Removed the tombstoned count, Broken the number
-	// of keys known to share factors.
-	Keys, Removed, Broken int
+	// Keys is the corpus size, Broken the number of keys known to share
+	// factors.
+	Keys, Broken int
 	// Submissions counts the keys passed to Submit and SubmitBatch,
 	// malformed ones included.
 	Submissions int64
@@ -203,25 +202,14 @@ func (r *Registry) Broken() []BrokenModulus {
 	return out
 }
 
-// Len returns the number of registered keys (including removed ones,
-// whose indices stay reserved).
+// Len returns the number of registered keys.
 func (r *Registry) Len() int { return r.reg.Len() }
-
-// Remove tombstones a registered key: it stops participating in every
-// future product and verdict. The removal is durable immediately.
-func (r *Registry) Remove(index int) error { return r.reg.Remove(index) }
-
-// Compact rewrites the journal to one record per key and prunes node
-// files that no longer belong to the tree (after removals or a crash),
-// returning the number of journal records and files dropped.
-func (r *Registry) Compact() (int, error) { return r.reg.Compact() }
 
 // Stats returns a snapshot of the registry counters.
 func (r *Registry) Stats() RegistryStats {
 	s := r.reg.Stats()
 	return RegistryStats{
 		Keys:        s.Keys,
-		Removed:     s.Removed,
 		Broken:      s.Broken,
 		Submissions: s.Submissions,
 		SpineMults:  s.SpineMults,

@@ -6,7 +6,9 @@
 # /broken set must diff clean against a one-shot batch-GCD run of the
 # same corpus. Every acknowledged verdict survives the kill because the
 # server journals before it answers. The restarted server's /timeline
-# and /dashboard pages are fetched and checked too.
+# and /dashboard pages are fetched and checked too, and the registry
+# directory it leaves must hold only corpus.log, journal.jsonl and
+# nodes/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -151,6 +153,14 @@ wait "$watch"
 grep -q 'shutting down' "$workdir/watch2.out"
 jq -e '.tool == "rsafactor-watch" and .summary.keys == 36 and .summary.broken > 0' \
     "$workdir/report.json" > /dev/null
+
+# The registry is append-only: the directory a real server leaves holds
+# the corpus log, the journal and the node directory, and no removed.log.
+contents=$(LC_ALL=C ls -A "$workdir/reg" | tr '\n' ' ')
+if [ "$contents" != "corpus.log journal.jsonl nodes " ]; then
+    echo "registry directory holds: $contents; want corpus.log journal.jsonl nodes" >&2
+    exit 1
+fi
 
 broken_n=$(jq length "$workdir/broken.json")
 echo "registry smoke OK: 36 keys in 3 waves across a SIGKILL ($replayed replayed), $broken_n broken keys identical to the batch oracle"
